@@ -395,43 +395,30 @@ class DDManager:
                 results.append(not self.edge_is_false(cofactor))
         return results
 
-    def weighted_count_edge(self, edge, w1, w0, one, zero):
+    def weighted_count_edge(self, edge, w1, w0, one, zero, *, joints=None):
         """Weighted model count of ``edge`` (see :mod:`repro.wmc`).
 
         ``w1``/``w0`` are per-variable weight columns indexed by
         variable index, ``one``/``zero`` the units of the arithmetic in
-        use (Fractions or floats).  With a :meth:`batch_stream` and a
-        variable order this is the one-pass levelized
-        :func:`repro.wmc.sweep.mass_sweep`; any other backend takes the
-        protocol-pure memoized Shannon recursion
+        use (Fractions or floats).  With ``joints`` (variable indices)
+        the result is ``(count, {index: WMC(f ∧ v)})``.  With a
+        :meth:`batch_stream` and a variable order this is the levelized
+        kernel :func:`repro.wmc.sweep.wmc_sweep`; any other backend
+        takes the protocol-pure memoized Shannon recursion
         (:func:`repro.wmc.sweep.shannon_count`) — correct without
         knowing the node layout.
         """
-        from repro.wmc.sweep import mass_sweep, shannon_count, total_mass
+        from repro.wmc.sweep import shannon_count, wmc_sweep
 
-        if self.edge_is_sink(edge):
-            if self.edge_is_false(edge):
-                return zero
-            return total_mass(w1, w0, one)
         order_obj = getattr(self, "order", None)
-        stream = self.batch_stream(edge) if order_obj is not None else None
-        if stream is None:
-            return shannon_count(self, edge, w1, w0, one, zero)
-        root_key, items = stream
-        order = tuple(order_obj.order)
-        positions = [0] * self.num_vars
-        for pos, var in enumerate(order):
-            positions[var] = pos
-        return mass_sweep(
-            root_key,
-            self.edge_attr(edge),
-            items,
-            order=order,
-            positions=positions,
-            w1=w1,
-            w0=w0,
-            one=one,
-            zero=zero,
+        sink = self.edge_is_sink(edge)
+        stream = None if order_obj is None or sink else self.batch_stream(edge)
+        if order_obj is None or (stream is None and not sink):
+            return shannon_count(self, edge, w1, w0, one, zero, joints=joints)
+        # A constant root needs no stream: its attribute says which.
+        attr = self.edge_is_false(edge) if sink else self.edge_attr(edge)
+        return wmc_sweep(
+            stream, attr, order_obj.order, w1, w0, one, zero, joints=joints
         )
 
     def and_exists_edges(self, f, g, variables):

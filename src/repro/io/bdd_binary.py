@@ -272,7 +272,7 @@ def _load_file(fileobj, manager, rename: Rename):
         if len(payload) != nbytes:
             raise FormatError("truncated level payload")
         if decompressor is not None:
-            payload = decompressor.decompress(payload)
+            payload = decompressor.decompress(payload, level_count)
         var = var_at[position]
         offset = 0
         for _ in range(level_count):

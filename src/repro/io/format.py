@@ -444,6 +444,33 @@ class PayloadCompressor:
         return stream.compress(payload) + stream.flush(zlib.Z_SYNC_FLUSH)
 
 
+#: Most bytes one node record of any grammar can take: three varints
+#: of at most ten bytes each (ten LEB128 bytes hold any 64-bit value,
+#: and no valid record field is wider).
+MAX_RECORD_BYTES = 30
+
+
+def inflate_records(stream, blob: bytes, count: int) -> bytes:
+    """Inflate one level payload of ``count`` records through ``stream``.
+
+    ``stream`` is a ``zlib.decompressobj``.  Inflation stops one byte
+    past the most that ``count`` records can take, so a small crafted
+    block cannot expand without bound before its records are decoded;
+    overshooting that bound raises :class:`FormatError`.
+    """
+    limit = MAX_RECORD_BYTES * count
+    try:
+        payload = stream.decompress(blob, limit + 1)
+    except zlib.error as exc:
+        raise FormatError(f"corrupt compressed payload: {exc}") from None
+    if len(payload) > limit or stream.unconsumed_tail:
+        raise FormatError(
+            f"compressed payload inflates past {limit} bytes, the most "
+            f"{count} node records can take"
+        )
+    return payload
+
+
 class PayloadDecompressor:
     """Inverse of :class:`PayloadCompressor` — feed blocks in file order."""
 
@@ -452,8 +479,6 @@ class PayloadDecompressor:
     def __init__(self) -> None:
         self._stream = zlib.decompressobj()
 
-    def decompress(self, blob: bytes) -> bytes:
-        try:
-            return self._stream.decompress(blob)
-        except zlib.error as exc:
-            raise FormatError(f"corrupt compressed payload: {exc}") from None
+    def decompress(self, blob: bytes, count: int) -> bytes:
+        """Inflate the next block, which declares ``count`` records."""
+        return inflate_records(self._stream, blob, count)

@@ -209,7 +209,7 @@ class LevelStreamReader:
                 )
             self._levels_read += 1
             if self._decompressor is not None:
-                payload = self._decompressor.decompress(payload)
+                payload = self._decompressor.decompress(payload, count)
             if self.chain:
                 records = decode_records_v2(payload, count)
             else:

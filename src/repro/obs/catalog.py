@@ -123,7 +123,7 @@ CATALOG: "Mapping[str, tuple]" = {
         "gauge", "Segments currently attached in a worker.", (), None),
     # -- wmc: weighted model counting ----------------------------------
     "repro_wmc_sweeps_total": (
-        "counter", "Weighted-counting mass sweeps executed.", (), None),
+        "counter", "Weighted-counting passes: 1 per count, 2 per marginals.", (), None),
     # -- reach: symbolic reachability ----------------------------------
     "repro_reach_iterations_total": (
         "counter", "BFS fixpoint iterations across reachability runs.", (), None),

@@ -614,29 +614,15 @@ class ShmForest:
 
     # -- weighted counting ---------------------------------------------------
 
-    def _weighted(self, name: str, w1, w0, one, zero):
-        """One zero-copy mass sweep straight off the segment arrays."""
-        from repro.wmc import _count_sweeps
-        from repro.wmc.sweep import mass_sweep, total_mass
+    def _weighted(self, name: str, w1, w0, one, zero, joints=None):
+        """The :func:`~repro.wmc.sweep.wmc_sweep` kernel off the segment arrays."""
+        from repro.wmc.sweep import wmc_sweep
 
         self._check_open()
         ref = self._root(name)
-        _count_sweeps()
-        if ref == 1:
-            return total_mass(w1, w0, one)
-        if ref == -1:
-            return zero
-        root = -ref if ref < 0 else ref
-        return mass_sweep(
-            root,
-            ref < 0,
-            self._items(),
-            order=self._order,
-            positions=self._positions,
-            w1=w1,
-            w0=w0,
-            one=one,
-            zero=zero,
+        stream = None if ref in (1, -1) else (abs(ref), self._items())
+        return wmc_sweep(
+            stream, ref < 0, self._order, w1, w0, one, zero, joints=joints
         )
 
     def weighted_count(self, name: str, weights=None, *, exact: bool = True):
@@ -663,30 +649,18 @@ class ShmForest:
 
     def marginals(self, name: str, weights=None, variables=None, *, exact: bool = True):
         """Posterior marginals ``p(v = 1 | name = 1)`` per support variable."""
-        from repro.wmc.sweep import WmcError, resolve_weights
+        from repro.wmc.sweep import posterior, resolve_weights
 
         w1, w0, one, zero = resolve_weights(
             self, weights, probabilities=True, exact=exact
         )
-        denominator = self._weighted(name, w1, w0, one, zero)
-        if not denominator:
-            raise WmcError(
-                "marginals are undefined: p(f = 1) is 0 under these weights"
-            )
         if variables is None:
-            indices = sorted(self.support(name))
+            variables = sorted(self.support(name))
         elif isinstance(variables, (str, int)):
-            indices = [self.var_index(variables)]
-        else:
-            indices = [self.var_index(v) for v in variables]
-        result = {}
-        for index in indices:
-            held = w0[index]
-            w0[index] = zero
-            joint = self._weighted(name, w1, w0, one, zero)
-            w0[index] = held
-            result[self.var_name(index)] = joint / denominator
-        return result
+            variables = [variables]
+        indices = [self.var_index(var) for var in variables]
+        count, joint = self._weighted(name, w1, w0, one, zero, joints=indices)
+        return posterior(count, joint, self.var_name)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -3,17 +3,21 @@
 Treats a decision diagram as the arithmetic circuit of its Boolean
 function (the "BDDs are a subset of Bayesian nets" view): per-variable
 weights flow through the same top-down levelized sweep batch
-evaluation uses, giving the weighted count, the probability
-``p(f = 1)`` under independent inputs, and per-variable posterior
-marginals — each in one ``O(nodes)`` pass per query, with exact
-:class:`fractions.Fraction` arithmetic by default.
+evaluation uses, giving the weighted count and the probability
+``p(f = 1)`` under independent inputs in one ``O(nodes)`` pass, and
+the posterior marginals of every variable in two — a bottom-up
+acceptance pass, then the top-down mass pass adding up each
+variable's joint (:mod:`repro.wmc.sweep`).  Results are exact by
+default: the passes run on integers scaled by the least common
+multiple of the weight denominators, and each result is divided once
+at the end into a :class:`fractions.Fraction`.
 
 The conveniences here take :class:`repro.api.base.FunctionBase`
 handles; the same queries are methods on functions
 (``f.p_one(...)``, ``f.weighted_count(...)``, ``f.marginals(...)``),
 on managers (``manager.weighted_count(f, ...)``) and on frozen
 shared-memory forests (:class:`repro.par.shm.ShmForest` answers them
-zero-copy straight off the segment arrays).
+zero-copy straight off the segment arrays, through the same kernel).
 """
 
 from __future__ import annotations
@@ -22,30 +26,22 @@ from typing import Mapping, Optional
 
 from repro.wmc.sweep import (
     WmcError,
-    mass_sweep,
+    posterior,
     resolve_weights,
     shannon_count,
-    total_mass,
+    wmc_sweep,
 )
 
 __all__ = [
     "WmcError",
-    "mass_sweep",
     "marginals",
     "p_one",
+    "posterior",
     "resolve_weights",
     "shannon_count",
-    "total_mass",
     "weighted_count",
+    "wmc_sweep",
 ]
-
-
-def _count_sweeps(count: int = 1) -> None:
-    """Bump the ``repro_wmc_sweeps_total`` observability counter."""
-    from repro import obs
-    from repro.obs.catalog import family
-
-    family(obs.REGISTRY, "repro_wmc_sweeps_total").inc(count)
 
 
 def weighted_count(f, weights: Optional[Mapping] = None, *, exact: bool = True):
@@ -57,13 +53,12 @@ def weighted_count(f, weights: Optional[Mapping] = None, *, exact: bool = True):
         variables weigh ``(1, 1)``, so with uniform ``1/2`` weights on
         the support this equals ``sat_count / 2^|support|`` and with no
         weights at all it is exactly ``sat_count``.
-    :param exact: exact Fraction arithmetic (default) or floats.
+    :param exact: exact Fraction results (default) or floats.
     """
     manager = f.manager
     w1, w0, one, zero = resolve_weights(
         manager, weights, probabilities=False, exact=exact
     )
-    _count_sweeps()
     return manager.weighted_count_edge(f.edge, w1, w0, one, zero)
 
 
@@ -73,13 +68,12 @@ def p_one(f, weights: Optional[Mapping] = None, *, exact: bool = True):
     :param f: a function handle of any backend.
     :param weights: mapping of variable to ``p(v = 1)`` in ``[0, 1]``;
         unmentioned variables default to ``1/2``.
-    :param exact: exact Fraction arithmetic (default) or floats.
+    :param exact: exact Fraction results (default) or floats.
     """
     manager = f.manager
     w1, w0, one, zero = resolve_weights(
         manager, weights, probabilities=True, exact=exact
     )
-    _count_sweeps()
     return manager.weighted_count_edge(f.edge, w1, w0, one, zero)
 
 
@@ -92,10 +86,10 @@ def marginals(
 ) -> dict:
     """Posterior marginals ``p(v = 1 | f = 1)`` per support variable.
 
-    Implemented as one conditioning re-sweep per variable: pinning
-    ``w0[v] = 0`` yields the joint ``p(f = 1, v = 1)``, divided by
-    ``p(f = 1)``.  :param variables: restricts/extends the queried set
-    (default: the support, in name order).
+    Two passes for any number of variables: each joint
+    ``p(f = 1, v = 1)`` comes out of one acceptance pass and one mass
+    pass, divided by ``p(f = 1)``.  :param variables: restricts/extends
+    the queried set (default: the support, in name order).
 
     :raises WmcError: when ``p(f = 1)`` is zero — the posterior is
         undefined.
@@ -104,26 +98,12 @@ def marginals(
     w1, w0, one, zero = resolve_weights(
         manager, weights, probabilities=True, exact=exact
     )
-    denominator = manager.weighted_count_edge(f.edge, w1, w0, one, zero)
-    if not denominator:
-        raise WmcError(
-            "marginals are undefined: p(f = 1) is 0 under these weights"
-        )
     if variables is None:
-        names = sorted(f.support())
+        variables = sorted(f.support())
     elif isinstance(variables, (str, int)):
-        names = [variables]
-    else:
-        names = list(variables)
-    result = {}
-    sweeps = 1
-    for var in names:
-        index = manager.var_index(var)
-        held = w0[index]
-        w0[index] = zero
-        joint = manager.weighted_count_edge(f.edge, w1, w0, one, zero)
-        w0[index] = held
-        sweeps += 1
-        result[manager.var_name(index)] = joint / denominator
-    _count_sweeps(sweeps)
-    return result
+        variables = [variables]
+    indices = [manager.var_index(var) for var in variables]
+    count, joint = manager.weighted_count_edge(
+        f.edge, w1, w0, one, zero, joints=indices
+    )
+    return posterior(count, joint, manager.var_name)

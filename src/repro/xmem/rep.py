@@ -34,7 +34,13 @@ from bisect import bisect_right
 from hashlib import blake2b
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.io.format import decode_records, encode_chain, encode_literal
+from repro.io.format import (
+    FormatError,
+    decode_records,
+    encode_chain,
+    encode_literal,
+    inflate_records,
+)
 
 Record = Tuple[int, int, int]  # (sv_delta, neq_ref, eq_ref); literal = (0, 0, 0)
 
@@ -165,7 +171,16 @@ class Levelized:
         if records is None:
             with open(block.spill_path, "rb") as fileobj:
                 payload = fileobj.read()
-            records = decode_records(zlib.decompress(payload), block.count)
+            stream = zlib.decompressobj()
+            payload = inflate_records(stream, payload, block.count)
+            if not stream.eof:
+                # A spill file is one whole deflate stream; without its
+                # end (and adler32 trailer) it was cut short.
+                raise FormatError(
+                    f"spill file {block.spill_path} is truncated: its "
+                    "compressed stream has no end"
+                )
+            records = decode_records(payload, block.count)
             block.records = records
             store = self.store
             store.level_loads += 1

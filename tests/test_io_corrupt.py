@@ -11,11 +11,16 @@
   ``repro.io`` and the legacy spellings still callable (deprecated).
 * Swapped ``dump``/``load`` argument validation raises
   :class:`~repro.core.exceptions.BBDDError` naming the expected order.
+* Decompression bombs: a small compressed level block (or xmem spill
+  file) that would inflate to tens of MB fails with ``FormatError``
+  after inflating no more than its declared record count can take.
 """
 
 import io as _io
+import tracemalloc
 import types
 import warnings
+import zlib
 
 import pytest
 
@@ -169,6 +174,90 @@ def test_compressed_payload_byte_flips_never_leak_raw_errors(make_dump, loader):
             continue
         except Exception as exc:  # pragma: no cover - the failure under test
             pytest.fail(f"flip at {i} leaked {type(exc).__name__}: {exc}")
+
+
+#: What a deflate bomb below inflates to.
+_BOMB_BYTES = 32 << 20
+
+
+def _deflate_zeros(stream, flush) -> bytes:
+    """``_BOMB_BYTES`` zero bytes through ``stream``, fed a MiB at a time."""
+    chunk = bytes(1 << 20)
+    out = [stream.compress(chunk) for _ in range(_BOMB_BYTES // len(chunk))]
+    out.append(stream.flush(flush))
+    return b"".join(out)
+
+
+def _with_bomb(data: bytes) -> bytes:
+    """``data`` with its first level payload swapped for a deflate bomb.
+
+    The block keeps its position and declared record count; only the
+    payload (and its byte length) changes.
+    """
+    from repro.io.format import encode_varint, read_header, read_varint
+
+    buf = _io.BytesIO(data)
+    read_header(buf)
+    start = buf.tell()
+    position = read_varint(buf)
+    count = read_varint(buf)
+    end = read_varint(buf) + buf.tell()
+    bomb = _deflate_zeros(zlib.compressobj(9), zlib.Z_SYNC_FLUSH)
+    head = bytearray()
+    for value in (position, count, len(bomb)):
+        encode_varint(value, head)
+    return data[:start] + bytes(head) + bomb + data[end:]
+
+
+@pytest.mark.parametrize(
+    "make_dump, load",
+    [
+        (_bbdd_dump_compressed, rio.loads),
+        (_bdd_dump_compressed, rio.loads_bdd),
+        (
+            _bbdd_dump_compressed,
+            lambda d: repro.open("xmem", vars=_CHAIN_VARS).load(_io.BytesIO(d)),
+        ),
+    ],
+)
+def test_decompression_bomb_fails_in_bounded_memory(make_dump, load):
+    bomb = _with_bomb(make_dump())
+    assert len(bomb) < _BOMB_BYTES // 256
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="inflates past"):
+            load(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _BOMB_BYTES // 16, f"inflated {peak} bytes before failing"
+
+
+def test_xmem_spill_reader_bounds_inflation():
+    manager = repro.open("xmem", vars=_CHAIN_VARS)
+    f = manager.add_expr("(a ^ b) | (c & d & ~e)")
+    rep = f.edge[0].rep
+    assert rep.spill() > 0
+    block = next(block for block in rep.levels if block.spill_path)
+    with open(block.spill_path, "wb") as fileobj:
+        fileobj.write(_deflate_zeros(zlib.compressobj(9), zlib.Z_FINISH))
+    with pytest.raises(FormatError, match="inflates past"):
+        f.sat_count()
+
+
+def test_xmem_spill_reader_rejects_truncated_stream():
+    """A spill file missing its adler32 trailer no longer loads."""
+    manager = repro.open("xmem", vars=_CHAIN_VARS)
+    f = manager.add_expr("(a ^ b) | (c & d & ~e)")
+    rep = f.edge[0].rep
+    assert rep.spill() > 0
+    block = next(block for block in rep.levels if block.spill_path)
+    with open(block.spill_path, "rb") as fileobj:
+        data = fileobj.read()
+    with open(block.spill_path, "wb") as fileobj:
+        fileobj.write(data[:-4])
+    with pytest.raises(FormatError, match="truncated"):
+        f.sat_count()
 
 
 def test_unsupported_version_names_file_and_supported_range(tmp_path):

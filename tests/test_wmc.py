@@ -10,9 +10,15 @@ Three ground truths anchor :mod:`repro.wmc`:
   ``p(v=1 | f=1) = p_v * p_one(f|v=1) / p_one(f)``.
 
 Every property runs on the full backend matrix (bbdd/bdd/xmem) with
-chain reduction both off and on where supported.
+chain reduction both off and on where supported.  The two-pass
+marginals kernel is checked on the shapes that exercise each of its
+joint sites — parity spans, gap variables above the root and between
+levels, variables outside the support, zero/one weights — and on every
+query path: manager functions, frozen shared-memory forests and the
+protocol-pure fallback.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,9 +28,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.base import ForeignManagerError
-from repro.wmc import WmcError, p_one, resolve_weights, shannon_count, total_mass
+from repro.par import ShmForest
+from repro.wmc import WmcError, p_one, resolve_weights, shannon_count
 
 from test_api_protocol import ALL_BACKENDS
+from test_chain import NAMES as CHAIN_NAMES, SPAN_BUILDERS
 
 _SETTINGS = dict(
     deadline=None,
@@ -223,7 +231,6 @@ def test_shannon_count_fallback_matches_sweep():
     w1, w0, one, zero = resolve_weights(manager, weights, probabilities=True)
     direct = shannon_count(manager, f.edge, w1, w0, one, zero)
     assert direct == f.p_one(weights)
-    assert total_mass(w1, w0, one) == 1
 
 
 def test_weight_validation_errors():
@@ -238,17 +245,211 @@ def test_weight_validation_errors():
         manager.p_one(other.var("a"))
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_wmc_counts_sweeps(backend):
-    """Every query bumps the ``repro_wmc_sweeps_total`` counter."""
+def _sweeps():
     from repro import obs
     from repro.obs.catalog import family
 
+    return family(obs.REGISTRY, "repro_wmc_sweeps_total").value
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_wmc_counts_sweeps(backend):
+    """One sweep per count, two per marginals — on every path, errors too."""
     manager = repro.open(backend, vars=["a", "b"])
     f = manager.add_expr("a | b")
-    before = family(obs.REGISTRY, "repro_wmc_sweeps_total").value
+    before = _sweeps()
     f.p_one()
+    f.weighted_count()
+    assert _sweeps() - before == 2
+    before = _sweeps()
     f.marginals()
-    after = family(obs.REGISTRY, "repro_wmc_sweeps_total").value
-    # p_one is one sweep; marginals is one denominator + |support| more.
-    assert after - before == 1 + (1 + 2)
+    assert _sweeps() - before == 2
+    # The undefined posterior still ran (and counts) both passes.
+    before = _sweeps()
+    with pytest.raises(WmcError, match="undefined"):
+        manager.add_expr("a & ~a").marginals()
+    with pytest.raises(WmcError, match="undefined"):
+        f.marginals({"a": 0, "b": 0})
+    assert _sweeps() - before == 4
+    with ShmForest.freeze(manager, {"f": f, "zero": manager.false()}) as forest:
+        before = _sweeps()
+        forest.p_one("f")
+        forest.weighted_count("f")
+        assert _sweeps() - before == 2
+        before = _sweeps()
+        forest.marginals("f")
+        with pytest.raises(WmcError, match="undefined"):
+            forest.marginals("zero")
+        assert _sweeps() - before == 4
+
+
+# ----------------------------------------------------------------------
+# the two-pass marginals kernel, site by site
+# ----------------------------------------------------------------------
+
+
+def _restrict_oracle(f, weights, names):
+    """``p(v=1|f=1)`` per name from cofactor ``p_one`` sweeps."""
+    denominator = f.p_one(weights)
+    return {
+        name: weights.get(name, Fraction(1, 2))
+        * p_one(f.restrict(name, True), weights)
+        / denominator
+        for name in names
+    }
+
+
+def _has_span(manager, f):
+    stream = manager.batch_stream(f.edge)
+    return stream is not None and any(type(item[2]) is tuple for item in stream[1])
+
+
+def test_marginals_on_parity_spans_match_restrict_oracle():
+    """Chain-reduced parity towers: partner-run joints via parity folds."""
+    rng = random.Random(2014)
+    weights = {name: Fraction(rng.randint(1, 15), 16) for name in CHAIN_NAMES}
+    spans = {}
+    for shape, builder in sorted(SPAN_BUILDERS.items()):
+        for label, manager in variant_managers(CHAIN_NAMES):
+            f = builder(manager)
+            spans[label] = spans.get(label, 0) + _has_span(manager, f)
+            got = f.marginals(weights, CHAIN_NAMES)
+            assert got == _restrict_oracle(f, weights, CHAIN_NAMES), (label, shape)
+            floats = f.marginals(weights, CHAIN_NAMES, exact=False)
+            assert floats == pytest.approx({k: float(v) for k, v in got.items()})
+    assert spans["bbdd+chain"] >= 3 and spans["bdd+chain"] >= 3, spans
+
+
+def test_marginals_on_sparse_support_with_gap_variables():
+    """Gaps above the root, between levels and below the last test."""
+    names = [f"v{i}" for i in range(10)]
+    texts = [
+        "(v3 & v5) | (v8 ^ v5)",
+        "v4 ^ v7",
+        "(v2 <-> v6) & ~v9",
+        "v6",
+        # A chain-reduced BBDD span with a gap before its first partner.
+        "v2 ^ v7 ^ v8 ^ v9",
+    ]
+    rng = random.Random(2014)
+    for text in texts:
+        weights = {name: Fraction(rng.randint(1, 31), 32) for name in names[::2]}
+        for label, manager in variant_managers(names):
+            f = manager.add_expr(text)
+            got = f.marginals(weights, names)
+            assert got == _restrict_oracle(f, weights, names), (label, text)
+            for name in set(names) - set(f.support()):
+                # Outside the support the posterior is the prior.
+                assert got[name] == weights.get(name, Fraction(1, 2)), (label, name)
+
+
+def test_marginals_with_zero_and_one_weights():
+    names = [f"v{i}" for i in range(6)]
+    text = "(v0 & v1) | (v2 ^ v3) | (v4 & ~v5)"
+    weights = {"v0": 0, "v1": 1, "v2": Fraction(1), "v3": Fraction(3, 4), "v5": 0}
+    for label, manager in variant_managers(names):
+        f = manager.add_expr(text)
+        got = f.marginals(weights, names)
+        assert got == _restrict_oracle(f, weights, names), label
+        assert got["v0"] == 0 and got["v1"] == 1 and got["v2"] == 1, label
+        floats = f.marginals(weights, names, exact=False)
+        assert floats == pytest.approx({k: float(v) for k, v in got.items()})
+
+
+def test_float_marginals_of_rare_events_keep_relative_precision():
+    """Tiny ``p(f)`` must not cost float posteriors their precision.
+
+    ``NOR(x1..x10)`` at ``p = 0.99`` holds with probability ``1e-20``;
+    a sibling NOR of nine adds a parity pair and a variable above the
+    root.  Every float posterior must match the exact one to a relative
+    ``1e-12`` — the posteriors that are exactly 0 included.
+    """
+    xs = [f"x{i}" for i in range(1, 11)]
+    names = ["a"] + xs + ["y", "z"]
+    weights = dict.fromkeys(xs, Fraction(99, 100))
+    weights.update(a=Fraction(1, 5), y=Fraction(3, 10), z=Fraction(3, 5))
+    floats = {name: float(p) for name, p in weights.items()}
+    texts = {
+        "nor10": "~(" + " | ".join(xs) + ")",
+        "nor9_xor": "~(" + " | ".join(xs[:9]) + ") & (y ^ z)",
+    }
+    for label, manager in variant_managers(names):
+        forest = {key: manager.add_expr(text) for key, text in texts.items()}
+        with ShmForest.freeze(manager, forest) as frozen:
+            for key, f in forest.items():
+                want = f.marginals(weights, names)
+                assert want == _restrict_oracle(f, weights, names), (label, key)
+                for got in (
+                    f.marginals(floats, names, exact=False),
+                    frozen.marginals(key, floats, names, exact=False),
+                ):
+                    for name in names:
+                        assert math.isclose(
+                            got[name], float(want[name]), rel_tol=1e-12
+                        ), (label, key, name, got[name], want[name])
+
+
+def test_weighted_count_negative_and_float_weights_match_shannon():
+    """Integer scaling is exact for negative pairs and 53-bit floats."""
+    names = [f"v{i}" for i in range(7)]
+    rng = random.Random(7)
+    negative = {}
+    for name in names:
+        hi = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        negative[name] = (hi, rng.choice([-3, -2, -1, 1, 2, 3]) - hi)
+    cancelling = dict(negative, v2=(Fraction(-5, 3), Fraction(5, 3)))
+    floats = {name: (rng.random(), rng.uniform(-2, 2)) for name in names[:5]}
+    texts = ["(v0 ^ v1) | (v2 & v3 & ~v4)", "v1 <-> (v5 ^ v6)", "v0 | v6"]
+    for text in texts:
+        for label, manager in variant_managers(names):
+            f = manager.add_expr(text)
+            assert f.weighted_count(cancelling) == 0, (label, text)
+            for weights in (negative, floats, {k: negative[k] for k in ("v0", "v6")}):
+                columns = resolve_weights(manager, weights, probabilities=False)
+                want = shannon_count(manager, f.edge, *columns)
+                assert f.weighted_count(weights) == want, (label, text)
+            # And the 53-bit floats as exact probabilities.
+            probs = {name: rng.random() for name in names}
+            columns = resolve_weights(manager, probs, probabilities=True)
+            assert f.p_one(probs) == shannon_count(manager, f.edge, *columns)
+
+
+def test_shm_forest_marginals_equal_manager_marginals():
+    names = CHAIN_NAMES
+    rng = random.Random(11)
+    weights = {name: Fraction(rng.randint(0, 16), 16) for name in names[1:]}
+    pairs = {name: (Fraction(rng.randint(-8, 8), 3), 1) for name in names[::2]}
+    for label, manager in variant_managers(names):
+        forest = {
+            "tower": SPAN_BUILDERS["par_xor_var"](manager),
+            "mixed": SPAN_BUILDERS["mixed"](manager),
+            "sparse": manager.add_expr("(x2 & x5) | ~x7"),
+            "one": manager.true(),
+        }
+        with ShmForest.freeze(manager, forest) as frozen:
+            for name, f in forest.items():
+                assert frozen.p_one(name, weights) == f.p_one(weights), (label, name)
+                assert frozen.weighted_count(name, pairs) == f.weighted_count(pairs)
+                want = f.marginals(weights, names)
+                assert frozen.marginals(name, weights, names) == want, (label, name)
+                assert frozen.marginals(name, weights) == f.marginals(weights)
+                assert frozen.marginals(
+                    name, weights, names, exact=False
+                ) == pytest.approx(f.marginals(weights, names, exact=False))
+
+
+def test_protocol_fallback_marginals_match_kernel():
+    """Without a batch stream the Shannon recursion answers the same."""
+    names = [f"v{i}" for i in range(6)]
+    weights = {"v0": Fraction(1, 3), "v3": Fraction(5, 7), "v5": 0}
+    for label, manager in variant_managers(names):
+        for text in ("(v0 ^ v1) | (v2 & v3 & ~v4)", "v3", "TRUE"):
+            f = manager.add_expr(text)
+            want = f.marginals(weights, names)
+            count = f.weighted_count({"v1": (2, -3)})
+            manager.batch_stream = lambda edge: None
+            try:
+                assert f.marginals(weights, names) == want, (label, text)
+                assert f.weighted_count({"v1": (2, -3)}) == count, (label, text)
+            finally:
+                del manager.batch_stream
