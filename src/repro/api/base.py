@@ -27,6 +27,7 @@ this module at class-definition time.
 
 from __future__ import annotations
 
+from itertools import chain, count, repeat
 from typing import Dict, Iterable, Mapping, Optional, Union
 
 from repro.core.exceptions import BBDDError, ForeignManagerError, VariableError
@@ -68,6 +69,80 @@ def duplicate_assignment_error(manager, index: int, where: str) -> VariableError
     )
 
 
+class Columns:
+    """The compiled read-only query form of a forest.
+
+    One *slot* per node, parents first: every child sits at a strictly
+    higher slot than its parents.  Slots 0 and 1 are reserved, and ``1``
+    denotes the sink.  Per slot:
+
+    * ``pv`` — the primary variable index;
+    * ``sv`` — the secondary variable index, or ``-1`` for a
+      single-variable test (literal / Shannon node);
+    * ``bot`` — ``>= 0`` marks a chain-reduced parity span whose partner
+      variables are the order positions from ``sv`` down to ``bot``
+      (``-1`` everywhere else);
+    * ``t`` / ``f`` — signed child references for the branch where the
+      node's test holds / fails: ``abs(ref)`` is the child slot, a
+      negative sign marks a complemented edge.
+
+    The test holds where ``pv != sv`` on couples, where ``pv`` is 1 on
+    single-variable tests, and where ``pv`` plus the partners have odd
+    parity on spans.
+
+    ``blocks`` is a re-iterable of ``(base, pv, sv, bot, t, f)`` column
+    slices in slot order, slot ``base + j`` at index ``j``, with ``bot``
+    None in a span-free block.  In-memory producers hand over one block
+    from slot 0; a streaming producer hands over one level block at a
+    time.  ``pv_of[slot]`` is any slot's primary variable, readable
+    before its block arrives (the kernels look up children with it).
+    ``order`` lists variable indices by order position and ``roots``
+    maps names to signed root references (``±1`` for constants).
+    """
+
+    __slots__ = ("order", "roots", "blocks", "pv_of")
+
+    def __init__(self, order, roots: Dict[str, int], blocks, pv_of) -> None:
+        self.order = order
+        self.roots = roots
+        self.blocks = blocks
+        self.pv_of = pv_of
+
+    def positions(self) -> list:
+        """The order position of every variable index."""
+        pos = [0] * len(self.order)
+        for p, var in enumerate(self.order):
+            pos[var] = p
+        return pos
+
+    def rows(self):
+        """``(slot, pv, sv, bot, t, f)`` per slot, parents first."""
+        return chain.from_iterable(
+            zip(count(base), pv, sv, repeat(-1) if bot is None else bot, t, f)
+            for base, pv, sv, bot, t, f in self.blocks
+        )
+
+    def joined(self) -> "Columns":
+        """These columns as one block from slot 0 (draining a stream)."""
+        blocks = list(self.blocks)
+        if len(blocks) == 1 and blocks[0][0] == 0:
+            return self
+        pv, sv, bot, t, f = [0, 0], [-1, -1], [-1, -1], [0, 0], [0, 0]
+        spans = False
+        for _base, bpv, bsv, bbot, bt, bf in blocks:
+            pv.extend(bpv)
+            sv.extend(bsv)
+            t.extend(bt)
+            f.extend(bf)
+            if bbot is None:
+                bot.extend([-1] * len(bpv))
+            else:
+                bot.extend(bbot)
+                spans = True
+        block = (0, pv, sv, bot if spans else None, t, f)
+        return Columns(self.order, self.roots, [block], pv)
+
+
 class DDManager:
     """The uniform decision-diagram manager protocol.
 
@@ -84,11 +159,13 @@ class DDManager:
     ``ite_edges(f, g, h)`` / ``restrict_edge(f, var, value)`` /
     ``compose_edge(f, var, g)`` / ``quantify_edge(f, vars, forall)``
         The derived manipulation operations.
-    ``evaluate_edge(f, values)`` / ``sat_count_edge(f)`` /
-    ``sat_one_edge(f)`` / ``support_edge(f)`` / ``root_var(f)`` /
-    ``count_nodes(edges)``
+    ``evaluate_edge(f, values)`` / ``sat_one_edge(f)`` /
+    ``support_edge(f)`` / ``root_var(f)`` / ``count_nodes(edges)``
         Semantics and structure queries (``values`` and the returned
         assignments are keyed by variable *index*).
+    ``freeze_export(named)`` (optional)
+        The producer of the compiled query form (:class:`Columns`)
+        behind the batch sweeps, ``sat_count`` and weighted counting.
     ``acquire_ref(node)`` / ``release_ref(node)`` / ``defer_gc()``
         Memory management hooks used by the function handles.
     ``var_index`` / ``var_name`` / ``num_vars`` / ``order`` /
@@ -203,197 +280,85 @@ class DDManager:
             raise ForeignManagerError("function belongs to a different manager")
         return f.and_exists(g, variables)
 
-    # -- batch protocol (repro.serve) ---------------------------------------
+    # -- compiled query form (repro.serve, repro.wmc, repro.par) ----------
 
-    def batch_stream(self, edge):
-        """Top-down level stream of ``edge``'s diagram for cohort sweeps.
+    def freeze_export(self, named):
+        """The backend's producer of the compiled query form, or None.
 
-        Backends with a levelized structure return ``(root_key, items)``
-        where ``items`` yields the reachable nodes parents-first in the
-        shape documented in :mod:`repro.serve.bulk`; the batch queries
-        below then run as a single sweep.  The default ``None`` makes
-        them fall back to one root-to-sink walk per query, so any
-        third-party backend is correct without knowing about batching.
+        ``named`` is a list of ``(name, edge)`` pairs; the result is a
+        :class:`Columns` of every node reachable from them, ``roots``
+        keyed by those names.  The batch sweeps, ``sat_count`` and the
+        weighted counts compile the queried root on every call, and
+        :meth:`repro.par.shm.ShmForest.freeze` copies the columns into
+        shared memory.  The default None sends those queries to the
+        protocol-pure fallbacks below, so any third-party backend is
+        correct without knowing about columns (but cannot be frozen).
         """
         return None
 
     def evaluate_batch_edges(self, edge, batch):
         """Evaluate one encoded batch (see :mod:`repro.serve.bulk`).
 
-        With a :meth:`batch_stream` this is the levelized cohort sweep —
-        ``O(nodes + queries)``; without one it degrades to the looped
-        ``O(nodes × queries)`` walk per query.
+        With a :meth:`freeze_export` producer this is the levelized
+        cohort sweep over the compiled columns — ``O(nodes + queries)``;
+        without one it degrades to the looped ``O(nodes × queries)``
+        walk per query.
         """
-        stream = self.batch_stream(edge)
-        if stream is not None:
-            from repro.serve.bulk import cohort_sweep
+        columns = self.freeze_export([("f", edge)])
+        if columns is None:
+            evaluate = self.evaluate_edge
+            return [
+                evaluate(edge, values)
+                for values in batch.iter_value_dicts(self.num_vars)
+            ]
+        from repro.serve.bulk import cohort_sweep, sweep_chunks
 
-            root_key, items = stream
-            sat_even, _sat_odd = cohort_sweep(
-                root_key, self.edge_attr(edge), items, batch.var_bits, batch.full
-            )
-            return batch.unpack(sat_even)
-        evaluate = self.evaluate_edge
-        return [
-            evaluate(edge, values)
-            for values in batch.iter_value_dicts(self.num_vars)
-        ]
-
-    def freeze_export(self, named):
-        """Flatten a named forest into parallel int64 columns, or None.
-
-        The array producer behind :meth:`repro.par.shm.ShmForest.freeze`
-        (``named`` is a list of ``(name, edge)`` pairs).  Returns a dict
-        of ``kind`` (the backend name), four per-slot integer lists
-        ``pv``/``sv``/``t``/``f`` (slots 0 and 1 reserved, ``sv = -1``
-        marks a single-variable test, child references are signed with
-        ``abs(ref) == 1`` the sink) in one **global topological order**
-        — children strictly after parents across all roots — and
-        ``roots`` mapping each name to its signed root reference
-        (``±1`` for constants).  Forests holding chain-reduced parity
-        spans add a fifth column ``bot``: ``bot[i] >= 0`` marks a span
-        whose partner run is the contiguous order positions from
-        ``sv[i]`` down to ``bot[i]`` (``-1`` everywhere else).
-
-        This default builds on :meth:`batch_stream`: backends without a
-        structural level stream return None, and shared-memory callers
-        fall back to the sequential in-process path.  Backends with a
-        cheaper global enumeration override it.
-        """
-        infos: Dict[object, tuple] = {}
-        node_roots: Dict[str, tuple] = {}
-        # Item keys are only guaranteed unique *within* one stream (the
-        # xmem backend, say, numbers nodes per root representation), so
-        # each stream's keys are namespaced by a stream index; two names
-        # rooted at the same node share one stream (and its slots).
-        streams_by_node: Dict[object, tuple] = {}
-        for name, edge in named:
-            if self.edge_is_sink(edge):
-                continue
-            attr = self.edge_attr(edge)
-            regular = self.negate_edge(edge) if attr else edge
-            node_key = self.edge_uid(regular)
-            entry = streams_by_node.get(node_key)
-            if entry is None:
-                stream = self.batch_stream(edge)
-                if stream is None:
-                    return None
-                root_key, items = stream
-                ns = len(streams_by_node)
-                for key, pvv, svv, tk, tf, tpv, fk, ff, fpv in items:
-                    infos.setdefault(
-                        (ns, key),
-                        (
-                            (ns, key),
-                            pvv,
-                            svv,
-                            None if tk is None else (ns, tk),
-                            tf,
-                            tpv,
-                            None if fk is None else (ns, fk),
-                            ff,
-                            fpv,
-                        ),
-                    )
-                entry = ((ns, root_key),)
-                streams_by_node[node_key] = entry
-            node_roots[name] = (entry[0], attr)
-        # Reverse DFS post-order = parents before children, merged
-        # across roots (a node shared between two roots keeps one slot).
-        seen = set()
-        order = []
-        for name, _edge in named:
-            entry = node_roots.get(name)
-            if entry is None or entry[0] in seen:
-                continue
-            stack = [(entry[0], False)]
-            while stack:
-                key, finished = stack.pop()
-                if finished:
-                    order.append(key)
-                    continue
-                if key in seen:
-                    continue
-                seen.add(key)
-                stack.append((key, True))
-                item = infos[key]
-                for child in (item[6], item[3]):
-                    if child is not None and child not in seen:
-                        stack.append((child, False))
-        ids: Dict[object, int] = {}
-        pv = [0, 0]
-        sv = [-1, -1]
-        bot = [-1, -1]
-        t = [0, 0]
-        f = [0, 0]
-        has_span = False
-        for key in reversed(order):
-            ids[key] = 2 + len(ids)
-        for key in reversed(order):
-            _key, pvv, svv, t_key, t_flip, _tpv, f_key, f_flip, _fpv = infos[key]
-            pv.append(pvv)
-            if type(svv) is tuple:
-                # Parity span: the item's sv slot is the tuple of
-                # partner variables (a contiguous order-position run),
-                # frozen as its first/last endpoints.
-                sv.append(svv[0])
-                bot.append(svv[-1])
-                has_span = True
-            else:
-                sv.append(-1 if svv is None else svv)
-                bot.append(-1)
-            t_ref = 1 if t_key is None else ids[t_key]
-            t.append(-t_ref if t_flip else t_ref)
-            f_ref = 1 if f_key is None else ids[f_key]
-            f.append(-f_ref if f_flip else f_ref)
-        roots: Dict[str, int] = {}
-        for name, edge in named:
-            if self.edge_is_sink(edge):
-                roots[name] = -1 if self.edge_is_false(edge) else 1
-            else:
-                key, attr = node_roots[name]
-                roots[name] = -ids[key] if attr else ids[key]
-        out = {
-            "kind": self.backend,
-            "pv": pv,
-            "sv": sv,
-            "t": t,
-            "f": f,
-            "roots": roots,
-        }
-        if has_span:
-            out["bot"] = bot
-        return out
+        root = columns.roots["f"]
+        return sweep_chunks(
+            batch, lambda part: cohort_sweep(columns, root, part.var_bits, part.full)
+        )
 
     def satisfiable_batch_edges(self, edge, batch):
         """Batched cube satisfiability (see :func:`repro.serve.bulk.satisfiable_batch`).
 
-        With a :meth:`batch_stream`, unconstrained queries flow into
-        both branches of one sweep; the fallback restricts the edge by
-        each cube and checks the cofactor against the 0-sink.
+        With a :meth:`freeze_export` producer, unconstrained queries
+        flow into both branches of one sweep; the fallback restricts the
+        edge by each cube and checks the cofactor against the 0-sink.
         """
-        stream = self.batch_stream(edge)
-        if stream is not None:
-            from repro.serve.bulk import cube_sweep
+        columns = self.freeze_export([("f", edge)])
+        if columns is None:
+            results = []
+            with self.defer_gc():
+                for values in batch.iter_known_dicts():
+                    cofactor = edge
+                    for var, value in values.items():
+                        cofactor = self.restrict_edge(cofactor, var, value)
+                    results.append(not self.edge_is_false(cofactor))
+            return results
+        from repro.serve.bulk import cube_sweep, sweep_chunks
 
-            root_key, items = stream
-            sat_even, _sat_odd = cube_sweep(
-                root_key,
-                self.edge_attr(edge),
-                items,
-                batch.var_bits,
-                batch.known_bits or {},
-                batch.full,
-            )
-            return batch.unpack(sat_even)
-        results = []
-        with self.defer_gc():
-            for values in batch.iter_known_dicts():
-                cofactor = edge
-                for var, value in values.items():
-                    cofactor = self.restrict_edge(cofactor, var, value)
-                results.append(not self.edge_is_false(cofactor))
-        return results
+        root = columns.roots["f"]
+        return sweep_chunks(
+            batch,
+            lambda part: cube_sweep(
+                columns, root, part.var_bits, part.known_bits, part.full
+            ),
+        )
+
+    def sat_count_edge(self, edge) -> int:
+        """Satisfying assignments of ``edge`` over all manager variables.
+
+        The column count :func:`repro.wmc.sweep.sat_count` over the
+        compiled root; without a producer, the protocol-pure
+        :func:`repro.wmc.sweep.shannon_count` with unit weights.
+        """
+        from repro.wmc.sweep import resolve_weights, sat_count, shannon_count
+
+        columns = self.freeze_export([("f", edge)])
+        if columns is None:
+            units = resolve_weights(self, None, probabilities=False)
+            return int(shannon_count(self, edge, *units))
+        return sat_count(columns, columns.roots["f"])
 
     def weighted_count_edge(self, edge, w1, w0, one, zero, *, joints=None):
         """Weighted model count of ``edge`` (see :mod:`repro.wmc`).
@@ -402,23 +367,19 @@ class DDManager:
         variable index, ``one``/``zero`` the units of the arithmetic in
         use (Fractions or floats).  With ``joints`` (variable indices)
         the result is ``(count, {index: WMC(f ∧ v)})``.  With a
-        :meth:`batch_stream` and a variable order this is the levelized
-        kernel :func:`repro.wmc.sweep.wmc_sweep`; any other backend
-        takes the protocol-pure memoized Shannon recursion
+        :meth:`freeze_export` producer this is the column kernel
+        :func:`repro.wmc.sweep.wmc_sweep`; any other backend takes the
+        protocol-pure memoized Shannon recursion
         (:func:`repro.wmc.sweep.shannon_count`) — correct without
         knowing the node layout.
         """
         from repro.wmc.sweep import shannon_count, wmc_sweep
 
-        order_obj = getattr(self, "order", None)
-        sink = self.edge_is_sink(edge)
-        stream = None if order_obj is None or sink else self.batch_stream(edge)
-        if order_obj is None or (stream is None and not sink):
+        columns = self.freeze_export([("f", edge)])
+        if columns is None:
             return shannon_count(self, edge, w1, w0, one, zero, joints=joints)
-        # A constant root needs no stream: its attribute says which.
-        attr = self.edge_is_false(edge) if sink else self.edge_attr(edge)
         return wmc_sweep(
-            stream, attr, order_obj.order, w1, w0, one, zero, joints=joints
+            columns, columns.roots["f"], w1, w0, one, zero, joints=joints
         )
 
     def and_exists_edges(self, f, g, variables):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.api.base import DDManager
+from repro.api.base import Columns, DDManager
 from repro.bdd.node import BDDEdge, BDDNode, make_bdd_sink
 from repro.core.computed_table import make_computed_table
 from repro.core.exceptions import VariableError
@@ -400,22 +400,13 @@ class BDDManager(DDManager):
     def evaluate_edge(self, edge: BDDEdge, values: Dict[int, bool]) -> bool:
         return self.evaluate(edge, values)
 
-    def batch_stream(self, edge: BDDEdge):
-        """Top-down level stream for the batch cohort sweeps (repro.serve)."""
-        from repro.bdd import ops as _ops
+    def freeze_export(self, named) -> Columns:
+        """The compiled query form of a named forest (one column block).
 
-        if edge[0].is_sink:
-            return None
-        return (edge[0], _ops.iter_cohort_items(self, edge))
-
-    def freeze_export(self, named):
-        """Flat int64 columns of a named forest (the shared-memory codec).
-
-        Native override of :meth:`repro.api.base.DDManager.freeze_export`:
-        one DFS over all roots collects the shared node set, and sorting
-        by order position (then uid, for determinism) is a valid global
-        top-down order for Shannon diagrams — children always sit at
-        strictly later positions.
+        One DFS over all roots collects the shared node set, and sorting
+        by order position (then uid, for determinism) is a valid
+        parents-first slot order for Shannon diagrams — children always
+        sit at strictly later positions.
         """
         nodes = []
         seen = set()
@@ -436,6 +427,7 @@ class BDDManager(DDManager):
         position = order.position
         nodes.sort(key=lambda n: (position(n.var), n.uid))
         ids = {node: 2 + i for i, node in enumerate(nodes)}
+        ids[self.sink] = 1
         pv = [0, 0]
         sv = [-1, -1]
         bot = [-1, -1]
@@ -444,8 +436,7 @@ class BDDManager(DDManager):
         has_span = False
         for node in nodes:
             pv.append(node.var)
-            then = node.then
-            t_ref = 1 if then.is_sink else ids[then]
+            t_ref = ids[node.then]
             if node.bot != node.var:
                 # Parity span <var:bot> = X(var..bot) XNOR then: the
                 # t-branch (odd parity) is the then-edge, the f-branch
@@ -460,32 +451,11 @@ class BDDManager(DDManager):
             sv.append(-1)
             bot.append(-1)
             t.append(t_ref)
-            els = node.else_
-            f_ref = 1 if els.is_sink else ids[els]
+            f_ref = ids[node.else_]
             f.append(-f_ref if node.else_attr else f_ref)
-        roots = {}
-        for name, edge in named:
-            node, attr = edge
-            if node.is_sink:
-                roots[name] = -1 if attr else 1
-            else:
-                roots[name] = -ids[node] if attr else ids[node]
-        out = {
-            "kind": self.backend,
-            "pv": pv,
-            "sv": sv,
-            "t": t,
-            "f": f,
-            "roots": roots,
-        }
-        if has_span:
-            # Chain column only when needed: plain freezes stay in the
-            # 4-column RPARFRZ1 layout old readers attach.
-            out["bot"] = bot
-        return out
-
-    def sat_count_edge(self, edge: BDDEdge) -> int:
-        return self.sat_count(edge)
+        roots = {name: -ids[node] if attr else ids[node] for name, (node, attr) in named}
+        block = (0, pv, sv, bot if has_span else None, t, f)
+        return Columns(order.order, roots, [block], pv)
 
     def sat_one_edge(self, edge: BDDEdge) -> Optional[Dict[int, bool]]:
         from repro.bdd import ops as _ops
@@ -553,57 +523,6 @@ class BDDManager(DDManager):
                 attr ^= node.else_attr
                 node = node.else_
         return not attr
-
-    def sat_count(self, edge: BDDEdge) -> int:
-        """Satisfying-assignment count (iterative post-order, deep-safe)."""
-        n = self.num_vars
-        order = self._order
-        memo: Dict[BDDNode, int] = {}
-
-        def compute(node: BDDNode) -> int:
-            p = order.position(node.var)
-            span = n - p
-            total = 0
-            for child, attr in ((node.then, False), (node.else_, node.else_attr)):
-                if child.is_sink:
-                    sub = 0 if attr else (1 << (span - 1))
-                else:
-                    q = order.position(child.var)
-                    sub = memo[child]
-                    if attr:
-                        sub = (1 << (n - q)) - sub
-                    sub <<= q - (p + 1)
-                total += sub
-            return total
-
-        node, attr = edge
-        if node.is_sink:
-            return 0 if attr else (1 << n)
-        stack: List[BDDNode] = [node]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            if top.bot != top.var:
-                # Span: the two parity branches are complements, so each
-                # suffix assignment splits the space exactly in half.
-                memo[top] = 1 << (n - order.position(top.var) - 1)
-                stack.pop()
-                continue
-            pending = [
-                c for c in (top.then, top.else_) if not c.is_sink and c not in memo
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            memo[top] = compute(top)
-        p = order.position(node.var)
-        c = memo[node]
-        if attr:
-            c = (1 << (n - p)) - c
-        return c << p
 
     def count_nodes(self, edges: Iterable[BDDEdge]) -> int:
         seen: set = set()

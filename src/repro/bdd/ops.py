@@ -407,58 +407,3 @@ def sat_one_edge(manager, edge: BDDEdge) -> Optional[Dict[int, bool]]:
         assign(node, bit)
         attr = child_attr
         node = child
-
-
-def iter_cohort_items(manager, edge: BDDEdge):
-    """Yield ``edge``'s nodes top-down as cohort-sweep items.
-
-    Shape documented in :mod:`repro.serve.bulk`: Shannon nodes test a
-    single variable (``sv`` slot ``None``), the *t*-branch is the
-    then-edge (always regular under the CUDD normalization) and the
-    *f*-branch the else-edge with its complement attribute.  A parity
-    span ``<var:bot>`` puts the tuple of its remaining span variables
-    in the ``sv`` slot — odd parity of ``var`` plus the partners takes
-    the then-edge, even parity its complement.  Nodes are grouped by
-    order position; children sit at strictly greater positions, so
-    ascending position emits parents first.
-    """
-    node, _attr = edge
-    if node.is_sink:
-        return
-    order = manager.order
-    position = order.position
-    buckets: Dict[int, List[BDDNode]] = {}
-    seen = {node}
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        buckets.setdefault(position(n.var), []).append(n)
-        for child in (n.then, n.else_):
-            if not child.is_sink and child not in seen:
-                seen.add(child)
-                stack.append(child)
-    for pos in sorted(buckets):
-        for n in sorted(buckets[pos], key=lambda x: x.uid):
-            then, else_ = n.then, n.else_
-            if n.bot != n.var:
-                # Span <var:bot> = X(var..bot) XNOR then: odd parity
-                # reaches the then-edge, even parity its complement.
-                partners = tuple(
-                    order.var_at(p)
-                    for p in range(pos + 1, position(n.bot) + 1)
-                )
-                t_key = None if then.is_sink else then
-                t_pv = None if then.is_sink else then.var
-                yield (n, n.var, partners, t_key, False, t_pv, t_key, True, t_pv)
-                continue
-            yield (
-                n,
-                n.var,
-                None,
-                None if then.is_sink else then,
-                False,
-                None if then.is_sink else then.var,
-                None if else_.is_sink else else_,
-                n.else_attr,
-                None if else_.is_sink else else_.var,
-            )

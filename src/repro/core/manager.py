@@ -44,7 +44,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.api.base import DDManager
+from repro.api.base import Columns, DDManager
 from repro.core.computed_table import make_computed_table
 from repro.core.exceptions import BBDDError, VariableError
 from repro.core.node import SINK, SINK_VAR, SV_ONE, BBDDNode, Edge
@@ -1355,33 +1355,24 @@ class BBDDManager(DDManager):
 
         return _trav.evaluate(self, edge, values)
 
-    def batch_stream(self, edge: Edge):
-        """Top-down level stream for the batch cohort sweeps (repro.serve)."""
-        from repro.core import traversal as _trav
+    def freeze_export(self, named) -> Columns:
+        """The compiled query form of a named forest (one column block).
 
-        if edge == 1 or edge == -1:
-            return None
-        root = -edge if edge < 0 else edge
-        return (root, _trav.iter_cohort_items(self, edge))
-
-    def freeze_export(self, named):
-        """Flat int64 columns of a named forest (the shared-memory codec).
-
-        Native override of :meth:`repro.api.base.DDManager.freeze_export`:
-        one :func:`~repro.core.traversal.levelize` over *all* roots gives
-        the global top-down order directly (children live at strictly
-        deeper CVO levels), so shared nodes are enumerated once however
-        many roots reference them.
+        One :func:`~repro.core.traversal.levelize` over *all* roots
+        gives the parents-first slot order directly (children live at
+        strictly deeper CVO levels), so shared nodes get one slot
+        however many roots reference them.
         """
         from repro.core import traversal as _trav
 
         edges = [edge for _name, edge in named if edge != 1 and edge != -1]
-        ids: Dict[int, int] = {}
-        ordered: List[int] = []
-        for _pos, nodes in reversed(_trav.levelize(self, edges)):
-            for node in nodes:
-                ids[node] = 2 + len(ordered)
-                ordered.append(node)
+        ordered = [
+            node
+            for _pos, nodes in reversed(_trav.levelize(self, edges))
+            for node in nodes
+        ]
+        slots = dict(zip(ordered, range(2, len(ordered) + 2)))
+        slots[SINK] = 1
         pv = [0, 0]
         sv = [-1, -1]
         bot = [-1, -1]
@@ -1392,59 +1383,34 @@ class BBDDManager(DDManager):
             self._pv, self._sv, self._bot, self._neq, self._eq,
         )
         for node in ordered:
-            pv.append(pvl[node])
             d = neql[node]
-            neq = -d if d < 0 else d
-            neq_ref = 1 if neq == SINK else ids[neq]
-            if d < 0:
-                neq_ref = -neq_ref
-            eq = eql[node]
-            eq_ref = 1 if eq == SINK else ids[eq]
-            if svl[node] == SV_ONE:
+            neq_ref = slots[d] if d > 0 else -slots[-d]
+            eq_ref = slots[eql[node]]
+            s = svl[node]
+            pv.append(pvl[node])
+            # SV_ONE is -1, the column code of a single-variable test.
+            sv.append(s)
+            if s == SV_ONE:
                 # Literal (R4) node: the test is the variable itself, so
                 # the always-regular ``=``-edge (pv == 1) is the t-branch
                 # and the ``!=``-edge the f-branch.
-                sv.append(-1)
                 bot.append(-1)
                 t.append(eq_ref)
                 f.append(neq_ref)
+                continue
+            # bot >= 0 marks a span in the column form; plain couples
+            # (bot == sv in the store) stay at -1 so the column is
+            # dropped exactly when the forest has no spans.
+            if botl[node] != s:
+                bot.append(botl[node])
+                has_span = True
             else:
-                sv.append(svl[node])
-                # bot >= 0 marks a span in the frozen layout; plain
-                # couples (bot == sv in the store) stay at -1 so the
-                # column is all -1 exactly when the forest has no spans.
-                if botl[node] != svl[node]:
-                    bot.append(botl[node])
-                    has_span = True
-                else:
-                    bot.append(-1)
-                t.append(neq_ref)
-                f.append(eq_ref)
-        roots: Dict[str, int] = {}
-        for name, edge in named:
-            if edge == 1 or edge == -1:
-                roots[name] = edge
-            else:
-                node = -edge if edge < 0 else edge
-                roots[name] = -ids[node] if edge < 0 else ids[node]
-        out = {
-            "kind": self.backend,
-            "pv": pv,
-            "sv": sv,
-            "t": t,
-            "f": f,
-            "roots": roots,
-        }
-        if has_span:
-            # Chain column only when needed: plain freezes stay in the
-            # 4-column RPARFRZ1 layout old readers attach.
-            out["bot"] = bot
-        return out
-
-    def sat_count_edge(self, edge: Edge) -> int:
-        from repro.core import traversal as _trav
-
-        return _trav.sat_count(self, edge)
+                bot.append(-1)
+            t.append(neq_ref)
+            f.append(eq_ref)
+        roots = {name: slots[e] if e > 0 else -slots[-e] for name, e in named}
+        block = (0, pv, sv, bot if has_span else None, t, f)
+        return Columns(self.order.order, roots, [block], pv)
 
     def sat_one_edge(self, edge: Edge) -> Optional[Dict[int, bool]]:
         """One satisfying assignment ``{var index: bit}``, or None.

@@ -1,4 +1,4 @@
-"""Traversals over BBDD forests: evaluation, counting, sat-count, paths.
+"""Traversals over BBDD forests: evaluation, counting, paths, levels.
 
 All functions operate on the owning manager plus bare signed-int edges
 of the flat store (``abs(edge)`` = node index, sign = complement
@@ -83,75 +83,6 @@ def reachable_nodes(manager, edges: Iterable[Edge]) -> Set[int]:
 def count_nodes(manager, edges: Iterable[Edge]) -> int:
     """Shared node count of a forest (sink excluded, literals included)."""
     return len(reachable_nodes(manager, edges))
-
-
-def sat_count(manager, edge: Edge) -> int:
-    """Number of satisfying assignments over all manager variables.
-
-    Iterative post-order with memoization, so arbitrarily deep chains
-    count without touching the Python recursion limit.
-    """
-    n = manager.num_vars
-    order = manager.order
-    pvl = manager._pv
-    svl = manager._sv
-    neql = manager._neq
-    eql = manager._eq
-    memo: Dict[int, int] = {}
-
-    def compute(node: int) -> int:
-        """Count over the variables at positions >= position(node);
-        requires both non-sink children to be memoized already."""
-        p = order.position(pvl[node])
-        span = n - p
-        if svl[node] == SV_ONE:
-            result = 1 << (span - 1)
-        else:
-            # Each branch fixes pv relative to sv; variables strictly
-            # between them in the order (skipped by the support chain)
-            # are free, as are those between sv and a child's root.
-            q_sv = order.position(svl[node])
-            result = 0
-            d = neql[node]
-            for child, attr in ((-d if d < 0 else d, d < 0), (eql[node], False)):
-                if child == SINK:
-                    sub = 0 if attr else (1 << (n - q_sv))
-                else:
-                    q = order.position(pvl[child])
-                    sub = memo[child]
-                    if attr:
-                        sub = (1 << (n - q)) - sub
-                    sub <<= q - q_sv
-                result += sub
-            result <<= q_sv - (p + 1)
-        return result
-
-    attr = edge < 0
-    node = -edge if attr else edge
-    if node == SINK:
-        return 0 if attr else (1 << n)
-    stack: List[int] = [node]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        d = neql[top]
-        pending = [
-            c
-            for c in (-d if d < 0 else d, eql[top])
-            if c != SINK and c not in memo
-        ]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[top] = compute(top)
-    p = order.position(pvl[node])
-    count = memo[node]
-    if attr:
-        count = (1 << (n - p)) - count
-    return count << p
 
 
 def iter_paths(
@@ -304,78 +235,19 @@ def levelize(manager, edges: Iterable[Edge]) -> List[Tuple[int, List[int]]]:
     the write order of the :mod:`repro.io` binary format.  Nodes within
     a level are sorted by index for deterministic output.
     """
-    by_position: Dict[int, List[int]] = {}
-    position = manager.order.position
+    order = manager.order.order
+    position = [0] * len(order)
+    for pos, var in enumerate(order):
+        position[var] = pos
+    buckets: List[List[int]] = [[] for _ in order]
     pvl = manager._pv
     for node in reachable_nodes(manager, edges):
-        by_position.setdefault(position(pvl[node]), []).append(node)
+        buckets[position[pvl[node]]].append(node)
     return [
-        (pos, sorted(by_position[pos]))
-        for pos in sorted(by_position, reverse=True)
+        (pos, sorted(buckets[pos]))
+        for pos in range(len(order) - 1, -1, -1)
+        if buckets[pos]
     ]
-
-
-def iter_cohort_items(manager, edge: Edge) -> Iterator[tuple]:
-    """Yield ``edge``'s nodes top-down as cohort-sweep items.
-
-    The item shape is documented in :mod:`repro.serve.bulk`:
-    ``(key, pv, sv, t_key, t_flip, t_pv, f_key, f_flip, f_pv)`` with
-    the *t*-branch taken where the node's test holds (``pv != sv`` on
-    chain nodes, ``pv`` on literal nodes, whose ``sv`` slot is
-    ``None``; chain spans put a *tuple* of partner variables in the
-    ``sv`` slot — the test is odd parity of ``pv`` plus the partners).
-    Keys are the flat store's node indices (sink children
-    are None).  Built on :func:`levelize` reversed — children live at
-    strictly deeper CVO positions, so parents are always emitted first,
-    which is the only ordering the sweep needs.
-    """
-    pvl = manager._pv
-    svl = manager._sv
-    botl = manager._bot
-    neql = manager._neq
-    eql = manager._eq
-    order = manager.order
-    for _pos, nodes in reversed(levelize(manager, [edge])):
-        for node in nodes:
-            d = neql[node]
-            neq = -d if d < 0 else d
-            eq = eql[node]
-            if svl[node] == SV_ONE:
-                # Literal (R4) node: test is the variable itself; the
-                # ``=``-edge (pv == 1) is the regular sink, the
-                # ``!=``-edge the complemented one.
-                yield (
-                    node,
-                    pvl[node],
-                    None,
-                    None if eq == SINK else eq,
-                    False,
-                    None if eq == SINK else pvl[eq],
-                    None if neq == SINK else neq,
-                    d < 0,
-                    None if neq == SINK else pvl[neq],
-                )
-            else:
-                sv = svl[node]
-                if botl[node] != sv:
-                    sv = tuple(
-                        order.var_at(p)
-                        for p in range(
-                            order.position(sv),
-                            order.position(botl[node]) + 1,
-                        )
-                    )
-                yield (
-                    node,
-                    pvl[node],
-                    sv,
-                    None if neq == SINK else neq,
-                    d < 0,
-                    None if neq == SINK else pvl[neq],
-                    None if eq == SINK else eq,
-                    False,
-                    None if eq == SINK else pvl[eq],
-                )
 
 
 def structural_profile(manager, edges: Iterable[Edge]) -> Dict[str, int]:

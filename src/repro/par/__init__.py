@@ -22,8 +22,8 @@ The one-call surface (used by
 >>> parallel_evaluate_batch(f, queries, workers=2)
 [True, False]
 
-Backends without a structural freeze export (third-party managers whose
-``batch_stream`` returns None) fall back to the sequential in-process
+Backends without a column producer (third-party managers whose
+``freeze_export`` returns None) fall back to the sequential in-process
 path automatically — same results, no shared memory.
 """
 

@@ -265,24 +265,9 @@ class ParallelPool:
             for start in range(0, count, lanes)
         ]
 
-    def _sweep_inline(self, forest: ShmForest, names, encoded, cube: bool):
-        from repro.serve.bulk import _slice_encoded
-
-        spans = self._chunk_spans(encoded.count)
-        results: Dict[str, List[bool]] = {name: [] for name in names}
-        for start, stop in spans:
-            part = encoded if stop - start == encoded.count else _slice_encoded(
-                encoded, start, stop
-            )
-            for name in names:
-                results[name].extend(
-                    part.unpack(forest.sweep_encoded(name, part, cube=cube))
-                )
-        return results
-
     def _sweep(self, forest: ShmForest, names: Sequence[str], assignments, cube: bool):
         """Encode once, sweep every name, return ``{name: [bool, ...]}``."""
-        from repro.serve.bulk import _encode, _slice_encoded
+        from repro.serve.bulk import _encode, sweep_chunks
 
         names = list(names)
         support = None
@@ -298,7 +283,13 @@ class ParallelPool:
         if encoded.count == 0:
             return {name: [] for name in names}
         if self._crew is None:
-            return self._sweep_inline(forest, names, encoded, cube)
+            return {
+                name: sweep_chunks(
+                    encoded,
+                    lambda part, name=name: forest.sweep_encoded(name, part, cube=cube),
+                )
+                for name in names
+            }
         spans = self._chunk_spans(encoded.count)
 
         def attempt():
@@ -331,19 +322,16 @@ class ParallelPool:
                     crew.abandon(crew.broadcast("drop", batch_id))
                 except CrewError:
                     pass
+            # Spans are contiguous lane ranges in order: shift each
+            # span's bitset into place and unpack the whole batch once.
             results: Dict[str, List[bool]] = {}
             position = 0
             for name in names:
-                answers: List[bool] = []
-                for start, stop in spans:
-                    part = (
-                        encoded
-                        if stop - start == encoded.count
-                        else _slice_encoded(encoded, start, stop)
-                    )
-                    answers.extend(part.unpack(raw[position]))
+                bits = 0
+                for start, _stop in spans:
+                    bits |= raw[position] << (start * encoded.stride)
                     position += 1
-                results[name] = answers
+                results[name] = encoded.unpack(bits)
             return results
 
         try:

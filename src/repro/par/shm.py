@@ -3,32 +3,23 @@
 A :class:`ShmForest` is a manager's forest flattened into one
 ``multiprocessing.shared_memory`` segment: a small JSON header (backend
 kind, generation number, variable names, CVO order, named signed root
-references and per-root supports) followed by four little-endian int64
-arrays — ``pv``/``sv``/``t``/``f``, one slot per node.  The layout is
-produced by :meth:`~repro.api.base.DDManager.freeze_export` (nodes in a
-global topological order, parents strictly before children) so a frozen
-forest supports the levelized cohort sweeps of :mod:`repro.serve.bulk`
-and an exact ``sat_count`` directly on the attached arrays — child
-processes :meth:`ShmForest.attach` the segment **zero-copy**: the kernel
-maps the same physical pages into every worker, so memory per added
-worker is O(1) regardless of forest size.
-
-Array coding (slots 0 and 1 are reserved; ``1`` denotes the sink):
-
-* ``pv[i]`` — the node's primary variable index;
-* ``sv[i]`` — the secondary variable index, or ``-1`` for a
-  single-variable test (literal / Shannon node);
-* ``t[i]`` / ``f[i]`` — signed child references for the branch where
-  the node's test holds / fails: ``abs(ref)`` is the child slot
-  (``1`` = sink), a negative sign marks a complemented edge.
+references and per-root supports) followed by the compiled query form
+of :class:`repro.api.base.Columns` — little-endian int64 arrays
+``pv``/``sv``/``t``/``f``, one slot per node in parents-first order,
+as :meth:`~repro.api.base.DDManager.freeze_export` produces them.  The
+kernels read the mapped arrays directly: the cohort and cube sweeps of
+:mod:`repro.serve.bulk`, and ``sat_count`` and weighted counting from
+:mod:`repro.wmc.sweep`.  Child processes :meth:`ShmForest.attach` the
+segment **zero-copy**: the kernel maps the same physical pages into
+every worker, so memory per added worker is O(1) regardless of forest
+size.  The column coding is documented on
+:class:`~repro.api.base.Columns` (slots 0 and 1 are reserved; ``1``
+denotes the sink).
 
 Forests frozen from chain-reduced managers add a fifth array ``bot``
-behind the ``"chain"`` meta flag: ``bot[i] >= 0`` marks a parity-span
-node whose partner variables are the contiguous order-position run
-from ``sv[i]`` down to ``bot[i]`` (the node tests the parity of
-``pv`` plus the partners; ``-1`` everywhere else).  Plain freezes
-keep the original four-array layout, so segments written by older
-code — and by chain-free managers — attach unchanged.
+behind the ``"chain"`` meta flag (parity spans); plain freezes keep the
+four-array layout, so segments written by older code — and by
+chain-free managers — attach unchanged.
 
 Lifecycle: the freezing process *owns* the segment and must eventually
 :meth:`~ShmForest.unlink` it (attachers only :meth:`~ShmForest.close`).
@@ -48,8 +39,9 @@ import struct
 import threading
 import weakref
 from array import array
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.api.base import Columns
 from repro.core.exceptions import BBDDError, VariableError
 
 try:  # pragma: no cover - exercised implicitly on import
@@ -218,7 +210,6 @@ class ShmForest:
             self._meta = meta
             self._n = n
             self._names: List[str] = list(meta["names"])
-            self._order: List[int] = list(meta["order"])
             self._roots: Dict[str, int] = {
                 name: int(ref) for name, ref in meta["roots"].items()
             }
@@ -228,20 +219,23 @@ class ShmForest:
             self._index: Dict[str, int] = {
                 name: i for i, name in enumerate(self._names)
             }
-            self._positions: List[int] = [0] * len(self._order)
-            for pos, var in enumerate(self._order):
-                self._positions[var] = pos
             base = _align8(_HEADER.size + meta_len)
             span = 8 * n
             ncols = 5 if meta.get("chain") else 4
+            if base + ncols * span > shm.size:
+                raise ParError(
+                    f"segment {shm.name!r} is truncated: its header claims "
+                    f"{n} slots, more than its {shm.size} bytes hold"
+                )
             arrays = []
             for k in range(ncols):
                 view = memoryview(buf)[base + k * span: base + (k + 1) * span]
                 arrays.append(view.cast("q"))
                 self._views.append(view)
             self._views.extend(arrays)
-            self._pv, self._sv, self._t, self._f = arrays[:4]
-            self._bot = arrays[4] if ncols == 5 else None
+            pv, sv, t, f = arrays[:4]
+            block = (0, pv, sv, arrays[4] if ncols == 5 else None, t, f)
+            self._columns = Columns(meta["order"], self._roots, [block], pv)
         except ParError:
             self._release_views()
             shm.close()
@@ -273,9 +267,9 @@ class ShmForest:
         ``generation`` is stored verbatim — the hot-reload protocol of
         :class:`repro.serve.pool.ForestPool` bumps it per re-freeze so
         workers can tell segments of the same dump apart.  Backends
-        without :meth:`~repro.api.base.DDManager.freeze_export` support
-        (``batch_stream`` returning None) raise :class:`ParError` —
-        callers fall back to the sequential in-process path.
+        without a :meth:`~repro.api.base.DDManager.freeze_export`
+        producer raise :class:`ParError` — callers fall back to the
+        sequential in-process path.
         """
         if _shared_memory is None:
             raise ParError(
@@ -292,22 +286,23 @@ class ShmForest:
         supports = {
             fname: sorted(manager.support_edge(edge)) for fname, edge in named
         }
-        columns = [export["pv"], export["sv"], export["t"], export["f"]]
+        ((_base, pv, sv, bot, t, f),) = export.joined().blocks
+        columns = [pv, sv, t, f]
         meta_dict = {
-            "kind": export["kind"],
+            "kind": manager.backend,
             "generation": generation,
             "names": list(manager.var_names),
-            "order": list(manager.order.order),
-            "roots": export["roots"],
+            "order": list(export.order),
+            "roots": export.roots,
             "supports": supports,
         }
-        if export.get("bot") is not None:
+        if bot is not None:
             # Chain-reduced forest: the span column rides behind a meta
             # flag so plain segments keep the attachable 4-array layout.
             meta_dict["chain"] = True
-            columns.append(export["bot"])
+            columns.append(bot)
         meta = json.dumps(meta_dict, separators=(",", ":")).encode("utf-8")
-        n = len(export["pv"])
+        n = len(pv)
         base = _align8(_HEADER.size + len(meta))
         total = base + len(columns) * 8 * n
         shm = _shared_memory.SharedMemory(
@@ -428,80 +423,26 @@ class ShmForest:
 
     # -- sweeps --------------------------------------------------------------
 
-    def _items(self) -> Iterator[tuple]:
-        """All stored nodes, parents-first, as cohort-sweep items.
-
-        The freeze export guarantees a global topological order (slot
-        index ascending = parents before children), so one pass serves
-        any root; nodes unreachable from the swept root simply carry no
-        cohort and cost one dictionary miss each.  Span slots
-        (``bot[i] >= 0``) put the partner-variable tuple in the item's
-        ``sv`` slot, the convention of :mod:`repro.serve.bulk`.
-        """
-        pv, sv, t, f = self._pv, self._sv, self._t, self._f
-        bot = self._bot
-        order = self._order
-        pos = self._positions
-        for i in range(2, self._n):
-            ti = t[i]
-            fi = f[i]
-            ta = -ti if ti < 0 else ti
-            fa = -fi if fi < 0 else fi
-            svi = sv[i]
-            if svi < 0:
-                svv = None
-            elif bot is not None and bot[i] >= 0:
-                svv = tuple(
-                    order[p] for p in range(pos[svi], pos[bot[i]] + 1)
-                )
-            else:
-                svv = svi
-            yield (
-                i,
-                pv[i],
-                svv,
-                None if ta == 1 else ta,
-                ti < 0,
-                None if ta == 1 else pv[ta],
-                None if fa == 1 else fa,
-                fi < 0,
-                None if fa == 1 else pv[fa],
-            )
-
     def sweep_encoded(self, name: str, batch, cube: bool = False) -> int:
         """One cohort sweep of an :class:`~repro.serve.bulk.EncodedBatch`.
 
-        Returns the raw ``sat_even`` bitset (one answer bit per lane) —
-        the worker hot path: callers slice, sweep and OR lane ranges
+        Returns the raw result bitset (one answer bit per lane) — the
+        worker hot path: callers slice, sweep and OR lane ranges
         without materializing bool lists per chunk.
         """
         from repro.serve.bulk import cohort_sweep, cube_sweep
 
         self._check_open()
         ref = self._root(name)
-        if ref == 1:
-            return batch.full
-        if ref == -1:
-            return 0
-        root = -ref if ref < 0 else ref
         if cube:
-            sat_even, _ = cube_sweep(
-                root,
-                ref < 0,
-                self._items(),
-                batch.var_bits,
-                batch.known_bits or {},
-                batch.full,
+            return cube_sweep(
+                self._columns, ref, batch.var_bits, batch.known_bits, batch.full
             )
-        else:
-            sat_even, _ = cohort_sweep(
-                root, ref < 0, self._items(), batch.var_bits, batch.full
-            )
-        return sat_even
+        return cohort_sweep(self._columns, ref, batch.var_bits, batch.full)
 
     # -- public queries ------------------------------------------------------
 
-    def evaluate_batch(self, name: str, assignments, chunk: Optional[int] = None):
+    def evaluate_batch(self, name: str, assignments):
         """Evaluate function ``name`` at every assignment, in order.
 
         Accepts the same input forms as
@@ -509,120 +450,50 @@ class ShmForest:
         covering the support, or a
         :class:`~repro.serve.bulk.ColumnBatch`).
         """
-        from repro.serve.bulk import DEFAULT_CHUNK, _encode, _slice_encoded
+        from repro.serve.bulk import _encode, sweep_chunks
 
         self._check_open()
-        support = self.support(name)
-        encoded = _encode(self, assignments, support, with_known=False)
-        if encoded.count == 0:
-            return []
-        chunk = chunk or DEFAULT_CHUNK
-        results: List[bool] = []
-        for start in range(0, encoded.count, chunk):
-            stop = min(start + chunk, encoded.count)
-            part = encoded if stop - start == encoded.count else _slice_encoded(
-                encoded, start, stop
-            )
-            results.extend(part.unpack(self.sweep_encoded(name, part)))
-        return results
+        encoded = _encode(self, assignments, self.support(name), with_known=False)
+        return sweep_chunks(encoded, lambda part: self.sweep_encoded(name, part))
 
-    def satisfiable_batch(self, name: str, assignments, chunk: Optional[int] = None):
+    def satisfiable_batch(self, name: str, assignments):
         """For each partial assignment: is ``name ∧ cube`` satisfiable?"""
-        from repro.serve.bulk import DEFAULT_CHUNK, _encode, _slice_encoded
+        from repro.serve.bulk import _encode, sweep_chunks
 
         self._check_open()
         self._root(name)
         encoded = _encode(self, assignments, None, with_known=True)
-        if encoded.count == 0:
-            return []
-        chunk = chunk or DEFAULT_CHUNK
-        results: List[bool] = []
-        for start in range(0, encoded.count, chunk):
-            stop = min(start + chunk, encoded.count)
-            part = encoded if stop - start == encoded.count else _slice_encoded(
-                encoded, start, stop
-            )
-            results.extend(part.unpack(self.sweep_encoded(name, part, cube=True)))
-        return results
+        return sweep_chunks(
+            encoded, lambda part: self.sweep_encoded(name, part, cube=True)
+        )
 
     def evaluate(self, name: str, assignment: Mapping) -> bool:
         """Evaluate function ``name`` at one assignment mapping."""
         return self.evaluate_batch(name, [assignment])[0]
 
-    # -- sat counting --------------------------------------------------------
-
-    def _sat_memos(self) -> List[int]:
-        """Per-slot satisfying-assignment counts (computed once, lazily).
-
-        ``memo[i]`` counts assignments of the variables at CVO positions
-        ``>= position(pv[i])`` satisfying slot ``i``'s regular function.
-        Children always sit at higher slot indices, so one descending
-        pass is a complete bottom-up evaluation of the whole store.
-        """
-        if self._memos is not None:
-            return self._memos
-        pv, sv, t, f = self._pv, self._sv, self._t, self._f
-        bot = self._bot
-        pos = self._positions
-        n_vars = len(self._names)
-        memo = [0] * self._n
-        for i in range(self._n - 1, 1, -1):
-            p = pos[pv[i]]
-            svi = sv[i]
-            if svi < 0:
-                base = p + 1
-            elif bot is not None and bot[i] >= 0:
-                # Parity span: every span variable is consumed here (the
-                # children live strictly below bot), one of them is
-                # fixed by the branch parity and the rest — plus any
-                # gap above the partner run — are free; the net factor
-                # is 2^(pos(bot) - p), the final shift below.
-                base = pos[bot[i]] + 1
-            else:
-                base = pos[svi]
-            total = 0
-            for ref in (t[i], f[i]):
-                child = -ref if ref < 0 else ref
-                if child == 1:
-                    sub = 0 if ref < 0 else 1 << (n_vars - base)
-                else:
-                    q = pos[pv[child]]
-                    sub = memo[child]
-                    if ref < 0:
-                        sub = (1 << (n_vars - q)) - sub
-                    sub <<= q - base
-                total += sub
-            memo[i] = total << (base - (p + 1))
-        self._memos = memo
-        return memo
+    # -- counting ------------------------------------------------------------
 
     def sat_count(self, name: str) -> int:
-        """Satisfying assignments of ``name`` over all variables."""
+        """Satisfying assignments of ``name`` over all variables.
+
+        The per-slot counts of the whole store are computed once, on
+        the first call, and answer every root.
+        """
+        from repro.wmc.sweep import sat_count, sat_memos
+
         self._check_open()
         ref = self._root(name)
-        if ref == 1:
-            return 1 << len(self._names)
-        if ref == -1:
-            return 0
-        memo = self._sat_memos()
-        root = -ref if ref < 0 else ref
-        p = self._positions[self._pv[root]]
-        count = memo[root]
-        if ref < 0:
-            count = (1 << (len(self._names) - p)) - count
-        return count << p
-
-    # -- weighted counting ---------------------------------------------------
+        if self._memos is None:
+            self._memos = sat_memos(self._columns)
+        return sat_count(self._columns, ref, self._memos)
 
     def _weighted(self, name: str, w1, w0, one, zero, joints=None):
         """The :func:`~repro.wmc.sweep.wmc_sweep` kernel off the segment arrays."""
         from repro.wmc.sweep import wmc_sweep
 
         self._check_open()
-        ref = self._root(name)
-        stream = None if ref in (1, -1) else (abs(ref), self._items())
         return wmc_sweep(
-            stream, ref < 0, self._order, w1, w0, one, zero, joints=joints
+            self._columns, self._root(name), w1, w0, one, zero, joints=joints
         )
 
     def weighted_count(self, name: str, weights=None, *, exact: bool = True):
@@ -683,7 +554,7 @@ class ShmForest:
             return
         self._closed = True
         self._name_hint = self._shm.name
-        self._pv = self._sv = self._t = self._f = self._bot = None
+        self._columns = None
         self._memos = None
         self._release_views()
         try:

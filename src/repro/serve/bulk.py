@@ -24,29 +24,20 @@ Two input forms are supported:
 The sweep itself is stride-agnostic: it only needs every bitset to use
 the same lane layout and a ``full`` mask with one set bit per query.
 
-Backends plug in through :meth:`DDManager.batch_stream
-<repro.api.base.DDManager.batch_stream>`, which yields the diagram's
-nodes top-down (parents strictly before children) as *items*::
-
-    (key, pv, sv, t_key, t_flip, t_pv, f_key, f_flip, f_pv)
-
-``key`` is any hashable node identity; ``sv`` is ``None`` for
-single-variable tests (literal/Shannon nodes), a variable index for
-chain couples, or a *tuple* of partner variables for chain-reduced
-parity spans; the *t*-branch is taken where the node's test is true
-(``pv != sv`` for chain nodes, odd parity of ``pv`` plus the partners
-for spans, ``pv`` for the rest), ``*_key`` is ``None`` for the 1-sink,
-``*_flip`` marks a complemented edge and ``*_pv`` is the branch
-target's primary variable (``None`` for the sink).  The child
-variables are what lets the *cube* sweep (:func:`satisfiable_batch`)
-carry relational state across consecutive couples: taking a branch at
-a chain node ``(pv, sv)`` pins the value of ``sv``, which is tested
-next exactly when the child's PV is ``sv``.  Span branches pin
-nothing — they constrain only the parity of a variable run that sits
-entirely above the node's children in the order, so none of those
-variables can ever be tested again.  Backends without a structural
-stream fall back to the per-query loop in
-:class:`~repro.api.base.DDManager`.
+Both sweeps read the compiled query form, :class:`~repro.api.base.Columns`:
+the ``pv``/``sv``/``bot``/``t``/``f`` columns in parents-first slot
+order with signed child references.  Managers produce it through
+:meth:`DDManager.freeze_export <repro.api.base.DDManager.freeze_export>`
+and frozen forests (:class:`repro.par.shm.ShmForest`) hand over their
+mapped arrays.  The child's primary variable (``pv_of``) is what lets
+the *cube* sweep (:func:`satisfiable_batch`) carry relational state
+across consecutive couples: taking a branch at a chain node
+``(pv, sv)`` pins the value of ``sv``, which is tested next exactly
+when the child's PV is ``sv``.  Span branches pin nothing — they
+constrain only the parity of a variable run that sits entirely above
+the node's children in the order, so none of those variables can ever
+be tested again.  Backends without a producer fall back to the
+per-query loop in :class:`~repro.api.base.DDManager`.
 """
 
 from __future__ import annotations
@@ -200,89 +191,84 @@ class EncodedBatch:
 
 
 # ----------------------------------------------------------------------
-# the sweep
+# the sweeps
 # ----------------------------------------------------------------------
-
-
-def cohort_sweep(
-    root_key,
-    root_attr: bool,
-    items: Iterable[tuple],
-    var_bits: Dict[int, int],
-    full: int,
-) -> Tuple[int, int]:
-    """Push complete-assignment query cohorts through a level stream.
-
-    Returns ``(sat_even, sat_odd)``: the lanes that reach the 1-sink
-    with even / odd accumulated complement parity.  Every lane follows
-    exactly one root-to-sink path, so ``sat_even`` *is* the result
-    bitset (even parity means the function is True) and the two halves
-    partition ``full``.
-    """
-    if root_key is None:
-        return (0, full) if root_attr else (full, 0)
-    cohorts: Dict[object, Tuple[int, int]] = {
-        root_key: (0, full) if root_attr else (full, 0)
-    }
-    sat_even = sat_odd = 0
-    pop = cohorts.pop
-    get_bits = var_bits.get
-    for key, pv, sv, t_key, t_flip, _t_pv, f_key, f_flip, _f_pv in items:
-        pair = pop(key, None)
-        if pair is None:
-            continue
-        even, odd = pair
-        if not even and not odd:
-            continue
-        if sv is None:
-            t_mask = get_bits(pv, 0)
-        elif type(sv) is tuple:
-            # Parity span: the t-branch is taken where pv plus the
-            # partner variables have odd parity.
-            t_mask = get_bits(pv, 0)
-            for partner in sv:
-                t_mask ^= get_bits(partner, 0)
-        else:
-            t_mask = get_bits(pv, 0) ^ get_bits(sv, 0)
-        f_mask = full & ~t_mask
-        ce = even & t_mask
-        co = odd & t_mask
-        if ce or co:
-            if t_flip:
-                ce, co = co, ce
-            if t_key is None:
-                sat_even |= ce
-                sat_odd |= co
-            else:
-                pe, po = cohorts.get(t_key, (0, 0))
-                cohorts[t_key] = (pe | ce, po | co)
-        ce = even & f_mask
-        co = odd & f_mask
-        if ce or co:
-            if f_flip:
-                ce, co = co, ce
-            if f_key is None:
-                sat_even |= ce
-                sat_odd |= co
-            else:
-                pe, po = cohorts.get(f_key, (0, 0))
-                cohorts[f_key] = (pe | ce, po | co)
-    return sat_even, sat_odd
-
 
 #: Empty cube-sweep state: {pin-0, pin-1, floating} × {even, odd parity}.
 _ZERO6 = (0, 0, 0, 0, 0, 0)
 
 
+def cohort_sweep(columns, root: int, var_bits: Dict[int, int], full: int) -> int:
+    """Push complete-assignment query cohorts through compiled columns.
+
+    ``columns`` is a :class:`~repro.api.base.Columns` and ``root`` a
+    signed slot reference into it (``±1`` for a constant).  Returns the
+    result bitset: the lanes that reach the 1-sink with even
+    accumulated complement parity.  Every lane follows exactly one
+    root-to-sink path.
+    """
+    node = -root if root < 0 else root
+    start = (0, full) if root < 0 else (full, 0)
+    if node == 1:
+        return start[0]
+    cohorts: Dict[int, Tuple[int, int]] = {node: start}
+    sat_even = 0
+    pop = cohorts.pop
+    get = cohorts.get
+    get_bits = var_bits.get
+    order = columns.order
+    pos = None
+    for slot, pv, sv, bot, t, f in columns.rows():
+        pair = pop(slot, None)
+        if pair is None:
+            continue
+        even, odd = pair
+        if sv < 0:
+            t_mask = get_bits(pv, 0)
+        elif bot < 0:
+            t_mask = get_bits(pv, 0) ^ get_bits(sv, 0)
+        else:
+            # Parity span: the t-branch is taken where pv plus the
+            # partner variables have odd parity.
+            if pos is None:
+                pos = columns.positions()
+            t_mask = get_bits(pv, 0)
+            for partner in order[pos[sv]:pos[bot] + 1]:
+                t_mask ^= get_bits(partner, 0)
+        ce = even & t_mask
+        co = odd & t_mask
+        if ce or co:
+            if t < 0:
+                ce, co = co, ce
+                t = -t
+            if t == 1:
+                sat_even |= ce
+            else:
+                pe, po = get(t, (0, 0))
+                cohorts[t] = (pe | ce, po | co)
+        f_mask = full & ~t_mask
+        ce = even & f_mask
+        co = odd & f_mask
+        if ce or co:
+            if f < 0:
+                ce, co = co, ce
+                f = -f
+            if f == 1:
+                sat_even |= ce
+            else:
+                pe, po = get(f, (0, 0))
+                cohorts[f] = (pe | ce, po | co)
+    return sat_even
+
+
 def cube_sweep(
-    root_key,
-    root_attr: bool,
-    items: Iterable[tuple],
+    columns,
+    root: int,
     var_bits: Dict[int, int],
-    known_bits: Dict[int, int],
+    known_bits: Optional[Dict[int, int]],
     full: int,
-) -> Tuple[int, int]:
-    """Push *partial*-assignment (cube) cohorts through a level stream.
+) -> int:
+    """Push *partial*-assignment (cube) cohorts through compiled columns.
 
     Each lane asks "is ``f ∧ cube`` satisfiable"; a lane whose test is
     undecided by its cube flows into **both** branches and cohorts merge
@@ -304,36 +290,39 @@ def cube_sweep(
     * single-variable tests (literal/Shannon nodes) always pass
       floating — their branch constrains only the variable just tested.
 
-    Returns ``(sat_even, sat_odd)``; bit ``i`` of ``sat_even`` means
-    some cube-consistent path evaluates to True — satisfiability of
-    ``f ∧ cube``.
+    Returns the result bitset: bit ``i`` means some cube-consistent
+    path evaluates to True — satisfiability of ``f ∧ cube``.
     """
-    if root_key is None:
-        return (0, full) if root_attr else (full, 0)
-    root = (0, 0, 0, 0, full, 0) if not root_attr else (0, 0, 0, 0, 0, full)
-    cohorts: Dict[object, tuple] = {root_key: root}
-    sat_even = sat_odd = 0
+    node = -root if root < 0 else root
+    if node == 1:
+        return 0 if root < 0 else full
+    start = (0, 0, 0, 0, 0, full) if root < 0 else (0, 0, 0, 0, full, 0)
+    cohorts: Dict[int, tuple] = {node: start}
+    sat_even = 0
     pop = cohorts.pop
     get_bits = var_bits.get
-    get_known = known_bits.get
+    get_known = (known_bits or {}).get
+    pv_of = columns.pv_of
+    order = columns.order
+    pos = None
 
-    def route(child_key, flip, e0, o0, e1, o1, ef, of):
-        nonlocal sat_even, sat_odd
+    def route(ref, e0, o0, e1, o1, ef, of):
+        nonlocal sat_even
         if not (e0 | o0 | e1 | o1 | ef | of):
             return
-        if flip:
+        if ref < 0:
             e0, o0, e1, o1, ef, of = o0, e0, o1, e1, of, ef
-        if child_key is None:
+            ref = -ref
+        if ref == 1:
             sat_even |= e0 | e1 | ef
-            sat_odd |= o0 | o1 | of
             return
-        c = cohorts.get(child_key, _ZERO6)
-        cohorts[child_key] = (
+        c = cohorts.get(ref, _ZERO6)
+        cohorts[ref] = (
             c[0] | e0, c[1] | o0, c[2] | e1, c[3] | o1, c[4] | ef, c[5] | of,
         )
 
-    for key, pv, sv, t_key, t_flip, t_pv, f_key, f_flip, f_pv in items:
-        state = pop(key, None)
+    for slot, pv, sv, bot, t, f in columns.rows():
+        state = pop(slot, None)
         if state is None:
             continue
         e0, o0, e1, o1, ef, of = state
@@ -350,13 +339,13 @@ def cube_sweep(
         of &= ~k
         # Now e0/o0 hold lanes with pv = 0, e1/o1 with pv = 1, ef/of
         # with pv genuinely free (neither cube- nor pin-constrained).
-        if sv is None:
+        if sv < 0:
             # Single-variable test: free lanes take both branches and
             # nothing is pinned downstream.
-            route(t_key, t_flip, 0, 0, 0, 0, e1 | ef, o1 | of)
-            route(f_key, f_flip, 0, 0, 0, 0, e0 | ef, o0 | of)
+            route(t, 0, 0, 0, 0, e1 | ef, o1 | of)
+            route(f, 0, 0, 0, 0, e0 | ef, o0 | of)
             continue
-        if type(sv) is tuple:
+        if bot >= 0:
             # Parity span: the test is the parity of pv plus every
             # partner.  Partners are skipped below both branches (they
             # sit above the children in the order) and can never be
@@ -365,9 +354,11 @@ def cube_sweep(
             # constrains variables that are never looked at again.
             # Lanes with every partner cube-known follow the partner
             # parity (kp = all partners known, xp = their parity).
+            if pos is None:
+                pos = columns.positions()
             kp = full
             xp = 0
-            for partner in sv:
+            for partner in order[pos[sv]:pos[bot] + 1]:
                 kp &= get_known(partner, 0)
                 xp ^= get_bits(partner, 0)
             det0 = kp & ~xp & full
@@ -376,12 +367,12 @@ def cube_sweep(
             any_e = e0 | e1 | ef
             any_o = o0 | o1 | of
             route(
-                t_key, t_flip, 0, 0, 0, 0,
+                t, 0, 0, 0, 0,
                 (e0 & det1) | (e1 & det0) | (ef & kp) | (any_e & nb),
                 (o0 & det1) | (o1 & det0) | (of & kp) | (any_o & nb),
             )
             route(
-                f_key, f_flip, 0, 0, 0, 0,
+                f, 0, 0, 0, 0,
                 (e0 & det0) | (e1 & det1) | (ef & kp) | (any_e & nb),
                 (o0 & det0) | (o1 & det1) | (of & kp) | (any_o & nb),
             )
@@ -398,13 +389,14 @@ def cube_sweep(
         to1 = o0 & free_s
         tef = (e0 & ksv) | (e1 & ksnv) | (ef & ks) | (ef & free_s)
         tof = (o0 & ksv) | (o1 & ksnv) | (of & ks) | (of & free_s)
-        if t_pv != sv:
+        child = -t if t < 0 else t
+        if child == 1 or pv_of[child] != sv:
             # sv is skipped below this branch and can never be tested
             # again, so its pin is irrelevant: collapse to floating.
             tef |= te0 | te1
             tof |= to0 | to1
             te0 = to0 = te1 = to1 = 0
-        route(t_key, t_flip, te0, to0, te1, to1, tef, tof)
+        route(t, te0, to0, te1, to1, tef, tof)
         # f-branch (pv == sv).
         fe0 = e0 & free_s
         fo0 = o0 & free_s
@@ -412,12 +404,13 @@ def cube_sweep(
         fo1 = o1 & free_s
         fef = (e0 & ksnv) | (e1 & ksv) | (ef & ks) | (ef & free_s)
         fof = (o0 & ksnv) | (o1 & ksv) | (of & ks) | (of & free_s)
-        if f_pv != sv:
+        child = -f if f < 0 else f
+        if child == 1 or pv_of[child] != sv:
             fef |= fe0 | fe1
             fof |= fo0 | fo1
             fe0 = fo0 = fe1 = fo1 = 0
-        route(f_key, f_flip, fe0, fo0, fe1, fo1, fef, fof)
-    return sat_even, sat_odd
+        route(f, fe0, fo0, fe1, fo1, fef, fof)
+    return sat_even
 
 
 # ----------------------------------------------------------------------
@@ -597,54 +590,46 @@ def _encode(manager, assignments, support, with_known: bool) -> EncodedBatch:
 # ----------------------------------------------------------------------
 
 
-def evaluate_batch(f, assignments, chunk: int = DEFAULT_CHUNK) -> List[bool]:
+def sweep_chunks(batch: EncodedBatch, sweep) -> List[bool]:
+    """Answer ``batch`` with one ``sweep(part)`` per :data:`DEFAULT_CHUNK` lanes.
+
+    The chunk loop of every batch path: ``sweep`` returns the
+    result bitset of one lane range (see :func:`cohort_sweep` and
+    :func:`cube_sweep`), and chunking bounds the size of the cohort
+    bitsets parked on the level frontier.
+    """
+    results: List[bool] = []
+    for start in range(0, batch.count, DEFAULT_CHUNK):
+        stop = min(start + DEFAULT_CHUNK, batch.count)
+        part = batch if stop - start == batch.count else _slice_encoded(
+            batch, start, stop
+        )
+        results.extend(part.unpack(sweep(part)))
+    return results
+
+
+def evaluate_batch(f, assignments) -> List[bool]:
     """Evaluate ``f`` at every assignment with one sweep per chunk.
 
     ``assignments`` is an iterable of mappings (each must cover the
     function's support, like :meth:`FunctionBase.evaluate
     <repro.api.base.FunctionBase.evaluate>`) or a :class:`ColumnBatch`.
-    Returns one ``bool`` per assignment, in order.  ``chunk`` bounds
-    how many queries share one sweep (and therefore the cohort bitset
-    sizes parked on the level frontier).
+    Returns one ``bool`` per assignment, in order.
     """
     manager = f.manager
-    edge = f.edge
-    support = manager.support_edge(edge)
+    support = manager.support_edge(f.edge)
     encoded = _encode(manager, assignments, support, with_known=False)
-    if encoded.count == 0:
-        return []
-    if manager.edge_is_sink(edge):
-        return [not manager.edge_attr(edge)] * encoded.count
-    results: List[bool] = []
-    for start in range(0, encoded.count, chunk):
-        stop = min(start + chunk, encoded.count)
-        part = encoded if stop - start == encoded.count else _slice_encoded(
-            encoded, start, stop
-        )
-        results.extend(manager.evaluate_batch_edges(edge, part))
-    return results
+    return manager.evaluate_batch_edges(f.edge, encoded)
 
 
-def satisfiable_batch(f, assignments, chunk: int = DEFAULT_CHUNK) -> List[bool]:
+def satisfiable_batch(f, assignments) -> List[bool]:
     """For each partial assignment (cube): is ``f ∧ cube`` satisfiable?
 
     Assignments may constrain any subset of the variables; a query
     whose test variable is unconstrained at some node flows into both
-    branches, so the whole batch still needs only one top-down sweep.
-    ``f.satisfiable_batch([{}])`` is ``[not f.is_false]``.
+    branches, so the whole batch still needs only one top-down sweep
+    per chunk.  ``f.satisfiable_batch([{}])`` is ``[not f.is_false]``.
     """
     manager = f.manager
-    edge = f.edge
     encoded = _encode(manager, assignments, None, with_known=True)
-    if encoded.count == 0:
-        return []
-    if manager.edge_is_sink(edge):
-        return [not manager.edge_attr(edge)] * encoded.count
-    results: List[bool] = []
-    for start in range(0, encoded.count, chunk):
-        stop = min(start + chunk, encoded.count)
-        part = encoded if stop - start == encoded.count else _slice_encoded(
-            encoded, start, stop
-        )
-        results.extend(manager.satisfiable_batch_edges(edge, part))
-    return results
+    return manager.satisfiable_batch_edges(f.edge, encoded)

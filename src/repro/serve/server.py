@@ -251,15 +251,22 @@ async def handle_client(server: BatchingServer, reader, writer, on_request=None)
         request_id = None
         try:
             request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ServeError(
+                    f"request must be a JSON object, got {type(request).__name__}"
+                )
             request_id = request.get("id")
-            if request.get("op") == "stats":
+            op = request.get("op")
+            if op == "stats":
                 response = {"id": request_id, "result": server.stats()}
-            elif request.get("op") == "metrics":
+            elif op == "metrics":
                 response = {"id": request_id, "result": server.metrics_snapshot()}
-            elif request.get("op") == "p_one":
+            elif "f" not in request:
+                raise ServeError('request names no function (missing "f")')
+            elif op == "p_one":
                 value = await server.p_one(request["f"], request.get("weights"))
                 response = {"id": request_id, "result": value}
-            elif request.get("op") == "marginals":
+            elif op == "marginals":
                 value = await server.marginals(
                     request["f"],
                     request.get("weights"),

@@ -1,4 +1,4 @@
-"""The weighted-counting kernel and its protocol-pure fallback.
+"""The counting kernels over compiled columns and their protocol fallback.
 
 Weighted model counting assigns every variable ``v`` a pair of weights
 ``(w1(v), w0(v))`` and asks for the total weight of the on-set,
@@ -10,8 +10,11 @@ which specializes to probabilistic inference (``w1 + w0 = 1`` makes it
 (``w1 = w0 = 1``).  :func:`wmc_sweep` is the one kernel behind every
 structural query path — manager functions
 (:meth:`repro.api.base.DDManager.weighted_count_edge`) and frozen
-shared-memory forests (:class:`repro.par.shm.ShmForest`) — and runs
-over the parents-first 9-tuple item streams the batch evaluator uses.
+shared-memory forests (:class:`repro.par.shm.ShmForest`) — and reads
+the compiled query form the batch evaluator reads,
+:class:`repro.api.base.Columns`: ``pv``/``sv``/``bot``/``t``/``f`` in
+parents-first slot order with signed child references.
+:func:`sat_count` is the unweighted count over the same columns.
 
 **The mass pass** (top-down) gives the count.  Each node accumulates
 *mass* — the summed weight of all root paths reaching it — keyed by the
@@ -49,7 +52,7 @@ probability mode they are powers of ``L``).  One division at the end,
 ``Fraction(acc, L**n)``, gives results bit-identical to summing
 :class:`fractions.Fraction` terms — the differential-oracle contract —
 at a fraction of the cost.  Float mode runs the same passes on machine
-doubles.  For backends without a levelized stream, :func:`shannon_count`
+doubles.  For backends without a column producer, :func:`shannon_count`
 computes the same quantities through the public protocol
 (``root_var`` / ``restrict_edge``) with a per-node memo in the
 caller's arithmetic — linear in the diagram, correct for any backend.
@@ -60,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import floordiv, truediv
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import BBDDError
 
@@ -165,26 +168,29 @@ def posterior(count, joint: Dict[int, object], var_name) -> dict:
     return {var_name(index): value / count for index, value in joint.items()}
 
 
-def _cone(root_key, items) -> list:
-    """The parents-first ``items`` reachable from ``root_key``.
+def _cone(columns, node: int) -> List[int]:
+    """The slots of joined ``columns`` reachable from slot ``node``.
 
-    Shared multi-root stores stream every stored node; the acceptance
-    pass needs only the swept root's cone.
+    Parents first.  Shared multi-root stores hold every stored node;
+    the acceptance pass needs only the swept root's cone.
     """
-    reached = {root_key}
-    kept = []
-    for item in items:
-        if item[0] in reached:
-            kept.append(item)
-            reached.add(item[3])
-            reached.add(item[6])
-    return kept
+    ((_base, _pv, _sv, _bot, t, f),) = columns.blocks
+    reached = bytearray(len(t))
+    reached[node] = 1
+    cone = []
+    for slot in range(node, len(t)):
+        if reached[slot]:
+            cone.append(slot)
+            ref = t[slot]
+            reached[-ref if ref < 0 else ref] = 1
+            ref = f[slot]
+            reached[-ref if ref < 0 else ref] = 1
+    return cone
 
 
 def wmc_sweep(
-    stream,
-    root_attr: bool,
-    order: Sequence[int],
+    columns,
+    root: int,
     w1: Sequence,
     w0: Sequence,
     one,
@@ -194,14 +200,13 @@ def wmc_sweep(
 ):
     """Weighted count of one diagram, plus per-variable joints on request.
 
-    :param stream: ``(root_key, items)`` — the root's node key and the
-        parents-first 9-tuple items of ``batch_stream`` /
-        :meth:`repro.par.shm.ShmForest._items` (mass is seeded when the
-        root's item appears, so shared multi-root stores can stream
-        every stored node) — or None for a constant root.
-    :param root_attr: complement attribute of the root edge; for a
-        constant root, True means ``FALSE``.
-    :param order: variable indices by order position.
+    :param columns: the compiled query form
+        (:class:`repro.api.base.Columns`) holding the root — a
+        manager's compiled root or a frozen forest's whole store (mass
+        is seeded when the root's slot comes up, so unrelated slots
+        simply carry none).
+    :param root: signed slot reference of the root; ``±1`` is a
+        constant, ``-1`` meaning ``FALSE``.
     :param w1: weight of assigning 1, indexed by variable.
     :param w0: weight of assigning 0, indexed by variable.
     :param one: multiplicative unit of the arithmetic in use — a float
@@ -215,42 +220,43 @@ def wmc_sweep(
 
     Counts one sweep on ``repro_wmc_sweeps_total`` for a count and two
     for joints, before any work, so failing queries are counted too.
-    With joints, the root's cone is held in memory for the acceptance
-    pass — ``O(nodes)``, also on out-of-core backends.
+    The count streams the column blocks once; joints join them and
+    keep the root's cone in memory for the acceptance pass —
+    ``O(nodes)``, also on out-of-core backends.
     """
     _count_sweeps(1 if joints is None else 2)
+    node = -root if root < 0 else root
+    if joints is not None and node != 1:
+        columns = columns.joined()
     exact = not isinstance(one, float)
     if exact:
         scale = lcm(*(w.denominator for w in w1), *(w.denominator for w in w0))
         w1 = [w.numerator * (scale // w.denominator) for w in w1]
         w0 = [w.numerator * (scale // w.denominator) for w in w0]
-        kernel = _Kernel(order, w1, w0, 1, 0, floordiv)
+        kernel = _Kernel(columns, w1, w0, 1, 0, floordiv)
     else:
-        kernel = _Kernel(order, w1, w0, one, zero, truediv)
+        kernel = _Kernel(columns, w1, w0, one, zero, truediv)
     zero = kernel.zero
     indices = joints or ()
+    n = len(columns.order)
     if any(s == zero for s in kernel.sums):
         # Some variable's weights sum to zero: every full-assignment
         # product is zero.
         count, joint = zero, dict.fromkeys(indices, zero)
-    elif stream is None:
-        count = zero if root_attr else kernel.total
+    elif node == 1:
+        count = zero if root < 0 else kernel.total
         # Every variable is free on the constant's single path.
-        tested = [zero] * len(order)
-        joint = kernel.joints(indices, tested, {(0, len(order)): count})
+        joint = kernel.joints(indices, [zero] * n, {(0, n): count})
     elif joints is None:
-        count = kernel.down(stream[0], root_attr, stream[1])
+        count = kernel.down(root, columns.rows())
     else:
-        root_key, items = stream
-        items = _cone(root_key, items)
-        tested = [zero] * len(order)
+        tested = [zero] * n
         skips: Dict[Tuple[int, int], object] = {}
-        count = kernel.down(
-            root_key, root_attr, items, kernel.up(items), tested, skips
-        )
+        up = kernel.up(columns, _cone(columns, node))
+        count = kernel.down(root, columns.rows(), up, tested, skips)
         joint = kernel.joints(indices, tested, skips)
     if exact:
-        denominator = scale ** len(order)
+        denominator = scale ** n
         count = Fraction(count, denominator)
         if joints is not None:
             joint = {i: Fraction(v, denominator) for i, v in joint.items()}
@@ -273,16 +279,16 @@ class _Kernel:
     ``k`` / from ``k`` on.
     """
 
-    def __init__(self, order, w1, w0, one, zero, quot) -> None:
+    def __init__(self, columns, w1, w0, one, zero, quot) -> None:
         self.w1 = w1
         self.w0 = w0
         self.one = one
         self.zero = zero
         self.quot = quot
+        self.order = order = columns.order
+        self.pos = columns.positions()
+        self.pv_of = columns.pv_of
         self.sums = [hi + lo for hi, lo in zip(w1, w0)]
-        self.pos = [0] * len(w1)
-        for position, var in enumerate(order):
-            self.pos[var] = position
         prefix = [one]
         suffix = [one]
         for var in order:
@@ -308,36 +314,43 @@ class _Kernel:
             return self.one
         return self.quot(self.prefix[stop], self.prefix[start])
 
-    def accept(self, up, key, pv, flip, start: int) -> Tuple[object, object]:
-        """Acceptance of one edge and of its complement, from ``start`` on."""
-        if key is None:
+    def accept(self, up, ref: int, start: int) -> Tuple[object, object]:
+        """Acceptance of edge ``ref`` and of its complement, from ``start`` on."""
+        child = -ref if ref < 0 else ref
+        if child == 1:
             full = self.suffix[start]
-            return (self.zero, full) if flip else (full, self.zero)
-        entry = up[key]
-        x, y = (entry[5], entry[2]) if flip else (entry[2], entry[5])
-        q = self.pos[pv]
+            return (self.zero, full) if ref < 0 else (full, self.zero)
+        entry = up[child]
+        x, y = (entry[5], entry[2]) if ref < 0 else (entry[2], entry[5])
+        q = self.pos[self.pv_of[child]]
         if q == start:
             return x, y
         g = self.gap(start, q)
         return x * g, y * g
 
-    def up(self, items) -> dict:
-        """The acceptance pass: ``{key: (a1, a0, b, c1, c0, d)}``."""
-        w1, w0, pos = self.w1, self.w0, self.pos
+    def up(self, columns, cone) -> list:
+        """The acceptance pass: ``(a1, a0, b, c1, c0, d)`` per cone slot."""
+        ((_base, pvc, svc, botc, tc, fc),) = columns.blocks
+        w1, w0, pos, order = self.w1, self.w0, self.pos, self.order
         accept, gap = self.accept, self.gap
-        up: dict = {}
-        for key, pv, sv, tk, tf, tpv, fk, ff, fpv in reversed(items):
+        up: list = [None] * len(pvc)
+        for slot in reversed(cone):
+            pv = pvc[slot]
+            sv = svc[slot]
+            t = tc[slot]
+            f = fc[slot]
             p = pos[pv]
-            if sv is None:
-                a1, c1 = accept(up, tk, tpv, tf, p + 1)
-                a0, c0 = accept(up, fk, fpv, ff, p + 1)
-            elif type(sv) is tuple:
+            if sv < 0:
+                a1, c1 = accept(up, t, p + 1)
+                a0, c0 = accept(up, f, p + 1)
+            elif botc is not None and botc[slot] >= 0:
                 # Span: odd parity of pv + partners -> t.
-                even, odd = self.fold(sv)
-                g = gap(p + 1, pos[sv[0]])
-                below = pos[sv[-1]] + 1
-                xt, yt = accept(up, tk, tpv, tf, below)
-                xf, yf = accept(up, fk, fpv, ff, below)
+                first = pos[sv]
+                below = pos[botc[slot]] + 1
+                even, odd = self.fold(order[first:below])
+                g = gap(p + 1, first)
+                xt, yt = accept(up, t, below)
+                xf, yf = accept(up, f, below)
                 a1 = g * (even * xt + odd * xf)
                 a0 = g * (odd * xt + even * xf)
                 c1 = g * (even * yt + odd * yf)
@@ -348,19 +361,21 @@ class _Kernel:
                 # t*/f* accept the edges' functions, u*/v* their
                 # complements, given sv = 1 / sv = 0.
                 ps = pos[sv]
-                if tpv == sv:
-                    e = up[tk]
-                    i = 3 if tf else 0
+                child = -t if t < 0 else t
+                if child != 1 and pvc[child] == sv:
+                    e = up[child]
+                    i = 3 if t < 0 else 0
                     t1, t0, u1, u0 = e[i], e[i + 1], e[3 - i], e[4 - i]
                 else:
-                    t1, u1 = accept(up, tk, tpv, tf, ps + 1)
+                    t1, u1 = accept(up, t, ps + 1)
                     t0, u0 = t1, u1
-                if fpv == sv:
-                    e = up[fk]
-                    i = 3 if ff else 0
+                child = -f if f < 0 else f
+                if child != 1 and pvc[child] == sv:
+                    e = up[child]
+                    i = 3 if f < 0 else 0
                     f1, f0, v1, v0 = e[i], e[i + 1], e[3 - i], e[4 - i]
                 else:
-                    f1, v1 = accept(up, fk, fpv, ff, ps + 1)
+                    f1, v1 = accept(up, f, ps + 1)
                     f0, v0 = f1, v1
                 g = gap(p + 1, ps)
                 hi = w1[sv] * g
@@ -371,22 +386,24 @@ class _Kernel:
                 c0 = hi * u1 + lo * v0
             hi = w1[pv]
             lo = w0[pv]
-            up[key] = (a1, a0, hi * a1 + lo * a0, c1, c0, hi * c1 + lo * c0)
+            up[slot] = (a1, a0, hi * a1 + lo * a0, c1, c0, hi * c1 + lo * c0)
         return up
 
-    def down(self, root_key, root_attr, items, up=None, tested=None, skips=None):
+    def down(self, root, rows, up=None, tested=None, skips=None):
         """The mass pass: the weighted count, parents first.
 
+        ``rows`` are the columns' ``(slot, pv, sv, bot, t, f)`` rows.
         With ``up`` (the acceptance pass) it also adds, per variable,
         the joint weight of the paths that test it into ``tested``, and
         the accepted weight of every edge that skips positions into
         ``skips``, keyed by the skipped range ``(start, stop)``.
         """
-        w1, w0, pos = self.w1, self.w0, self.pos
+        w1, w0, pos, pv_of, order = self.w1, self.w0, self.pos, self.pv_of, self.order
         prefix, suffix, zero = self.prefix, self.suffix, self.zero
         accept, gap = self.accept, self.gap
         last = len(prefix) - 1
-        masses: Dict[object, list] = {}
+        node = -root if root < 0 else root
+        masses: Dict[int, list] = {}
         acc = zero
 
         def skip(start, stop, weight):
@@ -394,28 +411,30 @@ class _Kernel:
             span = (start, stop)
             skips[span] = skips.get(span, zero) + weight
 
-        def push(key, pv, flip, m0, m1, start):
-            """Route masses of parity 0 / 1 down one edge from ``start``."""
+        def push(ref, m0, m1, start):
+            """Route masses of parity 0 / 1 down edge ``ref`` from ``start``."""
             nonlocal acc
-            if flip:
+            if ref < 0:
                 m0, m1 = m1, m0
-            if key is None:
+                ref = -ref
+            if ref == 1:
                 accepted = m0 * suffix[start]
                 acc += accepted
                 if up is not None and start != last:
                     skip(start, last, accepted)
                 return
+            pv = pv_of[ref]
             q = pos[pv]
             if q != start:
                 g = gap(start, q)
                 m0 = m0 * g
                 m1 = m1 * g
                 if up is not None:
-                    entry = up[key]
+                    entry = up[ref]
                     skip(start, q, m0 * entry[2] + m1 * entry[5])
-            slots = masses.get(key)
+            slots = masses.get(ref)
             if slots is None:
-                slots = masses[key] = [zero, zero, zero, zero]
+                slots = masses[ref] = [zero, zero, zero, zero]
             hi = w1[pv]
             lo = w0[pv]
             slots[0] += m0 * lo
@@ -423,75 +442,77 @@ class _Kernel:
             slots[2] += m1 * lo
             slots[3] += m1 * hi
 
-        def couple_edge(key, pv, flip, sv, s1, s0, t1, t0):
+        def couple_edge(ref, sv, s1, s0, t1, t0):
             """One couple branch carrying ``sv = 1`` / ``sv = 0`` masses.
 
             ``s*`` arrive with parity 0 and ``t*`` with parity 1.  A
             child rooted at ``sv`` keeps the per-value split.
             """
-            if pv == sv:
-                if flip:
+            child = -ref if ref < 0 else ref
+            if child != 1 and pv_of[child] == sv:
+                if ref < 0:
                     s1, s0, t1, t0 = t1, t0, s1, s0
-                slots = masses.get(key)
+                slots = masses.get(child)
                 if slots is None:
-                    slots = masses[key] = [zero, zero, zero, zero]
+                    slots = masses[child] = [zero, zero, zero, zero]
                 slots[0] += s0
                 slots[1] += s1
                 slots[2] += t0
                 slots[3] += t1
                 return
             if up is not None:
-                x0, x1 = accept(up, key, pv, flip, pos[sv] + 1)
+                x0, x1 = accept(up, ref, pos[sv] + 1)
                 tested[sv] += s1 * x0 + t1 * x1
-            push(key, pv, flip, s1 + s0, t1 + t0, pos[sv] + 1)
+            push(ref, s1 + s0, t1 + t0, pos[sv] + 1)
 
-        for key, pv, sv, tk, tf, tpv, fk, ff, fpv in items:
-            if key == root_key:
-                # Seed at the root's own item: gap factors above it are
+        for slot, pv, sv, bot, t, f in rows:
+            if slot == node:
+                # Seed at the root's own slot: gap factors above it are
                 # free, and its pv weight splits the initial mass.
                 p = pos[pv]
                 base = prefix[p]
-                slots = masses.setdefault(key, [zero, zero, zero, zero])
-                i = 2 if root_attr else 0
+                slots = masses.setdefault(slot, [zero, zero, zero, zero])
+                i = 2 if root < 0 else 0
                 slots[i] += base * w0[pv]
                 slots[i + 1] += base * w1[pv]
                 if up is not None and p:
-                    skip(0, p, base * up[key][5 if root_attr else 2])
-            m = masses.pop(key, None)
+                    skip(0, p, base * up[slot][5 if root < 0 else 2])
+            m = masses.pop(slot, None)
             if m is None:
                 # Stored but unreachable from this root (shared stores
-                # stream every slot): no mass, nothing to do.
+                # hold every slot): no mass, nothing to do.
                 continue
             lo0, hi0, lo1, hi1 = m
             p = pos[pv]
             if up is not None:
-                a1, a0, _b, c1, c0, _d = up[key]
+                a1, a0, _b, c1, c0, _d = up[slot]
                 joint = hi0 * a1 + hi1 * c1
                 through = joint + lo0 * a0 + lo1 * c0
                 tested[pv] += joint
-            if sv is None:
+            if sv < 0:
                 # Single-variable test (literal / Shannon): value 1 -> t.
-                push(tk, tpv, tf, hi0, hi1, p + 1)
-                push(fk, fpv, ff, lo0, lo1, p + 1)
-            elif type(sv) is tuple:
+                push(t, hi0, hi1, p + 1)
+                push(f, lo0, lo1, p + 1)
+            elif bot >= 0:
                 # Span: odd parity of pv + partners -> t.  Fold the
                 # partner run into even/odd weights, then route from
                 # below the run.
-                even, odd = self.fold(sv)
-                first = pos[sv[0]]
+                first = pos[sv]
+                below = pos[bot] + 1
+                run = order[first:below]
+                even, odd = self.fold(run)
                 g = gap(p + 1, first)
                 even *= g
                 odd *= g
-                below = pos[sv[-1]] + 1
-                push(tk, tpv, tf, hi0 * even + lo0 * odd, hi1 * even + lo1 * odd, below)
-                push(fk, fpv, ff, lo0 * even + hi0 * odd, lo1 * even + hi1 * odd, below)
+                push(t, hi0 * even + lo0 * odd, hi1 * even + lo1 * odd, below)
+                push(f, lo0 * even + hi0 * odd, lo1 * even + hi1 * odd, below)
                 if up is not None:
                     if first != p + 1:
                         skip(p + 1, first, through)
-                    xt0, xt1 = accept(up, tk, tpv, tf, below)
-                    xf0, xf1 = accept(up, fk, fpv, ff, below)
+                    xt0, xt1 = accept(up, t, below)
+                    xf0, xf1 = accept(up, f, below)
                     self._span_joints(
-                        sv,
+                        run,
                         g * (hi0 * xt0 + hi1 * xt1 + lo0 * xf0 + lo1 * xf1),
                         g * (lo0 * xt0 + lo1 * xt1 + hi0 * xf0 + hi1 * xf1),
                         tested,
@@ -506,8 +527,8 @@ class _Kernel:
                     skip(p + 1, ps, through)
                 hi = w1[sv] * g
                 lo = w0[sv] * g
-                couple_edge(tk, tpv, tf, sv, lo0 * hi, hi0 * lo, lo1 * hi, hi1 * lo)
-                couple_edge(fk, fpv, ff, sv, hi0 * hi, lo0 * lo, hi1 * hi, lo1 * lo)
+                couple_edge(t, sv, lo0 * hi, hi0 * lo, lo1 * hi, hi1 * lo)
+                couple_edge(f, sv, hi0 * hi, lo0 * lo, hi1 * hi, lo1 * lo)
         return acc
 
     def _span_joints(self, run, even_part, odd_part, tested):
@@ -553,6 +574,70 @@ class _Kernel:
         }
 
 
+def sat_memos(columns) -> List[int]:
+    """Per-slot satisfying-assignment counts of a whole column store.
+
+    ``memo[i]`` counts assignments of the variables at order positions
+    ``>= position(pv[i])`` satisfying slot ``i``'s regular function.
+    Children always sit at higher slots, so one descending pass over the
+    joined columns is a complete bottom-up evaluation.
+    """
+    columns = columns.joined()
+    ((_base, pv, sv, bot, t, f),) = columns.blocks
+    pos = columns.positions()
+    n_vars = len(columns.order)
+    memo = [0] * len(pv)
+    for i in range(len(pv) - 1, 1, -1):
+        p = pos[pv[i]]
+        svi = sv[i]
+        if svi < 0:
+            base = p + 1
+        elif bot is not None and bot[i] >= 0:
+            # Parity span: every span variable is consumed here (the
+            # children live strictly below bot), one of them is fixed
+            # by the branch parity and the rest — plus any gap above
+            # the partner run — are free; the net factor is
+            # 2^(pos(bot) - p), the final shift below.
+            base = pos[bot[i]] + 1
+        else:
+            base = pos[svi]
+        total = 0
+        for ref in (t[i], f[i]):
+            child = -ref if ref < 0 else ref
+            if child == 1:
+                sub = 0 if ref < 0 else 1 << (n_vars - base)
+            else:
+                q = pos[pv[child]]
+                sub = memo[child]
+                if ref < 0:
+                    sub = (1 << (n_vars - q)) - sub
+                sub <<= q - base
+            total += sub
+        memo[i] = total << (base - (p + 1))
+    return memo
+
+
+def sat_count(columns, root: int, memo: Optional[List[int]] = None) -> int:
+    """Satisfying assignments of signed slot ``root`` over all variables.
+
+    The column count behind every ``sat_count`` with a producer: a
+    manager's compiled root and frozen forests.  ``memo`` is a
+    :func:`sat_memos` of the same columns (computed here when None),
+    so a store answers many roots from one pass.
+    """
+    n_vars = len(columns.order)
+    node = -root if root < 0 else root
+    if node == 1:
+        return 0 if root < 0 else 1 << n_vars
+    if memo is None:
+        memo = sat_memos(columns)
+    p = columns.positions()[columns.pv_of[node]]
+    count = memo[node]
+    if root < 0:
+        count = (1 << (n_vars - p)) - count
+    return count << p
+
+
 def shannon_count(
     manager,
     edge,
@@ -565,7 +650,7 @@ def shannon_count(
 ):
     """Weighted count through the public protocol, one memo per node.
 
-    The per-node fallback for backends without ``batch_stream``: a
+    The per-node fallback for backends without ``freeze_export``: a
     memoized Shannon recursion over ``root_var`` / ``restrict_edge``
     (iterative, like :func:`repro.api.base.rebuild_function`'s
     protocol path).  Each node computes the *normalized* mass

@@ -35,7 +35,7 @@ import shutil
 import weakref
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.base import DDManager, FunctionBase, install_function_helpers
+from repro.api.base import Columns, DDManager, FunctionBase, install_function_helpers
 from repro.core.exceptions import BBDDError, VariableError
 from repro.core.operations import OP_AND, OP_OR, op_from_name
 from repro.core.order import ChainVariableOrder
@@ -387,87 +387,33 @@ class XmemManager(DDManager):
             nid = ref >> 1
         return not attr
 
-    def batch_stream(self, edge):
-        """Top-down level stream for the batch cohort sweeps (repro.serve).
+    def freeze_export(self, named) -> Columns:
+        """The compiled query form, handed over one level block at a time.
 
-        Level blocks are pulled in shallowest-first (node ids strictly
-        decrease along edges, so parents are always emitted before
-        children) and *dropped behind the sweep* whenever residency
-        exceeds the budget — a block already processed is never needed
-        again within one sweep, so an arbitrarily large query batch
-        never faults the residency budget on node records.
+        Each representation streams its level blocks shallowest first
+        (node ids strictly decrease along edges, so parents come before
+        children) and *spills each block behind the sweep* whenever
+        residency exceeds the budget — a block already swept is never
+        needed again within one pass, so batch sweeps and ``p_one`` on a
+        beyond-budget representation stay within ``node_budget``.
+        Distinct representations take consecutive slot ranges, with
+        ``slot = top - id`` inside one.
         """
-        node, _attr = edge
-        if node.rep is None:
-            return None
-        return (node.nid, self._iter_cohort_items(node.rep))
-
-    def _iter_cohort_items(self, rep: Levelized):
-        var_at = self._order.order
-        budget = self.node_budget
-        store = self._store
-        for index in range(len(rep.levels) - 1, -1, -1):
-            block = rep.levels[index]
-            if block.count == 0:
+        tops: Dict[Levelized, int] = {}
+        roots: Dict[str, int] = {}
+        next_slot = 2
+        for name, (node, attr) in named:
+            rep = node.rep
+            if rep is None:
+                roots[name] = -1 if attr else 1
                 continue
-            records = rep._ensure(index)
-            base = rep.starts[index]
-            pos = block.position
-            pv = var_at[pos]
-            for offset in range(block.count):
-                sv_delta, neq_ref, eq_ref = records[offset]
-                nid = base + offset
-                if sv_delta == 0:
-                    # Literal record: the ``=``-edge is the regular
-                    # sink, the ``!=``-edge the complemented one.
-                    yield (nid, pv, None, None, False, None, None, True, None)
-                else:
-                    neq_child = neq_ref >> 1
-                    eq_child = eq_ref >> 1
-                    yield (
-                        nid,
-                        pv,
-                        var_at[pos + sv_delta],
-                        neq_child if neq_child else None,
-                        bool(neq_ref & 1),
-                        var_at[rep.pos_of(neq_child)] if neq_child else None,
-                        eq_child if eq_child else None,
-                        bool(eq_ref & 1),
-                        var_at[rep.pos_of(eq_child)] if eq_child else None,
-                    )
-            if store.resident > budget:
-                rep.spill_block(index)
-
-    def sat_count_edge(self, edge) -> int:
-        node, attr = edge
-        n = self.num_vars
-        if node.rep is None:
-            return 0 if attr else (1 << n)
-        rep = node.rep
-        counts = [0] * (rep.size + 1)
-        for nid, pos, sv_delta, neq_ref, eq_ref in rep.iter_records():
-            if sv_delta == 0:
-                counts[nid] = 1 << (n - pos - 1)
-                continue
-            q_sv = pos + sv_delta
-            total = 0
-            for ref in (neq_ref, eq_ref):
-                child = ref >> 1
-                if child == 0:
-                    sub = 0 if ref & 1 else (1 << (n - q_sv))
-                else:
-                    q = rep.pos_of(child)
-                    sub = counts[child]
-                    if ref & 1:
-                        sub = (1 << (n - q)) - sub
-                    sub <<= q - q_sv
-                total += sub
-            counts[nid] = total << (q_sv - (pos + 1))
-        p = rep.pos_of(node.nid)
-        count = counts[node.nid]
-        if attr:
-            count = (1 << (n - p)) - count
-        return count << p
+            top = tops.get(rep)
+            if top is None:
+                top = tops[rep] = next_slot = next_slot + rep.size
+            slot = top - node.nid
+            roots[name] = -slot if attr else slot
+        stream = _LevelStream(self, list(tops.items()))
+        return Columns(self._order.order, roots, stream, stream)
 
     def sat_one_edge(self, edge) -> Optional[Dict[int, bool]]:
         node, attr = edge
@@ -724,6 +670,59 @@ class XmemManager(DDManager):
             f"<XmemManager vars={len(self._names)} live={self.size()} "
             f"resident={store.resident}/{self.node_budget}>"
         )
+
+
+class _LevelStream:
+    """Level blocks of xmem representations as column slices.
+
+    Re-iterable: every pass streams the blocks anew, shallowest first,
+    spilling each behind itself over budget (see
+    :meth:`XmemManager.freeze_export`).  Indexing gives a slot's primary
+    variable from the level directory, without loading its block.
+    """
+
+    def __init__(self, manager: XmemManager, reps: List[Tuple[Levelized, int]]) -> None:
+        self._manager = manager
+        self._reps = reps
+        self._var_at = manager._order.order
+
+    def __iter__(self):
+        manager = self._manager
+        store = manager._store
+        var_at = self._var_at
+        for rep, top in self._reps:
+            for index in range(len(rep.levels) - 1, -1, -1):
+                block = rep.levels[index]
+                if block.count == 0:
+                    continue
+                records = rep._ensure(index)
+                pos = block.position
+                sv: List[int] = []
+                t: List[int] = []
+                f: List[int] = []
+                # Highest id first: slots ascend through the block.
+                for sv_delta, neq_ref, eq_ref in reversed(records):
+                    if sv_delta == 0:
+                        # Literal record: the ``=``-edge is the regular
+                        # sink, the ``!=``-edge the complemented one.
+                        sv.append(-1)
+                        t.append(1)
+                        f.append(-1)
+                        continue
+                    sv.append(var_at[pos + sv_delta])
+                    for ref, column in ((neq_ref, t), (eq_ref, f)):
+                        slot = top - (ref >> 1) if ref >> 1 else 1
+                        column.append(-slot if ref & 1 else slot)
+                last = rep.starts[index] + block.count - 1
+                yield (top - last, [var_at[pos]] * block.count, sv, None, t, f)
+                if store.resident > manager.node_budget:
+                    rep.spill_block(index)
+
+    def __getitem__(self, slot: int) -> int:
+        for rep, top in self._reps:
+            if slot < top:
+                return self._var_at[rep.pos_of(top - slot)]
+        raise IndexError(slot)
 
 
 def _cleanup_store_dir(store: SpillStore) -> None:

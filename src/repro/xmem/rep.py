@@ -216,8 +216,8 @@ class Levelized:
 
         A block's spill file is written once (representations are
         immutable) and reused on later spills of the same block.  The
-        streaming readers (:meth:`repro.xmem.manager.XmemManager.
-        batch_stream`) use this to drop levels behind themselves, so a
+        column producer (:meth:`repro.xmem.manager.XmemManager.
+        freeze_export`) uses this to drop levels behind the sweep, so a
         sweep over a beyond-budget representation stays within the
         residency budget.
         """

@@ -301,7 +301,7 @@ def test_shm_forest_plain_segments_stay_four_column():
     plain = repro.open("bbdd", vars=NAMES)
     f = SPAN_BUILDERS["mixed"](plain)
     export = plain.freeze_export([("f", f.edge)])
-    assert "bot" not in export or export.get("bot") is None
+    assert all(bot is None for _base, _pv, _sv, bot, _t, _f in export.blocks)
     with ShmForest.freeze(plain, {"f": f}) as frozen:
         attached = ShmForest.attach(frozen.name)
         try:

@@ -7,7 +7,9 @@ lifecycle error surface, true cross-process attachment, the
 worker-death respawn, and the no-leaked-segments guarantee.
 """
 
+import json
 import multiprocessing
+import os
 import random
 import time
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro
 from test_expr_api import expressions
+from test_wmc import VARIANTS
 from repro.par import (
     ParallelPool,
     ParError,
@@ -36,7 +39,13 @@ _SETTINGS = dict(
 )
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
-ALL_BACKENDS = ["bbdd", "bdd", "xmem"]
+
+#: The backend/chain matrix of the weighted-counting oracles, with
+#: chain-reduced variants labelled ``backend+chain``.
+ALL_VARIANTS = [
+    pytest.param(backend, kwargs, id=backend + ("+chain" if kwargs else ""))
+    for backend, kwargs in VARIANTS
+]
 
 
 @pytest.fixture(autouse=True)
@@ -52,14 +61,19 @@ def all_assignments(names):
         yield {name: (bits >> i) & 1 for i, name in enumerate(names)}
 
 
-def build(backend, expr="(a ^ b) | (c & d) | (e & ~f)"):
-    manager = repro.open(backend, vars=NAMES)
+def build(backend, expr="(a ^ b) | (c & d) | (e & ~f)", **kwargs):
+    manager = repro.open(backend, vars=NAMES, **kwargs)
     return manager, manager.add_expr(expr)
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_frozen_forest_matches_manager(backend):
-    manager, f = build(backend)
+def enumerated_count(f, queries):
+    """Satisfying assignments among ``queries`` by looped ``evaluate``."""
+    return sum(f.evaluate(query) for query in queries)
+
+
+@pytest.mark.parametrize("backend,kwargs", ALL_VARIANTS)
+def test_frozen_forest_matches_manager(backend, kwargs):
+    manager, f = build(backend, **kwargs)
     g = manager.add_expr("~a | (b ^ c)")
     queries = list(all_assignments(NAMES))
     rng = random.Random(5)
@@ -75,14 +89,15 @@ def test_frozen_forest_matches_manager(backend):
         for name, func in (("f", f), ("g", g)):
             assert forest.evaluate_batch(name, queries) == func.evaluate_batch(queries)
             assert forest.satisfiable_batch(name, cubes) == func.satisfiable_batch(cubes)
-            assert forest.sat_count(name) == func.sat_count()
+            count = enumerated_count(func, queries)
+            assert forest.sat_count(name) == func.sat_count() == count
             named_support = {forest.var_name(i) for i in forest.support(name)}
             assert named_support == func.support()
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_frozen_constants_and_complements(backend):
-    manager = repro.open(backend, vars=["x", "y"])
+@pytest.mark.parametrize("backend,kwargs", ALL_VARIANTS)
+def test_frozen_constants_and_complements(backend, kwargs):
+    manager = repro.open(backend, vars=["x", "y"], **kwargs)
     t, f_ = manager.true(), manager.false()
     g = ~(manager.var("x") & manager.var("y"))
     queries = list(all_assignments(["x", "y"]))
@@ -95,21 +110,22 @@ def test_frozen_constants_and_complements(backend):
         assert forest.sat_count("g") == 3
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend,kwargs", ALL_VARIANTS)
 @settings(**_SETTINGS)
 @given(data=st.data())
-def test_frozen_forest_equivalence_property(backend, data):
+def test_frozen_forest_equivalence_property(backend, kwargs, data):
     expr = data.draw(expressions(tuple(NAMES[:4])))
-    manager = repro.open(backend, vars=NAMES[:4])
+    manager = repro.open(backend, vars=NAMES[:4], **kwargs)
     f = manager.add_expr(expr)
     queries = list(all_assignments(NAMES[:4]))
     with ShmForest.freeze(manager, {"f": f}) as forest:
         assert forest.evaluate_batch("f", queries) == f.evaluate_batch(queries)
-        assert forest.sat_count("f") == f.sat_count()
+        count = enumerated_count(f, queries)
+        assert forest.sat_count("f") == f.sat_count() == count
 
 
 def test_sequential_fallback_when_freeze_unavailable():
-    """A backend whose ``batch_stream`` yields no export still answers."""
+    """A backend whose ``freeze_export`` yields no columns still answers."""
     manager, f = build("bbdd")
     queries = list(all_assignments(NAMES))
     want = f.evaluate_batch(queries)
@@ -140,6 +156,29 @@ def test_segment_lifecycle_errors():
     with pytest.raises(ParError):
         forest.unlink()  # double unlink reports, not crashes
     forest.close()
+
+
+def test_attach_rejects_header_larger_than_segment():
+    """A forged header claiming more slots than the segment holds."""
+    from multiprocessing import shared_memory
+
+    from repro.par.shm import _HEADER, _MAGIC, SEGMENT_PREFIX
+
+    meta = json.dumps(
+        {"kind": "bbdd", "generation": 0, "names": ["a"], "order": [0],
+         "roots": {"f": 2}, "supports": {"f": [0]}}
+    ).encode()
+    shm = shared_memory.SharedMemory(
+        create=True, size=4096, name=f"{SEGMENT_PREFIX}forged-{os.getpid()}"
+    )
+    try:
+        _HEADER.pack_into(shm.buf, 0, _MAGIC, len(meta), 1_000_000)
+        shm.buf[_HEADER.size:_HEADER.size + len(meta)] = meta
+        with pytest.raises(ParError, match="truncated"):
+            ShmForest.attach(shm.name)
+    finally:
+        shm.close()
+        shm.unlink()
 
 
 def test_freeze_rejects_bad_functions():

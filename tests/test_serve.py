@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -111,13 +112,23 @@ def test_evaluate_batch_edge_cases(backend):
 
 
 def test_evaluate_batch_xmem_streams_beyond_request_chunk():
-    """Batches far above request_chunk sweep within the node budget."""
+    """Batches far above request_chunk sweep within the node budget,
+    and so do batched cubes and ``p_one`` on the same forest."""
     manager = open_backend("xmem", node_budget=48, request_chunk=8)
     f = manager.add_expr("(a ^ b) | (c & d) | (b <-> e)")
     rng = random.Random(5)
     batch = [{name: rng.getrandbits(1) for name in NAMES} for _ in range(512)]
     want = [f.evaluate(a) for a in batch]
+    count = sum(
+        f.evaluate({name: code >> i & 1 for i, name in enumerate(NAMES)})
+        for code in range(1 << len(NAMES))
+    )
     assert f.evaluate_batch(batch) == want
+    assert manager.stats()["resident_nodes"] <= 48
+    # Complete assignments as cubes: satisfiable exactly where true.
+    assert f.satisfiable_batch(batch) == want
+    assert manager.stats()["resident_nodes"] <= 48
+    assert f.p_one() == Fraction(count, 1 << len(NAMES))
     assert manager.stats()["resident_nodes"] <= 48
 
 
@@ -237,7 +248,7 @@ def test_column_batch_validation():
 
 
 def test_encoded_batch_fallback_loop_matches_sweep():
-    """The protocol default (no batch_stream) agrees with the sweep."""
+    """The protocol default (no freeze_export) agrees with the sweep."""
     manager = open_backend("bbdd")
     f = manager.add_expr("(a ^ b) | (c & d)")
     rng = random.Random(2)
@@ -452,6 +463,40 @@ def test_batching_server_tcp_protocol(forest_path):
     assert by_id[2]["result"] is False
     assert "no function 'missing'" in by_id[3]["error"]
     assert by_id[4]["result"]["queries"] >= 2
+
+
+def test_tcp_malformed_requests_get_typed_errors(forest_path):
+    """Non-object lines and queries without "f" answer ServeError; the
+    connection keeps answering valid queries afterwards."""
+
+    async def scenario():
+        pool = ForestPool(workers=0)
+        server = BatchingServer(pool, forest_path, batch_window=0.001)
+        tcp = await serve_tcp(server, "127.0.0.1", 0)
+        port = tcp.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        bad = [b"[1]", b'"x"', b"3", b"null", b'{"assignment": {"a": 1}, "id": 5}']
+        for line in bad:
+            writer.write(line + b"\n")
+        await writer.drain()
+        errors = [json.loads(await reader.readline()) for _ in bad]
+        good = {"f": "g", "assignment": {"a": 1, "e": 0}, "id": 6}
+        writer.write(json.dumps(good).encode() + b"\n")
+        await writer.drain()
+        answer = json.loads(await reader.readline())
+        writer.close()
+        tcp.close()
+        await tcp.wait_closed()
+        pool.close()
+        return errors, answer
+
+    errors, answer = asyncio.run(scenario())
+    messages = sorted(response["error"] for response in errors)
+    assert all(m.startswith("ServeError: ") for m in messages), messages
+    assert sum("must be a JSON object" in m for m in messages) == 4
+    missing = [r for r in errors if r["id"] == 5]
+    assert missing and 'missing "f"' in missing[0]["error"]
+    assert answer == {"id": 6, "result": True}
 
 
 def test_tcp_pipelined_queries_coalesce(forest_path):

@@ -3,7 +3,8 @@
 Three ground truths anchor :mod:`repro.wmc`:
 
 * the **counting identity** — uniform ``1/2`` weights on the support
-  reduce the weighted count to ``sat_count / 2^|support|``;
+  reduce the weighted count to ``sat_count / 2^|support|``, with the
+  satisfying assignments counted by looped ``evaluate``;
 * **brute-force enumeration** — exact-Fraction ``p_one`` must match a
   term-by-term sum over all assignments, bit for bit;
 * the **restrict oracle** — each posterior marginal must satisfy
@@ -110,19 +111,29 @@ def brute_force_p_one(names, f, weights):
 @given(weighted_expr())
 @settings(**_SETTINGS)
 def test_uniform_weights_reduce_to_sat_count(case):
-    """Uniform 1/2 weights on the support = ``sat_count / 2^|support|``."""
+    """Uniform 1/2 weights on the support = ``sat_count / 2^|support|``.
+
+    The satisfying assignments are counted by looped ``evaluate`` over
+    every assignment, independently of the column kernels.
+    """
     names, text, _weights = case
+    assignments = [
+        {name: bool(code >> i & 1) for i, name in enumerate(names)}
+        for code in range(1 << len(names))
+    ]
     for label, manager in variant_managers(names):
         f = manager.add_expr(text)
+        count = sum(f.evaluate(a) for a in assignments)
+        assert f.sat_count() == count, (label, text)
         support = sorted(f.support())
         uniform = {name: Fraction(1, 2) for name in support}
-        # sat_count ranges over all manager variables; each satisfying
+        # The count ranges over all manager variables; each satisfying
         # assignment weighs 1/2^|support| (non-support weights are 1).
-        expected = Fraction(f.sat_count(), 1 << len(support))
+        expected = Fraction(count, 1 << len(support))
         got = f.weighted_count(uniform)
         assert got == expected, (label, text)
         # And with no weights at all the count is exactly sat_count.
-        assert f.weighted_count() == f.sat_count(), (label, text)
+        assert f.weighted_count() == count, (label, text)
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +311,10 @@ def _restrict_oracle(f, weights, names):
 
 
 def _has_span(manager, f):
-    stream = manager.batch_stream(f.edge)
-    return stream is not None and any(type(item[2]) is tuple for item in stream[1])
+    columns = manager.freeze_export([("f", f.edge)])
+    if columns is None:
+        return False
+    return any(row[3] >= 0 for row in columns.rows())
 
 
 def test_marginals_on_parity_spans_match_restrict_oracle():
@@ -439,7 +452,7 @@ def test_shm_forest_marginals_equal_manager_marginals():
 
 
 def test_protocol_fallback_marginals_match_kernel():
-    """Without a batch stream the Shannon recursion answers the same."""
+    """Without a column producer the Shannon recursion answers the same."""
     names = [f"v{i}" for i in range(6)]
     weights = {"v0": Fraction(1, 3), "v3": Fraction(5, 7), "v5": 0}
     for label, manager in variant_managers(names):
@@ -447,9 +460,11 @@ def test_protocol_fallback_marginals_match_kernel():
             f = manager.add_expr(text)
             want = f.marginals(weights, names)
             count = f.weighted_count({"v1": (2, -3)})
-            manager.batch_stream = lambda edge: None
+            models = f.sat_count()
+            manager.freeze_export = lambda named: None
             try:
                 assert f.marginals(weights, names) == want, (label, text)
                 assert f.weighted_count({"v1": (2, -3)}) == count, (label, text)
+                assert f.sat_count() == models, (label, text)
             finally:
-                del manager.batch_stream
+                del manager.freeze_export
