@@ -165,7 +165,8 @@ class DDManager:
         assignments are keyed by variable *index*).
     ``freeze_export(named)`` (optional)
         The producer of the compiled query form (:class:`Columns`)
-        behind the batch sweeps, ``sat_count`` and weighted counting.
+        behind the batch sweeps, ``sat_count`` and weighted counting,
+        which reach it through ``compiled_root(edge)``.
     ``acquire_ref(node)`` / ``release_ref(node)`` / ``defer_gc()``
         Memory management hooks used by the function handles.
     ``var_index`` / ``var_name`` / ``num_vars`` / ``order`` /
@@ -288,13 +289,24 @@ class DDManager:
         ``named`` is a list of ``(name, edge)`` pairs; the result is a
         :class:`Columns` of every node reachable from them, ``roots``
         keyed by those names.  The batch sweeps, ``sat_count`` and the
-        weighted counts compile the queried root on every call, and
-        :meth:`repro.par.shm.ShmForest.freeze` copies the columns into
-        shared memory.  The default None sends those queries to the
-        protocol-pure fallbacks below, so any third-party backend is
-        correct without knowing about columns (but cannot be frozen).
+        weighted counts compile the queried root through
+        :meth:`compiled_root`, and :meth:`repro.par.shm.ShmForest.freeze`
+        copies the columns into shared memory.  The default None sends
+        those queries to the protocol-pure fallbacks below, so any
+        third-party backend is correct without knowing about columns
+        (but cannot be frozen).
         """
         return None
+
+    def compiled_root(self, edge):
+        """The compiled columns of one root (named ``"f"``), or None.
+
+        This default compiles on every call.  The built-in managers
+        override it to keep the last root's columns in their computed
+        table, so consecutive queries of one function compile it once
+        and every table clear (GC, reordering) drops them.
+        """
+        return self.freeze_export([("f", edge)])
 
     def evaluate_batch_edges(self, edge, batch):
         """Evaluate one encoded batch (see :mod:`repro.serve.bulk`).
@@ -304,7 +316,7 @@ class DDManager:
         without one it degrades to the looped ``O(nodes × queries)``
         walk per query.
         """
-        columns = self.freeze_export([("f", edge)])
+        columns = self.compiled_root(edge)
         if columns is None:
             evaluate = self.evaluate_edge
             return [
@@ -325,7 +337,7 @@ class DDManager:
         flow into both branches of one sweep; the fallback restricts the
         edge by each cube and checks the cofactor against the 0-sink.
         """
-        columns = self.freeze_export([("f", edge)])
+        columns = self.compiled_root(edge)
         if columns is None:
             results = []
             with self.defer_gc():
@@ -354,7 +366,7 @@ class DDManager:
         """
         from repro.wmc.sweep import resolve_weights, sat_count, shannon_count
 
-        columns = self.freeze_export([("f", edge)])
+        columns = self.compiled_root(edge)
         if columns is None:
             units = resolve_weights(self, None, probabilities=False)
             return int(shannon_count(self, edge, *units))
@@ -375,7 +387,7 @@ class DDManager:
         """
         from repro.wmc.sweep import shannon_count, wmc_sweep
 
-        columns = self.freeze_export([("f", edge)])
+        columns = self.compiled_root(edge)
         if columns is None:
             return shannon_count(self, edge, w1, w0, one, zero, joints=joints)
         return wmc_sweep(

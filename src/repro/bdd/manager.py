@@ -457,6 +457,14 @@ class BDDManager(DDManager):
         block = (0, pv, sv, bot if has_span else None, t, f)
         return Columns(order.order, roots, [block], pv)
 
+    def compiled_root(self, edge: BDDEdge) -> Columns:
+        """:meth:`freeze_export` of one root, kept by the computed table.
+
+        Every table clear (GC, variable swaps) drops it with the apply
+        entries.
+        """
+        return self._cache.compiled(edge, lambda: self.freeze_export([("f", edge)]))
+
     def sat_one_edge(self, edge: BDDEdge) -> Optional[Dict[int, bool]]:
         from repro.bdd import ops as _ops
 

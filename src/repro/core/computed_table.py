@@ -6,11 +6,19 @@ store: an apply entry is ``(f_index, g_index, op) -> signed_result``,
 and the derived-op families (ITE/restrict/quantify) prefix a tag int
 so the key spaces can never collide.
 
+The table also keeps one more kind of entry: the compiled query form
+(:class:`~repro.api.base.Columns`) of the last root a batch query or
+count compiled.  It references node slots just like the apply entries,
+so it lives exactly as long as they do and every :meth:`clear` drops
+it; it sits outside :meth:`lookup`, whose counters stay apply-cache
+traffic.
+
 Two backends remain: the dict-backed cache (the default — packed int
 keys hash natively) and :class:`DisabledComputedTable` for ablation
-runs.  The historical direct-mapped ``"cantor"`` array went away with
-the Cantor hash machinery; the factory accepts the name only as a
-compatibility alias for ``"dict"``.
+runs, which keeps nothing (so every query compiles its root).  The
+historical direct-mapped ``"cantor"`` array went away with the Cantor
+hash machinery; the factory accepts the name only as a compatibility
+alias for ``"dict"``.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ from __future__ import annotations
 class DictComputedTable:
     """Unbounded dict-backed operation cache (cleared at GC / reorder)."""
 
-    __slots__ = ("_table", "lookups", "hits")
+    __slots__ = ("_table", "_compiled", "lookups", "hits")
 
     def __init__(self) -> None:
         self._table: dict = {}
+        self._compiled: tuple = (None, None)
         self.lookups = 0
         self.hits = 0
 
@@ -36,8 +45,20 @@ class DictComputedTable:
     def insert(self, key: tuple, value) -> None:
         self._table[key] = value
 
+    def compiled(self, key, build):
+        """The compiled columns kept under ``key``, else ``build()``'s.
+
+        One entry: a miss replaces whatever was kept before.
+        """
+        kept_key, columns = self._compiled
+        if columns is None or kept_key != key:
+            columns = build()
+            self._compiled = (key, columns)
+        return columns
+
     def clear(self) -> None:
         self._table.clear()
+        self._compiled = (None, None)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -66,6 +87,9 @@ class DisabledComputedTable:
 
     def insert(self, key: tuple, value) -> None:
         pass
+
+    def compiled(self, key, build):
+        return build()
 
     def clear(self) -> None:
         pass

@@ -1412,6 +1412,18 @@ class BBDDManager(DDManager):
         block = (0, pv, sv, bot if has_span else None, t, f)
         return Columns(self.order.order, roots, [block], pv)
 
+    def compiled_root(self, edge: Edge) -> Columns:
+        """:meth:`freeze_export` of one root, kept by the computed table.
+
+        Every table clear (GC, CVO swaps, checkpoint rewinds, chain
+        rewrites) drops it with the apply entries.  The variable count
+        is part of the key: :meth:`new_var` changes every count without
+        clearing anything.
+        """
+        return self._cache.compiled(
+            (edge, len(self._names)), lambda: self.freeze_export([("f", edge)])
+        )
+
     def sat_one_edge(self, edge: Edge) -> Optional[Dict[int, bool]]:
         """One satisfying assignment ``{var index: bit}``, or None.
 

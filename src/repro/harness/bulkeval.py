@@ -9,6 +9,10 @@ serving strategies per output:
 * **columnar** — ``f.evaluate_batch`` on a pre-packed
   :class:`~repro.serve.bulk.ColumnBatch` (sweep only).
 
+It also times the cube sweep: ``f.satisfiable_batch`` on seeded
+partial assignments, against one chain of ``restrict`` calls per cube.
+Any answer that differs from its oracle raises ``AssertionError``.
+
 Run it standalone::
 
     python -m repro.harness.bulkeval --circuit C1908 --queries 10000
@@ -54,7 +58,7 @@ def run_bulkeval(
         measured = measured[:outputs]
     rng = random.Random(seed)
     rows: List[dict] = []
-    totals = {"loop": 0.0, "batch": 0.0, "columnar": 0.0}
+    totals = {"loop": 0.0, "batch": 0.0, "columnar": 0.0, "cube": 0.0}
     for name, f in measured:
         support = sorted(f.support())
         columns = {var: rng.getrandbits(queries) for var in support}
@@ -74,9 +78,22 @@ def run_bulkeval(
         t_columnar = time.perf_counter() - t0
         if from_mappings != looped or from_columns != looped:
             raise AssertionError(f"batched results diverge on output {name!r}")
+        cubes = [
+            {
+                var: assignment[var]
+                for var in rng.sample(support, rng.randrange(len(support) + 1))
+            }
+            for assignment in assignments
+        ]
+        t0 = time.perf_counter()
+        cubed = f.satisfiable_batch(cubes)
+        t_cube = time.perf_counter() - t0
+        if cubed != [_restrict_satisfiable(f, cube) for cube in cubes]:
+            raise AssertionError(f"cube sweep diverges on output {name!r}")
         totals["loop"] += t_loop
         totals["batch"] += t_batch
         totals["columnar"] += t_columnar
+        totals["cube"] += t_cube
         rows.append(
             {
                 "output": name,
@@ -85,6 +102,7 @@ def run_bulkeval(
                 "loop_s": t_loop,
                 "batch_s": t_batch,
                 "columnar_s": t_columnar,
+                "cube_s": t_cube,
                 "batch_speedup": t_loop / t_batch if t_batch else float("inf"),
                 "columnar_speedup": (
                     t_loop / t_columnar if t_columnar else float("inf")
@@ -99,6 +117,7 @@ def run_bulkeval(
         "total_loop_s": totals["loop"],
         "total_batch_s": totals["batch"],
         "total_columnar_s": totals["columnar"],
+        "total_cube_s": totals["cube"],
         "batch_speedup": (
             totals["loop"] / totals["batch"] if totals["batch"] else float("inf")
         ),
@@ -110,17 +129,24 @@ def run_bulkeval(
     }
 
 
+def _restrict_satisfiable(f, cube) -> bool:
+    """Is ``f ∧ cube`` satisfiable?  One cofactor per cube literal."""
+    for var, value in cube.items():
+        f = f.restrict(var, value)
+    return not f.is_false
+
+
 def render_bulkeval(summary: Dict) -> str:
     """Render a :func:`run_bulkeval` summary as an ASCII table."""
     headers = [
         "Output", "Nodes", "Vars", "Loop(s)", "Batch(s)", "Columnar(s)",
-        "Batch x", "Columnar x",
+        "Cube(s)", "Batch x", "Columnar x",
     ]
     rows = [
         [
             r["output"], r["nodes"], r["support"],
             round(r["loop_s"], 4), round(r["batch_s"], 4),
-            round(r["columnar_s"], 4),
+            round(r["columnar_s"], 4), round(r["cube_s"], 4),
             round(r["batch_speedup"], 1), round(r["columnar_speedup"], 1),
         ]
         for r in summary["rows"]

@@ -41,6 +41,10 @@ class WorkerRestarted(CrewError):
     """A worker died mid-task and was respawned; re-submit the work."""
 
 
+class TaskFailed(CrewError):
+    """A task raised inside a live worker; the message carries its error."""
+
+
 #: Poll interval while waiting for replies (also the liveness cadence).
 _POLL = 0.5
 
@@ -220,8 +224,9 @@ class WorkerCrew:
         """Block until ``task_id`` replies; return its payload.
 
         Raises :class:`WorkerRestarted` when the executing worker died
-        (after respawning it), :class:`CrewError` on worker exceptions
-        or after ``timeout`` seconds without an answer.
+        (after respawning it), :class:`TaskFailed` when the task raised
+        in the worker, and :class:`CrewError` after ``timeout`` seconds
+        without an answer.
         """
         deadline = time.monotonic() + self.timeout
         with self._cond:
@@ -234,7 +239,7 @@ class WorkerCrew:
                         raise WorkerRestarted(
                             "a pool worker died mid-task (respawned)"
                         )
-                    raise CrewError(f"pool worker failed: {payload}")
+                    raise TaskFailed(f"pool worker failed: {payload}")
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self._waiting.pop(task_id, None)

@@ -110,10 +110,8 @@ def _worker_main(in_queue, reply, max_attached: int) -> None:
                         name, batch, cube=cube
                     )
                 elif op == "stage":
-                    batch_id, count, stride, var_bits, known_bits = payload
-                    state.staged[batch_id] = EncodedBatch(
-                        count, stride, var_bits, known_bits
-                    )
+                    batch_id, count, var_bits, known_bits = payload
+                    state.staged[batch_id] = EncodedBatch(count, var_bits, known_bits)
                     while len(state.staged) > _MAX_STAGED:
                         state.staged.popitem(last=False)
                     result = True
@@ -297,13 +295,7 @@ class ParallelPool:
             crew = self._crew
             stage_ids = crew.broadcast(
                 "stage",
-                (
-                    batch_id,
-                    encoded.count,
-                    encoded.stride,
-                    encoded.var_bits,
-                    encoded.known_bits,
-                ),
+                (batch_id, encoded.count, encoded.var_bits, encoded.known_bits),
             )
             try:
                 crew.collect_all(stage_ids)
@@ -329,7 +321,7 @@ class ParallelPool:
             for name in names:
                 bits = 0
                 for start, _stop in spans:
-                    bits |= raw[position] << (start * encoded.stride)
+                    bits |= raw[position] << start
                     position += 1
                 results[name] = encoded.unpack(bits)
             return results

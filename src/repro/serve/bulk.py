@@ -10,19 +10,20 @@ condition is computed for **all** queries at once with a couple of
 word-parallel integer operations — so bulk evaluation is
 ``O(nodes + queries)`` instead of ``O(nodes × queries)``.
 
-Two input forms are supported:
+Two input forms are supported, and both end in the same lane layout —
+one bit per query, bit ``i`` = query ``i``:
 
 * an iterable of assignment *mappings* (the :meth:`FunctionBase.evaluate
-  <repro.api.base.FunctionBase.evaluate>` format) — transposed into bit
-  columns at C speed, eight bits per query (a "byte lane", which is
-  what :func:`bytes` and :func:`int.from_bytes` produce natively);
+  <repro.api.base.FunctionBase.evaluate>` format) — each run of
+  consecutive mappings sharing one key tuple is transposed into bit
+  columns at C speed (:func:`bytes` to a 0/1 byte column, then one
+  base-2 :func:`int` parse per column);
 * a :class:`ColumnBatch` — assignments already stored *columnar* (one
-  bitmask per variable, bit ``i`` = query ``i``), the natural format of
-  a vectorized query service.  Packing cost disappears entirely and
-  cohorts are eight times denser.
+  bitmask per variable), the natural format of a vectorized query
+  service.  Packing cost disappears entirely.
 
-The sweep itself is stride-agnostic: it only needs every bitset to use
-the same lane layout and a ``full`` mask with one set bit per query.
+Every bitset of a sweep uses that layout, and ``full`` has one set bit
+per query.
 
 Both sweeps read the compiled query form, :class:`~repro.api.base.Columns`:
 the ``pv``/``sv``/``bot``/``t``/``f`` columns in parents-first slot
@@ -47,25 +48,17 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from repro.api.base import check_assignment_bit, duplicate_assignment_error
 from repro.core.exceptions import BBDDError, VariableError
 
-#: Bits per query of the byte-lane encoding produced from mappings.
-BYTE_LANE = 8
-
 #: Query count above which one sweep is split into sub-batches (bounds
 #: the size of the cohort bitsets parked on the frontier).
 DEFAULT_CHUNK = 1 << 15
 
-_NOT_01 = bytes(range(2, 256))
+#: ``bytes.translate`` table from a 0/1 byte column to base-2 digits;
+#: every other byte becomes ``2``, which ``int(..., 2)`` rejects.
+_DIGITS = b"01" + b"2" * 254
 
 
 class ServeError(BBDDError):
     """A query-service failure (pool worker death, unknown function, ...)."""
-
-
-def lane_ones(count: int, stride: int = BYTE_LANE) -> int:
-    """The ``full`` mask: one set bit per query lane."""
-    if stride == 1:
-        return (1 << count) - 1
-    return int.from_bytes(b"\x01" * count, "little")
 
 
 class ColumnBatch:
@@ -112,19 +105,15 @@ class ColumnBatch:
         """Pack an iterable of assignment mappings into columns.
 
         A convenience for callers that want to pay the transpose once
-        and reuse the batch against several functions.
+        and reuse the batch against several functions.  Keys are kept
+        as given (they are resolved at evaluation time).
         """
+        batch = list(assignments)
         columns: Dict[object, int] = {}
-        count = 0
-        for i, assignment in enumerate(assignments):
-            for key, bit in assignment.items():
-                check_assignment_bit(bit, key, f"assignment {i}")
-                if bit:
-                    columns[key] = columns.get(key, 0) | (1 << i)
-                else:
-                    columns.setdefault(key, 0)
-            count = i + 1
-        return cls(columns, count)
+        for start, keys, run in _key_runs(batch):
+            for key, bits in zip(keys, _run_columns(run, start)):
+                columns[key] = columns.get(key, 0) | (bits << start)
+        return cls(columns, len(batch))
 
 
 class EncodedBatch:
@@ -132,45 +121,41 @@ class EncodedBatch:
 
     Internal interchange between the front-end encoders below, the
     :class:`~repro.api.base.DDManager` batch protocol and the sweep:
-    ``var_bits`` maps variable *indices* to lane bitsets, ``full`` has
-    one set bit per query lane, ``known_bits`` (cube queries only) maps
-    variable indices to the lanes where that variable is constrained.
+    ``var_bits`` maps variable *indices* to bitsets (bit ``i`` = query
+    ``i``), ``full`` has one set bit per query, ``known_bits`` (cube
+    queries only) maps variable indices to the queries that constrain
+    that variable.
     """
 
-    __slots__ = ("count", "stride", "full", "var_bits", "known_bits")
+    __slots__ = ("count", "full", "var_bits", "known_bits")
 
     def __init__(
         self,
         count: int,
-        stride: int,
         var_bits: Dict[int, int],
         known_bits: Optional[Dict[int, int]] = None,
     ) -> None:
         self.count = count
-        self.stride = stride
-        self.full = lane_ones(count, stride)
+        self.full = (1 << count) - 1
         self.var_bits = var_bits
         self.known_bits = known_bits
 
     def unpack(self, bits: int) -> List[bool]:
-        """Decode a result bitset (one answer bit per lane) to bools."""
+        """Decode a result bitset (one answer bit per query) to bools."""
         count = self.count
         if count == 0:
             return []
-        if self.stride == 1:
-            # bin() renders MSB first; a guard bit pads to exactly
-            # ``count`` digits, the reversal restores query order and
-            # map() keeps the per-query work at C speed.
-            digits = bin(bits | (1 << count))[3:]
-            return list(map("1".__eq__, digits[::-1]))
-        return list(map((1).__eq__, bits.to_bytes(count, "little")))
+        # bin() renders MSB first; a guard bit pads to exactly ``count``
+        # digits, the reversal restores query order and map() keeps the
+        # per-query work at C speed.
+        digits = bin(bits | (1 << count))[3:]
+        return list(map("1".__eq__, digits[::-1]))
 
     def iter_value_dicts(self, num_vars: int) -> Iterator[Dict[int, bool]]:
         """Per-query complete ``{index: bool}`` dicts (the loop fallback)."""
-        stride = self.stride
         items = list(self.var_bits.items())
         for i in range(self.count):
-            lane = 1 << (i * stride)
+            lane = 1 << i
             values = {v: False for v in range(num_vars)}
             for var, bits in items:
                 if bits & lane:
@@ -179,10 +164,9 @@ class EncodedBatch:
 
     def iter_known_dicts(self) -> Iterator[Dict[int, bool]]:
         """Per-query partial ``{index: bool}`` dicts of the known bits."""
-        stride = self.stride
         known = self.known_bits or {}
         for i in range(self.count):
-            lane = 1 << (i * stride)
+            lane = 1 << i
             yield {
                 var: bool(self.var_bits.get(var, 0) & lane)
                 for var, bits in known.items()
@@ -436,38 +420,15 @@ def _missing_error(manager, missing, where: str) -> VariableError:
     return VariableError(f"{where} misses support variable(s): {names}")
 
 
-def _column_scan(run, start: int):
-    """Slow path of one run: per-item validation with precise messages."""
-    for offset, assignment in enumerate(run):
-        for key, bit in assignment.items():
-            check_assignment_bit(bit, key, f"assignment {start + offset}")
-    raise BBDDError("batch encoding failed without an invalid value")
+def _key_runs(batch: List[Mapping]) -> Iterator[Tuple[int, tuple, list]]:
+    """``(start, keys, run)`` per run of consecutive mappings sharing keys.
 
-
-def encode_mappings(
-    manager,
-    batch: List[Mapping],
-    support: Optional[frozenset] = None,
-    with_known: bool = False,
-) -> EncodedBatch:
-    """Transpose assignment mappings into byte-lane bit columns.
-
-    Consecutive assignments sharing one key tuple (the overwhelmingly
-    common shape of a service batch) are validated once and transposed
-    at C speed — ``zip(*values)`` + :func:`bytes` +
-    :func:`int.from_bytes`; heterogeneous batches degrade to shorter
-    runs, never to wrong answers.
-
-    With ``support`` given, every assignment must cover it (missing
-    variables raise :class:`~repro.core.exceptions.VariableError`
-    naming them and the offending batch position).  With
-    ``with_known=True`` the batch is treated as *cubes*: assignments
-    may be partial and the per-variable constrained lanes are recorded
-    in ``known_bits``.
+    Consecutive assignments with one key tuple are the overwhelmingly
+    common shape of a service batch; a heterogeneous batch degrades to
+    shorter runs, never to wrong answers.  Non-mappings raise
+    ``TypeError`` naming their batch position.
     """
     count = len(batch)
-    var_bits: Dict[int, int] = {}
-    known_bits: Optional[Dict[int, int]] = {} if with_known else None
     try:
         sigs = list(map(tuple, batch))
     except TypeError:
@@ -484,9 +445,6 @@ def encode_mappings(
         stop = start + 1
         while stop < count and sigs[stop] == sig:
             stop += 1
-        where = f"assignment {start}" if stop == start + 1 else (
-            f"assignments {start}..{stop - 1}"
-        )
         run = batch[start:stop]
         for offset, assignment in enumerate(run):
             # A non-mapping (e.g. a key tuple) can share a mapping's
@@ -497,36 +455,73 @@ def encode_mappings(
                     f"assignment {start + offset} must be a mapping, "
                     f"got {type(assignment).__name__}"
                 )
-        indices = _resolve_keys(manager, sig, where)
+        yield start, sig, run
+        start = stop
+
+
+def _column_scan(run, start: int):
+    """Slow path of one run: per-item validation with precise messages."""
+    for offset, assignment in enumerate(run):
+        for key, bit in assignment.items():
+            check_assignment_bit(bit, key, f"assignment {start + offset}")
+    raise BBDDError("batch encoding failed without an invalid value")
+
+
+def _run_columns(run: List[Mapping], start: int) -> List[int]:
+    """Transpose one key run into bit columns, one per key in key order.
+
+    Bit ``i`` of a column is the key's value in query ``i`` of the run
+    (batch position ``start + i``, used in error messages).
+    Iterating the run backwards puts the last query first, so each 0/1
+    byte column translates straight into a base-2 literal (MSB first);
+    a value other than a Boolean or int 0/1 fails :func:`bytes` or the
+    parse, and the run is rescanned for a message naming its position.
+    """
+    columns = []
+    for column in zip(*(a.values() for a in reversed(run))):
+        try:
+            columns.append(int(bytes(column).translate(_DIGITS), 2))
+        except (TypeError, ValueError):
+            _column_scan(run, start)
+            raise
+    return columns
+
+
+def encode_mappings(
+    manager,
+    batch: List[Mapping],
+    support: Optional[frozenset] = None,
+    with_known: bool = False,
+) -> EncodedBatch:
+    """Transpose assignment mappings into bit columns (one bit per query).
+
+    Each key run (:func:`_key_runs`) is resolved and validated once and
+    transposed at C speed (:func:`_run_columns`).
+
+    With ``support`` given, every assignment must cover it (missing
+    variables raise :class:`~repro.core.exceptions.VariableError`
+    naming them and the offending batch position).  With
+    ``with_known=True`` the batch is treated as *cubes*: assignments
+    may be partial and the queries constraining each variable are
+    recorded in ``known_bits``.
+    """
+    var_bits: Dict[int, int] = {}
+    known_bits: Optional[Dict[int, int]] = {} if with_known else None
+    for start, keys, run in _key_runs(batch):
+        where = f"assignment {start}" if len(run) == 1 else (
+            f"assignments {start}..{start + len(run) - 1}"
+        )
+        indices = _resolve_keys(manager, keys, where)
         if support is not None:
             missing = support.difference(indices)
             if missing:
                 raise _missing_error(manager, missing, where)
-        columns = zip(*(a.values() for a in run))
-        shift = BYTE_LANE * start
-        run_ones = lane_ones(stop - start) << shift
-        made = 0
-        for index, column in zip(indices, columns):
-            made += 1
-            try:
-                raw = bytes(column)
-            except (TypeError, ValueError):
-                _column_scan(run, start)
-                raise
-            if raw.translate(None, _NOT_01) != raw:
-                # Some value was an int outside 0/1; pinpoint it.
-                for offset, byte in enumerate(raw):
-                    if byte > 1:
-                        check_assignment_bit(
-                            byte, sig[made - 1], f"assignment {start + offset}"
-                        )
-            bits = int.from_bytes(raw, "little")
-            if bits:
-                var_bits[index] = var_bits.get(index, 0) | (bits << shift)
+        run_ones = ((1 << len(run)) - 1) << start
+        for index, bits in zip(indices, _run_columns(run, start)):
+            var_bits[index] = var_bits.get(index, 0) | (bits << start)
             if known_bits is not None:
                 known_bits[index] = known_bits.get(index, 0) | run_ones
-        start = stop
-    return EncodedBatch(count, BYTE_LANE, var_bits, known_bits)
+    return EncodedBatch(len(batch), var_bits, known_bits)
 
 
 def encode_columns(
@@ -535,7 +530,7 @@ def encode_columns(
     support: Optional[frozenset] = None,
     with_known: bool = False,
 ) -> EncodedBatch:
-    """Resolve a :class:`ColumnBatch` against a manager (stride 1)."""
+    """Resolve a :class:`ColumnBatch` against a manager."""
     var_bits: Dict[int, int] = {}
     for key, bits in batch.columns.items():
         index = manager.var_index(key)
@@ -553,27 +548,25 @@ def encode_columns(
     if with_known:
         full = (1 << batch.count) - 1
         known_bits = {index: full for index in var_bits}
-    return EncodedBatch(batch.count, 1, var_bits, known_bits)
+    return EncodedBatch(batch.count, var_bits, known_bits)
 
 
 def _slice_encoded(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
-    """A lane-range view of an encoded batch (used for chunking)."""
-    stride = batch.stride
-    lo = start * stride
-    mask = (1 << ((stop - start) * stride)) - 1
+    """The queries ``start..stop-1`` of an encoded batch (used for chunking)."""
+    mask = (1 << (stop - start)) - 1
     var_bits = {}
     for var, bits in batch.var_bits.items():
-        sliced = (bits >> lo) & mask
+        sliced = (bits >> start) & mask
         if sliced:
             var_bits[var] = sliced
     known_bits = None
     if batch.known_bits is not None:
         known_bits = {
-            var: (bits >> lo) & mask
+            var: (bits >> start) & mask
             for var, bits in batch.known_bits.items()
-            if (bits >> lo) & mask
+            if (bits >> start) & mask
         }
-    return EncodedBatch(stop - start, stride, var_bits, known_bits)
+    return EncodedBatch(stop - start, var_bits, known_bits)
 
 
 def _encode(manager, assignments, support, with_known: bool) -> EncodedBatch:

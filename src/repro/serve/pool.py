@@ -272,8 +272,14 @@ def _normalize_assignment(assignment: Mapping, where: str) -> tuple:
     contract), so a malformed assignment raises identically whether the
     result would have come from the cache or from a worker.
     """
+    try:
+        pairs = assignment.items()
+    except AttributeError:
+        raise TypeError(
+            f"{where} must be a mapping, got {type(assignment).__name__}"
+        ) from None
     items = []
-    for key, bit in assignment.items():
+    for key, bit in pairs:
         check_assignment_bit(bit, key, where)
         items.append(((isinstance(key, str), str(key)), bool(bit)))
     return tuple(sorted(items))

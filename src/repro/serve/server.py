@@ -30,9 +30,25 @@ import json
 from typing import List, Mapping, Optional, Tuple
 
 from repro import obs
+from repro.core.exceptions import BBDDError
 from repro.obs.catalog import family as _metric
+from repro.par.dispatch import CrewError, TaskFailed
 from repro.serve.bulk import ServeError
 from repro.serve.pool import ForestPool
+
+
+def _query_error(exc: Exception) -> bool:
+    """True when a batch failed on its queries rather than on the pool.
+
+    Encoder errors surface as ``TypeError`` or a :class:`BBDDError`
+    (``VariableError`` included) from an inline pool, and as a
+    :class:`ServeError` caused by :class:`TaskFailed` from a worker.
+    Any other crew failure (a dead or silent worker) is the pool's.
+    """
+    cause = exc.__cause__
+    if isinstance(cause, CrewError):
+        return isinstance(cause, TaskFailed)
+    return isinstance(exc, (TypeError, BBDDError))
 
 
 class BatchingServer:
@@ -145,15 +161,24 @@ class BatchingServer:
                     None, self.pool.evaluate_batch, self.path, name, assignments
                 )
             except Exception as exc:  # noqa: BLE001 - delivered per future
-                for _assignment, _start, future in group:
-                    if not future.done():
-                        future.set_exception(
-                            exc if isinstance(exc, ServeError) else ServeError(str(exc))
-                        )
-                return
+                if len(group) > 1 and _query_error(exc):
+                    # One malformed query must not fail the queries other
+                    # clients coalesced with it: answer each alone, so an
+                    # error names only its own query.
+                    values = await loop.run_in_executor(
+                        None, self._evaluate_each, name, assignments
+                    )
+                else:
+                    values = [exc] * len(group)
             now = loop.time()
             observe = self._latency_hist.observe
             for (_assignment, start, future), value in zip(group, values):
+                if isinstance(value, Exception):
+                    if not future.done():
+                        if not isinstance(value, ServeError):
+                            value = ServeError(str(value))
+                        future.set_exception(value)
+                    continue
                 observe(now - start)
                 if not future.done():
                     future.set_result(value)
@@ -161,6 +186,16 @@ class BatchingServer:
         await asyncio.gather(
             *(run_group(name, group) for name, group in by_name.items())
         )
+
+    def _evaluate_each(self, name: str, assignments: list) -> list:
+        """One pool call per query: its value, or the exception it raised."""
+        values = []
+        for assignment in assignments:
+            try:
+                values.append(self.pool.evaluate(self.path, name, assignment))
+            except Exception as exc:  # noqa: BLE001 - delivered per future
+                values.append(exc)
+        return values
 
     async def p_one(self, name: str, weights: Optional[Mapping] = None) -> float:
         """``P[f = 1]`` of the stored function ``name`` (float mode).

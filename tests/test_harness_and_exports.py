@@ -1,9 +1,12 @@
 """Harness smoke tests (tiny subsets) and export-format tests."""
 
+import pytest
+
 from repro.circuits.registry import TABLE1_ROWS, TABLE2_ROWS
 from repro.core import BBDDManager
 from repro.core.dot import to_dot
 from repro.core.verilog_out import bbdd_to_verilog
+from repro.harness.bulkeval import render_bulkeval, run_bulkeval
 from repro.harness.report import format_table
 from repro.harness.table1 import render_table1, run_table1
 from repro.harness.table2 import render_table2, run_table2
@@ -30,6 +33,19 @@ def test_table2_harness_subset():
     assert by_name["Magnitude 32"]["bbdd_area"] < by_name["Magnitude 32"]["base_area"]
     text = render_table2(summary)
     assert "area reduction" in text
+
+
+@pytest.mark.parametrize("backend", ["bbdd", "bdd", "xmem"])
+def test_bulkeval_harness_checks_cube_sweep(backend, monkeypatch):
+    summary = run_bulkeval("z4ml", backend=backend, queries=96, outputs=2)
+    assert len(summary["rows"]) == 2 and summary["total_cube_s"] > 0
+    assert "Cube(s)" in render_bulkeval(summary)
+    # A cube sweep that answers "unsatisfiable" everywhere is caught.
+    monkeypatch.setattr(
+        "repro.serve.bulk.cube_sweep", lambda columns, root, *bits: 0
+    )
+    with pytest.raises(AssertionError, match="cube sweep diverges"):
+        run_bulkeval("z4ml", backend=backend, queries=96, outputs=2)
 
 
 def test_format_table_alignment():

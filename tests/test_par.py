@@ -130,6 +130,7 @@ def test_sequential_fallback_when_freeze_unavailable():
     queries = list(all_assignments(NAMES))
     want = f.evaluate_batch(queries)
     manager.freeze_export = lambda named: None
+    manager.clear_cache()  # drop the columns the query above kept
     with pytest.raises(ParError, match="sequential in-process batch path"):
         ShmForest.freeze(manager, {"f": f})
     # The workers= protocol surface falls back without raising.

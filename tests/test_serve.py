@@ -31,7 +31,8 @@ from repro.serve import (
     ServeError,
     serve_tcp,
 )
-from repro.serve.bulk import EncodedBatch, encode_mappings
+from repro.par.dispatch import WorkerRestarted
+from repro.serve.bulk import EncodedBatch, encode_columns, encode_mappings
 
 BACKENDS = ["bbdd", "bdd"]
 ALL_BACKENDS = BACKENDS + ["xmem"]
@@ -262,6 +263,54 @@ def test_encoded_batch_fallback_loop_matches_sweep():
     assert f.evaluate_batch(batch) == looped
 
 
+def mixed_batch(rng, count, keys, first_run=0):
+    """Complete assignments in runs of shuffled key order.
+
+    Values mix bools with int 0/1; ``first_run`` queries share the
+    first key order (one long column per key).
+    """
+    batch = []
+    while len(batch) < count:
+        order = rng.sample(keys, len(keys))
+        run = first_run if not batch and first_run else rng.randrange(1, 8)
+        for _ in range(run):
+            batch.append({key: rng.choice((False, True, 0, 1)) for key in order})
+    return batch[:count]
+
+
+@pytest.mark.parametrize("count, first_run", [(1, 0), (2, 0), (37, 0), (5000, 4500)])
+def test_mapping_and_column_encoders_agree(count, first_run):
+    """Mapping and ColumnBatch input encode to the same bits: bit i is
+    query i (runs of 4,500 parse more than 4,300 base-2 digits)."""
+    manager = open_backend("bbdd")
+    keys = ["a", "b", 2, "d", 4]
+    batch = mixed_batch(random.Random(count), count, keys, first_run)
+    columns = ColumnBatch.from_assignments(batch)
+    for with_known in (False, True):
+        mapped = encode_mappings(manager, batch, with_known=with_known)
+        columnar = encode_columns(manager, columns, with_known=with_known)
+        assert mapped.count == columnar.count == count
+        assert mapped.full == columnar.full == (1 << count) - 1
+        assert mapped.var_bits == columnar.var_bits
+        assert mapped.known_bits == columnar.known_bits
+    for key in keys:
+        bits = mapped.var_bits[manager.var_index(key)]
+        assert [bool(bits >> i & 1) for i in range(count)] == [
+            bool(assignment[key]) for assignment in batch
+        ]
+
+
+def test_column_batch_from_assignments_errors_name_position():
+    with pytest.raises(TypeError, match="assignment 3: value for variable 'b'"):
+        ColumnBatch.from_assignments(
+            [{"a": 1, "b": 0}] * 3 + [{"a": 1, "b": 2}, {"b": 0}]
+        )
+    with pytest.raises(TypeError, match="assignment 1: value for variable 'a'"):
+        ColumnBatch.from_assignments([{"a": True}, {"a": "yes"}])
+    with pytest.raises(TypeError, match="assignment 1 must be a mapping"):
+        ColumnBatch.from_assignments([{"a": 1}, ("a",)])
+
+
 # ----------------------------------------------------------------------
 # the worker pool
 # ----------------------------------------------------------------------
@@ -432,6 +481,116 @@ def test_batching_server_coalesces(forest_path):
     # Queries issued in one burst coalesce into very few sweeps.
     assert stats["batches_flushed"] <= 3
     assert stats["p50_latency_s"] > 0
+
+
+#: Queries against ``f`` of the forest fixture: valid ones with their
+#: answers, then a bad value, a missing support variable and a
+#: non-mapping, each coalesced into the same batch.
+MIXED_QUERIES = [
+    ({"a": 1, "b": 0, "c": 0, "d": 0, "e": 0}, True),
+    ({"a": 1, "b": 1, "c": 0, "d": 0, "e": 0}, False),
+    ({"a": 2, "b": 0, "c": 0, "d": 0, "e": 0}, "value for variable 'a'"),
+    ({"a": 0, "b": 0, "c": 1, "d": 1, "e": 1}, True),
+    ({"a": 1, "b": 0, "c": 1}, "misses support variable(s): d"),
+    ({"a": 0, "b": 0, "c": 0, "d": 1}, False),
+    ([1, 0], "must be a mapping"),
+]
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_batching_server_isolates_malformed_queries(forest_path, workers):
+    """A malformed query fails alone; its error cites no other query."""
+
+    async def scenario():
+        pool = ForestPool(workers=workers)
+        server = BatchingServer(pool, forest_path, batch_window=0.05)
+        try:
+            results = await asyncio.gather(
+                *(server.query("f", query) for query, _want in MIXED_QUERIES),
+                return_exceptions=True,
+            )
+            return results, server.stats()["batches_flushed"]
+        finally:
+            pool.close()
+
+    results, flushes = asyncio.run(scenario())
+    assert flushes == 1
+    for (query, want), result in zip(MIXED_QUERIES, results):
+        if isinstance(want, bool):
+            assert result is want, query
+        else:
+            assert isinstance(result, ServeError), query
+            assert want in str(result) and "assignment 0" in str(result), result
+
+
+def test_batching_server_pool_failure_fails_group(forest_path):
+    """A crew failure is the pool's: the group fails without retries."""
+
+    class DeadPool:
+        calls = 0
+
+        def evaluate_batch(self, path, name, assignments):
+            self.calls += 1
+            try:
+                raise WorkerRestarted("a pool worker died mid-task (respawned)")
+            except WorkerRestarted as exc:
+                raise ServeError(str(exc)) from exc
+
+    pool = DeadPool()
+
+    async def scenario():
+        server = BatchingServer(pool, forest_path, batch_window=0.05)
+        return await asyncio.gather(
+            *(server.query("f", query) for query, _want in MIXED_QUERIES[:3]),
+            return_exceptions=True,
+        )
+
+    results = asyncio.run(scenario())
+    assert all("worker died" in str(result) for result in results), results
+    assert pool.calls == 1
+
+
+def test_tcp_malformed_query_does_not_fail_batch(forest_path):
+    """Over TCP, one client's malformed queries leave another's intact."""
+
+    async def scenario():
+        pool = ForestPool(workers=0)
+        server = BatchingServer(pool, forest_path, batch_window=0.05)
+        tcp = await serve_tcp(server, "127.0.0.1", 0)
+        port = tcp.sockets[0].getsockname()[1]
+        # Client 1 sends the valid queries, client 0 the malformed ones.
+        clients = [await asyncio.open_connection("127.0.0.1", port) for _ in range(2)]
+        sent = [0, 0]
+        try:
+            for i, (query, want) in enumerate(MIXED_QUERIES):
+                client = int(isinstance(want, bool))
+                line = {"f": "f", "assignment": query, "id": i}
+                clients[client][1].write(json.dumps(line).encode() + b"\n")
+                sent[client] += 1
+            responses = []
+            for (reader, writer), count in zip(clients, sent):
+                await writer.drain()
+                for _ in range(count):
+                    responses.append(json.loads(await reader.readline()))
+            return responses, server.stats()["batches_flushed"]
+        finally:
+            for _reader, writer in clients:
+                writer.close()
+            tcp.close()
+            await tcp.wait_closed()
+            pool.close()
+
+    responses, flushes = asyncio.run(scenario())
+    assert flushes == 1
+    by_id = {response["id"]: response for response in responses}
+    assert sorted(by_id) == list(range(len(MIXED_QUERIES)))
+    for i, (query, want) in enumerate(MIXED_QUERIES):
+        if isinstance(want, bool):
+            assert by_id[i] == {"id": i, "result": want}, query
+        else:
+            error = by_id[i]["error"]
+            assert error.startswith("ServeError: ") and want in error, error
+            assert "assignment 0" in error, error
 
 
 def test_batching_server_tcp_protocol(forest_path):

@@ -461,10 +461,116 @@ def test_protocol_fallback_marginals_match_kernel():
             want = f.marginals(weights, names)
             count = f.weighted_count({"v1": (2, -3)})
             models = f.sat_count()
-            manager.freeze_export = lambda named: None
+            manager.compiled_root = lambda edge: None
             try:
                 assert f.marginals(weights, names) == want, (label, text)
                 assert f.weighted_count({"v1": (2, -3)}) == count, (label, text)
                 assert f.sat_count() == models, (label, text)
             finally:
-                del manager.freeze_export
+                del manager.compiled_root
+
+
+# ----------------------------------------------------------------------
+# compiled columns kept by the computed table
+# ----------------------------------------------------------------------
+
+#: The variants whose managers keep the last compiled root.
+KEEPING = [
+    (backend, kwargs)
+    for backend, kwargs in VARIANTS
+    if backend == "bbdd" or (backend == "bdd" and not kwargs)
+]
+KEEP_NAMES = [f"v{i}" for i in range(6)]
+KEEP_WEIGHTS = {"v0": Fraction(1, 3), "v2": Fraction(3, 4), "v5": Fraction(1, 7)}
+
+
+def _check_queries(f):
+    """Batch queries, p_one and sat_count against enumeration."""
+    points = [
+        {name: bool(code >> i & 1) for i, name in enumerate(KEEP_NAMES)}
+        for code in range(1 << len(KEEP_NAMES))
+    ]
+    looped = [f.evaluate(point) for point in points]
+    assert f.evaluate_batch(points) == looped
+    rng = random.Random(7)
+    cubes = [
+        {name: rng.getrandbits(1) for name in rng.sample(KEEP_NAMES, k)}
+        for k in (0, 1, 2, 3, 4, 6)
+        for _ in range(4)
+    ]
+    assert f.satisfiable_batch(cubes) == [
+        any(
+            hit and all(point[name] == bit for name, bit in cube.items())
+            for point, hit in zip(points, looped)
+        )
+        for cube in cubes
+    ]
+    assert f.p_one(KEEP_WEIGHTS) == brute_force_p_one(KEEP_NAMES, f, KEEP_WEIGHTS)
+    assert f.sat_count() == sum(looped)
+
+
+def _scenarios():
+    for backend, kwargs in KEEPING:
+        label = backend + ("+chain" if kwargs else "")
+        for scenario in ("sift", "gc", "chains", "auto_gc", "new_var"):
+            if backend == "bdd" and scenario in ("chains", "auto_gc", "new_var"):
+                continue  # no chain rewrites, auto-GC or new_var there
+            yield pytest.param(backend, kwargs, scenario, id=f"{label}-{scenario}")
+
+
+@pytest.mark.parametrize("backend, kwargs, scenario", list(_scenarios()))
+def test_compiled_columns_live_as_long_as_computed_table(backend, kwargs, scenario):
+    """Queries keep the last compiled root; every table clear drops it.
+
+    A clear that kept the columns would answer ``g`` with ``f``'s
+    columns once ``g``'s root takes the slot ``f``'s root freed.
+    """
+    manager = repro.open(backend, vars=KEEP_NAMES, **kwargs)
+    # Held literals stay live, so a dropped function frees only its own
+    # nodes and the next function's root can take their slots.
+    _literals = [manager.var(name) for name in KEEP_NAMES]
+    f = manager.add_expr("(v0 ^ v3) | (v1 & ~v4) | (v2 <-> v5)")
+    _check_queries(f)
+    if scenario == "sift":
+        # The identity order splits every pair of f, so sifting moves
+        # variables (and rewinds its excursions).
+        manager.sift()
+        assert manager.current_order() != tuple(KEEP_NAMES)
+        _check_queries(f)
+        _check_queries(manager.add_expr("(v0 & v5) ^ (v1 | v4)"))
+    elif scenario == "gc":
+        manager.gc()
+        small = manager.add_expr("v0 & v1")
+        _check_queries(small)
+        freed = small.edge
+        del small
+        manager.gc()
+        g = manager.add_expr("v2 & v3")
+        if backend == "bbdd":
+            assert g.edge == freed  # the slot reuse this scenario needs
+        _check_queries(g)
+    elif scenario == "chains":
+        manager.expand_chains()
+        _check_queries(f)
+        manager.reduce_chains()
+        _check_queries(f)
+    elif scenario == "auto_gc":
+        manager.gc()
+        manager.gc_min_nodes = 1
+        manager.gc_threshold = 0.05
+        small = manager.add_expr("v0 & v1")
+        _check_queries(small)
+        freed = small.edge
+        del small
+        runs = manager.auto_gc_runs
+        g = manager.add_expr("v2 & v3")
+        assert manager.auto_gc_runs > runs
+        h = manager.add_expr("v1 & v2")
+        assert h.edge == freed  # the slot reuse this scenario needs
+        _check_queries(h)
+        _check_queries(g)
+    else:
+        models = f.sat_count()
+        manager.new_var("v6")
+        assert f.sat_count() == 2 * models
+        assert f.p_one(KEEP_WEIGHTS) == brute_force_p_one(KEEP_NAMES, f, KEEP_WEIGHTS)
