@@ -24,7 +24,10 @@ dump once, freezes it into a :class:`repro.par.shm.ShmForest` segment
 and the workers *attach* instead of holding private copies — memory
 per added worker is O(1) in the forest size.  A dump file that changes
 on disk is re-frozen under a bumped generation number and the old
-segment retired, so serving hot-reloads without a restart.  Worker
+segment retired, so serving hot-reloads without a restart (the result
+cache is keyed by segment, so it never answers from the old forest).
+Inline pools and private-copy workers do not hot-reload: they keep the
+forest they first loaded from a path until it leaves their LRU.  Worker
 processes that die mid-batch are detected, respawned (re-attaching
 lazily) and the in-flight batch retried once
 (:class:`repro.par.dispatch.WorkerCrew`).
@@ -265,8 +268,33 @@ def _worker_main(in_queue, reply, max_forests: int) -> None:
         host.close_segments()
 
 
+_BIT_TYPES = frozenset((bool, int))
+_BITS = frozenset((0, 1))
+_STR_TYPE = frozenset((str,))
+
+
+def _assignment_key(assignment: Mapping, index: int):
+    """A hashable, order-insensitive cache key for assignment ``index``.
+
+    The common shape (a ``dict`` with ``str`` keys and ``bool`` or int
+    0/1 values) is recognized with C-level set operations and keyed by
+    the frozenset of its items, where ``True`` and ``1`` hash and
+    compare equal.  Every other assignment takes
+    :func:`_normalize_assignment`, which raises on malformed values; its
+    tuple keys never equal a frozenset.
+    """
+    if (
+        type(assignment) is dict
+        and _BIT_TYPES.issuperset(map(type, assignment.values()))
+        and _BITS.issuperset(assignment.values())
+        and _STR_TYPE.issuperset(map(type, assignment))
+    ):
+        return frozenset(assignment.items())
+    return _normalize_assignment(assignment, f"assignment {index}")
+
+
 def _normalize_assignment(assignment: Mapping, where: str) -> tuple:
-    """A hashable, order-insensitive key for one assignment mapping.
+    """A hashable, order-insensitive key for any assignment mapping.
 
     Values are validated *before* normalization (the shared strictness
     contract), so a malformed assignment raises identically whether the
@@ -297,8 +325,9 @@ class ForestPool:
         Per-worker LRU capacity of loaded forests.
     cache_size:
         Dispatcher-level result-cache entries (``0`` disables); keys
-        are ``(forest, function, assignment)``, so repeated queries are
-        answered without dispatching.
+        are ``(forest, segment, function, assignment)``, so repeated
+        queries are answered without dispatching, and a hot-reloaded
+        dump (a new segment) never answers from the old forest.
     shard_size:
         Batches larger than this split into shards spread round-robin
         across the workers.
@@ -310,6 +339,8 @@ class ForestPool:
         copies; ``None`` (default) enables sharing whenever the
         platform supports it and the pool has workers.  Forests whose
         backend cannot freeze fall back to private copies per path.
+        Only shared segments hot-reload: inline pools and private
+        copies keep serving the forest they first loaded from a path.
     """
 
     def __init__(
@@ -526,6 +557,9 @@ class ForestPool:
         batch = assignments if isinstance(assignments, list) else list(assignments)
         if not batch:
             return []
+        # Answers are keyed by the segment that computes them, so a dump
+        # re-frozen under a new segment never reuses the old answers.
+        segment = self._segment_for(path)
         results: List[Optional[bool]] = [None] * len(batch)
         pending: "OrderedDict[tuple, List[int]]" = OrderedDict()
         misses: List[Mapping] = []
@@ -538,8 +572,9 @@ class ForestPool:
             for index, assignment in enumerate(batch):
                 key = (
                     path,
+                    segment,
                     name,
-                    _normalize_assignment(assignment, f"assignment {index}"),
+                    _assignment_key(assignment, index),
                 )
                 if use_cache:
                     cached = self._cache.get(key)
@@ -557,7 +592,7 @@ class ForestPool:
                     positions.append(index)
         if misses:
             # Dispatch outside the lock (it blocks on the workers).
-            values = self._evaluate_misses(path, name, misses)
+            values = self._evaluate_misses(path, segment, name, misses)
             with self._cond:
                 self.batches_dispatched += 1
                 for (key, positions), value in zip(pending.items(), values):
@@ -570,12 +605,13 @@ class ForestPool:
                             self._cache.popitem(last=False)
         return results  # type: ignore[return-value]
 
-    def _evaluate_misses(self, path: str, name: str, misses: List[Mapping]) -> List[bool]:
+    def _evaluate_misses(
+        self, path: str, segment: Optional[str], name: str, misses: List[Mapping]
+    ) -> List[bool]:
         if self._host is not None:
             with self._cond:
                 self.shards_dispatched += 1
             return self._host.evaluate(path, name, misses)
-        segment = self._segment_for(path)
         op = "eval" if segment is None else "eval_shm"
         target = path if segment is None else segment
         shard = self.shard_size

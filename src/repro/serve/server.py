@@ -1,13 +1,15 @@
 """Asyncio query front end: single queries coalesce into sweeps.
 
-A :class:`BatchingServer` accepts *individual* queries (``await
-server.query(name, assignment)``) and transparently merges everything
-that arrives within a small latency budget into one batch per named
-function, evaluated on a :class:`~repro.serve.pool.ForestPool` off the
-event loop.  Interactive traffic therefore gets the amortized
-``O(nodes + queries)`` cost of the levelized sweep while each caller
-still sees a plain per-query future:
+A :class:`BatchingServer` accepts *individual* queries and
+transparently merges everything that arrives within a small latency
+budget into one batch per named function, evaluated on a
+:class:`~repro.serve.pool.ForestPool` off the event loop.  Interactive
+traffic therefore gets the amortized ``O(nodes + queries)`` cost of
+the levelized sweep while each caller still sees a single answer:
 
+* :meth:`BatchingServer.submit` queues a query and calls its
+  ``deliver`` callback once the batch answers;
+  :meth:`BatchingServer.query` wraps that in a future;
 * the first query of a burst arms a flush timer (``batch_window``
   seconds);
 * reaching ``max_batch`` pending queries flushes immediately;
@@ -20,14 +22,16 @@ still sees a plain per-query future:
 
 :func:`serve_tcp` exposes the same surface over a newline-delimited
 JSON TCP protocol (one request object per line, one response object per
-line) — the transport behind ``python -m repro.serve``.
+line) — the transport behind ``python -m repro.serve``.  Query lines go
+straight to :meth:`BatchingServer.submit`; the replies a batch delivers
+to one connection leave in one socket write.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.core.exceptions import BBDDError
@@ -35,6 +39,10 @@ from repro.obs.catalog import family as _metric
 from repro.par.dispatch import CrewError, TaskFailed
 from repro.serve.bulk import ServeError
 from repro.serve.pool import ForestPool
+
+#: A query's answer callback: called once with the ``bool`` result or
+#: the :class:`ServeError` that failed the query.
+Deliver = Callable[[object], None]
 
 
 def _query_error(exc: Exception) -> bool:
@@ -82,7 +90,7 @@ class BatchingServer:
         self.path = path
         self.batch_window = batch_window
         self.max_batch = max_batch
-        self._pending: List[Tuple[str, Mapping, float, asyncio.Future]] = []
+        self._pending: List[Tuple[str, Mapping, float, Deliver]] = []
         self._timer: Optional[asyncio.TimerHandle] = None
         # Strong references to in-flight flush tasks: the event loop
         # keeps only weak ones, and a collected flush task would leave
@@ -113,9 +121,34 @@ class BatchingServer:
         The call resolves when the query's batch does — at most
         ``batch_window`` seconds plus one pool round trip later.
         """
+        future = asyncio.get_running_loop().create_future()
+
+        def deliver(value) -> None:
+            if future.done():  # the caller cancelled
+                return
+            if isinstance(value, Exception):
+                future.set_exception(value)
+            else:
+                future.set_result(value)
+
+        self.submit(name, assignment, deliver)
+        return await future
+
+    def submit(self, name: str, assignment: Mapping, deliver: Deliver) -> None:
+        """Queue one assignment of the stored function ``name``.
+
+        ``deliver`` is called exactly once, on the event loop, when the
+        query's batch answers: with the ``bool`` result, or with the
+        :class:`ServeError` that failed this query.  A ``name`` that is
+        not a string raises :class:`ServeError` here and queues nothing,
+        so it cannot fail the batch it would have joined.
+        """
+        if not isinstance(name, str):
+            raise ServeError(
+                f"function name must be a string, got {type(name).__name__}"
+            )
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((name, assignment, loop.time(), future))
+        self._pending.append((name, assignment, loop.time(), deliver))
         self.queries += 1
         self._queries_total.inc()
         self._queue_depth.set(len(self._pending))
@@ -126,7 +159,6 @@ class BatchingServer:
             self._spawn_flush(loop)
         elif self._timer is None:
             self._timer = loop.call_later(self.batch_window, self._flush_soon)
-        return await future
 
     def _spawn_flush(self, loop) -> None:
         task = loop.create_task(self._flush())
@@ -150,17 +182,17 @@ class BatchingServer:
         self._flushes_total.inc()
         loop = asyncio.get_running_loop()
         by_name: dict = {}
-        for name, assignment, start, future in pending:
-            by_name.setdefault(name, []).append((assignment, start, future))
+        for name, assignment, start, deliver in pending:
+            by_name.setdefault(name, []).append((assignment, start, deliver))
 
         async def run_group(name: str, group: list) -> None:
-            assignments = [assignment for assignment, _start, _future in group]
+            assignments = [assignment for assignment, _start, _deliver in group]
             self._batch_size_hist.labels(function=name).observe(len(group))
             try:
                 values = await loop.run_in_executor(
                     None, self.pool.evaluate_batch, self.path, name, assignments
                 )
-            except Exception as exc:  # noqa: BLE001 - delivered per future
+            except Exception as exc:  # noqa: BLE001 - delivered per query
                 if len(group) > 1 and _query_error(exc):
                     # One malformed query must not fail the queries other
                     # clients coalesced with it: answer each alone, so an
@@ -172,16 +204,13 @@ class BatchingServer:
                     values = [exc] * len(group)
             now = loop.time()
             observe = self._latency_hist.observe
-            for (_assignment, start, future), value in zip(group, values):
+            for (_assignment, start, deliver), value in zip(group, values):
                 if isinstance(value, Exception):
-                    if not future.done():
-                        if not isinstance(value, ServeError):
-                            value = ServeError(str(value))
-                        future.set_exception(value)
-                    continue
-                observe(now - start)
-                if not future.done():
-                    future.set_result(value)
+                    if not isinstance(value, ServeError):
+                        value = ServeError(str(value))
+                else:
+                    observe(now - start)
+                deliver(value)
 
         await asyncio.gather(
             *(run_group(name, group) for name, group in by_name.items())
@@ -193,7 +222,7 @@ class BatchingServer:
         for assignment in assignments:
             try:
                 values.append(self.pool.evaluate(self.path, name, assignment))
-            except Exception as exc:  # noqa: BLE001 - delivered per future
+            except Exception as exc:  # noqa: BLE001 - delivered per query
                 values.append(exc)
         return values
 
@@ -264,6 +293,25 @@ class BatchingServer:
         return obs.merge_snapshots(obs.snapshot(), *self.pool.metric_snapshots())
 
 
+#: Unanswered requests one TCP connection may hold.  At the cap the
+#: connection reads no further line until a reply goes out, so a client
+#: that pipelines without end holds bounded server memory; one
+#: connection can still fill a whole default batch (``max_batch``).
+MAX_IN_FLIGHT = 1024
+
+#: Requests answered by a task of their own rather than a batch.
+_TASK_OPS = ("stats", "metrics", "p_one", "marginals")
+
+
+def _result_line(request_id, result) -> bytes:
+    return json.dumps({"id": request_id, "result": result}).encode() + b"\n"
+
+
+def _error_line(request_id, exc: Exception) -> bytes:
+    error = f"{type(exc).__name__}: {exc}"
+    return json.dumps({"id": request_id, "error": error}).encode() + b"\n"
+
+
 async def handle_client(server: BatchingServer, reader, writer, on_request=None) -> None:
     """Serve one TCP client speaking newline-delimited JSON.
 
@@ -274,15 +322,73 @@ async def handle_client(server: BatchingServer, reader, writer, on_request=None)
     "variables": [...]?}`` (posterior variable marginals),
     ``{"op": "stats"}`` or ``{"op": "metrics"}`` (the merged
     dispatcher + workers metrics snapshot); responses echo ``id`` and
-    carry ``result`` or ``error``.  Each request line is handled as its own task, so a
-    client that pipelines many queries on one connection still gets
-    them coalesced into sweeps; responses may therefore interleave out
-    of request order — correlate by ``id``.
+    carry ``result`` or ``error``.  Every line gets exactly one
+    response, and an error answers only the line that caused it.
+
+    A query line is decoded and passed straight to
+    :meth:`BatchingServer.submit`, so the queries a client pipelines on
+    one connection coalesce into sweeps; ``stats``, ``metrics``,
+    ``p_one`` and ``marginals`` run as one task each.  Responses may
+    therefore interleave out of request order — correlate by ``id``.
+    The responses that become ready in one event-loop pass leave in one
+    socket write.  Reading pauses while the connection holds
+    :data:`MAX_IN_FLIGHT` unanswered requests, or while the client
+    leaves its responses unread (:meth:`~asyncio.StreamWriter.drain`).
+    At end of input the outstanding requests are answered before the
+    connection closes.
     """
-    write_lock = asyncio.Lock()
+    loop = asyncio.get_running_loop()
+    replies: List[bytes] = []  # response lines due out in the next write
+    unanswered = 0
+    answered = asyncio.Event()
     tasks = set()
 
-    async def answer(line: bytes) -> None:
+    def write_out() -> None:
+        count = len(replies)
+        data = b"".join(replies)
+        replies.clear()
+        if writer.is_closing():  # the client went away
+            return
+        writer.write(data)
+        if on_request is not None:
+            for _ in range(count):
+                on_request()
+
+    def reply(line: bytes) -> None:
+        nonlocal unanswered
+        if not replies:
+            loop.call_soon(write_out)
+        replies.append(line)
+        unanswered -= 1
+        answered.set()
+
+    def deliver_to(request_id) -> Deliver:
+        def deliver(value) -> None:
+            if isinstance(value, Exception):
+                reply(_error_line(request_id, value))
+            else:
+                reply(_result_line(request_id, value))
+
+        return deliver
+
+    async def answer(request_id, op, request: dict) -> None:
+        try:
+            if op == "stats":
+                result = server.stats()
+            elif op == "metrics":
+                result = server.metrics_snapshot()
+            elif op == "p_one":
+                result = await server.p_one(request["f"], request.get("weights"))
+            else:
+                result = await server.marginals(
+                    request["f"], request.get("weights"), request.get("variables")
+                )
+            line = _result_line(request_id, result)
+        except Exception as exc:  # noqa: BLE001 - reported to the client
+            line = _error_line(request_id, exc)
+        reply(line)
+
+    def dispatch(line: bytes) -> None:
         request_id = None
         try:
             request = json.loads(line)
@@ -292,66 +398,52 @@ async def handle_client(server: BatchingServer, reader, writer, on_request=None)
                 )
             request_id = request.get("id")
             op = request.get("op")
-            if op == "stats":
-                response = {"id": request_id, "result": server.stats()}
-            elif op == "metrics":
-                response = {"id": request_id, "result": server.metrics_snapshot()}
-            elif "f" not in request:
+            if op != "stats" and op != "metrics" and "f" not in request:
                 raise ServeError('request names no function (missing "f")')
-            elif op == "p_one":
-                value = await server.p_one(request["f"], request.get("weights"))
-                response = {"id": request_id, "result": value}
-            elif op == "marginals":
-                value = await server.marginals(
-                    request["f"],
-                    request.get("weights"),
-                    request.get("variables"),
-                )
-                response = {"id": request_id, "result": value}
+            if op in _TASK_OPS:
+                task = loop.create_task(answer(request_id, op, request))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
             else:
-                value = await server.query(
-                    request["f"], request.get("assignment", {})
+                server.submit(
+                    request["f"], request.get("assignment", {}), deliver_to(request_id)
                 )
-                response = {"id": request_id, "result": value}
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            response = {"id": request_id, "error": f"{type(exc).__name__}: {exc}"}
-        try:
-            async with write_lock:
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-        except (ConnectionError, RuntimeError):  # client went away
-            return
-        if on_request is not None:
-            on_request()
+            reply(_error_line(request_id, exc))
 
     try:
         while True:
             try:
+                await writer.drain()
+                while unanswered >= MAX_IN_FLIGHT:
+                    answered.clear()
+                    await answered.wait()
                 line = await reader.readline()
-            except (asyncio.CancelledError, ConnectionError):
-                # Server shutdown (or client reset) while waiting for
-                # the next request: end this connection quietly.
+            except ConnectionError:  # the client reset the connection
                 break
             except ValueError:
-                # Request line exceeded the stream limit (see
+                # The request line exceeded the stream limit (see
                 # :func:`serve_tcp`); the line-based protocol cannot
-                # resynchronize, so report and drop the connection.
-                async with write_lock:
-                    writer.write(
-                        json.dumps(
-                            {"id": None, "error": "ServeError: request line too long"}
-                        ).encode()
-                        + b"\n"
-                    )
-                    await writer.drain()
+                # resynchronize, so report it and read no further.
+                unanswered += 1
+                reply(_error_line(None, ServeError("request line too long")))
                 break
             if not line:
                 break
-            task = asyncio.get_running_loop().create_task(answer(line))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            unanswered += 1
+            dispatch(line)
+        while unanswered:
+            answered.clear()
+            await answered.wait()
+        if replies:
+            write_out()
+        await writer.drain()
+    except ConnectionError:  # the client went away before its answers
+        pass
+    except asyncio.CancelledError:
+        # Server shutdown.  The stream callback of Python 3.11 and 3.12
+        # reports a cancelled handler task as an error, so end quietly.
+        pass
     finally:
         writer.close()
 

@@ -6,8 +6,9 @@ beyond-``request_chunk`` batches on xmem), the batched cube
 satisfiability, the strict assignment error contract (missing support
 variables are *named*, batch errors carry the position, constants
 reject malformed mappings), the multi-process pool with sharding and
-result caching, the asyncio batching server, and the
-``python -m repro.serve`` CLI.
+result caching, the asyncio batching server, its TCP front end (a
+seeded fuzz of hostile lines, the per-connection in-flight cap), and
+the ``python -m repro.serve`` CLI.
 """
 
 import asyncio
@@ -32,7 +33,12 @@ from repro.serve import (
     serve_tcp,
 )
 from repro.par.dispatch import WorkerRestarted
+from repro.serve import server as serve_server
 from repro.serve.bulk import EncodedBatch, encode_columns, encode_mappings
+
+# A reply the server drops would otherwise leave a TCP test waiting
+# forever; the hard deadline turns that hang into a failure.
+pytestmark = pytest.mark.timeout(60)
 
 BACKENDS = ["bbdd", "bdd"]
 ALL_BACKENDS = BACKENDS + ["xmem"]
@@ -691,6 +697,275 @@ def test_tcp_pipelined_queries_coalesce(forest_path):
     assert flushes <= 3
 
 
+async def _open_tcp(server):
+    """Start the TCP front end of ``server``; ``(tcp, reader, writer)``."""
+    tcp = await serve_tcp(server, "127.0.0.1", 0)
+    port = tcp.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    return tcp, reader, writer
+
+
+async def _close_tcp(tcp, writer) -> None:
+    writer.close()
+    tcp.close()
+    await tcp.wait_closed()
+
+
+async def _read_replies(reader, count: int, timeout: float = 20.0) -> list:
+    return [
+        json.loads(await asyncio.wait_for(reader.readline(), timeout))
+        for _ in range(count)
+    ]
+
+
+def test_tcp_non_string_function_name_fails_alone(forest_path):
+    """A non-string "f" fails its own request; its batch still answers.
+
+    An unhashable name used to raise while the flush grouped its batch
+    by name, so no query of that batch, from any client, was answered.
+    """
+
+    async def scenario():
+        pool = ForestPool(workers=0)
+        server = BatchingServer(pool, forest_path, batch_window=0.05)
+        tcp, reader, writer = await _open_tcp(server)
+        requests = [
+            {"f": "g", "assignment": {"a": 1, "e": 0}, "id": 1},
+            {"f": ["g"], "assignment": {"a": 1, "e": 0}, "id": 2},
+            {"f": {"g": 1}, "assignment": {}, "id": 3},
+            {"f": 7, "assignment": {"a": 1, "e": 0}, "id": 4},
+            {"f": "g", "assignment": {"a": 0, "e": 0}, "id": 5},
+        ]
+        try:
+            for request in requests:
+                writer.write(json.dumps(request).encode() + b"\n")
+            await writer.drain()
+            replies = await _read_replies(reader, len(requests))
+            with pytest.raises(ServeError, match="must be a string, got list"):
+                await server.query(["g"], {"a": 1, "e": 0})
+            return replies
+        finally:
+            await _close_tcp(tcp, writer)
+            pool.close()
+
+    by_id = {reply["id"]: reply for reply in asyncio.run(scenario())}
+    assert by_id[1] == {"id": 1, "result": True}
+    assert by_id[5] == {"id": 5, "result": False}
+    for request_id, kind in ((2, "list"), (3, "dict"), (4, "int")):
+        assert by_id[request_id] == {
+            "id": request_id,
+            "error": f"ServeError: function name must be a string, got {kind}",
+        }
+
+
+def test_tcp_reads_pause_at_in_flight_cap(forest_path, monkeypatch):
+    """A client pipelining past the cap without reading its replies: the
+    connection holds at most the cap unanswered, and every reply
+    arrives once the pool answers."""
+    import threading
+
+    cap = 8
+    monkeypatch.setattr(serve_server, "MAX_IN_FLIGHT", cap)
+    batch = reference_batch(5 * cap, seed=31)
+    want = reference_results(forest_path, "f", batch)
+
+    class GatedPool:
+        """Holds every batch until ``gate`` opens."""
+
+        def __init__(self, pool):
+            self.pool = pool
+            self.gate = threading.Event()
+
+        def evaluate_batch(self, path, name, assignments):
+            if not self.gate.wait(30):
+                raise ServeError("gate never opened")
+            return self.pool.evaluate_batch(path, name, assignments)
+
+    async def scenario():
+        pool = GatedPool(ForestPool(workers=0))
+        server = BatchingServer(pool, forest_path, batch_window=0.001)
+        tcp, reader, writer = await _open_tcp(server)
+        try:
+            for i, assignment in enumerate(batch):
+                request = {"f": "f", "assignment": assignment, "id": i}
+                writer.write(json.dumps(request).encode() + b"\n")
+            await writer.drain()
+            for _ in range(500):
+                if server.queries >= cap:
+                    break
+                await asyncio.sleep(0.01)
+            # Room for the reader to overrun the cap if it did not pause.
+            await asyncio.sleep(0.2)
+            held = server.queries
+            pool.gate.set()
+            return held, await _read_replies(reader, len(batch))
+        finally:
+            pool.gate.set()
+            await _close_tcp(tcp, writer)
+            pool.pool.close()
+
+    held, replies = asyncio.run(scenario())
+    assert held == cap
+    by_id = {reply["id"]: reply["result"] for reply in replies}
+    assert [by_id[i] for i in range(len(batch))] == want
+
+
+def test_result_cache_key_contract(tmp_path):
+    """Equal assignments share a cache entry; distinct keys never do.
+
+    ``True``/``1`` and key orders share one entry; the variable named
+    "3" and variable index 3 (and a float key 3.0) stay apart; and a
+    malformed value raises the same error whether or not its coerced
+    key would hit the cache.
+    """
+    # Index 3 is the variable named "0" and index 0 the one named "3".
+    manager = repro.open("bbdd", vars=["3", "1", "2", "0"])
+    f = manager.var("3") & ~manager.var("0")
+    path = str(tmp_path / "digits.bbdd")
+    manager.dump({"f": f}, path)
+    with ForestPool(workers=0) as pool:
+        assert pool.evaluate(path, "f", {"3": True, "0": False}) is True
+        assert pool.evaluate(path, "f", {"0": 0, "3": 1}) is True
+        stats = pool.stats()
+        assert (stats["cache_entries"], stats["cache_hits"]) == (1, 1)
+        assert pool.evaluate(path, "f", {3: 1, 0: 0}) is False
+        assert pool.evaluate(path, "f", {0: 0, 3: True}) is False
+        stats = pool.stats()
+        assert (stats["cache_entries"], stats["cache_hits"]) == (2, 2)
+        pool.evaluate(path, "f", {3.0: 1, 0.0: 0})
+        stats = pool.stats()
+        assert (stats["cache_entries"], stats["cache_hits"]) == (3, 2)
+    for bad in (2, 1.0, "1", None):
+        messages = []
+        for cache_size in (4096, 0):
+            with ForestPool(workers=0, cache_size=cache_size) as pool:
+                pool.evaluate(path, "f", {"3": 1, "0": 0})
+                with pytest.raises(TypeError) as error:
+                    pool.evaluate_batch(
+                        path, "f", [{"3": 1, "0": 0}, {"3": bad, "0": 0}]
+                    )
+                messages.append(str(error.value))
+        assert messages[0] == messages[1], bad
+        assert messages[0] == (
+            "assignment 1: value for variable '3' must be a Boolean "
+            f"(bool, or int 0/1), got {bad!r}"
+        )
+
+
+#: Odd values for each field of a fuzzed request object.  No ``id``
+#: here collides with the ``valid-<n>`` ids of the valid queries.
+FUZZ_FIELDS = {
+    "f": [["g"], {"g": 1}, 7, None, True, "", "missing", "f", "g"],
+    "assignment": [
+        [1, 0],
+        "a",
+        5,
+        None,
+        {},
+        {"a": 2, "e": 0},
+        {"a": "1", "e": 0},
+        {"a": 1.0, "e": 0},
+        {"a": None, "e": 0},
+        {"a": [1], "e": 0},
+        {"zz": 1},
+        {"a": 1},
+        {"a": {"b": 1}, "e": 0},
+        {name: 1 for name in NAMES},
+    ],
+    "id": [None, [1, 2], {"k": [None]}, 1.5, -3, "", True, "id"],
+    "op": ["stats", "metrics", "p_one", "marginals", "bogus", 3, None, ["stats"]],
+    "weights": [None, {"a": 0.25}, {"a": 2}, {"a": "x"}, {"zz": 0.5}, [1], "w", 3],
+    "variables": [None, ["a"], "a", [None], ["zz"], 3, {"a": 1}],
+}
+
+
+def _fuzz_lines(rng, count: int):
+    """Seeded hostile request lines with valid queries mixed in.
+
+    Returns ``(lines, valid)``: ``valid`` maps each valid query's id to
+    its ``(function name, assignment)``.
+    """
+    scalars = [None, True, False, 0, 1, -7, 1.5, 1e308, "", "f", "☃"]
+
+    def value(depth: int = 0):
+        kind = rng.randrange(3 if depth < 2 else 1)
+        if kind == 0:
+            return rng.choice(scalars)
+        if kind == 1:
+            return [value(depth + 1) for _ in range(rng.randrange(3))]
+        return {
+            rng.choice(["a", "e", "f", "id", "op"]): value(depth + 1)
+            for _ in range(rng.randrange(3))
+        }
+
+    lines = [b"[" * 5000, b"", b"   ", b"{", b'{"f": "f"']
+    valid = {}
+    for i in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            raw = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+            lines.append(raw.replace(b"\n", b" "))
+        elif kind == 1:
+            lines.append(json.dumps(value()).encode())
+        elif kind == 2:
+            request = {
+                field: rng.choice(choices + [value()])
+                for field, choices in FUZZ_FIELDS.items()
+                if rng.random() < 0.6
+            }
+            lines.append(json.dumps(request).encode())
+        else:
+            name = rng.choice(["f", "g"])
+            assignment = {var: rng.getrandbits(1) for var in NAMES}
+            request_id = f"valid-{i}"
+            valid[request_id] = (name, assignment)
+            request = {"f": name, "assignment": assignment, "id": request_id}
+            lines.append(json.dumps(request).encode())
+    rng.shuffle(lines)
+    return lines, valid
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_tcp_fuzz_answers_every_line(forest_path, workers):
+    """Random bytes and hostile JSON on one connection: every line gets
+    exactly one reply, valid queries get right answers, and the server
+    still answers a final stats request."""
+    from repro import io as rio
+
+    lines, valid = _fuzz_lines(random.Random(0xF022 + workers), 1000)
+    _manager, functions = rio.load(forest_path)
+
+    async def scenario():
+        pool = ForestPool(workers=workers, timeout=20)
+        server = BatchingServer(pool, forest_path, batch_window=0.002)
+        tcp, reader, writer = await _open_tcp(server)
+        try:
+            for line in lines:
+                writer.write(line + b"\n")
+            writer.write(b'{"op": "stats", "id": "final"}\n')
+            # End of input at once: the server answers what is still
+            # outstanding, then closes, which ends the read below.
+            writer.write_eof()
+            return await asyncio.wait_for(reader.read(), 30)
+        finally:
+            await _close_tcp(tcp, writer)
+            pool.close()
+
+    replies = [json.loads(line) for line in asyncio.run(scenario()).splitlines()]
+    assert len(replies) == len(lines) + 1
+    for reply in replies:
+        assert set(reply) in ({"id", "result"}, {"id", "error"}), reply
+    by_id = {}
+    for reply in replies:
+        if isinstance(reply["id"], str):
+            by_id.setdefault(reply["id"], []).append(reply)
+    for request_id, (name, assignment) in valid.items():
+        want = functions[name].evaluate(assignment)
+        assert by_id[request_id] == [{"id": request_id, "result": want}]
+    (final,) = by_id["final"]
+    assert final["result"]["queries"] >= len(valid)
+
+
 def test_serve_cli_answers_and_exits(forest_path):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -830,21 +1105,27 @@ def test_pool_shared_memory_hot_reload(forest_path, tmp_path):
     import os
     import time as time_mod
 
-    batch = reference_batch(40, seed=23)
-    with ForestPool(workers=2, cache_size=0, shared_memory=True) as pool:
-        pool.warm(forest_path)
-        before = pool.evaluate_batch(forest_path, "g", batch)
-        time_mod.sleep(0.01)
+    def dump(g_expr):
         manager = repro.open("bbdd", vars=NAMES)
         f = manager.add_expr("(a ^ b) | (c & d)")
-        g = manager.add_expr("~(a & ~e)")  # inverted vs the fixture
-        manager.dump({"f": f, "g": g}, forest_path)
+        manager.dump({"f": f, "g": manager.add_expr(g_expr)}, forest_path)
         os.utime(forest_path)
-        after = pool.evaluate_batch(forest_path, "g", batch)
-        stats = pool.stats()
-    assert after == [not value for value in before]
-    assert stats["shm_freezes"] == 2
-    assert stats["shared_segments"] == 1  # the stale segment was retired
+
+    batch = reference_batch(40, seed=23)
+    # Without and with the default result cache: cached answers of the
+    # old forest must not outlive its segment.
+    for options in ({"cache_size": 0}, {}):
+        dump("a & ~e")
+        with ForestPool(workers=2, shared_memory=True, **options) as pool:
+            pool.warm(forest_path)
+            before = pool.evaluate_batch(forest_path, "g", batch)
+            time_mod.sleep(0.01)
+            dump("~(a & ~e)")  # inverted vs the fixture
+            after = pool.evaluate_batch(forest_path, "g", batch)
+            stats = pool.stats()
+        assert after == [not value for value in before], options
+        assert stats["shm_freezes"] == 2
+        assert stats["shared_segments"] == 1  # the stale segment was retired
 
 
 @pytest.mark.timeout(60)
