@@ -425,6 +425,17 @@ class DDManager:
                 product = self.quantify_edge(product, shared, False)
             return product
 
+    def relabel_edge(self, edge, values):
+        """``edge`` under a rename done in place of a rebuild, or None.
+
+        ``values`` maps variable indices to the edges substituted for
+        them.  A backend whose node form lets a pure variable rename
+        reuse the diagram's structure returns the renamed edge; None
+        (this default) sends :meth:`FunctionBase.let` to the general
+        :func:`rebuild_function`.
+        """
+        return None
+
 
 def rebuild_function(manager, root, var_fn, target, memo=None):
     """Rebuild the regular (attribute-free) function of node ``root``
@@ -974,6 +985,11 @@ class FunctionBase:
         the substitution (a vector compose), so values may freely
         mention the substituted variables, and the cost is linear in
         the diagram size — bulk renames of many variables are cheap.
+        A rename that the backend can do structurally
+        (:meth:`DDManager.relabel_edge`: on ``bbdd``, an injective
+        rename keeping the relative order of the support, such as the
+        reachability frame shift) skips the rebuild and costs one node
+        construction per node.
         """
         manager = self.manager
         consts = []
@@ -1011,6 +1027,11 @@ class FunctionBase:
             f = f.restrict(index, bit)
         if not funcs:
             return f
+        renamed = manager.relabel_edge(
+            f.edge, {index: value.edge for index, value in funcs}
+        )
+        if renamed is not None:
+            return self._wrap(renamed)
         # Simultaneous general substitution: rebuild f's diagram with
         # every variable mapped through the substitution (vector
         # compose).  Values are resolved against the *original* f, so

@@ -3,10 +3,9 @@
 The two-operand core lives in
 :meth:`repro.core.manager.BBDDManager.apply_edges`; this module adds the
 derived operations a manipulation package is expected to provide, each as
-a **native, memoized, iterative** procedure that hits the manager's
-computed table directly with tagged cache keys (instead of the historical
-restrict-chain formulations that expanded ``ite`` into three applies and
-``exists`` into two full restricts plus an OR per variable):
+a **native, memoized, iterative** procedure over the biconditional
+expansion that hits the manager's computed table directly with tagged
+cache keys:
 
 * :func:`ite` — if-then-else over a three-operand biconditional
   expansion;
@@ -16,9 +15,16 @@ restrict-chain formulations that expanded ``ite`` into three applies and
   surviving variable);
 * :func:`compose` — substitute a function for a variable (two cached
   restricts + one cached ite);
-* :func:`exists` / :func:`forall` — Boolean quantification, using that a
-  couple's branches are disjoint, so quantifying either couple member
-  reduces to ``d <op> e`` on the children;
+* :func:`exists` / :func:`forall` — Boolean quantification.  Quantifying
+  a couple's primary variable reduces to ``d <op> e`` on the children
+  (the branches are disjoint); quantifying its secondary variable ``w``
+  substitutes it by the surviving primary variable ``v``:
+  ``Q w . H = H[w := ~v] <op> H[w := v]``, and ``w := ~v`` / ``w := v``
+  re-root an operand's top node at ``v`` (:func:`_couple_substitute`);
+* :func:`and_exists` — the fused relational product, on the same two
+  rules;
+* :func:`relabel` — an order-preserving variable rename as one ``_make``
+  per node;
 * :func:`support` — the true functional support (note: in a BBDD the set
   of primary variables of reachable nodes is *not* the support, because a
   secondary variable can cancel along both branches).
@@ -36,7 +42,7 @@ restrict would be exponential).
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.core.computed_table import DisabledComputedTable
 from repro.core.exceptions import BBDDError
@@ -58,8 +64,7 @@ _COMBINE_ITE = 2
 # and_exists lazy-OR frames: the second disjunct is only computed when
 # the first one fails to short-circuit the disjunction to TRUE.
 _ANDEX_ELSE = 4
-_ANDEX_ELSE_SPLIT = 5
-_ANDEX_OR = 6
+_ANDEX_OR = 5
 
 
 def _memo_fns(manager):
@@ -346,10 +351,12 @@ def _quantify_iter(manager, edge: Edge, var: int, op: int) -> Edge:
 
     At a couple ``(v, w)`` the two branches are disjoint, so for any
     combining operator ``Q f = (f|var=0) <op> (f|var=1)`` distributes
-    through the expansion; when ``var`` is either couple member both
-    cofactors select the same pair of children and the node reduces to
-    ``d <op> e`` directly.  Quantification does *not* commute with
-    complement, so memo keys carry the edge sign:
+    through the expansion.  With ``var == v`` both cofactors select the
+    same pair of children and the node reduces to ``d <op> e``; with
+    ``var == w`` the couple's secondary variable is substituted by its
+    primary one, ``Q w . f = d[w := ~v] <op> e[w := v]``
+    (:func:`_couple_substitute`).  Quantification does *not* commute
+    with complement, so memo keys carry the edge sign:
     ``(TAG_QUANT, index, attr, var, op)``.
     """
     bit = 1 << var
@@ -403,12 +410,10 @@ def _quantify_iter(manager, edge: Edge, var: int, op: int) -> Edge:
                 rpush(result)
                 continue
             if svl[node] == var:
-                # The children still depend on the secondary variable, so
-                # the cofactors do not collapse — combine two (cached)
-                # native restricts.
-                signed = -node if attr else node
-                f0 = restrict(manager, signed, var, False)
-                f1 = restrict(manager, signed, var, True)
+                # The children still depend on the secondary variable:
+                # for either value of pv, {~pv, pv} covers both values
+                # of var, so Q var . f = f[var := ~pv] <op> f[var := pv].
+                f0, f1 = _couple_substitute(manager, d, e, pvl[node], var)
                 result = apply_edges(f0, f1, op)
                 insert(key, result)
                 rpush(result)
@@ -440,10 +445,11 @@ def and_exists(manager, f: Edge, g: Edge, variables) -> Edge:
       ``E v . f&g = (f_nq & g_nq) | (f_eq & g_eq)`` — recurse on both
       cofactor pairs and OR the results (existentials distribute over
       the disjunction);
-    * ``w`` quantified — the branching *condition* itself mentions
-      ``w``, which the couple structure cannot absorb: Shannon-split
-      both operands on ``w`` (two cached restricts each) and OR the
-      recursive halves;
+    * ``w`` quantified (``v`` not) — substitute ``w`` by ``v``:
+      ``E w . f&g = (f&g)[w := ~v] | (f&g)[w := v]``, where each
+      substitution re-roots an operand's top node at ``v`` with at most
+      two ``_make`` calls (:func:`_substitute_operand`); recurse on
+      both halves, which no longer mention ``w``, and OR the results;
     * neither quantified — rebuild the couple over the recursive
       children (every effective quantified variable lies strictly
       below ``w``: positions between ``v`` and ``w`` are support-free
@@ -502,20 +508,6 @@ def _and_exists_iter(manager, f: Edge, g: Edge, vlist, vmask: int) -> Edge:
             tpush((_ANDEX_OR, first, b))
             tpush((_CALL, a[0], a[1]))
             continue
-        if tag == _ANDEX_ELSE_SPLIT:
-            first = rpop()
-            if first == SINK:
-                # Short-circuit before even restricting the other half.
-                insert(b, SINK)
-                rpush(SINK)
-                continue
-            tpush((_ANDEX_OR, first, b))
-            tpush((
-                _CALL,
-                restrict(manager, a[0], a[2], False),
-                restrict(manager, a[1], a[2], False),
-            ))
-            continue
         if tag == _ANDEX_OR:
             second = rpop()
             result = apply_edges(a, second, OP_OR)
@@ -568,20 +560,19 @@ def _and_exists_iter(manager, f: Edge, g: Edge, vlist, vmask: int) -> Edge:
         if w is None:  # pragma: no cover - both-literal cases hit f == +-g
             raise BBDDError("no expansion SV: both operands literal at v")
         if vmask >> w & 1 and not vmask >> v & 1:
-            # Only the surviving condition variable is quantified: the
-            # couple structure cannot absorb a quantifier on its own
-            # condition, so Shannon-split both operands on w with cached
-            # restricts and OR the halves — lazily, so a TRUE first half
-            # skips the second half's restricts and recursion entirely.
-            # (With v quantified too the couple expansion below already
-            # covers w — E v alone makes both branches reachable for
-            # every w value.)
-            tpush((_ANDEX_ELSE_SPLIT, (f, g, w), key))
-            tpush((
-                _CALL,
-                restrict(manager, f, w, True),
-                restrict(manager, g, w, True),
-            ))
+            # Only the couple's secondary variable is quantified: for
+            # either value of v, {~v, v} covers both values of w, so
+            # E w . f&g = (f&g)[w := ~v] | (f&g)[w := v].  Each
+            # substitution only re-roots an operand's top node at v,
+            # and neither half mentions w any more.  The halves OR
+            # lazily: a TRUE first half skips the second.  (With v
+            # quantified too the couple expansion below already covers
+            # w — E v alone makes both branches reachable for every w
+            # value.)
+            f0, f1 = _substitute_operand(manager, f, v, w)
+            g0, g1 = _substitute_operand(manager, g, v, w)
+            tpush((_ANDEX_ELSE, (f0, g0), key))
+            tpush((_CALL, f1, g1))
             continue
         f_nq, f_eq = cofactors(fn, v, w)
         g_nq, g_eq = cofactors(gn, v, w)
@@ -603,6 +594,147 @@ def _and_exists_iter(manager, f: Edge, g: Edge, vlist, vmask: int) -> Edge:
             tpush((_CALL, f_nq, g_nq))
             tpush((_CALL, f_eq, g_eq))
     return results[-1]
+
+
+def _couple_substitute(manager, d: Edge, e: Edge, v: int, w: int):
+    """``(d[w := ~v], e[w := v])`` for the children of a couple ``(v, w)``.
+
+    ``d`` and ``e`` never mention ``v`` and are rooted at ``w`` or below,
+    so a function ``H = (v != w) ? d : e`` has ``H[w := ~v] = d[w := ~v]``
+    and ``H[w := v] = e[w := v]``.  A child rooted below ``w`` is
+    unchanged; one rooted at ``w`` re-roots its top node at ``v`` —
+    ``(w, z, a, b)`` becomes ``(v, z, b, a)`` under ``w := ~v`` (since
+    ``~v != z`` iff ``v == z``) and ``(v, z, a, b)`` under ``w := v``.
+    The same swap turns ``lit(w)`` into ``~lit(v)`` / ``lit(v)`` and a
+    span ``(w, z:bot)`` into the complement of ``(v, z:bot)`` / itself
+    (``w`` is never a span middle: it is the expansion's earliest
+    next-visible variable).
+    """
+    pvl = manager._pv
+    svl = manager._sv
+    botl = manager._bot
+    neql = manager._neq
+    eql = manager._eq
+    make_span = manager._make_span
+    dn = -d if d < 0 else d
+    if pvl[dn] == w:
+        x = make_span(v, svl[dn], botl[dn], eql[dn], neql[dn])
+        d = -x if d < 0 else x
+    en = -e if e < 0 else e
+    if pvl[en] == w:
+        x = make_span(v, svl[en], botl[en], neql[en], eql[en])
+        e = -x if e < 0 else x
+    return d, e
+
+
+def _substitute_operand(manager, edge: Edge, v: int, w: int):
+    """``(edge[w := ~v], edge[w := v])`` for an operand of the couple ``(v, w)``.
+
+    An operand that mentions ``w`` is rooted at ``v`` with secondary
+    variable ``w`` or rooted at ``w`` itself (``w`` is the earliest
+    next-visible variable of the expansion), and its couple cofactors
+    are then its stored children (a span splits through its tail) or
+    the operand itself — no node is built for them.
+    """
+    node = -edge if edge < 0 else edge
+    if not manager._supp[node] >> w & 1:
+        return edge, edge
+    d, e = manager._cofactors(node, v, w)
+    if edge < 0:
+        d = -d
+        e = -e
+    return _couple_substitute(manager, d, e, v, w)
+
+
+def relabel(manager, edge: Edge, renames) -> Optional[Edge]:
+    """``edge`` with variables renamed structurally, or None.
+
+    ``renames`` maps variable indices to variable indices (unlisted
+    variables keep their name).  The rename qualifies when it is
+    injective on ``edge``'s support and keeps that support's relative
+    CVO order, as the frame shift of :mod:`repro.reach` does.  Then
+    each couple ``(pv, sv)`` of the support-chained form maps to
+    ``(σ(pv), σ(sv))``, again a pair of consecutive support variables,
+    and the complement attribute ``not f(1, …, 1)`` does not depend on
+    names, so the renamed diagram costs one memoized ``_make`` per node
+    and no apply.  Any other rename returns None, and so does a diagram
+    with a span node, whose parity run is tied to contiguous order
+    positions that a rename need not keep.  Subgraphs that mention no
+    renamed variable are shared, not copied.
+    """
+    moved = 0
+    for var, target in renames.items():
+        if var != target:
+            moved |= 1 << var
+    root = -edge if edge < 0 else edge
+    suppl = manager._supp
+    mask = suppl[root]
+    if not mask & moved:
+        return edge
+    position = manager._order._position
+    last = -1
+    for var in manager._order._order:
+        if mask >> var & 1:
+            p = position[renames.get(var, var)]
+            if p <= last:
+                return None
+            last = p
+    manager._in_op += 1
+    try:
+        result = _relabel_iter(manager, root, renames, moved)
+    finally:
+        manager._in_op -= 1
+    if result is None:
+        return None
+    if edge < 0:
+        result = -result
+    manager._maybe_gc_protect(result)
+    return result
+
+
+def _relabel_iter(manager, root: int, renames, moved: int) -> Optional[Edge]:
+    make = manager._make
+    pvl = manager._pv
+    svl = manager._sv
+    botl = manager._bot
+    neql = manager._neq
+    eql = manager._eq
+    suppl = manager._supp
+    memo: dict = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        if not suppl[node] & moved:
+            memo[node] = node
+            stack.pop()
+            continue
+        pv = pvl[node]
+        sv = svl[node]
+        if sv == SV_ONE:
+            memo[node] = manager.literal_node(renames[pv])
+            stack.pop()
+            continue
+        if botl[node] != sv:
+            return None
+        d = neql[node]
+        dn = -d if d < 0 else d
+        e = eql[node]
+        if dn not in memo or e not in memo:
+            stack.append(dn)
+            stack.append(e)
+            continue
+        stack.pop()
+        d2 = memo[dn]
+        memo[node] = make(
+            renames.get(pv, pv),
+            renames.get(sv, sv),
+            -d2 if d < 0 else d2,
+            memo[e],
+        )
+    return memo[root]
 
 
 def support(manager, edge: Edge) -> frozenset:

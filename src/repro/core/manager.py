@@ -1350,6 +1350,23 @@ class BBDDManager(DDManager):
 
         return _ops.and_exists(self, f, g, variables)
 
+    def relabel_edge(self, edge: Edge, values) -> Optional[Edge]:
+        """Structural rename when every value is a positive literal.
+
+        See :func:`repro.core.apply.relabel`; None for any other
+        substitution, which then takes the general rebuild.
+        """
+        from repro.core import apply as _ops
+
+        svl = self._sv
+        pvl = self._pv
+        renames = {}
+        for var, value in values.items():
+            if value <= SINK or svl[value] != SV_ONE:
+                return None
+            renames[var] = pvl[value]
+        return _ops.relabel(self, edge, renames)
+
     def evaluate_edge(self, edge: Edge, values: Dict[int, bool]) -> bool:
         from repro.core import traversal as _trav
 

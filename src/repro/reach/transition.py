@@ -12,6 +12,15 @@ the current-state and input variables *while* conjoining ``T`` with the
 state set, so the conjunction is never materialized — followed by a
 ``let``-based frame shift renaming every next-state variable back to
 its current-state partner.
+
+On the ``bbdd`` backend both steps stay at node cost.  In the
+interleaved order a current-state variable ``s_i`` is often the second
+member of a couple ``(v, s_i)`` whose first member survives; the
+product then quantifies it by substitution,
+``E s_i . H = H[s_i := ~v] | H[s_i := v]``, which only re-roots the
+operands' top nodes.  The frame shift is injective and keeps the
+relative order of the image's support, so ``let`` relabels the diagram
+one node at a time instead of rebuilding it through ``ite``.
 """
 
 from __future__ import annotations

@@ -187,7 +187,6 @@ class BatchingServer:
 
         async def run_group(name: str, group: list) -> None:
             assignments = [assignment for assignment, _start, _deliver in group]
-            self._batch_size_hist.labels(function=name).observe(len(group))
             try:
                 values = await loop.run_in_executor(
                     None, self.pool.evaluate_batch, self.path, name, assignments
@@ -204,13 +203,20 @@ class BatchingServer:
                     values = [exc] * len(group)
             now = loop.time()
             observe = self._latency_hist.observe
+            answered = False
             for (_assignment, start, deliver), value in zip(group, values):
                 if isinstance(value, Exception):
                     if not isinstance(value, ServeError):
                         value = ServeError(str(value))
                 else:
                     observe(now - start)
+                    answered = True
                 deliver(value)
+            if answered:
+                # Labelled only once the pool has answered a query of the
+                # group: a name the forest does not store fails them all,
+                # so client-chosen names cannot add series.
+                self._batch_size_hist.labels(function=name).observe(len(group))
 
         await asyncio.gather(
             *(run_group(name, group) for name, group in by_name.items())

@@ -192,6 +192,52 @@ def test_and_exists_equals_unfused_chain_reduced(case):
         )
 
 
+def _parity_tower_operand(rng, names):
+    """A random operand around a 5-variable parity tower.
+
+    In chain mode the tower collapses into a span node, so quantifying
+    a couple's secondary variable meets spans rooted at ``v``, rooted
+    at ``w`` and split through their tail.
+    """
+    k = rng.randrange(len(names) - 4)
+    tower = " ^ ".join(names[k : k + 5])
+    a, b = rng.sample(names, 2)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return f"({a} | {b}) & ({tower})"
+    if shape == 1:
+        return f"({tower}) ^ ({a} & {b})"
+    if shape == 2:
+        return f"~({tower})"
+    return f"({a} -> {b}) & ~({tower})"
+
+
+def test_and_exists_chain_spans_match_restrict_oracle():
+    """Parity towers on a chain manager: fused and unfused == restrict-OR.
+
+    The oracle is computed on a plain manager (no spans) by OR-ing the
+    two restricts of each quantified variable in turn.
+    """
+    rng = random.Random(2026)
+    names = [f"v{i}" for i in range(8)]
+    chain = repro.open("bbdd", vars=names, chain_reduce=True)
+    plain = repro.open("bbdd", vars=names)
+    for _case in range(600):
+        f_text = _parity_tower_operand(rng, names)
+        g_text = _parity_tower_operand(rng, names)
+        subset = [name for name in names if rng.getrandbits(1)]
+        oracle = plain.add_expr(f_text) & plain.add_expr(g_text)
+        for name in subset:
+            oracle = oracle.restrict(name, False) | oracle.restrict(name, True)
+        want = oracle.truth_mask(names)
+        f = chain.add_expr(f_text)
+        g = chain.add_expr(g_text)
+        case = (f_text, g_text, subset)
+        assert f.and_exists(g, subset).truth_mask(names) == want, case
+        assert (f & g).exists(subset).truth_mask(names) == want, case
+    chain.check_invariants()
+
+
 # ----------------------------------------------------------------------
 # fixpoint contract
 # ----------------------------------------------------------------------

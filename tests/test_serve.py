@@ -556,6 +556,36 @@ def test_batching_server_pool_failure_fails_group(forest_path):
     assert pool.calls == 1
 
 
+def test_batch_size_series_only_for_stored_names(forest_path):
+    """Unknown function names from clients add no metric series."""
+    from repro import obs
+
+    def series():
+        family = obs.snapshot()["repro_serve_batch_size"]
+        return {sample["labels"]["function"] for sample in family["samples"]}
+
+    before = series()
+
+    async def scenario():
+        pool = ForestPool(workers=0)
+        server = BatchingServer(pool, forest_path, batch_window=0.01)
+        try:
+            unknown = await asyncio.gather(
+                *(server.query(f"nope{i}", {"a": 1}) for i in range(500)),
+                return_exceptions=True,
+            )
+            known = await server.query("g", {"a": 1, "e": 0})
+            return unknown, known
+        finally:
+            pool.close()
+
+    unknown, known = asyncio.run(scenario())
+    assert all(isinstance(result, ServeError) for result in unknown)
+    assert known is True
+    assert series() - before <= {"f", "g"}
+    assert "g" in series()
+
+
 def test_tcp_malformed_query_does_not_fail_batch(forest_path):
     """Over TCP, one client's malformed queries leave another's intact."""
 
