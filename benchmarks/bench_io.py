@@ -1,10 +1,15 @@
 """Persistence benchmarks: dump/load throughput and file size vs. nodes.
 
 Round-trips registry forests through the levelized binary format
-(:mod:`repro.io`): per-circuit round-trip benches, plus a throughput
-gate on the largest registry circuit asserting the subsystem's
-performance contract — combined dump+load at >= 50k nodes/s and a file
-footprint of <= 16 bytes per node.
+(:mod:`repro.io`): per-circuit round-trip benches, plus two gates:
+
+* **Throughput** — on the largest registry circuit, the subsystem's
+  performance contract: combined dump+load at >= 50k nodes/s and a
+  file footprint of <= 16 bytes per node.
+* **Compressed codec** — the v2 ``FLAG_COMPRESSED`` container must be
+  at least 25 % smaller per node than the plain codec's ~4.7 B/node
+  baseline on C1355, with a bit-exact round trip (same node count,
+  canonical plain re-dump identical).
 """
 
 import time
@@ -20,6 +25,10 @@ _ROWS = {row.name: row for row in TABLE1_ROWS}
 
 # Node-heavy fast-profile circuits (misex3 is the largest registry forest).
 _PER_ROW = ["misex3", "C1355", "frg1", "seq", "my_adder", "comp"]
+
+#: The plain codec's historical footprint on registry forests; the
+#: compressed gate is measured against it.
+_PLAIN_BASELINE_B_PER_NODE = 4.7
 
 
 def _forest(name):
@@ -69,7 +78,8 @@ def test_io_throughput_largest_circuit(benchmark, capsys):
     assert reloaded_nodes == nodes  # same order => node-for-node round trip
 
     # The v2 compressed container, for the size trajectory next to the
-    # plain footprint (bench_chain gates the ratio; here it is recorded).
+    # plain footprint (test_compressed_codec_size gates the ratio on
+    # C1355; here it is recorded).
     compressed = rio.dumps(manager, functions, compress=True)
     compressed_manager, compressed_fns = rio.loads(compressed)
     assert compressed_manager.node_count(list(compressed_fns.values())) == nodes
@@ -100,3 +110,44 @@ def test_io_throughput_largest_circuit(benchmark, capsys):
     record_metric("io", "roundtrip_nodes_per_s", round(throughput), "nodes/s")
     assert bytes_per_node <= 16.0
     assert throughput >= 50_000
+
+
+def test_compressed_codec_size(benchmark, capsys):
+    """v2 compressed dumps beat the plain baseline by >= 25 % per node."""
+    name = "C1355"
+    manager, functions, nodes = _forest(name)
+
+    def dumps():
+        plain = rio.dumps(manager, functions)
+        compressed = rio.dumps(manager, functions, compress=True)
+        return plain, compressed
+
+    plain, compressed = benchmark.pedantic(dumps, rounds=1, iterations=1)
+
+    # Bit-exact round trip: the compressed container reloads to the
+    # same canonical forest, whose plain re-dump is byte-identical.
+    reloaded_manager, reloaded = rio.loads(compressed)
+    assert reloaded_manager.node_count(list(reloaded.values())) == nodes
+    assert rio.dumps(reloaded_manager, reloaded) == plain
+
+    plain_bpn = len(plain) / nodes
+    compressed_bpn = len(compressed) / nodes
+    with capsys.disabled():
+        print(
+            f"\ncompressed codec: {name}, {nodes} nodes, "
+            f"plain {plain_bpn:.2f} B/node, compressed {compressed_bpn:.2f} "
+            f"B/node ({100 * (1 - compressed_bpn / plain_bpn):.0f}% smaller)"
+        )
+    record_metric("io", "codec_nodes", nodes, "nodes")
+    record_metric("io", "codec_plain_bytes_per_node", round(plain_bpn, 2), "B/node")
+    record_metric(
+        "io", "codec_compressed_bytes_per_node", round(compressed_bpn, 2), "B/node"
+    )
+    record_metric(
+        "io",
+        "codec_size_reduction_pct",
+        round(100.0 * (1 - compressed_bpn / plain_bpn), 2),
+        "%",
+    )
+    assert compressed_bpn <= 0.75 * _PLAIN_BASELINE_B_PER_NODE
+    assert compressed_bpn <= 0.75 * plain_bpn

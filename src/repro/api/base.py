@@ -27,7 +27,7 @@ this module at class-definition time.
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
+from itertools import chain, count
 from typing import Dict, Iterable, Mapping, Optional, Union
 
 from repro.core.exceptions import BBDDError, ForeignManagerError, VariableError
@@ -79,20 +79,16 @@ class Columns:
     * ``pv`` — the primary variable index;
     * ``sv`` — the secondary variable index, or ``-1`` for a
       single-variable test (literal / Shannon node);
-    * ``bot`` — ``>= 0`` marks a chain-reduced parity span whose partner
-      variables are the order positions from ``sv`` down to ``bot``
-      (``-1`` everywhere else);
     * ``t`` / ``f`` — signed child references for the branch where the
       node's test holds / fails: ``abs(ref)`` is the child slot, a
       negative sign marks a complemented edge.
 
-    The test holds where ``pv != sv`` on couples, where ``pv`` is 1 on
-    single-variable tests, and where ``pv`` plus the partners have odd
-    parity on spans.
+    The test holds where ``pv != sv`` on couples and where ``pv`` is 1
+    on single-variable tests.
 
-    ``blocks`` is a re-iterable of ``(base, pv, sv, bot, t, f)`` column
-    slices in slot order, slot ``base + j`` at index ``j``, with ``bot``
-    None in a span-free block.  In-memory producers hand over one block
+    ``blocks`` is a re-iterable of ``(base, pv, sv, t, f)`` column
+    slices in slot order, slot ``base + j`` at index ``j``.  In-memory
+    producers hand over one block
     from slot 0; a streaming producer hands over one level block at a
     time.  ``pv_of[slot]`` is any slot's primary variable, readable
     before its block arrives (the kernels look up children with it).
@@ -116,10 +112,9 @@ class Columns:
         return pos
 
     def rows(self):
-        """``(slot, pv, sv, bot, t, f)`` per slot, parents first."""
+        """``(slot, pv, sv, t, f)`` per slot, parents first."""
         return chain.from_iterable(
-            zip(count(base), pv, sv, repeat(-1) if bot is None else bot, t, f)
-            for base, pv, sv, bot, t, f in self.blocks
+            zip(count(base), pv, sv, t, f) for base, pv, sv, t, f in self.blocks
         )
 
     def joined(self) -> "Columns":
@@ -127,20 +122,13 @@ class Columns:
         blocks = list(self.blocks)
         if len(blocks) == 1 and blocks[0][0] == 0:
             return self
-        pv, sv, bot, t, f = [0, 0], [-1, -1], [-1, -1], [0, 0], [0, 0]
-        spans = False
-        for _base, bpv, bsv, bbot, bt, bf in blocks:
+        pv, sv, t, f = [0, 0], [-1, -1], [0, 0], [0, 0]
+        for _base, bpv, bsv, bt, bf in blocks:
             pv.extend(bpv)
             sv.extend(bsv)
             t.extend(bt)
             f.extend(bf)
-            if bbot is None:
-                bot.extend([-1] * len(bpv))
-            else:
-                bot.extend(bbot)
-                spans = True
-        block = (0, pv, sv, bot if spans else None, t, f)
-        return Columns(self.order, self.roots, [block], pv)
+        return Columns(self.order, self.roots, [(0, pv, sv, t, f)], pv)
 
 
 class DDManager:
@@ -491,33 +479,10 @@ def rebuild_function(manager, root, var_fn, target, memo=None):
         stack.pop()
         if bbdd_nodes:
             e = true if top.eq.is_sink else memo[top.eq]
-            if top.is_span:
-                # Chain span (pv, sv:bot): f = eq xor pv xor sv ... xor bot
-                # over every order position of the span (the != child is
-                # the complemented = child, so only ``e`` is needed).
-                order = manager.order
-                x = var_fn(top.pv)
-                for p in range(
-                    order.position(top.sv), order.position(top.bot) + 1
-                ):
-                    x = ~x.xnor(var_fn(order.var_at(p)))
-                memo[top] = ~e.xnor(x)
-            else:
-                d = true if top.neq.is_sink else memo[top.neq]
-                if top.neq_attr:
-                    d = ~d
-                memo[top] = var_fn(top.pv).xnor(var_fn(top.sv)).ite(e, d)
-        elif getattr(top, "is_span", False):
-            # Parity span <var:bot>: f = (var xor ... xor bot) XNOR then
-            # (the else-child is the complemented then-child).
-            order = manager.order
-            x = var_fn(top.var)
-            for p in range(
-                order.position(top.var) + 1, order.position(top.bot) + 1
-            ):
-                x = ~x.xnor(var_fn(order.var_at(p)))
-            t = true if top.then.is_sink else memo[top.then]
-            memo[top] = x.xnor(t)
+            d = true if top.neq.is_sink else memo[top.neq]
+            if top.neq_attr:
+                d = ~d
+            memo[top] = var_fn(top.pv).xnor(var_fn(top.sv)).ite(e, d)
         else:
             t = true if top.then.is_sink else memo[top.then]
             e = true if top.else_.is_sink else memo[top.else_]

@@ -1,6 +1,6 @@
 """Boolean expression language for the unified front end.
 
-A small recursive-descent parser over the grammar (precedence low to
+A small operator-precedence parser over the grammar (precedence low to
 high; ``->`` is right-associative, the other binary operators are
 left-associative)::
 
@@ -21,11 +21,12 @@ them): ``\\E x, y: x & y | z`` quantifies the whole disjunction.
 
 The AST is plain tuples — ``('var', name)``, ``('const', bool)``,
 ``('not', e)``, ``('and'|'or'|'xor'|'imp'|'iff', a, b)``,
-``('ite', f, g, h)``, ``('exists'|'forall', [names], e)`` — and
-:func:`add_expr` evaluates it **iteratively** against any
-:class:`~repro.api.base.DDManager` backend, so operator chains of
-arbitrary length (``x0 ^ x1 ^ ... ^ x4000``) build without touching the
-Python recursion limit.
+``('ite', f, g, h)``, ``('exists'|'forall', [names], e)``.  Both the
+parser and :func:`add_expr`, which evaluates the AST against any
+:class:`~repro.api.base.DDManager` backend, run **iteratively** over
+explicit stacks, so operator chains of arbitrary length
+(``x0 ^ x1 ^ ... ^ x4000``) and arbitrarily deep nesting parse and
+build without touching the Python recursion limit.
 """
 
 from __future__ import annotations
@@ -97,8 +98,35 @@ def tokenize(text: str) -> List[Tuple[str, str]]:
     return tokens
 
 
+#: Binary operators: token -> (AST kind, precedence, right-associative).
+_BINARY = {
+    "<->": ("iff", 1, False),
+    "->": ("imp", 2, True),
+    "|": ("or", 3, False),
+    "^": ("xor", 4, False),
+    "&": ("and", 5, False),
+}
+
+#: Operator-stack entries that are not binary operators: a pending
+#: ``~`` and the frames that open a nested ``expr`` (a parenthesized
+#: group, an ``ite`` argument list, a quantifier body).
+_NOT = "~"
+_GROUP = "("
+_ITE = "ite"
+_QUANT = "quant"
+
+
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Operator-precedence parser over the token stream.
+
+    Iterative, like :func:`build`: one operand stack and one operator
+    stack replace the recursive descent, so nesting depth is bounded
+    by memory, not by the Python stack.  Frames on the operator stack
+    mark where each nested ``expr`` began; binary operators reduce only
+    down to the nearest frame.  Tokens are consumed in the same order
+    as the grammar's recursive descent, so the AST and every error
+    message are those of the grammar above.
+    """
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -126,32 +154,6 @@ class _Parser:
                 f"expected {value!r} but found {shown} in {self.text!r}"
             )
 
-    # -- grammar --------------------------------------------------------
-
-    def parse(self) -> tuple:
-        """Parse a full expression; trailing tokens are an error."""
-        ast = self.expr()
-        kind, value = self.peek()
-        if kind != "end":
-            raise ExprError(
-                f"unexpected trailing {value!r} in {self.text!r}"
-            )
-        return ast
-
-    def expr(self) -> tuple:
-        """``expr := quantifier | iff`` (quantifiers scope rightward)."""
-        kind, value = self.peek()
-        if kind == "op" and value in ("\\E", "\\A"):
-            self.next()
-            names = [self.name("quantified variable")]
-            while self.peek() == ("op", ","):
-                self.next()
-                names.append(self.name("quantified variable"))
-            self.expect(":")
-            body = self.expr()
-            return ("exists" if value == "\\E" else "forall", names, body)
-        return self.iff()
-
     def name(self, what: str) -> str:
         """Consume one identifier token (``what`` labels the error)."""
         kind, value = self.next()
@@ -160,77 +162,102 @@ class _Parser:
             raise ExprError(f"expected {what} but found {shown}")
         return value
 
-    def iff(self) -> tuple:
-        """``iff := imp (<-> imp)*`` (left-associative)."""
-        ast = self.imp()
-        while self.peek() == ("op", "<->"):
-            self.next()
-            ast = ("iff", ast, self.imp())
-        return ast
+    # -- grammar --------------------------------------------------------
 
-    def imp(self) -> tuple:
-        """``imp := or (-> imp)?`` (right-associative)."""
-        ast = self.or_()
-        if self.peek() == ("op", "->"):
-            self.next()
-            ast = ("imp", ast, self.imp())  # right-associative
-        return ast
+    def begin_expr(self, ops: list) -> None:
+        """Start an ``expr``: push a frame per leading quantifier."""
+        while self.peek() in (("op", "\\E"), ("op", "\\A")):
+            _kind, value = self.next()
+            names = [self.name("quantified variable")]
+            while self.peek() == ("op", ","):
+                self.next()
+                names.append(self.name("quantified variable"))
+            self.expect(":")
+            ops.append((_QUANT, "exists" if value == "\\E" else "forall", names))
 
-    def or_(self) -> tuple:
-        """``or := xor (| xor)*``."""
-        ast = self.xor()
-        while self.peek() == ("op", "|"):
-            self.next()
-            ast = ("or", ast, self.xor())
-        return ast
-
-    def xor(self) -> tuple:
-        """``xor := and (^ and)*``."""
-        ast = self.and_()
-        while self.peek() == ("op", "^"):
-            self.next()
-            ast = ("xor", ast, self.and_())
-        return ast
-
-    def and_(self) -> tuple:
-        """``and := unary (& unary)*``."""
-        ast = self.unary()
-        while self.peek() == ("op", "&"):
-            self.next()
-            ast = ("and", ast, self.unary())
-        return ast
-
-    def unary(self) -> tuple:
-        """``unary := ~ unary | atom``."""
-        if self.peek() == ("op", "~"):
-            self.next()
-            return ("not", self.unary())
-        return self.atom()
-
-    def atom(self) -> tuple:
-        """``atom := ( expr ) | ite(f, g, h) | TRUE | FALSE | name``."""
-        kind, value = self.next()
-        if kind == "op" and value == "(":
-            ast = self.expr()
-            self.expect(")")
-            return ast
-        if kind == "name":
+    def parse(self) -> tuple:
+        """Parse a full expression; trailing tokens are an error."""
+        operands: list = []
+        ops: list = []
+        self.begin_expr(ops)
+        while True:
+            # Operand position: prefix operators, then one atom.
+            kind, value = self.next()
+            while kind == "op" and value == "~":
+                ops.append((_NOT,))
+                kind, value = self.next()
+            if kind == "op" and value == "(":
+                ops.append((_GROUP,))
+                self.begin_expr(ops)
+                continue
+            if kind != "name":
+                shown = "end of input" if kind == "end" else repr(value)
+                raise ExprError(
+                    f"expected an operand but found {shown} in {self.text!r}"
+                )
             if value == "ite" and self.peek() == ("op", "("):
                 self.next()
-                f = self.expr()
-                self.expect(",")
-                g = self.expr()
-                self.expect(",")
-                h = self.expr()
-                self.expect(")")
-                return ("ite", f, g, h)
+                ops.append([_ITE, 0])
+                self.begin_expr(ops)
+                continue
             if value == "TRUE":
-                return ("const", True)
-            if value == "FALSE":
-                return ("const", False)
-            return ("var", value)
-        shown = "end of input" if kind == "end" else repr(value)
-        raise ExprError(f"expected an operand but found {shown} in {self.text!r}")
+                atom = ("const", True)
+            elif value == "FALSE":
+                atom = ("const", False)
+            else:
+                atom = ("var", value)
+            # Operator position: finish atoms, reduce and close frames
+            # until a binary operator asks for the next operand.
+            while True:
+                while ops and ops[-1][0] == _NOT:
+                    ops.pop()
+                    atom = ("not", atom)
+                operands.append(atom)
+                kind, value = self.peek()
+                binary = _BINARY.get(value) if kind == "op" else None
+                if binary is not None:
+                    self.next()
+                    _kind, prec, right = binary
+                    while ops and ops[-1][0] in _BINARY:
+                        top = _BINARY[ops[-1][0]][1]
+                        if top < prec or (top == prec and right):
+                            break
+                        self.reduce(ops, operands)
+                    ops.append((value,))
+                    break
+                # The innermost expr ends here.
+                while ops and ops[-1][0] in _BINARY:
+                    self.reduce(ops, operands)
+                while ops and ops[-1][0] == _QUANT:
+                    _tag, quant, names = ops.pop()
+                    operands.append((quant, names, operands.pop()))
+                if not ops:
+                    if kind != "end":
+                        raise ExprError(
+                            f"unexpected trailing {value!r} in {self.text!r}"
+                        )
+                    return operands.pop()
+                frame = ops[-1]
+                if frame[0] == _ITE and frame[1] < 2:
+                    self.expect(",")
+                    frame[1] += 1
+                    self.begin_expr(ops)
+                    break
+                self.expect(")")
+                ops.pop()
+                if frame[0] == _ITE:
+                    h = operands.pop()
+                    g = operands.pop()
+                    atom = ("ite", operands.pop(), g, h)
+                else:
+                    atom = operands.pop()
+
+    @staticmethod
+    def reduce(ops: list, operands: list) -> None:
+        """Apply the binary operator on top of ``ops`` to two operands."""
+        b = operands.pop()
+        a = operands.pop()
+        operands.append((_BINARY[ops.pop()[0]][0], a, b))
 
 
 def parse(text: str) -> tuple:

@@ -52,7 +52,6 @@ class BDDManager(DDManager):
         variables: Union[int, Sequence[str]],
         unique_backend: str = "dict",
         computed_backend: str = "dict",
-        chain_reduce: bool = False,
     ) -> None:
         if isinstance(variables, int):
             names = [f"x{i}" for i in range(variables)]
@@ -60,10 +59,6 @@ class BDDManager(DDManager):
             names = list(variables)
         if len(set(names)) != len(names):
             raise VariableError("variable names must be distinct")
-        #: Chain reduction (CBDD): merge adjacent parity-shaped nodes
-        #: into multi-level spans.  Spans are order-relative, so sifting
-        #: is unavailable while this is set.
-        self.chain_reduce = bool(chain_reduce)
         self._names: List[str] = names
         self._index: Dict[str, int] = {n: i for i, n in enumerate(names)}
         self._order = ChainVariableOrder(range(len(names)))
@@ -156,13 +151,7 @@ class BDDManager(DDManager):
             attr = True
             ta = False
             ea = not ea
-        if tn is en and ea:
-            # Parity shape (var, T, ~T) — the degenerate span <var:var>.
-            # _make_span absorbs an adjacent parity child under chain
-            # reduction (keeping spans maximal, hence canonical).
-            node, sattr = self._make_span(var, var, (tn, False))
-            return (node, sattr ^ attr)
-        key = (var, var, tn.uid, en.uid, ea)
+        key = (var, tn.uid, en.uid, ea)
         node = self._unique.lookup(key)
         if node is None:
             node = BDDNode(var, tn, en, ea, self._next_uid())
@@ -174,57 +163,6 @@ class BDDManager(DDManager):
             if self._node_count > self.peak_nodes:
                 self.peak_nodes = self._node_count
         return (node, attr)
-
-    def _make_span(self, var: int, bot: int, t: BDDEdge) -> BDDEdge:
-        """Get-or-create the parity span ``X(var..bot) XNOR t``.
-
-        ``var``/``bot`` bound a contiguous run of order positions;
-        ``bot == var`` is the plain single-level parity node.  Under
-        chain reduction, a then-child that is itself parity-shaped at
-        the position right below ``bot`` is absorbed (each absorption
-        complements the function: ``a XNOR (b XNOR c) = ~((a XOR b)
-        XNOR c)``), which keeps spans maximal — the canonicity
-        invariant for chain-reduced BDDs.
-        """
-        tn, ta = t
-        attr = ta
-        if self.chain_reduce and not tn.is_sink:
-            position = self._order.position
-            if (
-                tn.then is tn.else_
-                and tn.else_attr
-                and position(tn.var) == position(bot) + 1
-            ):
-                bot = tn.bot
-                tn = tn.then
-                attr = not attr
-        key = (var, bot, tn.uid, tn.uid, True)
-        node = self._unique.lookup(key)
-        if node is None:
-            node = BDDNode(var, tn, tn, True, self._next_uid(), bot=bot)
-            self._unique.insert(key, node)
-            tn.ref += 2
-            self._by_var[var].add(node)
-            self._node_count += 1
-            if self._node_count > self.peak_nodes:
-                self.peak_nodes = self._node_count
-        return (node, attr)
-
-    def _span_tail(self, node: BDDNode) -> BDDEdge:
-        """The span's function once its top variable is factored out:
-        ``tail = X(var+ .. bot) XNOR then`` (``var+`` the next order
-        position); the span denotes ``x_var ? ~tail : tail``."""
-        p = self._order.position(node.var)
-        return self._make_span(
-            self._order._order[p + 1], node.bot, (node.then, False)
-        )
-
-    def _shannon_cofactors(self, node: BDDNode):
-        """``(then_edge, else_edge)`` of a node, peeling spans one level."""
-        if node.bot != node.var:
-            tn, ta = self._span_tail(node)
-            return (tn, not ta), (tn, ta)
-        return (node.then, False), (node.else_, node.else_attr)
 
     # ------------------------------------------------------------------
     # iterative apply (Shannon expansion)
@@ -315,12 +253,12 @@ class BDDManager(DDManager):
             pg = position(gn.var)
             if pf <= pg:
                 var = fn.var
-                f_t, f_e = self._shannon_cofactors(fn)
+                f_t, f_e = (fn.then, False), (fn.else_, fn.else_attr)
             else:
                 var = gn.var
                 f_t = f_e = (fn, False)
             if pg <= pf:
-                g_t, g_e = self._shannon_cofactors(gn)
+                g_t, g_e = (gn.then, False), (gn.else_, gn.else_attr)
             else:
                 g_t = g_e = (gn, False)
 
@@ -423,39 +361,22 @@ class BDDManager(DDManager):
                 if not child.is_sink and child not in seen:
                     seen.add(child)
                     stack.append(child)
-        order = self.order
-        position = order.position
+        position = self.order.position
         nodes.sort(key=lambda n: (position(n.var), n.uid))
         ids = {node: 2 + i for i, node in enumerate(nodes)}
         ids[self.sink] = 1
         pv = [0, 0]
         sv = [-1, -1]
-        bot = [-1, -1]
         t = [0, 0]
         f = [0, 0]
-        has_span = False
         for node in nodes:
             pv.append(node.var)
-            t_ref = ids[node.then]
-            if node.bot != node.var:
-                # Parity span <var:bot> = X(var..bot) XNOR then: the
-                # t-branch (odd parity) is the then-edge, the f-branch
-                # its complement.  sv carries the first partner so the
-                # frozen layout can rebuild the partner run sv..bot.
-                sv.append(order.var_at(position(node.var) + 1))
-                bot.append(node.bot)
-                has_span = True
-                t.append(t_ref)
-                f.append(-t_ref)
-                continue
             sv.append(-1)
-            bot.append(-1)
-            t.append(t_ref)
+            t.append(ids[node.then])
             f_ref = ids[node.else_]
             f.append(-f_ref if node.else_attr else f_ref)
         roots = {name: -ids[node] if attr else ids[node] for name, (node, attr) in named}
-        block = (0, pv, sv, bot if has_span else None, t, f)
-        return Columns(order.order, roots, [block], pv)
+        return Columns(self.order.order, roots, [(0, pv, sv, t, f)], pv)
 
     def compiled_root(self, edge: BDDEdge) -> Columns:
         """:meth:`freeze_export` of one root, kept by the computed table.
@@ -515,17 +436,8 @@ class BDDManager(DDManager):
 
     def evaluate(self, edge: BDDEdge, values: Dict[int, bool]) -> bool:
         node, attr = edge
-        position = self._order.position
-        order_seq = self._order._order
         while not node.is_sink:
-            if node.bot != node.var:
-                # Span: f = X(var..bot) ? then : ~then.
-                x = bool(values[node.var])
-                for p in range(position(node.var) + 1, position(node.bot) + 1):
-                    x ^= bool(values[order_seq[p]])
-                attr ^= not x
-                node = node.then
-            elif values[node.var]:
+            if values[node.var]:
                 node = node.then
             else:
                 attr ^= node.else_attr
@@ -690,14 +602,8 @@ class BDDManager(DDManager):
             if node.then is node.else_ and not node.else_attr:
                 raise InvariantViolation(f"identical children: {node!r}")
             pos = order.position(node.var)
-            bot_pos = order.position(node.bot)
-            if node.bot != node.var:
-                if not (node.then is node.else_ and node.else_attr):
-                    raise InvariantViolation(f"span not parity-shaped: {node!r}")
-                if bot_pos <= pos:
-                    raise InvariantViolation(f"span bottom above top: {node!r}")
             for child in (node.then, node.else_):
-                if not child.is_sink and order.position(child.var) <= bot_pos:
+                if not child.is_sink and order.position(child.var) <= pos:
                     raise InvariantViolation(f"order violation {node!r} -> {child!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

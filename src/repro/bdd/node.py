@@ -16,26 +16,9 @@ SINK_VAR = -2
 
 
 class BDDNode:
-    """A single ROBDD node (mutable only through the manager).
+    """A single ROBDD node (mutable only through the manager)."""
 
-    ``bot`` supports chain-reduced parity spans (CBDD-style, following
-    Bryant's chain reduction): a node with ``bot != var`` denotes
-    ``f = (x_var XOR x_sv XOR ... XOR x_bot) XNOR then`` over the
-    *contiguous* run of order positions from ``var`` down to ``bot``
-    inclusive, stored with ``else_ is then`` and ``else_attr`` set (the
-    parity shape).  Plain Shannon nodes have ``bot == var``.
-    """
-
-    __slots__ = (
-        "var",
-        "bot",
-        "then",
-        "else_",
-        "else_attr",
-        "ref",
-        "uid",
-        "__weakref__",
-    )
+    __slots__ = ("var", "then", "else_", "else_attr", "ref", "uid", "__weakref__")
 
     def __init__(
         self,
@@ -44,10 +27,8 @@ class BDDNode:
         else_: Optional["BDDNode"],
         else_attr: bool,
         uid: int,
-        bot: Optional[int] = None,
     ) -> None:
         self.var = var
-        self.bot = var if bot is None else bot
         self.then = then
         self.else_ = else_
         self.else_attr = else_attr
@@ -58,19 +39,14 @@ class BDDNode:
     def is_sink(self) -> bool:
         return self.var == SINK_VAR
 
-    @property
-    def is_span(self) -> bool:
-        return self.bot != self.var
-
     def key(self) -> tuple:
-        return (self.var, self.bot, self.then.uid, self.else_.uid, self.else_attr)
+        return (self.var, self.then.uid, self.else_.uid, self.else_attr)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_sink:
             return "<bdd-sink-1>"
-        span = f":{self.bot}" if self.bot != self.var else ""
         return (
-            f"<bdd v{self.var}{span} uid={self.uid} ref={self.ref} "
+            f"<bdd v{self.var} uid={self.uid} ref={self.ref} "
             f"t={self.then.uid} e={self.else_.uid}{'~' if self.else_attr else ''}>"
         )
 

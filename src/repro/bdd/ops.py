@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.bdd.node import BDDEdge, BDDNode
 from repro.core.apply import _memo_fns
-from repro.core.operations import OP_AND, OP_OR, OP_XNOR
+from repro.core.operations import OP_AND, OP_OR
 
 #: Computed-table tags (aligned with repro.core.apply's scheme).
 TAG_RESTRICT = 17
@@ -27,27 +27,7 @@ TAG_ANDEX = 19
 
 _CALL = 0
 _COMBINE = 1
-_COMBINE_SPAN = 2
-_COMBINE_OR = 3
-
-
-def _span_minus_var(manager, node: BDDNode, var: int) -> BDDEdge:
-    """``X(span vars minus var) XNOR then`` — a span's cofactor shape.
-
-    Restricting any span variable to 0 leaves the parity over the
-    remaining span variables (to 1, its complement).  Built with plain
-    applies so it re-canonicalizes under the manager's current rules.
-    """
-    position = manager._order.position
-    order_seq = manager._order._order
-    parity = None
-    for p in range(position(node.var), position(node.bot) + 1):
-        v2 = order_seq[p]
-        if v2 == var:
-            continue
-        lit = manager.literal_edge(v2)
-        parity = lit if parity is None else manager.xor_edges(parity, lit)
-    return manager.apply_edges(parity, (node.then, False), OP_XNOR)
+_COMBINE_OR = 2
 
 
 def restrict(manager, edge: BDDEdge, var, value: bool) -> BDDEdge:
@@ -84,23 +64,6 @@ def restrict(manager, edge: BDDEdge, var, value: bool) -> BDDEdge:
             if cached is not None:
                 rpush(cached)
                 continue
-            if node.bot != node.var:
-                # Parity span <var:bot>.
-                if position(node.bot) >= target_pos:
-                    # var is one of the span's variables: the cofactor
-                    # is the parity over the remaining span variables
-                    # (complemented when restricting to 1).
-                    rn, ra = _span_minus_var(manager, node, var)
-                    result = (rn, ra ^ value)
-                else:
-                    # var lives below the span: restrict the then-child
-                    # and rebuild the span around it.
-                    tpush((_COMBINE_SPAN, node, key))
-                    tpush((_CALL, node.then, None))
-                    continue
-                insert(key, result)
-                rpush(result)
-                continue
             if node.var == var:
                 result = (
                     (node.then, False) if value else (node.else_, node.else_attr)
@@ -111,11 +74,6 @@ def restrict(manager, edge: BDDEdge, var, value: bool) -> BDDEdge:
             tpush((_COMBINE, node, key))
             tpush((_CALL, node.then, None))
             tpush((_CALL, node.else_, None))
-            continue
-        if tag == _COMBINE_SPAN:
-            result = manager._make_span(node.var, node.bot, rpop())
-            insert(key, result)
-            rpush(result)
             continue
         t = rpop()
         en, ea = rpop()
@@ -190,17 +148,6 @@ def _quantify_one(manager, edge: BDDEdge, var: int, op: int) -> BDDEdge:
             if cached is not None:
                 rpush(cached)
                 continue
-            if node.bot != node.var:
-                # Parity span: both cofactors are complements when var
-                # is a span variable (the quantification is constant);
-                # otherwise fall back to two span-aware restricts.
-                signed = (node, attr)
-                f0 = restrict(manager, signed, var, False)
-                f1 = restrict(manager, signed, var, True)
-                result = apply_edges(f0, f1, op)
-                insert(key, result)
-                rpush(result)
-                continue
             if node.var == var:
                 result = apply_edges(
                     (node.then, attr), (node.else_, attr ^ node.else_attr), op
@@ -228,8 +175,7 @@ def and_exists(manager, f: BDDEdge, g: BDDEdge, variables) -> BDDEdge:
     quantified the Shannon branches OR directly (existentials
     distribute over the disjunction), elsewhere the node rebuilds over
     the recursive children.  Subgraphs rooted entirely below the
-    deepest quantified variable collapse to a plain cached AND, and a
-    parity span at ``v`` cofactors through two span-aware restricts.
+    deepest quantified variable collapse to a plain cached AND.
     Memoized ``(TAG_ANDEX, f_uid, f_attr, g_uid, g_attr, vmask)`` with
     the commutative operands in canonical order.
     """
@@ -307,17 +253,11 @@ def and_exists(manager, f: BDDEdge, g: BDDEdge, variables) -> BDDEdge:
         v = fn.var if f_pos <= g_pos else gn.var
         if f_pos > v_pos:
             f1 = f0 = f
-        elif fn.bot != fn.var:
-            f1 = restrict(manager, f, v, True)
-            f0 = restrict(manager, f, v, False)
         else:
             f1 = (fn.then, fa)
             f0 = (fn.else_, fa ^ fn.else_attr)
         if g_pos > v_pos:
             g1 = g0 = g
-        elif gn.bot != gn.var:
-            g1 = restrict(manager, g, v, True)
-            g0 = restrict(manager, g, v, False)
         else:
             g1 = (gn.then, ga)
             g0 = (gn.else_, ga ^ gn.else_attr)
@@ -338,8 +278,6 @@ def support(manager, edge: BDDEdge) -> frozenset:
     removed by reduction), so the support is exactly the set of labels.
     """
     node, _attr = edge
-    position = manager._order.position
-    order_seq = manager._order._order
     seen = set()
     vars_ = set()
     stack: List[BDDNode] = [] if node.is_sink else [node]
@@ -348,12 +286,7 @@ def support(manager, edge: BDDEdge) -> frozenset:
         if n in seen:
             continue
         seen.add(n)
-        if n.bot != n.var:
-            # A parity span depends on every variable it covers.
-            for p in range(position(n.var), position(n.bot) + 1):
-                vars_.add(order_seq[p])
-        else:
-            vars_.add(n.var)
+        vars_.add(n.var)
         for child in (n.then, n.else_):
             if not child.is_sink:
                 stack.append(child)
@@ -371,22 +304,10 @@ def sat_one_edge(manager, edge: BDDEdge) -> Optional[Dict[int, bool]]:
     node, attr = edge
     if node.is_sink:
         return {} if not attr else None
-    position = manager._order.position
-    order_seq = manager._order._order
     values: Dict[int, bool] = {}
-
-    def assign(n: BDDNode, bit: bool) -> None:
-        # A span needs its whole variable run assigned: parity ``bit``
-        # with the top variable carrying it and the rest cleared.
-        values[n.var] = bit
-        if n.bot != n.var:
-            for p in range(position(n.var) + 1, position(n.bot) + 1):
-                values[order_seq[p]] = False
-
     while True:
         # Then-edges of stored nodes are regular, so the then-branch
-        # parity is the incoming attribute itself (for a span the
-        # then-branch is the X=1 side, the else-branch X=0).
+        # parity is the incoming attribute itself.
         branches = (
             (node.then, attr, True),
             (node.else_, attr ^ node.else_attr, False),
@@ -395,7 +316,7 @@ def sat_one_edge(manager, edge: BDDEdge) -> Optional[Dict[int, bool]]:
         for child, child_attr, bit in branches:
             if child.is_sink:
                 if not child_attr:
-                    assign(node, bit)
+                    values[node.var] = bit
                     return values
             elif descend is None:
                 descend = (child, child_attr, bit)
@@ -403,7 +324,6 @@ def sat_one_edge(manager, edge: BDDEdge) -> Optional[Dict[int, bool]]:
             # Both children are sinks of the wrong parity — impossible
             # for a canonical node; defensive for corrupt DAGs.
             return None
-        child, child_attr, bit = descend
-        assign(node, bit)
-        attr = child_attr
+        child, attr, bit = descend
+        values[node.var] = bit
         node = child

@@ -34,12 +34,6 @@ def swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats] = None) -> Non
     n = manager.num_vars
     if not 0 <= k < n - 1:
         raise OrderError(f"cannot swap positions {k},{k + 1} of {n}")
-    if getattr(manager, "chain_reduce", False):
-        raise OrderError(
-            "cannot swap adjacent variables while chain reduction is "
-            "active: parity spans are defined relative to the current "
-            "order (expand spans or migrate to a plain manager first)"
-        )
     x = order.var_at(k)
     y = order.var_at(k + 1)
 
@@ -87,7 +81,6 @@ def swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats] = None) -> Non
         old_children = (node.then, node.else_)
         manager._by_var[node.var].discard(node)
         node.var = y
-        node.bot = y
         manager._by_var[y].add(node)
         node.then = tn
         node.else_ = en

@@ -232,16 +232,11 @@ def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
     make = manager._make
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    span_tail = manager._span_tail
     results: List[Edge] = []
     rpush = results.append
     rpop = results.pop
-    # _CALL frames carry a node index; combine frames carry the virtual
-    # couple ``(pv, sv, d_neg, e_neg)`` instead, so span nodes (whose
-    # stored children are not the couple's children) expand uniformly.
     tasks: List[tuple] = [(_CALL, root, None)]
     tpush = tasks.append
     tpop = tasks.pop
@@ -264,18 +259,10 @@ def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
                 insert(key, result)
                 rpush(result)
                 continue
-            if botl[node] != sv:
-                # Span (pv, sv:bot, -T, T): behave as the virtual couple
-                # (pv, sv) over the span tail T.  ``var`` may be pv, sv
-                # or any span middle — the middle case recurses into T,
-                # which mentions it.
-                t = span_tail(node)
-                d, e = -t, t
-            else:
-                d = neql[node]
-                e = eql[node]
             if pv == var:
                 # Children never mention pv: collapse the condition on sv.
+                d = neql[node]
+                e = eql[node]
                 w_lit = manager.literal_edge(sv)
                 result = (
                     ite(manager, w_lit, e, d)
@@ -286,26 +273,24 @@ def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
                 rpush(result)
                 continue
             combine = _COMBINE_ITE if sv == var else _COMBINE
-            tpush((combine, (pv, sv, d < 0, e < 0), key))
+            tpush((combine, node, key))
+            d = neql[node]
             tpush((_CALL, -d if d < 0 else d, None))
-            tpush((_CALL, -e if e < 0 else e, None))
+            tpush((_CALL, eql[node], None))
             continue
-        pv, sv, d_neg, e_neg = node
         d2 = rpop()
         e2 = rpop()
-        if d_neg:
+        if neql[node] < 0:
             d2 = -d2
-        if e_neg:
-            e2 = -e2
         if tag == _COMBINE_ITE:
-            v_lit = manager.literal_edge(pv)
+            v_lit = manager.literal_edge(pvl[node])
             result = (
                 ite(manager, v_lit, e2, d2)
                 if value
                 else ite(manager, v_lit, d2, e2)
             )
         else:
-            result = make(pv, sv, d2, e2)
+            result = make(pvl[node], svl[node], d2, e2)
         insert(key, result)
         rpush(result)
     return results[-1]
@@ -369,10 +354,8 @@ def _quantify_iter(manager, edge: Edge, var: int, op: int) -> Edge:
     apply_edges = manager.apply_edges
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    span_tail = manager._span_tail
     results: List[Edge] = []
     rpush = results.append
     rpop = results.pop
@@ -390,16 +373,8 @@ def _quantify_iter(manager, edge: Edge, var: int, op: int) -> Edge:
             if cached is not None:
                 rpush(cached)
                 continue
-            if svl[node] != SV_ONE and botl[node] != svl[node]:
-                # Span (pv, sv:bot, -T, T): quantify the virtual couple
-                # (pv, sv) whose children are -T / T (span middles live
-                # inside T, so the generic recursion reaches them).
-                t = span_tail(node)
-                d0, e0 = -t, t
-            else:
-                d0, e0 = neql[node], eql[node]
-            d = -d0 if attr else d0
-            e = -e0 if attr else e0
+            d = -neql[node] if attr else neql[node]
+            e = -eql[node] if attr else eql[node]
             if pvl[node] == var:
                 # Children never mention the primary variable, and the
                 # same surviving condition selects both cofactors:
@@ -605,24 +580,20 @@ def _couple_substitute(manager, d: Edge, e: Edge, v: int, w: int):
     unchanged; one rooted at ``w`` re-roots its top node at ``v`` —
     ``(w, z, a, b)`` becomes ``(v, z, b, a)`` under ``w := ~v`` (since
     ``~v != z`` iff ``v == z``) and ``(v, z, a, b)`` under ``w := v``.
-    The same swap turns ``lit(w)`` into ``~lit(v)`` / ``lit(v)`` and a
-    span ``(w, z:bot)`` into the complement of ``(v, z:bot)`` / itself
-    (``w`` is never a span middle: it is the expansion's earliest
-    next-visible variable).
+    The same swap turns ``lit(w)`` into ``~lit(v)`` / ``lit(v)``.
     """
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    make_span = manager._make_span
+    make = manager._make
     dn = -d if d < 0 else d
     if pvl[dn] == w:
-        x = make_span(v, svl[dn], botl[dn], eql[dn], neql[dn])
+        x = make(v, svl[dn], eql[dn], neql[dn])
         d = -x if d < 0 else x
     en = -e if e < 0 else e
     if pvl[en] == w:
-        x = make_span(v, svl[en], botl[en], neql[en], eql[en])
+        x = make(v, svl[en], neql[en], eql[en])
         e = -x if e < 0 else x
     return d, e
 
@@ -633,8 +604,8 @@ def _substitute_operand(manager, edge: Edge, v: int, w: int):
     An operand that mentions ``w`` is rooted at ``v`` with secondary
     variable ``w`` or rooted at ``w`` itself (``w`` is the earliest
     next-visible variable of the expansion), and its couple cofactors
-    are then its stored children (a span splits through its tail) or
-    the operand itself — no node is built for them.
+    are then its stored children or the operand itself — no node is
+    built for them.
     """
     node = -edge if edge < 0 else edge
     if not manager._supp[node] >> w & 1:
@@ -657,10 +628,8 @@ def relabel(manager, edge: Edge, renames) -> Optional[Edge]:
     ``(σ(pv), σ(sv))``, again a pair of consecutive support variables,
     and the complement attribute ``not f(1, …, 1)`` does not depend on
     names, so the renamed diagram costs one memoized ``_make`` per node
-    and no apply.  Any other rename returns None, and so does a diagram
-    with a span node, whose parity run is tied to contiguous order
-    positions that a rename need not keep.  Subgraphs that mention no
-    renamed variable are shared, not copied.
+    and no apply.  Any other rename returns None.  Subgraphs that
+    mention no renamed variable are shared, not copied.
     """
     moved = 0
     for var, target in renames.items():
@@ -684,19 +653,16 @@ def relabel(manager, edge: Edge, renames) -> Optional[Edge]:
         result = _relabel_iter(manager, root, renames, moved)
     finally:
         manager._in_op -= 1
-    if result is None:
-        return None
     if edge < 0:
         result = -result
     manager._maybe_gc_protect(result)
     return result
 
 
-def _relabel_iter(manager, root: int, renames, moved: int) -> Optional[Edge]:
+def _relabel_iter(manager, root: int, renames, moved: int) -> Edge:
     make = manager._make
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
     suppl = manager._supp
@@ -717,8 +683,6 @@ def _relabel_iter(manager, root: int, renames, moved: int) -> Optional[Edge]:
             memo[node] = manager.literal_node(renames[pv])
             stack.pop()
             continue
-        if botl[node] != sv:
-            return None
         d = neql[node]
         dn = -d if d < 0 else d
         e = eql[node]

@@ -35,13 +35,6 @@ def to_dot(manager, functions, names: Iterable[str] = ()) -> str:
             lines.append(
                 f"  n{node.uid} [shape=box, label=\"{manager.var_name(node.pv)}\"];"
             )
-        elif getattr(node, "is_span", False):
-            # Chain-reduced span: condition covers sv..bot inclusive.
-            lines.append(
-                f"  n{node.uid} [shape=ellipse, peripheries=2, "
-                f"label=\"{manager.var_name(node.pv)},"
-                f"{manager.var_name(node.sv)}:{manager.var_name(node.bot)}\"];"
-            )
         else:
             lines.append(
                 f"  n{node.uid} [shape=ellipse, "

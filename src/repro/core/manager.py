@@ -133,15 +133,6 @@ class BBDDManager(DDManager):
     gc_min_nodes:
         Minimum stored-node count before automatic GC considers running
         (keeps small working sets collection-free).
-    chain_reduce:
-        Enable Bryant-style chain reduction (off by default): linear
-        couples over contiguous order positions collapse into single
-        *span* nodes ``(pv, sv:bot)`` denoting
-        ``f = e xor x_pv xor x_sv xor ... xor x_bot``.  Span nodes are
-        first-class in the store (the ``_bot`` column records the chain
-        bottom; plain couples have ``bot == sv``) and every walker
-        interprets them; the flag only controls whether ``_make``
-        *creates* them.
     """
 
     #: Registry name of this backend in the repro.api front end.
@@ -155,7 +146,6 @@ class BBDDManager(DDManager):
         auto_gc: bool = True,
         gc_threshold: float = 0.5,
         gc_min_nodes: int = 1024,
-        chain_reduce: bool = False,
     ) -> None:
         if isinstance(variables, int):
             names = [f"x{i}" for i in range(variables)]
@@ -171,15 +161,11 @@ class BBDDManager(DDManager):
         # always have an observable sign), slot 1 the immortal sink.
         self._pv: List[int] = [0, SINK_VAR]
         self._sv: List[int] = [0, SV_ONE]
-        #: Chain-bottom variable of each slot's span; ``bot == sv`` for
-        #: plain couples, ``SV_ONE`` for literals and the sink.
-        self._bot: List[int] = [0, SV_ONE]
         self._neq: List[int] = [0, 0]
         self._eq: List[int] = [0, 0]
         self._ref: List[int] = [0, 1]
         self._supp: List[int] = [0, 0]
         self._float = bytearray((0, 0))
-        self.chain_reduce = bool(chain_reduce)
         #: Swept slot indices available for recycling by ``_make``.
         self._free_nodes: List[int] = []
         #: Interned read-only views (index -> BBDDNode), popped on sweep.
@@ -306,11 +292,10 @@ class BBDDManager(DDManager):
         return view
 
     def node_fields(self, index: int):
-        """``(pv, sv, bot, neq_edge, eq_edge)`` of one slot (io/debug helper)."""
+        """``(pv, sv, neq_edge, eq_edge)`` of one slot (io/debug helper)."""
         return (
             self._pv[index],
             self._sv[index],
-            self._bot[index],
             self._neq[index],
             self._eq[index],
         )
@@ -319,14 +304,6 @@ class BBDDManager(DDManager):
         """The unique-table key of a stored slot (derived, not stored)."""
         if self._sv[index] == SV_ONE:
             return (self._pv[index], SV_ONE)
-        if self._bot[index] != self._sv[index]:
-            return (
-                self._pv[index],
-                self._sv[index],
-                self._bot[index],
-                self._neq[index],
-                self._eq[index],
-            )
         return (
             self._pv[index],
             self._sv[index],
@@ -391,7 +368,6 @@ class BBDDManager(DDManager):
                 node = free.pop()
                 self._pv[node] = var
                 self._sv[node] = SV_ONE
-                self._bot[node] = SV_ONE
                 self._neq[node] = -SINK
                 self._eq[node] = SINK
                 self._ref[node] = 0
@@ -400,7 +376,6 @@ class BBDDManager(DDManager):
                 node = len(self._pv)
                 self._pv.append(var)
                 self._sv.append(SV_ONE)
-                self._bot.append(SV_ONE)
                 self._neq.append(-SINK)
                 self._eq.append(SINK)
                 self._ref.append(0)
@@ -442,12 +417,9 @@ class BBDDManager(DDManager):
         if edge < 0:
             neq = -neq
             eq = -eq
-        # The chain bottom is part of the view: two span roots with
-        # equal (sv, children) but different bots denote different
-        # functions.
         if value == 0:
-            return (self._sv[node], self._bot[node], neq, eq)
-        return (self._sv[node], self._bot[node], eq, neq)
+            return (self._sv[node], neq, eq)
+        return (self._sv[node], eq, neq)
 
     def _bind_hot(self) -> None:
         """(Re)bind the allocation hot-path tuple.
@@ -461,7 +433,6 @@ class BBDDManager(DDManager):
         self._hot = (
             self._pv,
             self._sv,
-            self._bot,
             self._neq,
             self._eq,
             self._ref,
@@ -501,7 +472,6 @@ class BBDDManager(DDManager):
         (
             pvl,
             svl,
-            botl,
             neql,
             eql,
             refl,
@@ -515,7 +485,6 @@ class BBDDManager(DDManager):
             by_sv,
         ) = self._hot
         unique = self._unique
-        chain = self.chain_reduce
         attr = False
         while True:
             if d == e:
@@ -569,18 +538,7 @@ class BBDDManager(DDManager):
                     else:
                         dneq = neql[dn]
                         deq = eql[dn]
-                    # Span children must also agree on the chain bottom
-                    # (vacuously true for plain couples, bot == sv).
-                    if (
-                        dneq == eql[e]
-                        and deq == neql[e]
-                        and botl[dn] == botl[e]
-                    ):
-                        if botl[dn] != sd:
-                            # Span children: the re-chained result keeps
-                            # their span, f = dneq ^ x_pv ^ X[sd..bot].
-                            node = self._make_span(pv, sd, botl[dn], deq, dneq)
-                            return -node if attr else node
+                    if dneq == eql[e] and deq == neql[e]:
                         # Re-chain: f = (pv = t) ? A : B with A/B = d's
                         # children.
                         sv = sd
@@ -588,32 +546,12 @@ class BBDDManager(DDManager):
                         e = dneq
                         continue
             break
-        if chain and d == -e and svl[e] != SV_ONE:
-            # Chain merge (Bryant t:b reduction): a linear couple whose
-            # =-child is itself linear and sits at the next two order
-            # positions collapses into one span node.  Children are
-            # canonical (hence maximal), so a single step suffices.
-            # (e is regular after normalization, and svl[SINK] == SV_ONE
-            # keeps the sink out.)
-            en = e
-            if neql[en] == -eql[en]:
-                position = self._order._position
-                p = position[sv]
-                if (
-                    position[pvl[en]] == p + 1
-                    and position[svl[en]] == p + 2
-                ):
-                    node = self._make_span(
-                        pv, sv, botl[en], neql[en], eql[en]
-                    )
-                    return -node if attr else node
         supp = bits[pv] | bits[sv] | suppl[dn] | suppl[e]
         if free:
             # Recycle a swept slot: no array growth, fresh identity.
             node = free.pop()
             pvl[node] = pv
             svl[node] = sv
-            botl[node] = sv
             neql[node] = d
             eql[node] = e
             refl[node] = 0
@@ -622,7 +560,6 @@ class BBDDManager(DDManager):
             node = len(pvl)
             pvl.append(pv)
             svl.append(sv)
-            botl.append(sv)
             neql.append(d)
             eql.append(e)
             refl.append(0)
@@ -658,124 +595,6 @@ class BBDDManager(DDManager):
             self.peak_nodes = self._node_count
         return -node if attr else node
 
-    def _make_span(self, pv: int, sv: int, bot: int, d: Edge, e: Edge) -> Edge:
-        """Get-or-create the span node ``(pv, sv:bot, d, e)``.
-
-        A span node collapses a maximal linear chain: it denotes
-        ``f = e xor x_pv xor X`` with ``X`` the XOR of the variables at
-        every order position from ``sv`` down to ``bot`` (an odd count,
-        so extensions step by two positions).  Invariants: ``d == -e``
-        and the stored ``=``-edge is regular; the unique key carries
-        ``bot`` as a fifth component.
-        """
-        if bot == sv:
-            return self._make(pv, sv, d, e)
-        (
-            pvl,
-            svl,
-            botl,
-            neql,
-            eql,
-            refl,
-            fl,
-            suppl,
-            bits,
-            raw,
-            free,
-            dead_set,
-            by_pv,
-            by_sv,
-        ) = self._hot
-        attr = False
-        if e < 0:
-            attr = True
-            d = -d
-            e = -e
-        if d != -e:
-            raise BBDDError("span node children must be a complement pair")
-        position = self._order._position
-        order_seq = self._order._order
-        # Merge-extension: the =-child may continue the chain right below
-        # ``bot``.  Canonical children make a single step sufficient.
-        if svl[e] != SV_ONE and neql[e] == -eql[e]:
-            p = position[bot]
-            if position[pvl[e]] == p + 1 and position[svl[e]] == p + 2:
-                bot = botl[e]
-                d = neql[e]
-                e = eql[e]
-        key = (pv, sv, bot, d, e)
-        unique = self._unique
-        unique._lookups += 1
-        node = raw.get(key)
-        if node is not None:
-            unique._hits += 1
-            return -node if attr else node
-        dn = -d if d < 0 else d
-        supp = bits[pv] | suppl[dn] | suppl[e]
-        for p in range(position[sv], position[bot] + 1):
-            supp |= bits[order_seq[p]]
-        if free:
-            node = free.pop()
-            pvl[node] = pv
-            svl[node] = sv
-            botl[node] = bot
-            neql[node] = d
-            eql[node] = e
-            refl[node] = 0
-            suppl[node] = supp
-        else:
-            node = len(pvl)
-            pvl.append(pv)
-            svl.append(sv)
-            botl.append(bot)
-            neql.append(d)
-            eql.append(e)
-            refl.append(0)
-            suppl.append(supp)
-            fl.append(0)
-        fl[node] = 1
-        raw[key] = node
-        r = refl[dn]
-        if r:
-            refl[dn] = r + 1
-        elif fl[dn]:
-            fl[dn] = 0
-            refl[dn] = 1
-            dead_set.discard(dn)
-        else:
-            self._ref_index(dn)
-        r = refl[e]
-        if r:
-            refl[e] = r + 1
-        elif fl[e]:
-            fl[e] = 0
-            refl[e] = 1
-            dead_set.discard(e)
-        else:
-            self._ref_index(e)
-        by_pv[pv].add(node)
-        by_sv[sv].add(node)
-        self._node_count += 1
-        dead_set.add(node)
-        if self._node_count > self.peak_nodes:
-            self.peak_nodes = self._node_count
-        return -node if attr else node
-
-    def _span_tail(self, node: int) -> Edge:
-        """The span node's function below its top couple.
-
-        For a span ``(v, sv:bot, d, e)`` this is
-        ``T = e xor X[sv+1 .. bot]`` — the residue once ``x_v xor x_sv``
-        is factored out: the node denotes ``(x_v xor x_sv) ? -T : T``.
-        """
-        position = self._order._position
-        order_seq = self._order._order
-        p = position[self._sv[node]]
-        e = self._eq[node]
-        return self._make_span(
-            order_seq[p + 1], order_seq[p + 2], self._bot[node], -e, e
-        )
-
     # ------------------------------------------------------------------
     # biconditional cofactors (includes Algorithm 1's chain transform)
     # ------------------------------------------------------------------
@@ -800,20 +619,6 @@ class BBDDManager(DDManager):
         if self._sv[node] == SV_ONE:
             lw = self.literal_node(w)
             return -lw, lw
-        if self._bot[node] != self._sv[node]:
-            # Span node (v, sv:bot, -T', T').  ``w`` is the earliest
-            # next-visible variable across the operands, and this span's
-            # next-visible variable is its sv, so ``w`` is never a span
-            # middle: either w == sv (peel the top couple off the span)
-            # or w lies above sv (re-root the whole span at w).
-            if self._sv[node] == w:
-                t = self._span_tail(node)
-                return -t, t
-            f_eq = self._make_span(
-                w, self._sv[node], self._bot[node],
-                self._neq[node], self._eq[node],
-            )
-            return -f_eq, f_eq
         if self._sv[node] == w:
             return self._neq[node], self._eq[node]
         d_edge = self._neq[node]
@@ -878,10 +683,7 @@ class BBDDManager(DDManager):
         occur — the complement attribute makes the negation free.
         """
         position = self._order._position  # bound dict: hot-path lookups
-        # The terminal-substitution fast path inlines the node
-        # constructor without the chain-merge rule, so it is plain-mode
-        # only.
-        identity = self._order.is_identity and not self.chain_reduce
+        identity = self._order.is_identity
         cache = self._cache
         raw = cache._table if type(cache).__name__ == "DictComputedTable" else None
         if raw is None:
@@ -897,7 +699,6 @@ class BBDDManager(DDManager):
         make = self._make
         pvl = self._pv
         svl = self._sv
-        botl = self._bot
         neql = self._neq
         eql = self._eq
         suppl = self._supp
@@ -1017,15 +818,6 @@ class BBDDManager(DDManager):
                 lw = self.literal_node(w)
                 f_nq = -lw
                 f_eq = lw
-            elif botl[fn] != svl[fn]:
-                # Span operand: peel or re-root (see _cofactors).
-                if svl[fn] == w:
-                    f_eq = self._span_tail(fn)
-                else:
-                    f_eq = self._make_span(
-                        w, svl[fn], botl[fn], neql[fn], eql[fn]
-                    )
-                f_nq = -f_eq
             elif svl[fn] == w:
                 f_nq = neql[fn]
                 f_eq = eql[fn]
@@ -1040,14 +832,6 @@ class BBDDManager(DDManager):
                 lw = self.literal_node(w)
                 g_nq = -lw
                 g_eq = lw
-            elif botl[gn] != svl[gn]:
-                if svl[gn] == w:
-                    g_eq = self._span_tail(gn)
-                else:
-                    g_eq = self._make_span(
-                        w, svl[gn], botl[gn], neql[gn], eql[gn]
-                    )
-                g_nq = -g_eq
             elif svl[gn] == w:
                 g_nq = neql[gn]
                 g_eq = eql[gn]
@@ -1118,7 +902,6 @@ class BBDDManager(DDManager):
         apply_inner = self._apply
         pvl = self._pv
         svl = self._sv
-        botl = self._bot
         neql = self._neq
         eql = self._eq
         refl = self._ref
@@ -1186,7 +969,6 @@ class BBDDManager(DDManager):
                             new = free.pop()
                             pvl[new] = pv
                             svl[new] = sv
-                            botl[new] = sv
                             neql[new] = -en
                             eql[new] = en
                             refl[new] = 0
@@ -1195,7 +977,6 @@ class BBDDManager(DDManager):
                             new = len(pvl)
                             pvl.append(pv)
                             svl.append(sv)
-                            botl.append(sv)
                             neql.append(-en)
                             eql.append(en)
                             refl.append(0)
@@ -1392,13 +1173,9 @@ class BBDDManager(DDManager):
         slots[SINK] = 1
         pv = [0, 0]
         sv = [-1, -1]
-        bot = [-1, -1]
         t = [0, 0]
         f = [0, 0]
-        has_span = False
-        pvl, svl, botl, neql, eql = (
-            self._pv, self._sv, self._bot, self._neq, self._eq,
-        )
+        pvl, svl, neql, eql = self._pv, self._sv, self._neq, self._eq
         for node in ordered:
             d = neql[node]
             neq_ref = slots[d] if d > 0 else -slots[-d]
@@ -1411,29 +1188,19 @@ class BBDDManager(DDManager):
                 # Literal (R4) node: the test is the variable itself, so
                 # the always-regular ``=``-edge (pv == 1) is the t-branch
                 # and the ``!=``-edge the f-branch.
-                bot.append(-1)
                 t.append(eq_ref)
                 f.append(neq_ref)
                 continue
-            # bot >= 0 marks a span in the column form; plain couples
-            # (bot == sv in the store) stay at -1 so the column is
-            # dropped exactly when the forest has no spans.
-            if botl[node] != s:
-                bot.append(botl[node])
-                has_span = True
-            else:
-                bot.append(-1)
             t.append(neq_ref)
             f.append(eq_ref)
         roots = {name: slots[e] if e > 0 else -slots[-e] for name, e in named}
-        block = (0, pv, sv, bot if has_span else None, t, f)
-        return Columns(self.order.order, roots, [block], pv)
+        return Columns(self.order.order, roots, [(0, pv, sv, t, f)], pv)
 
     def compiled_root(self, edge: Edge) -> Columns:
         """:meth:`freeze_export` of one root, kept by the computed table.
 
-        Every table clear (GC, CVO swaps, checkpoint rewinds, chain
-        rewrites) drops it with the apply entries.  The variable count
+        Every table clear (GC, CVO swaps, checkpoint rewinds) drops it
+        with the apply entries.  The variable count
         is part of the key: :meth:`new_var` changes every count without
         clearing anything.
         """
@@ -1461,16 +1228,6 @@ class BBDDManager(DDManager):
         for pv, sv, rel in reversed(path):
             if rel == "0" or rel == "1":
                 values[pv] = rel == "1"
-            elif type(sv) is tuple:
-                # Span constraint: x_pv xor x_sv xor ... xor x_bot is
-                # pinned; unpinned partners default to False and pv
-                # absorbs the parity.
-                acc = False
-                for partner in sv:
-                    if partner not in values:
-                        values[partner] = False
-                    acc ^= values[partner]
-                values[pv] = (not acc) if rel == "!=" else acc
             else:
                 if sv not in values:
                     values[sv] = False
@@ -1490,161 +1247,10 @@ class BBDDManager(DDManager):
         return _trav.count_nodes(self, edges)
 
     def sift(self, **kwargs):
-        """Reorder variables with Rudell's sifting (see repro.core.reorder).
-
-        In chain mode the reordering surgery only understands plain
-        couples (and span membership is defined by contiguous *order*
-        positions, which the swaps change), so spans are expanded to
-        plain chains around the sift and re-merged at the final order.
-        """
+        """Reorder variables with Rudell's sifting (see repro.core.reorder)."""
         from repro.core.reorder import sift as _sift
 
-        if not self.chain_reduce:
-            return _sift(self, **kwargs)
-        self.expand_chains()
-        self.chain_reduce = False
-        try:
-            result = _sift(self, **kwargs)
-        finally:
-            self.chain_reduce = True
-            self.reduce_chains()
-        return result
-
-    def expand_chains(self) -> int:
-        """Rewrite every span node in place as a plain linear chain.
-
-        Each span ``(pv, sv:bot, -T', T')`` becomes the plain couple
-        ``(pv, sv, -T, T)`` with ``T`` the freshly built tail chain of
-        linear couples over the span's inner positions — the same
-        function, so parents and computed-table entries stay valid and
-        no polarity changes leak out.  Garbage is collected first
-        (including floating nodes) so every surviving node is live and
-        the child-reference transfer is exact.  Returns the number of
-        spans expanded.
-        """
-        self.gc()
-        saved = self.chain_reduce
-        self.chain_reduce = False
-        position = self._order._position
-        order_seq = self._order._order
-        pvl = self._pv
-        svl = self._sv
-        botl = self._bot
-        neql = self._neq
-        eql = self._eq
-        suppl = self._supp
-        bits = self._var_bits
-        raw = self._uniq_raw
-        make = self._make
-        expanded = 0
-        self._in_op += 1
-        try:
-            spans = [
-                n
-                for n in list(raw.values())
-                if svl[n] != SV_ONE and botl[n] != svl[n]
-            ]
-            for n in spans:
-                pv = pvl[n]
-                sv = svl[n]
-                e = eql[n]
-                del raw[(pv, sv, botl[n], neql[n], e)]
-                p = position[sv]
-                pb = position[botl[n]]
-                t = e
-                for q in range(pb - 1, p, -2):
-                    t = make(order_seq[q], order_seq[q + 1], -t, t)
-                tn = -t if t < 0 else t
-                newkey = (pv, sv, -t, t)
-                other = raw.get(newkey)
-                if other is not None and other != n:
-                    raise BBDDError(
-                        f"span expansion key collision: {newkey} -> {other}"
-                    )
-                # Transfer the two child holds from the old =-child onto
-                # the tail root (the tail keeps the old child alive).
-                self._ref_index(tn)
-                self._ref_index(tn)
-                self._deref_index(e)
-                self._deref_index(e)
-                neql[n] = -t
-                eql[n] = t
-                botl[n] = sv
-                suppl[n] = bits[pv] | bits[sv] | suppl[tn]
-                raw[newkey] = n
-                self._views.pop(n, None)
-                expanded += 1
-        finally:
-            self._in_op -= 1
-            self.chain_reduce = saved
-        return expanded
-
-    def reduce_chains(self) -> int:
-        """Re-merge linear chains into span nodes in place, deepest first.
-
-        The inverse of :meth:`expand_chains`, applied at the *current*
-        order: a linear couple whose ``=``-child is a linear node at the
-        next two order positions absorbs that child's span (the child
-        itself dies once unreferenced).  Deepest-first processing makes
-        children maximal before their parents are examined, so a single
-        step per node reaches the canonical chain-reduced form.
-        Function-preserving and in place, like the expansion.  Returns
-        the number of merges performed.
-        """
-        self.gc()
-        position = self._order._position
-        pvl = self._pv
-        svl = self._sv
-        botl = self._bot
-        neql = self._neq
-        eql = self._eq
-        raw = self._uniq_raw
-        merged = 0
-        self._in_op += 1
-        try:
-            nodes = [n for n in raw.values() if svl[n] != SV_ONE]
-            nodes.sort(key=lambda n: position[pvl[n]], reverse=True)
-            for n in nodes:
-                if self._ref[n] <= 0:
-                    continue  # died as an absorbed chain link
-                if neql[n] != -eql[n]:
-                    continue
-                child = eql[n]  # regular by storage
-                if svl[child] == SV_ONE or neql[child] != -eql[child]:
-                    continue
-                pb = position[botl[n]]
-                if (
-                    position[pvl[child]] != pb + 1
-                    or position[svl[child]] != pb + 2
-                ):
-                    continue
-                pv = pvl[n]
-                sv = svl[n]
-                tail = eql[child]
-                tn = -tail if tail < 0 else tail
-                newbot = botl[child]
-                newkey = (pv, sv, newbot, -tail, tail)
-                if raw.get(newkey) is not None:
-                    raise BBDDError(
-                        f"chain reduction key collision: {newkey}"
-                    )
-                if botl[n] != sv:
-                    del raw[(pv, sv, botl[n], neql[n], eql[n])]
-                else:
-                    del raw[(pv, sv, neql[n], eql[n])]
-                self._ref_index(tn)
-                self._ref_index(tn)
-                self._deref_index(child)
-                self._deref_index(child)
-                neql[n] = -tail
-                eql[n] = tail
-                botl[n] = newbot
-                raw[newkey] = n
-                self._views.pop(n, None)
-                merged += 1
-        finally:
-            self._in_op -= 1
-        return merged
+        return _sift(self, **kwargs)
 
     # ------------------------------------------------------------------
     # memory management (Sec. IV-A3)
@@ -1815,7 +1421,6 @@ class BBDDManager(DDManager):
         return (
             self._pv[:],
             self._sv[:],
-            self._bot[:],
             self._neq[:],
             self._eq[:],
             self._ref[:],
@@ -1833,11 +1438,10 @@ class BBDDManager(DDManager):
 
     def _restore(self, state) -> None:
         """Rewind the node store to a :meth:`_checkpoint` snapshot."""
-        (pv, sv, bot, neq, eq, ref, supp, float_, raw, by_pv, by_sv,
+        (pv, sv, neq, eq, ref, supp, float_, raw, by_pv, by_sv,
          literals, free, dead, node_count, order) = state
         self._pv = list(pv)
         self._sv = list(sv)
-        self._bot = list(bot)
         self._neq = list(neq)
         self._eq = list(eq)
         self._ref = list(ref)
@@ -1877,7 +1481,6 @@ class BBDDManager(DDManager):
         raw = self._uniq_raw
         pvl = self._pv
         svl = self._sv
-        botl = self._bot
         neql = self._neq
         eql = self._eq
         refl = self._ref
@@ -1898,12 +1501,7 @@ class BBDDManager(DDManager):
                     refl[SINK] -= 2
                 fl[node] = 0
                 continue
-            if botl[node] != svl[node]:
-                del raw[
-                    (pvl[node], svl[node], botl[node], neql[node], eql[node])
-                ]
-            else:
-                del raw[(pvl[node], svl[node], neql[node], eql[node])]
+            del raw[(pvl[node], svl[node], neql[node], eql[node])]
             self._by_pv[pvl[node]].discard(node)
             self._by_sv[svl[node]].discard(node)
             if fl[node]:
@@ -1938,7 +1536,6 @@ class BBDDManager(DDManager):
         """
         pvl = self._pv
         svl = self._sv
-        botl = self._bot
         neql = self._neq
         eql = self._eq
         refl = self._ref
@@ -1967,10 +1564,7 @@ class BBDDManager(DDManager):
                     refl[SINK] -= 2
                 fl[n] = 0
             else:
-                if botl[n] != svl[n]:
-                    del raw[(pvl[n], svl[n], botl[n], neql[n], eql[n])]
-                else:
-                    del raw[(pvl[n], svl[n], neql[n], eql[n])]
+                del raw[(pvl[n], svl[n], neql[n], eql[n])]
                 by_pv[pvl[n]].discard(n)
                 by_sv[svl[n]].discard(n)
                 d = neql[n]
@@ -2002,7 +1596,6 @@ class BBDDManager(DDManager):
         """
         pvl = self._pv
         svl = self._sv
-        botl = self._bot
         neql = self._neq
         eql = self._eq
         refl = self._ref
@@ -2027,10 +1620,7 @@ class BBDDManager(DDManager):
                 del self._literals[pvl[n]]
                 refl[SINK] -= 2  # the fixed sink children
             else:
-                if botl[n] != svl[n]:
-                    del raw[(pvl[n], svl[n], botl[n], neql[n], eql[n])]
-                else:
-                    del raw[(pvl[n], svl[n], neql[n], eql[n])]
+                del raw[(pvl[n], svl[n], neql[n], eql[n])]
                 by_pv[pvl[n]].discard(n)
                 by_sv[svl[n]].discard(n)
                 d = neql[n]
@@ -2164,14 +1754,12 @@ class BBDDManager(DDManager):
         order = self._order
         pvl = self._pv
         svl = self._sv
-        botl = self._bot
         neql = self._neq
         eql = self._eq
         refl = self._ref
         fl = self._float
         suppl = self._supp
         raw = self._uniq_raw
-        order_seq = self._order._order
         for key, node in list(raw.items()):
             if self._node_key(node) != key:
                 raise InvariantViolation(
@@ -2202,21 +1790,6 @@ class BBDDManager(DDManager):
                 raise InvariantViolation(
                     f"R2 violation (identical children): {self.node_view(node)!r}"
                 )
-            bot_pos = sv_pos
-            if botl[node] != svl[node]:
-                # Span node: the chain bottom lies strictly below the SV
-                # by an even number of positions (odd span length) and
-                # the children are a complement pair.
-                bot_pos = order.position(botl[node])
-                if bot_pos <= sv_pos or (bot_pos - sv_pos) % 2:
-                    raise InvariantViolation(
-                        f"malformed span on {self.node_view(node)!r}"
-                    )
-                if d != -e:
-                    raise InvariantViolation(
-                        f"span children not a complement pair: "
-                        f"{self.node_view(node)!r}"
-                    )
             dn = -d if d < 0 else d
             for child in (dn, e):
                 if refl[child] < 0 or (child != SINK and child not in (
@@ -2225,7 +1798,7 @@ class BBDDManager(DDManager):
                     raise InvariantViolation(
                         f"dangling child index: {node} -> {child}"
                     )
-                if child != SINK and order.position(pvl[child]) < bot_pos:
+                if child != SINK and order.position(pvl[child]) < sv_pos:
                     raise InvariantViolation(
                         f"child order violation: {self.node_view(node)!r} -> "
                         f"{self.node_view(child)!r}"
@@ -2257,8 +1830,6 @@ class BBDDManager(DDManager):
             expected_supp = (
                 (1 << pvl[node]) | (1 << svl[node]) | suppl[dn] | suppl[e]
             )
-            for span_pos in range(sv_pos + 1, bot_pos + 1):
-                expected_supp |= 1 << order_seq[span_pos]
             if suppl[node] != expected_supp:
                 raise InvariantViolation(
                     f"support mask mismatch: {self.node_view(node)!r}"

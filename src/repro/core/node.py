@@ -108,11 +108,6 @@ class BBDDNode:
         return self.manager._supp[self.index]
 
     @property
-    def bot(self) -> int:
-        """Chain-bottom variable of this node's span (== ``sv`` when plain)."""
-        return self.manager._bot[self.index]
-
-    @property
     def uid(self) -> int:
         """Stable identity of this node — its array index."""
         return self.index
@@ -154,25 +149,6 @@ class BBDDNode:
         """True for regular two-variable biconditional nodes."""
         return self.index != SINK and self.manager._sv[self.index] != SV_ONE
 
-    @property
-    def is_span(self) -> bool:
-        """True for chain-reduced nodes whose SV spans several levels.
-
-        A span node ``(pv, sv:bot, d, e)`` collapses the linear chain of
-        couples between ``sv`` and ``bot`` (Bryant-style ``t:b`` chain
-        reduction): it denotes ``f = e xor S`` with
-        ``S = x_pv xor x_sv xor ... xor x_bot`` over every order
-        position from ``sv`` down to ``bot``.  Plain couples have
-        ``bot == sv``.
-        """
-        if self.index == SINK:
-            return False
-        manager = self.manager
-        return (
-            manager._sv[self.index] != SV_ONE
-            and manager._bot[self.index] != manager._sv[self.index]
-        )
-
     def key(self) -> tuple:
         """The unique-table key of this node's slot.
 
@@ -181,21 +157,11 @@ class BBDDNode:
         ``CVO-level`` field, and keying by the variable pair keeps
         unaffected nodes stable across re-ordering.  Literal nodes are
         keyed by ``(pv, SV_ONE)`` alone (their children are fixed).
-        Span nodes carry the chain-bottom variable as a fifth key
-        component.
         """
         manager = self.manager
         index = self.index
         if manager._sv[index] == SV_ONE:
             return (manager._pv[index], SV_ONE)
-        if manager._bot[index] != manager._sv[index]:
-            return (
-                manager._pv[index],
-                manager._sv[index],
-                manager._bot[index],
-                manager._neq[index],
-                manager._eq[index],
-            )
         return (
             manager._pv[index],
             manager._sv[index],
@@ -221,12 +187,6 @@ class BBDDNode:
         try:
             if self.is_literal:
                 return f"<lit v{self.pv} uid={self.index} ref={self.ref}>"
-            if self.is_span:
-                return (
-                    f"<node (v{self.pv},v{self.sv}:v{self.bot}) "
-                    f"uid={self.index} ref={self.ref} "
-                    f"neq={self.neq_edge} eq={self.eq_edge}>"
-                )
             return (
                 f"<node (v{self.pv},v{self.sv}) uid={self.index} "
                 f"ref={self.ref} neq={self.neq_edge} eq={self.eq_edge}>"

@@ -98,23 +98,12 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
     if not 0 <= k < n - 1:
         raise OrderError(f"cannot swap positions {k},{k + 1} of {n}")
 
-    if getattr(manager, "chain_reduce", False):
-        # Spans are order-relative (their middle variables are implied
-        # by current positions); swapping under them corrupts functions.
-        # BBDDManager.sift() expands chains and drops the flag first.
-        raise OrderError(
-            "cannot swap adjacent variables while chain reduction is "
-            "active; call expand_chains() (and clear chain_reduce) first, "
-            "or use sift(), which wraps the swap plan in chain expansion"
-        )
-
     x = order.var_at(k)
     y = order.var_at(k + 1)
     y_bit = 1 << y
 
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
     refl = manager._ref
@@ -371,7 +360,6 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
         old_e = eql[node]
         by_sv_y.discard(node)
         svl[node] = x
-        botl[node] = x
         neql[node] = d_child
         eql[node] = e_child
         dn = -d_child if d_child < 0 else d_child
@@ -505,7 +493,6 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
         old_e = eql[node]
         by_sv_x.discard(node)
         svl[node] = y
-        botl[node] = y
         neql[node] = d_child
         eql[node] = e_child
         dn = -d_child if d_child < 0 else d_child

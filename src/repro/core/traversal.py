@@ -19,29 +19,19 @@ def evaluate(manager, edge: Edge, values: Mapping[int, bool]) -> bool:
 
     Follows one root-to-sink path: at a chain node take the ``!=``-edge
     when ``values[pv] != values[sv]``; at a literal node the ``=``-edge
-    corresponds to ``pv == 1`` (the paper's fictitious SV).  A chain
-    span ``(pv, sv:bot)`` tests the parity of ``pv`` and every span
-    variable (``sv`` down to ``bot`` in the order) — odd parity takes
-    the ``!=``-edge.  Complement attributes along the path toggle the
-    result.
+    corresponds to ``pv == 1`` (the paper's fictitious SV).  Complement
+    attributes along the path toggle the result.
     """
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    order = manager.order
     attr = edge < 0
     node = -edge if attr else edge
     while node != SINK:
         sv = svl[node]
         if sv == SV_ONE:
             take_neq = not values[pvl[node]]
-        elif botl[node] != sv:
-            acc = values[pvl[node]]
-            for p in range(order.position(sv), order.position(botl[node]) + 1):
-                acc ^= values[order.var_at(p)]
-            take_neq = acc
         else:
             take_neq = values[pvl[node]] != values[sv]
         if take_neq:
@@ -95,19 +85,14 @@ def iter_paths(
     *actually on the path* — under the support-chained CVO this is the
     function's next support variable, not necessarily the global order's
     neighbour) or ``"1"``/``"0"`` for literal nodes (``sv`` is None).
-    A chain span's constraint carries a *tuple* of partner variables
-    (``sv`` down to ``bot``): ``"!="`` means odd parity of PV plus the
-    partners, ``"=="`` even parity.
     ``value`` is the sink value after complement attributes.  Iterative
     (explicit DFS stack), so arbitrarily deep chains enumerate without
     touching the Python recursion limit.
     """
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    order = manager.order
     stack: List[Tuple[int, bool, dict]] = [(-edge if edge < 0 else edge, edge < 0, {})]
     while stack:
         node, attr, constraints = stack.pop()
@@ -121,17 +106,6 @@ def iter_paths(
             branches = (
                 (dn, attr ^ (d < 0), ("0", None)),
                 (eql[node], attr, ("1", None)),
-            )
-        elif botl[node] != sv:
-            partners = tuple(
-                order.var_at(p)
-                for p in range(
-                    order.position(sv), order.position(botl[node]) + 1
-                )
-            )
-            branches = (
-                (dn, attr ^ (d < 0), ("!=", partners)),
-                (eql[node], attr, ("==", partners)),
             )
         else:
             branches = (
@@ -152,9 +126,7 @@ def find_sat_path(manager, edge: Edge, want: bool = True) -> Optional[List[tuple
 
     Returns the path as ``(pv, sv, rel)`` triples (root first) with
     ``rel`` in ``{"0", "1", "==", "!="}`` and ``sv`` the couple partner on
-    the path (None for literal nodes, a tuple of partner variables for
-    chain spans — parity semantics as in :func:`iter_paths`), or None
-    when no such path exists.
+    the path (None for literal nodes), or None when no such path exists.
 
     Runs in O(depth): every internal node of a canonical BBDD denotes a
     non-constant function, so descending into *any* non-sink child keeps
@@ -162,10 +134,8 @@ def find_sat_path(manager, edge: Edge, want: bool = True) -> Optional[List[tuple
     """
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    order = manager.order
     attr = edge < 0
     node = -edge if attr else edge
     if node == SINK:
@@ -181,13 +151,6 @@ def find_sat_path(manager, edge: Edge, want: bool = True) -> Optional[List[tuple
                 (eql[node], attr, "1", None),
             )
         else:
-            if botl[node] != sv:
-                sv = tuple(
-                    order.var_at(p)
-                    for p in range(
-                        order.position(sv), order.position(botl[node]) + 1
-                    )
-                )
             branches = (
                 (dn, attr ^ (d < 0), "!=", sv),
                 (eql[node], attr, "==", sv),
@@ -253,19 +216,14 @@ def levelize(manager, edges: Iterable[Edge]) -> List[Tuple[int, List[int]]]:
 def structural_profile(manager, edges: Iterable[Edge]) -> Dict[str, int]:
     """Summary statistics of a forest (used by reports and examples)."""
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     nodes = reachable_nodes(manager, edges)
     chain = sum(1 for n in nodes if svl[n] != SV_ONE)
     literal = len(nodes) - chain
     complemented = sum(1 for n in nodes if svl[n] != SV_ONE and neql[n] < 0)
-    spans = sum(
-        1 for n in nodes if svl[n] != SV_ONE and botl[n] != svl[n]
-    )
     return {
         "nodes": len(nodes),
         "chain_nodes": chain,
         "literal_nodes": literal,
-        "span_nodes": spans,
         "complemented_neq_edges": complemented,
     }

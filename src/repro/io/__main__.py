@@ -8,9 +8,9 @@ prints a header-level summary of each dump — format version, flags,
 backend kind, variable count, per-level node counts and the on-disk
 compactness (bytes per node) — without decoding a single node record
 (see :func:`repro.io.stream.scan`).  Works on every readable container:
-v1, v2 chain-span and v2 compressed, both BBDD and baseline-BDD record
-kinds.  Exits non-zero (with the error on stderr) when a file is
-missing, truncated or not a ``.bbdd`` container at all.
+v1 and v2 compressed, both BBDD and baseline-BDD record kinds.  Exits
+non-zero (with the error on stderr) when a file is missing, truncated,
+chain-reduced or not a ``.bbdd`` container at all.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import sys
 from typing import List, Optional
 
 from repro.core.exceptions import BBDDError
-from repro.io.format import FLAG_BDD, FLAG_CHAIN, FLAG_COMPRESSED
+from repro.io.format import FLAG_BDD, FLAG_COMPRESSED
 from repro.io.stream import FileInfo, scan
 
 #: Flag bit -> human label, in print order.
 _FLAG_NAMES = (
     (FLAG_BDD, "bdd"),
-    (FLAG_CHAIN, "chain"),
     (FLAG_COMPRESSED, "compressed"),
 )
 

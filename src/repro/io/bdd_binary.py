@@ -15,12 +15,8 @@ numbered in file order (level blocks deepest first), so every reference
 points strictly backwards and a sequential reader always sees a node's
 children before the node itself.
 
-Version 2 containers extend the grammar (see :mod:`repro.io.format`):
-with ``FLAG_CHAIN`` every record is prefixed by a ``span_delta`` varint
-(0 for plain Shannon records); a span record (``span_delta >= 1``)
-denotes the parity span ``X(top..top+span_delta) XNOR then`` and stores
-only ``then_ref`` (the else-edge is its complement by construction).
-With ``FLAG_COMPRESSED`` child refs are delta-coded against the
+Version 2 containers (see :mod:`repro.io.format`) set
+``FLAG_COMPRESSED``: child refs are delta-coded against the
 record's own file id and level payloads pass through one shared
 deflate stream (sync-flushed per level, so block sizes stay exact).
 
@@ -38,10 +34,8 @@ from typing import Dict, List, Mapping, Tuple
 from repro.bdd.function import BDDFunction
 from repro.bdd.node import BDDEdge, BDDNode
 from repro.core.exceptions import VariableError
-from repro.core.operations import OP_XNOR
 from repro.io.format import (
     FLAG_BDD,
-    FLAG_CHAIN,
     FLAG_COMPRESSED,
     FormatError,
     Header,
@@ -111,8 +105,7 @@ def dump(manager, functions, target, compress: bool = False) -> None:
     """Write a BDD forest to ``target`` (a path or binary file object).
 
     ``compress=True`` writes a v2 ``FLAG_COMPRESSED`` container
-    (delta-coded refs + shared deflate stream); parity spans in the
-    forest switch the record grammar (``FLAG_CHAIN``) automatically.
+    (delta-coded refs + shared deflate stream).
     """
     from repro.io.binary import check_dump_args
 
@@ -136,15 +129,7 @@ def _dump_file(
     manager, named: List[Tuple[str, BDDEdge]], fileobj, compress: bool = False
 ) -> None:
     levels = _levelized(manager, [edge for _name, edge in named])
-    position = manager.order.position
-    has_span = any(
-        node.bot != node.var for _pos, nodes in levels for node in nodes
-    )
-    flags = FLAG_BDD
-    if has_span:
-        flags |= FLAG_CHAIN
-    if compress:
-        flags |= FLAG_COMPRESSED
+    flags = (FLAG_BDD | FLAG_COMPRESSED) if compress else FLAG_BDD
     header = Header(
         names=list(manager.var_names),
         order=list(manager.order.order),
@@ -167,18 +152,8 @@ def _dump_file(
                 then_ref = delta_ref(then_ref, next_id)
                 else_ref = delta_ref(else_ref, next_id)
             next_id += 1
-            if has_span:
-                span_delta = (
-                    position(node.bot) - pos if node.bot != node.var else 0
-                )
-                encode_varint(span_delta, payload)
-                encode_varint(then_ref, payload)
-                if span_delta == 0:
-                    encode_varint(else_ref, payload)
-                # Span records imply else = ~then: no else_ref stored.
-            else:
-                encode_varint(then_ref, payload)
-                encode_varint(else_ref, payload)
+            encode_varint(then_ref, payload)
+            encode_varint(else_ref, payload)
         data = bytes(payload)
         if compressor is not None:
             data = compressor.compress(data)
@@ -257,7 +232,6 @@ def _load_file(fileobj, manager, rename: Rename):
 
     n = len(var_at)
     expected = header.node_count
-    chain = bool(header.flags & FLAG_CHAIN)
     decompressor = (
         PayloadDecompressor() if header.flags & FLAG_COMPRESSED else None
     )
@@ -276,41 +250,19 @@ def _load_file(fileobj, manager, rename: Rename):
         var = var_at[position]
         offset = 0
         for _ in range(level_count):
-            span_delta = 0
-            if chain:
-                span_delta, offset = decode_varint(payload, offset)
             then_ref, offset = decode_varint(payload, offset)
+            else_ref, offset = decode_varint(payload, offset)
             if decompressor is not None:
                 then_ref = undelta_ref(then_ref, next_id)
-            if span_delta:
-                if not position + span_delta < n:
-                    raise FormatError(
-                        f"span bottom position {position + span_delta} "
-                        f"out of range 0..{n - 1}"
-                    )
-                then_edge = edge_for(then_ref)
-                # Replay the span semantically: f = X(top..bot) XNOR
-                # then.  Re-canonicalizes under the target manager (a
-                # chain manager re-merges the span; a plain one expands
-                # it) and under any target order.
-                parity = manager.literal_edge(var_at[position])
-                for p in range(position + 1, position + span_delta + 1):
-                    parity = manager.xor_edges(
-                        parity, manager.literal_edge(var_at[p])
-                    )
-                edge = manager.apply_edges(parity, then_edge, OP_XNOR)
+                else_ref = undelta_ref(else_ref, next_id)
+            then_edge = edge_for(then_ref)
+            else_edge = edge_for(else_ref)
+            if order_preserved:
+                edge = manager._make(var, then_edge, else_edge)
             else:
-                else_ref, offset = decode_varint(payload, offset)
-                if decompressor is not None:
-                    else_ref = undelta_ref(else_ref, next_id)
-                then_edge = edge_for(then_ref)
-                else_edge = edge_for(else_ref)
-                if order_preserved:
-                    edge = manager._make(var, then_edge, else_edge)
-                else:
-                    edge = manager.ite_edges(
-                        manager.literal_edge(var), then_edge, else_edge
-                    )
+                edge = manager.ite_edges(
+                    manager.literal_edge(var), then_edge, else_edge
+                )
             next_id += 1
             edges.append(edge)
         if offset != len(payload):

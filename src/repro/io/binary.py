@@ -24,7 +24,6 @@ from repro.core.traversal import levelize
 
 from repro.io.format import (
     FLAG_BDD,
-    FLAG_CHAIN,
     FLAG_COMPRESSED,
     Header,
     SINK_ID,
@@ -105,12 +104,10 @@ def forest_records(manager, named: List[Tuple[str, Edge]]):
 
     Returns ``(records, ids)``: ``ids`` maps each node index (and the
     sink, id 0) to its dense bottom-up file id; ``records`` is a list of
-    ``(position, sv_position, span_delta, node, neq, eq)`` in id order,
-    grouped by level deepest-first, where ``node`` is the flat-store
-    index, ``neq``/``eq`` are ``(child_id, attr)`` pairs,
-    ``span_delta`` is ``position(bot) - position(sv)`` (0 for plain
-    couples) and ``sv_position``/``neq``/``eq`` are ``None`` for
-    literal (R4) records.
+    ``(position, sv_position, node, neq, eq)`` in id order, grouped by
+    level deepest-first, where ``node`` is the flat-store index,
+    ``neq``/``eq`` are ``(child_id, attr)`` pairs and
+    ``sv_position``/``neq``/``eq`` are ``None`` for literal (R4) records.
     """
     order = manager.order
     ids = {SINK: SINK_ID}
@@ -118,19 +115,14 @@ def forest_records(manager, named: List[Tuple[str, Edge]]):
     for position, nodes in levelize(manager, [edge for _name, edge in named]):
         for node in nodes:
             ids[node] = len(records) + 1
-            pv, sv, bot, neq, eq = manager.node_fields(node)
+            pv, sv, neq, eq = manager.node_fields(node)
             if sv == SV_ONE:
-                records.append((position, None, 0, node, None, None))
+                records.append((position, None, node, None, None))
             else:
-                sv_position = order.position(sv)
-                span_delta = (
-                    order.position(bot) - sv_position if bot != sv else 0
-                )
                 records.append(
                     (
                         position,
-                        sv_position,
-                        span_delta,
+                        order.position(sv),
                         node,
                         (ids[-neq if neq < 0 else neq], neq < 0),
                         (ids[eq], False),
@@ -145,8 +137,7 @@ def dump(manager, functions, target, compress: bool = False) -> None:
     ``functions``: a Function, an edge, a sequence of either, or a
     ``{name: Function}`` mapping (names are stored and restored).
     ``compress=True`` writes a v2 ``FLAG_COMPRESSED`` container
-    (delta-coded refs + shared deflate stream); chain spans in the
-    forest switch the record grammar (``FLAG_CHAIN``) automatically.
+    (delta-coded refs + shared deflate stream).
     """
     check_dump_args(functions, target)
     named = _named_edges(functions)
@@ -169,19 +160,12 @@ def _dump_file(
 ) -> None:
     records, ids = forest_records(manager, named)
     level_counts: List[Tuple[int, int]] = []
-    has_span = False
-    for position, _sv, span_delta, _node, _neq, _eq in records:
-        if span_delta:
-            has_span = True
+    for position, _sv, _node, _neq, _eq in records:
         if level_counts and level_counts[-1][0] == position:
             level_counts[-1] = (position, level_counts[-1][1] + 1)
         else:
             level_counts.append((position, 1))
-    flags = 0
-    if has_span:
-        flags |= FLAG_CHAIN
-    if compress:
-        flags |= FLAG_COMPRESSED
+    flags = FLAG_COMPRESSED if compress else 0
     header = Header(
         names=list(manager.var_names),
         order=list(manager.order.order),
@@ -192,20 +176,13 @@ def _dump_file(
     )
     writer = LevelStreamWriter(fileobj, header)
     block = None
-    for position, sv_position, span_delta, _node, neq, eq in records:
+    for position, sv_position, _node, neq, eq in records:
         if block is None or block.position != position:
             if block is not None:
                 block.close()
             block = writer.begin_level(position)
         if sv_position is None:
             block.write_literal()
-        elif span_delta:
-            block.write_span(
-                sv_position - position,
-                span_delta,
-                pack_ref(*neq),
-                pack_ref(*eq),
-            )
         else:
             block.write_chain(
                 sv_position - position, pack_ref(*neq), pack_ref(*eq)

@@ -39,26 +39,13 @@ a file can be size-estimated from the header alone; each level block
 additionally records its payload byte length, so a scanner can skip
 from block to block without decoding node records.
 
-Version 2 (chain spans, compression)
-------------------------------------
-Version 2 is version 1 plus two optional, independently flagged
-extensions; a v2 file with neither flag set is byte-identical to v1
-and writers keep emitting ``version = 1`` in that case.
-
-``FLAG_CHAIN`` changes the node record grammar so chain-reduced span
-nodes (``(pv, sv:bot)``, see :meth:`BBDDNode.is_span`) can be stored::
-
-    NodeRecord = tag varint                -- 0: literal; else
-                                           -- (sv_delta << 1) | span_flag
-    plain span_flag=0:
-                 neq       varint          -- edge ref
-                 eq        varint          -- edge ref
-    span  span_flag=1:
-                 span_delta varint         -- position(bot) - position(SV),
-                                           -- even, >= 2
-                 eq        varint          -- edge ref, regular (attr 0);
-                                           -- the != edge is implied:
-                                           -- same node, complemented
+Version 2 (compression)
+-----------------------
+Version 2 is version 1 plus the optional ``FLAG_COMPRESSED``
+extension; writers keep emitting ``version = 1`` when it is not set.
+Flag bit ``0x2`` is reserved: releases up to 1.3.x set it on
+chain-reduced dumps, and :func:`read_header` rejects any file that
+carries it.
 
 ``FLAG_COMPRESSED`` keeps the block structure (positions, counts and
 the skippable ``nbytes`` prefix stay plain varints) but transforms the
@@ -89,7 +76,7 @@ FORMAT_VERSION = 1
 
 #: Highest format version this codec can emit (used only when a v2
 #: feature flag is set; flagless dumps stay at :data:`FORMAT_VERSION`).
-FORMAT_VERSION_CHAIN = 2
+FORMAT_VERSION_V2 = 2
 
 #: Format versions :func:`read_header` accepts.
 SUPPORTED_VERSIONS = frozenset({1, 2})
@@ -98,15 +85,22 @@ SUPPORTED_VERSIONS = frozenset({1, 2})
 #: (see :mod:`repro.io.bdd_binary`) instead of BBDD couple records.
 FLAG_BDD = 1
 
-#: Header flag bit (v2): node records use the chain-span grammar.
+#: Reserved header flag bit: chain-reduced span records, written by
+#: releases up to 1.3.x and rejected by :func:`read_header`.
 FLAG_CHAIN = 2
+
+#: Why a chain-reduced dump fails to load, and how to convert it.
+CHAIN_DUMP_REJECTED = (
+    "chain-reduced dumps are no longer read; load the file with a 1.3.x "
+    "release into a plain manager and dump it again"
+)
 
 #: Header flag bit (v2): level payloads are delta-coded and deflated
 #: through a shared zlib stream.
 FLAG_COMPRESSED = 4
 
-#: Flags that force the header version up to :data:`FORMAT_VERSION_CHAIN`.
-V2_FLAGS = FLAG_CHAIN | FLAG_COMPRESSED
+#: Flags that force the header version up to :data:`FORMAT_VERSION_V2`.
+V2_FLAGS = FLAG_COMPRESSED
 
 #: Node id of the 1-sink in every file.
 SINK_ID = 0
@@ -117,7 +111,7 @@ LITERAL_TAG = 0
 
 def version_for_flags(flags: int) -> int:
     """The lowest header version able to express ``flags``."""
-    return FORMAT_VERSION_CHAIN if flags & V2_FLAGS else FORMAT_VERSION
+    return FORMAT_VERSION_V2 if flags & V2_FLAGS else FORMAT_VERSION
 
 
 class FormatError(BBDDError):
@@ -260,7 +254,9 @@ def read_header(fileobj) -> Header:
             f"(this reader supports versions {supported})"
         )
     flags = read_varint(fileobj)
-    if version < FORMAT_VERSION_CHAIN and flags & V2_FLAGS:
+    if flags & FLAG_CHAIN:
+        raise FormatError(f"{shown}{CHAIN_DUMP_REJECTED}")
+    if version < FORMAT_VERSION_V2 and flags & V2_FLAGS:
         raise FormatError(
             f"{shown}version {version} header carries v2 flags {flags:#x}"
         )
@@ -328,79 +324,6 @@ def decode_records(payload: bytes, count: int) -> List[Tuple[int, int, int]]:
 
 
 # ----------------------------------------------------------------------
-# v2 chain-span node records (FLAG_CHAIN grammar)
-# ----------------------------------------------------------------------
-
-
-def encode_chain_v2(
-    sv_delta: int, span_delta: int, neq_ref: int, eq_ref: int, out: bytearray
-) -> None:
-    """Append a v2 (FLAG_CHAIN grammar) chain or span node record.
-
-    ``span_delta`` is ``position(bot) - position(SV)`` — 0 for a plain
-    couple, else even and >= 2.  Span records store only the regular
-    ``=``-edge ref; the ``!=`` edge is the same node complemented, so
-    ``neq_ref`` is validated and dropped.
-    """
-    if sv_delta < 1:
-        raise FormatError(f"chain SV must lie below PV (delta {sv_delta})")
-    if not span_delta:
-        encode_varint(sv_delta << 1, out)
-        encode_varint(neq_ref, out)
-        encode_varint(eq_ref, out)
-        return
-    if span_delta < 2 or span_delta % 2:
-        raise FormatError(
-            f"span bottom delta must be even and >= 2, got {span_delta}"
-        )
-    if eq_ref & 1:
-        raise FormatError("span = edge must be regular")
-    if neq_ref != (eq_ref | 1):
-        raise FormatError("span != edge must complement the = edge")
-    encode_varint((sv_delta << 1) | 1, out)
-    encode_varint(span_delta, out)
-    encode_varint(eq_ref, out)
-
-
-def decode_records_v2(payload: bytes, count: int) -> List[Tuple[int, int, int, int]]:
-    """Decode ``count`` FLAG_CHAIN-grammar records from a level payload.
-
-    Returns ``(sv_delta, span_delta, neq_ref, eq_ref)`` tuples; literal
-    records come back as ``(LITERAL_TAG, 0, 0, 0)`` and plain couples
-    carry ``span_delta = 0``.
-    """
-    records = []
-    pos = 0
-    for _ in range(count):
-        tag, pos = decode_varint(payload, pos)
-        if tag == LITERAL_TAG:
-            records.append((LITERAL_TAG, 0, 0, 0))
-            continue
-        sv_delta = tag >> 1
-        if not sv_delta:
-            raise FormatError(f"malformed node record tag {tag}")
-        if not tag & 1:
-            neq_ref, pos = decode_varint(payload, pos)
-            eq_ref, pos = decode_varint(payload, pos)
-            records.append((sv_delta, 0, neq_ref, eq_ref))
-            continue
-        span_delta, pos = decode_varint(payload, pos)
-        if span_delta < 2 or span_delta % 2:
-            raise FormatError(
-                f"span bottom delta must be even and >= 2, got {span_delta}"
-            )
-        eq_ref, pos = decode_varint(payload, pos)
-        if eq_ref & 1:
-            raise FormatError("span = edge ref must be regular")
-        records.append((sv_delta, span_delta, eq_ref | 1, eq_ref))
-    if pos != len(payload):
-        raise FormatError(
-            f"level payload has {len(payload) - pos} trailing bytes"
-        )
-    return records
-
-
-# ----------------------------------------------------------------------
 # compressed payloads (FLAG_COMPRESSED)
 # ----------------------------------------------------------------------
 
@@ -444,7 +367,7 @@ class PayloadCompressor:
         return stream.compress(payload) + stream.flush(zlib.Z_SYNC_FLUSH)
 
 
-#: Most bytes one node record of any grammar can take: three varints
+#: Most bytes one node record can take: three varints
 #: of at most ten bytes each (ten LEB128 bytes hold any 64-bit value,
 #: and no valid record field is wider).
 MAX_RECORD_BYTES = 30

@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 from repro.core.function import Function
 
 from repro.io.binary import _named_edges, forest_records
-from repro.io.format import FormatError
+from repro.io.format import CHAIN_DUMP_REJECTED, FormatError
 from repro.io.migrate import ForestRebuilder, Rename
 
 JSON_FORMAT = "bbdd-json"
@@ -43,21 +43,20 @@ def to_dict(manager, functions) -> dict:
     named = _named_edges(functions)
     records, ids = forest_records(manager, named)
     nodes = []
-    for _position, sv_position, span_delta, node, neq, eq in records:
-        pv, sv, bot, _d, _e = manager.node_fields(node)
+    for _position, sv_position, node, neq, eq in records:
+        pv, sv, _d, _e = manager.node_fields(node)
         if sv_position is None:
             nodes.append({"id": ids[node], "var": manager.var_name(pv)})
         else:
-            entry = {
-                "id": ids[node],
-                "pv": manager.var_name(pv),
-                "sv": manager.var_name(sv),
-                "neq": [neq[0], neq[1]],
-                "eq": [eq[0], eq[1]],
-            }
-            if span_delta:
-                entry["bot"] = manager.var_name(bot)
-            nodes.append(entry)
+            nodes.append(
+                {
+                    "id": ids[node],
+                    "pv": manager.var_name(pv),
+                    "sv": manager.var_name(sv),
+                    "neq": [neq[0], neq[1]],
+                    "eq": [eq[0], eq[1]],
+                }
+            )
     return {
         "format": JSON_FORMAT,
         "version": JSON_VERSION,
@@ -115,6 +114,8 @@ def _replay(rebuilder, manager, data, position_of):
         if "var" in record:
             rebuilder.add_record(position_for(record["var"]), 0, 0, 0)
             continue
+        if "bot" in record:
+            raise FormatError(CHAIN_DUMP_REJECTED)
         position = position_for(record["pv"])
         sv_position = position_for(record["sv"])
         if sv_position <= position:
@@ -123,21 +124,11 @@ def _replay(rebuilder, manager, data, position_of):
             )
         neq_id, neq_attr = record["neq"]
         eq_id, eq_attr = record["eq"]
-        span_delta = 0
-        if "bot" in record:
-            bot_position = position_for(record["bot"])
-            span_delta = bot_position - sv_position
-            if span_delta < 2 or span_delta % 2:
-                raise FormatError(
-                    f"span bottom {record['bot']!r} must lie an even number "
-                    f"of positions (>= 2) below SV {record['sv']!r}"
-                )
         rebuilder.add_record(
             position,
             sv_position - position,
             (neq_id << 1) | bool(neq_attr),
             (eq_id << 1) | bool(eq_attr),
-            span_delta=span_delta,
         )
     functions = {}
     for name, (node_id, attr) in data["roots"].items():

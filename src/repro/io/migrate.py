@@ -49,7 +49,7 @@ from repro.core import apply as _ops
 from repro.core.exceptions import BBDDError, VariableError
 from repro.core.function import Function
 from repro.core.node import SINK, SV_ONE, Edge
-from repro.core.operations import OP_XNOR, OP_XOR
+from repro.core.operations import OP_XNOR
 
 from repro.io.format import FormatError, LITERAL_TAG, SINK_ID, unpack_ref
 
@@ -129,32 +129,10 @@ class ForestRebuilder:
             self._xnor_cache[(pv, sv)] = biq
         return _ops.ite(mgr, biq, e, d)
 
-    def make_span(
-        self, position: int, sv_position: int, bot_position: int, e: Edge
-    ) -> Edge:
-        """Rebuild a chain-span record ``(PV, SV:bot)`` semantically.
-
-        A span denotes ``f = e xor x_pv xor x_sv xor ... xor x_bot``
-        (every dump position from ``sv`` down to ``bot``), so replaying
-        the XOR re-canonicalizes under the target order — a
-        chain-reducing target re-forms the span, a plain one expands it
-        to the couple chain.
-        """
-        mgr = self.manager
-        x = mgr.literal_edge(self._var_at[position])
-        for p in range(sv_position, bot_position + 1):
-            x = mgr.apply_edges(x, mgr.literal_edge(self._var_at[p]), OP_XOR)
-        return mgr.apply_edges(e, x, OP_XOR)
-
     # -- record replay (used by the codecs) ------------------------------
 
     def add_record(
-        self,
-        position: int,
-        sv_delta: int,
-        neq_ref: int,
-        eq_ref: int,
-        span_delta: int = 0,
+        self, position: int, sv_delta: int, neq_ref: int, eq_ref: int
     ) -> Edge:
         """Replay one serialized node record; returns its rebuilt edge.
 
@@ -166,22 +144,13 @@ class ForestRebuilder:
         n = len(self._var_at)
         if not 0 <= position < n:
             raise FormatError(f"record position {position} out of range 0..{n - 1}")
-        if sv_delta and not position + sv_delta + span_delta < n:
+        if sv_delta and not position + sv_delta < n:
             raise FormatError(
-                f"record SV/bot position {position + sv_delta + span_delta} out "
-                f"of range (PV at {position}, {n} variables)"
+                f"record SV position {position + sv_delta} out of range (PV at "
+                f"{position}, {n} variables)"
             )
         if sv_delta == LITERAL_TAG:
-            if span_delta:
-                raise FormatError("literal record cannot carry a span")
             edge = self.make_literal(position)
-        elif span_delta:
-            edge = self.make_span(
-                position,
-                position + sv_delta,
-                position + sv_delta + span_delta,
-                self.edge_for(eq_ref),
-            )
         else:
             edge = self.make_chain(
                 position,
@@ -241,7 +210,6 @@ class Migrator:
         src = self.src
         pvl = src._pv
         svl = src._sv
-        botl = src._bot
         neql = src._neq
         eql = src._eq
         memo = self._memo
@@ -267,16 +235,6 @@ class Migrator:
             stack.pop()
             eq = eql[top]
             e_copy = SINK if eq == SINK else memo[eq]
-            if botl[top] != svl[top]:
-                # Chain span: d is the complemented = edge, so only the
-                # regular child matters; replay the XOR semantics.
-                memo[top] = self._rebuilder.make_span(
-                    position(pvl[top]),
-                    position(svl[top]),
-                    position(botl[top]),
-                    e_copy,
-                )
-                continue
             d_copy = SINK if dn == SINK else memo[dn]
             if d < 0:
                 d_copy = -d_copy

@@ -15,9 +15,7 @@ Both halves work one CVO level at a time over the layout defined in
   past record payloads), returning a :class:`FileInfo` — the cheap
   "what's in this file" primitive the level directory exists for.
 
-The v2 extensions are handled transparently from the header flags:
-under ``FLAG_CHAIN`` the buffers accept :meth:`_LevelBuffer.write_span`
-and :meth:`iter_levels` yields 4-tuples carrying the span delta; under
+The v2 extension is handled transparently from the header flags: under
 ``FLAG_COMPRESSED`` the writer delta-codes child refs and deflates each
 block through one shared zlib stream, and the reader undoes both, so
 record consumers always see plain packed refs.
@@ -28,7 +26,6 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 from repro.io.format import (
-    FLAG_CHAIN,
     FLAG_COMPRESSED,
     LITERAL_TAG,
     FormatError,
@@ -37,10 +34,8 @@ from repro.io.format import (
     PayloadDecompressor,
     decode_name,
     decode_records,
-    decode_records_v2,
     delta_ref,
     encode_chain,
-    encode_chain_v2,
     encode_literal,
     encode_varint,
     read_header,
@@ -57,7 +52,6 @@ class LevelStreamWriter:
         self._file = fileobj
         self._header = header
         self._pending = dict(header.levels)  # position -> expected count
-        self.chain = bool(header.flags & FLAG_CHAIN)
         self.compressed = bool(header.flags & FLAG_COMPRESSED)
         # One deflate stream shared by every level block (dictionary
         # carries over; blocks stay decodable in file order).
@@ -123,26 +117,7 @@ class _LevelBuffer:
         if writer.compressed:
             neq_ref = delta_ref(neq_ref, node_id)
             eq_ref = delta_ref(eq_ref, node_id)
-        if writer.chain:
-            encode_chain_v2(sv_delta, 0, neq_ref, eq_ref, self._payload)
-        else:
-            encode_chain(sv_delta, neq_ref, eq_ref, self._payload)
-        return node_id
-
-    def write_span(
-        self, sv_delta: int, span_delta: int, neq_ref: int, eq_ref: int
-    ) -> int:
-        """Append a chain-span record (requires ``FLAG_CHAIN``)."""
-        writer = self._writer
-        if not writer.chain:
-            raise FormatError(
-                "span records need FLAG_CHAIN set on the header"
-            )
-        node_id = self._allocate()
-        if writer.compressed:
-            neq_ref = delta_ref(neq_ref, node_id)
-            eq_ref = delta_ref(eq_ref, node_id)
-        encode_chain_v2(sv_delta, span_delta, neq_ref, eq_ref, self._payload)
+        encode_chain(sv_delta, neq_ref, eq_ref, self._payload)
         return node_id
 
     def _allocate(self) -> int:
@@ -178,7 +153,6 @@ class LevelStreamReader:
     def __init__(self, fileobj) -> None:
         self._file = fileobj
         self.header = read_header(fileobj)
-        self.chain = bool(self.header.flags & FLAG_CHAIN)
         self.compressed = bool(self.header.flags & FLAG_COMPRESSED)
         self._decompressor = PayloadDecompressor() if self.compressed else None
         self._levels_read = 0
@@ -187,12 +161,10 @@ class LevelStreamReader:
     def iter_levels(self) -> Iterator[Tuple[int, list]]:
         """Yield ``(position, records)`` per level block, file order.
 
-        For plain-grammar files records are raw ``(sv_delta, neq_ref,
-        eq_ref)`` tuples (see :func:`repro.io.format.decode_records`);
-        ``FLAG_CHAIN`` files yield ``(sv_delta, span_delta, neq_ref,
-        eq_ref)`` instead.  Compressed payloads are inflated and their
-        delta-coded refs rewritten back to plain packed refs here, so
-        consumers never see the wire transforms.
+        Records are raw ``(sv_delta, neq_ref, eq_ref)`` tuples (see
+        :func:`repro.io.format.decode_records`).  Compressed payloads
+        are inflated and their delta-coded refs rewritten back to plain
+        packed refs here, so consumers never see the wire transforms.
         """
         while self._levels_read < len(self.header.levels):
             position = read_varint(self._file)
@@ -210,10 +182,7 @@ class LevelStreamReader:
             self._levels_read += 1
             if self._decompressor is not None:
                 payload = self._decompressor.decompress(payload, count)
-            if self.chain:
-                records = decode_records_v2(payload, count)
-            else:
-                records = decode_records(payload, count)
+            records = decode_records(payload, count)
             if self.compressed:
                 records = self._undelta(records)
             yield position, records
@@ -221,34 +190,19 @@ class LevelStreamReader:
     def _undelta(self, records: list) -> list:
         """Rewrite a level's delta-coded refs to plain packed refs."""
         out = []
-        if self.chain:
-            for sv_delta, span_delta, neq_ref, eq_ref in records:
-                node_id = self._next_id
-                self._next_id += 1
-                if sv_delta == LITERAL_TAG:
-                    out.append((LITERAL_TAG, 0, 0, 0))
-                    continue
-                eq_ref = undelta_ref(eq_ref, node_id)
-                if span_delta:
-                    out.append((sv_delta, span_delta, eq_ref | 1, eq_ref))
-                else:
-                    out.append(
-                        (sv_delta, 0, undelta_ref(neq_ref, node_id), eq_ref)
-                    )
-        else:
-            for sv_delta, neq_ref, eq_ref in records:
-                node_id = self._next_id
-                self._next_id += 1
-                if sv_delta == LITERAL_TAG:
-                    out.append((LITERAL_TAG, 0, 0))
-                    continue
-                out.append(
-                    (
-                        sv_delta,
-                        undelta_ref(neq_ref, node_id),
-                        undelta_ref(eq_ref, node_id),
-                    )
+        for sv_delta, neq_ref, eq_ref in records:
+            node_id = self._next_id
+            self._next_id += 1
+            if sv_delta == LITERAL_TAG:
+                out.append((LITERAL_TAG, 0, 0))
+                continue
+            out.append(
+                (
+                    sv_delta,
+                    undelta_ref(neq_ref, node_id),
+                    undelta_ref(eq_ref, node_id),
                 )
+            )
         return out
 
     def read_roots(self) -> List[Tuple[int, str]]:
@@ -279,20 +233,9 @@ class LevelStreamReader:
         # The rebuilder's replay table holds bare edges; defer automatic
         # GC until the caller has wrapped (or referenced) the roots.
         with manager.defer_gc():
-            if self.chain:
-                for position, records in self.iter_levels():
-                    for sv_delta, span_delta, neq_ref, eq_ref in records:
-                        rebuilder.add_record(
-                            position,
-                            sv_delta,
-                            neq_ref,
-                            eq_ref,
-                            span_delta=span_delta,
-                        )
-            else:
-                for position, records in self.iter_levels():
-                    for sv_delta, neq_ref, eq_ref in records:
-                        rebuilder.add_record(position, sv_delta, neq_ref, eq_ref)
+            for position, records in self.iter_levels():
+                for sv_delta, neq_ref, eq_ref in records:
+                    rebuilder.add_record(position, sv_delta, neq_ref, eq_ref)
             roots = [
                 (rebuilder.edge_for(ref), name) for ref, name in self.read_roots()
             ]

@@ -16,11 +16,6 @@ size.  The column coding is documented on
 :class:`~repro.api.base.Columns` (slots 0 and 1 are reserved; ``1``
 denotes the sink).
 
-Forests frozen from chain-reduced managers add a fifth array ``bot``
-behind the ``"chain"`` meta flag (parity spans); plain freezes keep the
-four-array layout, so segments written by older code — and by
-chain-free managers — attach unchanged.
-
 Lifecycle: the freezing process *owns* the segment and must eventually
 :meth:`~ShmForest.unlink` it (attachers only :meth:`~ShmForest.close`).
 A module :mod:`atexit` hook unlinks every segment still owned by this
@@ -221,21 +216,21 @@ class ShmForest:
             }
             base = _align8(_HEADER.size + meta_len)
             span = 8 * n
-            ncols = 5 if meta.get("chain") else 4
-            if base + ncols * span > shm.size:
+            if base + 4 * span > shm.size:
                 raise ParError(
                     f"segment {shm.name!r} is truncated: its header claims "
                     f"{n} slots, more than its {shm.size} bytes hold"
                 )
             arrays = []
-            for k in range(ncols):
+            for k in range(4):
                 view = memoryview(buf)[base + k * span: base + (k + 1) * span]
                 arrays.append(view.cast("q"))
                 self._views.append(view)
             self._views.extend(arrays)
-            pv, sv, t, f = arrays[:4]
-            block = (0, pv, sv, arrays[4] if ncols == 5 else None, t, f)
-            self._columns = Columns(meta["order"], self._roots, [block], pv)
+            pv, sv, t, f = arrays
+            self._columns = Columns(
+                meta["order"], self._roots, [(0, pv, sv, t, f)], pv
+            )
         except ParError:
             self._release_views()
             shm.close()
@@ -286,23 +281,19 @@ class ShmForest:
         supports = {
             fname: sorted(manager.support_edge(edge)) for fname, edge in named
         }
-        ((_base, pv, sv, bot, t, f),) = export.joined().blocks
-        columns = [pv, sv, t, f]
-        meta_dict = {
-            "kind": manager.backend,
-            "generation": generation,
-            "names": list(manager.var_names),
-            "order": list(export.order),
-            "roots": export.roots,
-            "supports": supports,
-        }
-        if bot is not None:
-            # Chain-reduced forest: the span column rides behind a meta
-            # flag so plain segments keep the attachable 4-array layout.
-            meta_dict["chain"] = True
-            columns.append(bot)
-        meta = json.dumps(meta_dict, separators=(",", ":")).encode("utf-8")
-        n = len(pv)
+        ((_base, *columns),) = export.joined().blocks
+        meta = json.dumps(
+            {
+                "kind": manager.backend,
+                "generation": generation,
+                "names": list(manager.var_names),
+                "order": list(export.order),
+                "roots": export.roots,
+                "supports": supports,
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
+        n = len(columns[0])
         base = _align8(_HEADER.size + len(meta))
         total = base + len(columns) * 8 * n
         shm = _shared_memory.SharedMemory(

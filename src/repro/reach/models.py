@@ -8,7 +8,7 @@ next-state core), smallest to hardest:
   state both advances and stutters, and all ``2^bits`` states are
   reachable on one cycle (the known-cyclic termination fixture);
 * :func:`lfsr` — a Fibonacci linear-feedback shift register, the
-  linear/XOR-heavy shape chain-reduced diagrams love;
+  linear/XOR-heavy shape biconditional couples absorb;
 * :func:`cellular_automaton` — an elementary rule-110 ring, the
   *nonlinear* stress model whose transition relation is the largest of
   the three (the benchmark gate's workload).

@@ -26,7 +26,7 @@ Every bitset of a sweep uses that layout, and ``full`` has one set bit
 per query.
 
 Both sweeps read the compiled query form, :class:`~repro.api.base.Columns`:
-the ``pv``/``sv``/``bot``/``t``/``f`` columns in parents-first slot
+the ``pv``/``sv``/``t``/``f`` columns in parents-first slot
 order with signed child references.  Managers produce it through
 :meth:`DDManager.freeze_export <repro.api.base.DDManager.freeze_export>`
 and frozen forests (:class:`repro.par.shm.ShmForest`) hand over their
@@ -34,10 +34,7 @@ mapped arrays.  The child's primary variable (``pv_of``) is what lets
 the *cube* sweep (:func:`satisfiable_batch`) carry relational state
 across consecutive couples: taking a branch at a chain node
 ``(pv, sv)`` pins the value of ``sv``, which is tested next exactly
-when the child's PV is ``sv``.  Span branches pin nothing — they
-constrain only the parity of a variable run that sits entirely above
-the node's children in the order, so none of those variables can ever
-be tested again.  Backends without a producer fall back to the
+when the child's PV is ``sv``.  Backends without a producer fall back to the
 per-query loop in :class:`~repro.api.base.DDManager`.
 """
 
@@ -200,25 +197,15 @@ def cohort_sweep(columns, root: int, var_bits: Dict[int, int], full: int) -> int
     pop = cohorts.pop
     get = cohorts.get
     get_bits = var_bits.get
-    order = columns.order
-    pos = None
-    for slot, pv, sv, bot, t, f in columns.rows():
+    for slot, pv, sv, t, f in columns.rows():
         pair = pop(slot, None)
         if pair is None:
             continue
         even, odd = pair
         if sv < 0:
             t_mask = get_bits(pv, 0)
-        elif bot < 0:
-            t_mask = get_bits(pv, 0) ^ get_bits(sv, 0)
         else:
-            # Parity span: the t-branch is taken where pv plus the
-            # partner variables have odd parity.
-            if pos is None:
-                pos = columns.positions()
-            t_mask = get_bits(pv, 0)
-            for partner in order[pos[sv]:pos[bot] + 1]:
-                t_mask ^= get_bits(partner, 0)
+            t_mask = get_bits(pv, 0) ^ get_bits(sv, 0)
         ce = even & t_mask
         co = odd & t_mask
         if ce or co:
@@ -287,8 +274,6 @@ def cube_sweep(
     get_bits = var_bits.get
     get_known = (known_bits or {}).get
     pv_of = columns.pv_of
-    order = columns.order
-    pos = None
 
     def route(ref, e0, o0, e1, o1, ef, of):
         nonlocal sat_even
@@ -305,7 +290,7 @@ def cube_sweep(
             c[0] | e0, c[1] | o0, c[2] | e1, c[3] | o1, c[4] | ef, c[5] | of,
         )
 
-    for slot, pv, sv, bot, t, f in columns.rows():
+    for slot, pv, sv, t, f in columns.rows():
         state = pop(slot, None)
         if state is None:
             continue
@@ -328,38 +313,6 @@ def cube_sweep(
             # nothing is pinned downstream.
             route(t, 0, 0, 0, 0, e1 | ef, o1 | of)
             route(f, 0, 0, 0, 0, e0 | ef, o0 | of)
-            continue
-        if bot >= 0:
-            # Parity span: the test is the parity of pv plus every
-            # partner.  Partners are skipped below both branches (they
-            # sit above the children in the order) and can never be
-            # pinned, so a lane whose span has *any* cube-free variable
-            # reaches both branches — choosing the parity only
-            # constrains variables that are never looked at again.
-            # Lanes with every partner cube-known follow the partner
-            # parity (kp = all partners known, xp = their parity).
-            if pos is None:
-                pos = columns.positions()
-            kp = full
-            xp = 0
-            for partner in order[pos[sv]:pos[bot] + 1]:
-                kp &= get_known(partner, 0)
-                xp ^= get_bits(partner, 0)
-            det0 = kp & ~xp & full
-            det1 = kp & xp
-            nb = full & ~kp
-            any_e = e0 | e1 | ef
-            any_o = o0 | o1 | of
-            route(
-                t, 0, 0, 0, 0,
-                (e0 & det1) | (e1 & det0) | (ef & kp) | (any_e & nb),
-                (o0 & det1) | (o1 & det0) | (of & kp) | (any_o & nb),
-            )
-            route(
-                f, 0, 0, 0, 0,
-                (e0 & det0) | (e1 & det1) | (ef & kp) | (any_e & nb),
-                (o0 & det0) | (o1 & det1) | (of & kp) | (any_o & nb),
-            )
             continue
         ks = get_known(sv, 0)
         ksv = ks & get_bits(sv, 0)

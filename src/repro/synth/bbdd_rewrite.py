@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.core.node import SV_ONE, BBDDNode, Edge
+from repro.core.node import SV_ONE, BBDDNode
 from repro.network.network import LogicNetwork
 
 
@@ -87,29 +87,10 @@ class BBDDRewriter:
             return cached
         if node.sv == SV_ONE:
             signal = self._var_signal(node.pv)
-        elif getattr(node, "is_span", False):
-            signal = self._rewrite_span(node)
         else:
             signal = self._rewrite_chain(node)
         self._node_signal[node] = signal
         return signal
-
-    def _rewrite_span(self, node: BBDDNode) -> str:
-        """Chain-reduced span ``(pv, sv:bot, -T, T)``.
-
-        The node denotes ``f = eq XOR pv XOR sv XOR ... XOR bot`` (the
-        parity over the span's variables), which maps onto an XNOR chain
-        — exactly the structure the downstream mapper keeps.
-        """
-        order = self.manager.order
-        parity = self._var_signal(node.pv)
-        for p in range(order.position(node.sv), order.position(node.bot) + 1):
-            parity = self._inv(
-                self.net.xnor(parity, self._var_signal(order.var_at(p)))
-            )
-        e_sig = self.signal_of_edge((node.eq, False))
-        # f = e XOR parity == e XNOR ~parity.
-        return self.net.xnor(e_sig, self._inv(parity))
 
     def _rewrite_chain(self, node: BBDDNode) -> str:
         net = self.net

@@ -12,7 +12,7 @@ structural query path — manager functions
 (:meth:`repro.api.base.DDManager.weighted_count_edge`) and frozen
 shared-memory forests (:class:`repro.par.shm.ShmForest`) — and reads
 the compiled query form the batch evaluator reads,
-:class:`repro.api.base.Columns`: ``pv``/``sv``/``bot``/``t``/``f`` in
+:class:`repro.api.base.Columns`: ``pv``/``sv``/``t``/``f`` in
 parents-first slot order with signed child references.
 :func:`sat_count` is the unweighted count over the same columns.
 
@@ -25,8 +25,7 @@ so the ``=``-branch of independent inputs carries ``p·q + (1−p)(1−q)``
 — the mass that arrived with ``v = 1`` pairs with ``w = 1`` and the
 ``v = 0`` mass with ``w = 0``.  Variables skipped between levels
 (sparse supports, chain gaps) contribute their weight *sum* as a free
-factor, an exact quotient of prefix products; chain-reduced span nodes
-fold their partner run with an even/odd parity convolution.
+factor, an exact quotient of prefix products.
 
 **Marginals take two passes** — belief propagation on the DAG, per
 Tucci's "BDDs are a subset of Bayesian nets".  A bottom-up *acceptance
@@ -36,8 +35,7 @@ function and for its complement, each computed directly.  The mass
 pass then adds up every variable's joint ``WMC(f ∧ v)`` at the one
 place each root path decides ``v``: at nodes whose primary variable is
 ``v``, at couple edges whose secondary variable is ``v`` (when the
-child does not keep the per-value split), and across span partner runs
-through prefix/suffix parity folds.  Paths that never test ``v`` —
+child does not keep the per-value split).  Paths that never test ``v`` —
 it is skipped between levels or lies above the root — leave ``v``
 free, so their share is ``p_v`` times their accepted weight, which the
 mass pass gathers per skipped position range.  Nothing is obtained by
@@ -61,7 +59,7 @@ caller's arithmetic — linear in the diagram, correct for any backend.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from operator import floordiv, truediv
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,11 +79,14 @@ def _count_sweeps(count: int) -> None:
 
 
 def _scalar(value, exact: bool):
-    """One weight as a :class:`~fractions.Fraction` or a float."""
+    """One finite weight as a :class:`~fractions.Fraction` or a float."""
     try:
-        return Fraction(value) if exact else float(value)
-    except (TypeError, ValueError) as exc:
-        raise WmcError(f"weight {value!r} is not a number") from exc
+        scalar = Fraction(value) if exact else float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise WmcError(f"weight {value!r} is not a finite number") from exc
+    if not exact and not isfinite(scalar):
+        raise WmcError(f"weight {value!r} is not a finite number")
+    return scalar
 
 
 def resolve_weights(
@@ -113,8 +114,8 @@ def resolve_weights(
     :returns: ``(w1, w0, one, zero)`` — two columns indexed by
         variable index plus the scalar constants of the chosen
         arithmetic.
-    :raises WmcError: for non-numeric weights, pairs in probability
-        mode, or probabilities outside ``[0, 1]``.
+    :raises WmcError: for non-numeric or non-finite weights, pairs in
+        probability mode, or probabilities outside ``[0, 1]``.
     """
     one = Fraction(1) if exact else 1.0
     zero = one - one
@@ -174,7 +175,7 @@ def _cone(columns, node: int) -> List[int]:
     Parents first.  Shared multi-root stores hold every stored node;
     the acceptance pass needs only the swept root's cone.
     """
-    ((_base, _pv, _sv, _bot, t, f),) = columns.blocks
+    ((_base, _pv, _sv, t, f),) = columns.blocks
     reached = bytearray(len(t))
     reached[node] = 1
     cone = []
@@ -285,7 +286,7 @@ class _Kernel:
         self.one = one
         self.zero = zero
         self.quot = quot
-        self.order = order = columns.order
+        order = columns.order
         self.pos = columns.positions()
         self.pv_of = columns.pv_of
         self.sums = [hi + lo for hi, lo in zip(w1, w0)]
@@ -299,14 +300,6 @@ class _Kernel:
         self.prefix = prefix
         self.suffix = suffix
         self.total = prefix[-1]
-
-    def fold(self, run) -> Tuple[object, object]:
-        """Weights of even / odd parity over a span's partner run."""
-        w1, w0 = self.w1, self.w0
-        even, odd = self.one, self.zero
-        for var in run:
-            even, odd = even * w0[var] + odd * w1[var], even * w1[var] + odd * w0[var]
-        return even, odd
 
     def gap(self, start: int, stop: int):
         """Weight-sum product of the free positions ``start .. stop - 1``."""
@@ -330,8 +323,8 @@ class _Kernel:
 
     def up(self, columns, cone) -> list:
         """The acceptance pass: ``(a1, a0, b, c1, c0, d)`` per cone slot."""
-        ((_base, pvc, svc, botc, tc, fc),) = columns.blocks
-        w1, w0, pos, order = self.w1, self.w0, self.pos, self.order
+        ((_base, pvc, svc, tc, fc),) = columns.blocks
+        w1, w0, pos = self.w1, self.w0, self.pos
         accept, gap = self.accept, self.gap
         up: list = [None] * len(pvc)
         for slot in reversed(cone):
@@ -343,18 +336,6 @@ class _Kernel:
             if sv < 0:
                 a1, c1 = accept(up, t, p + 1)
                 a0, c0 = accept(up, f, p + 1)
-            elif botc is not None and botc[slot] >= 0:
-                # Span: odd parity of pv + partners -> t.
-                first = pos[sv]
-                below = pos[botc[slot]] + 1
-                even, odd = self.fold(order[first:below])
-                g = gap(p + 1, first)
-                xt, yt = accept(up, t, below)
-                xf, yf = accept(up, f, below)
-                a1 = g * (even * xt + odd * xf)
-                a0 = g * (odd * xt + even * xf)
-                c1 = g * (even * yt + odd * yf)
-                c0 = g * (odd * yt + even * yf)
             else:
                 # Couple (pv, sv): pv != sv -> t.  A child rooted at sv
                 # answers per sv value; deeper children do not care.
@@ -392,13 +373,13 @@ class _Kernel:
     def down(self, root, rows, up=None, tested=None, skips=None):
         """The mass pass: the weighted count, parents first.
 
-        ``rows`` are the columns' ``(slot, pv, sv, bot, t, f)`` rows.
+        ``rows`` are the columns' ``(slot, pv, sv, t, f)`` rows.
         With ``up`` (the acceptance pass) it also adds, per variable,
         the joint weight of the paths that test it into ``tested``, and
         the accepted weight of every edge that skips positions into
         ``skips``, keyed by the skipped range ``(start, stop)``.
         """
-        w1, w0, pos, pv_of, order = self.w1, self.w0, self.pos, self.pv_of, self.order
+        w1, w0, pos, pv_of = self.w1, self.w0, self.pos, self.pv_of
         prefix, suffix, zero = self.prefix, self.suffix, self.zero
         accept, gap = self.accept, self.gap
         last = len(prefix) - 1
@@ -465,7 +446,7 @@ class _Kernel:
                 tested[sv] += s1 * x0 + t1 * x1
             push(ref, s1 + s0, t1 + t0, pos[sv] + 1)
 
-        for slot, pv, sv, bot, t, f in rows:
+        for slot, pv, sv, t, f in rows:
             if slot == node:
                 # Seed at the root's own slot: gap factors above it are
                 # free, and its pv weight splits the initial mass.
@@ -493,30 +474,6 @@ class _Kernel:
                 # Single-variable test (literal / Shannon): value 1 -> t.
                 push(t, hi0, hi1, p + 1)
                 push(f, lo0, lo1, p + 1)
-            elif bot >= 0:
-                # Span: odd parity of pv + partners -> t.  Fold the
-                # partner run into even/odd weights, then route from
-                # below the run.
-                first = pos[sv]
-                below = pos[bot] + 1
-                run = order[first:below]
-                even, odd = self.fold(run)
-                g = gap(p + 1, first)
-                even *= g
-                odd *= g
-                push(t, hi0 * even + lo0 * odd, hi1 * even + lo1 * odd, below)
-                push(f, lo0 * even + hi0 * odd, lo1 * even + hi1 * odd, below)
-                if up is not None:
-                    if first != p + 1:
-                        skip(p + 1, first, through)
-                    xt0, xt1 = accept(up, t, below)
-                    xf0, xf1 = accept(up, f, below)
-                    self._span_joints(
-                        run,
-                        g * (hi0 * xt0 + hi1 * xt1 + lo0 * xf0 + lo1 * xf1),
-                        g * (lo0 * xt0 + lo1 * xt1 + hi0 * xf0 + hi1 * xf1),
-                        tested,
-                    )
             else:
                 # Couple (pv, sv): pv != sv -> t.  The =-branch pairs
                 # the pv=1 mass with sv=1 and pv=0 with sv=0; the
@@ -530,31 +487,6 @@ class _Kernel:
                 couple_edge(t, sv, lo0 * hi, hi0 * lo, lo1 * hi, hi1 * lo)
                 couple_edge(f, sv, hi0 * hi, lo0 * lo, hi1 * hi, lo1 * lo)
         return acc
-
-    def _span_joints(self, run, even_part, odd_part, tested):
-        """Joints of a span's partners from its parity-split throughput.
-
-        ``even_part`` / ``odd_part`` are the node's accepted mass per
-        unit weight of an even / odd partner run; with partner ``r``
-        fixed to 1 the run is even exactly when the *other* partners
-        are odd, which prefix/suffix folds give in O(1) per partner.
-        """
-        w1, w0, zero = self.w1, self.w0, self.zero
-        prefix = [(self.one, zero)]
-        for var in run:
-            even, odd = prefix[-1]
-            prefix.append((even * w0[var] + odd * w1[var], even * w1[var] + odd * w0[var]))
-        after_even, after_odd = self.one, zero
-        for j in range(len(run) - 1, -1, -1):
-            var = run[j]
-            before_even, before_odd = prefix[j]
-            others_even = before_even * after_even + before_odd * after_odd
-            others_odd = before_even * after_odd + before_odd * after_even
-            tested[var] += w1[var] * (others_odd * even_part + others_even * odd_part)
-            after_even, after_odd = (
-                after_even * w0[var] + after_odd * w1[var],
-                after_even * w1[var] + after_odd * w0[var],
-            )
 
     def joints(self, indices, tested, skips) -> dict:
         """``WMC(f ∧ v)`` per index: tested paths plus ``p_v`` of the free.
@@ -583,24 +515,14 @@ def sat_memos(columns) -> List[int]:
     joined columns is a complete bottom-up evaluation.
     """
     columns = columns.joined()
-    ((_base, pv, sv, bot, t, f),) = columns.blocks
+    ((_base, pv, sv, t, f),) = columns.blocks
     pos = columns.positions()
     n_vars = len(columns.order)
     memo = [0] * len(pv)
     for i in range(len(pv) - 1, 1, -1):
         p = pos[pv[i]]
         svi = sv[i]
-        if svi < 0:
-            base = p + 1
-        elif bot is not None and bot[i] >= 0:
-            # Parity span: every span variable is consumed here (the
-            # children live strictly below bot), one of them is fixed
-            # by the branch parity and the rest — plus any gap above
-            # the partner run — are free; the net factor is
-            # 2^(pos(bot) - p), the final shift below.
-            base = pos[bot[i]] + 1
-        else:
-            base = pos[svi]
+        base = p + 1 if svi < 0 else pos[svi]
         total = 0
         for ref in (t[i], f[i]):
             child = -ref if ref < 0 else ref

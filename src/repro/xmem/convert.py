@@ -25,7 +25,7 @@ import io as _io
 from typing import Dict, List, Tuple
 
 from repro.core.exceptions import BBDDError, VariableError
-from repro.core.operations import OP_XNOR, OP_XOR
+from repro.core.operations import OP_XNOR
 from repro.io.format import (
     FLAG_BDD,
     FLAG_COMPRESSED,
@@ -117,33 +117,6 @@ class XmemForestRebuilder:
                 ref = ite_refs(
                     manager, builder, builder, biq, builder, e, builder, d
                 )
-        self._refs.append(ref)
-        return ref
-
-    def add_span(
-        self, position: int, sv_position: int, bot_position: int, eq_ref: int
-    ) -> int:
-        """Replay a chain-span record semantically (xmem has no span
-        node kind): ``f = eq xor pv xor sv ... xor bot``."""
-        n = len(self._var_at)
-        if not 0 <= position < sv_position <= bot_position < n:
-            raise FormatError(
-                f"span record positions ({position}, {sv_position}, "
-                f"{bot_position}) out of range ({n} variables)"
-            )
-        builder = self.builder
-        manager = self.manager
-        ref = self.edge_for(eq_ref)
-        for p in (position, *range(sv_position, bot_position + 1)):
-            ref = apply_refs(
-                manager,
-                builder,
-                builder,
-                ref,
-                builder,
-                builder.literal(self._var_at[p]),
-                OP_XOR,
-            )
         self._refs.append(ref)
         return ref
 
@@ -258,22 +231,9 @@ def _load_file(manager, fileobj, rename: Rename) -> dict:
         rebuilder = XmemForestRebuilder(
             manager, builder, reader.header.ordered_names(), rename=rename
         )
-        if reader.chain:
-            for position, records in reader.iter_levels():
-                for sv_delta, span_delta, neq_ref, eq_ref in records:
-                    if span_delta:
-                        rebuilder.add_span(
-                            position,
-                            position + sv_delta,
-                            position + sv_delta + span_delta,
-                            eq_ref,
-                        )
-                    else:
-                        rebuilder.add_record(position, sv_delta, neq_ref, eq_ref)
-        else:
-            for position, records in reader.iter_levels():
-                for sv_delta, neq_ref, eq_ref in records:
-                    rebuilder.add_record(position, sv_delta, neq_ref, eq_ref)
+        for position, records in reader.iter_levels():
+            for sv_delta, neq_ref, eq_ref in records:
+                rebuilder.add_record(position, sv_delta, neq_ref, eq_ref)
         roots = [
             (name, rebuilder.edge_for(ref)) for ref, name in reader.read_roots()
         ]
@@ -363,16 +323,9 @@ class ToXmemMigrator:
             # unique table still dedups the created records.
             rebuilder = self._fresh_rebuilder()
             records, ids = forest_records(self.src, [("f", edge)])
-            for position, sv_position, span_delta, _node, neq, eq in records:
+            for position, sv_position, _node, neq, eq in records:
                 if sv_position is None:
                     rebuilder.add_record(position, LITERAL_TAG, 0, 0)
-                elif span_delta:
-                    rebuilder.add_span(
-                        position,
-                        sv_position,
-                        sv_position + span_delta,
-                        pack_ref(*eq),
-                    )
                 else:
                     rebuilder.add_record(
                         position,

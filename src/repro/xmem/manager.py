@@ -714,7 +714,7 @@ class _LevelStream:
                         slot = top - (ref >> 1) if ref >> 1 else 1
                         column.append(-slot if ref & 1 else slot)
                 last = rep.starts[index] + block.count - 1
-                yield (top - last, [var_at[pos]] * block.count, sv, None, t, f)
+                yield (top - last, [var_at[pos]] * block.count, sv, t, f)
                 if store.resident > manager.node_budget:
                     rep.spill_block(index)
 

@@ -8,6 +8,7 @@ assignments).
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -185,3 +186,72 @@ def test_add_expr_unknown_variable():
     m = repro.open("bdd", vars=["a"])
     with pytest.raises(VariableError):
         m.add_expr("a & nope")
+
+
+# ----------------------------------------------------------------------
+# deep expressions: the parser keeps its own stacks
+# ----------------------------------------------------------------------
+
+
+def _alternating_chain(manager, n):
+    """``x0 & (x1 | (x2 & (x3 | ...)))``: a Shannon tree of depth ``n``."""
+    f = manager.var(n - 1)
+    for i in range(n - 2, -1, -1):
+        f = (manager.var(i) & f) if i % 2 == 0 else (manager.var(i) | f)
+    return f
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_deep_to_expr_round_trips(backend, low_recursion_limit):
+    """``add_expr(f.to_expr()) == f`` when the ``ite`` nest is 400 deep."""
+    manager = repro.open(backend, vars=400)
+    f = _alternating_chain(manager, 400)
+    text = f.to_expr()
+    assert text.count("ite(") >= 399
+    assert manager.add_expr(text) == f
+
+
+DEEP = 10_000
+
+
+def test_deep_expressions_parse(low_recursion_limit):
+    m = repro.open("bbdd", vars=["a", "b", "c"])
+    a, b, c = m.var("a"), m.var("b"), m.var("c")
+    assert m.add_expr("(" * DEEP + "a & b" + ")" * DEEP) == a & b
+    assert m.add_expr("~" * DEEP + "a") == a
+    assert m.add_expr("~" * (DEEP + 1) + "a") == ~a
+    names = ["a", "b", "c"]
+    chain = [names[i % 3] for i in range(5001)]  # 5,000 arrows
+    want = m.var(chain[-1])
+    for name in reversed(chain[:-1]):
+        want = m.var(name).implies(want)
+    assert m.add_expr(" -> ".join(chain)) == want
+    assert m.add_expr("ite(a, " * 1000 + "b" + ", c)" * 1000) == a.ite(b, c)
+    assert m.add_expr("\\E a: " * 1000 + "a & b") == b
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(" * DEEP, "expected an operand but found end of input"),
+        ("(" * DEEP + "a" + ")" * (DEEP - 1), "expected ')' but found end of input"),
+        ("(" * (DEEP - 1) + "a" + ")" * DEEP, "unexpected trailing ')'"),
+        ("~" * DEEP, "expected an operand but found end of input"),
+        ("ite(a, " * 1000 + "b", "expected ',' but found end of input"),
+        ("a -> " * 5000, "expected an operand but found end of input"),
+    ],
+    ids=[
+        "unclosed-parens",
+        "one-paren-short",
+        "one-paren-extra",
+        "tilde-without-operand",
+        "unclosed-ite",
+        "dangling-arrow",
+    ],
+)
+def test_deep_unbalanced_expressions_raise_expr_error(
+    text, message, low_recursion_limit
+):
+    m = repro.open("bbdd", vars=["a", "b"])
+    with pytest.raises(ExprError, match=re.escape(message)):
+        m.add_expr(text)

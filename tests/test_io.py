@@ -1,12 +1,14 @@
 """Round-trip, migration, streaming and checkpoint tests for repro.io."""
 
 import io as stdio
+import os
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import io as rio
 from repro.circuits.registry import TABLE1_ROWS, TABLE2_ROWS
 from repro.core import BBDDManager, reorder
@@ -14,8 +16,9 @@ from repro.core.dot import to_dot
 from repro.core.exceptions import BBDDError, VariableError
 from repro.core.traversal import levelize
 from repro.harness.table1 import run_table1
+from repro.io.__main__ import main as io_main
 from repro.io.checkpoint import CheckpointStore
-from repro.io.format import FormatError, unpack_ref
+from repro.io.format import FORMAT_VERSION, FormatError, read_header, unpack_ref
 from repro.io.stream import LevelStreamReader
 from repro.network.build import build_bbdd
 
@@ -474,3 +477,151 @@ def test_to_dot_rejects_mismatched_names():
     # Matching names and the auto-naming default both still work.
     assert "digraph" in to_dot(m, [f], names=["f"])
     assert "f0" in to_dot(m, [f])
+
+
+# ----------------------------------------------------------------------
+# golden v1 container, compressed round trips, retired chain dumps
+# ----------------------------------------------------------------------
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_V1 = os.path.join(DATA, "golden_v1.bbdd")
+GOLDEN_VARS = ["a", "b", "c", "d"]
+GOLDEN_MASKS = {"maj": 0xE8E8, "parity": 0x6996, "bic": 0x9990}
+
+#: Dumps of the parity tower a <-> (b <-> (c <-> (d <-> e))) written by
+#: the 1.3 chain-reduced managers (header flag 0x2), bbdd and bdd, plain
+#: and compressed.  Every reader must refuse them the same way.
+CHAIN_DUMPS = [
+    "chain_parity5_bbdd.bbdd",
+    "chain_parity5_bbdd_compressed.bbdd",
+    "chain_parity5_bdd.bbdd",
+    "chain_parity5_bdd_compressed.bbdd",
+]
+CHAIN_VARS = ["a", "b", "c", "d", "e"]
+
+
+def test_golden_v1_reloads_bit_exactly():
+    with open(GOLDEN_V1, "rb") as fileobj:
+        data = fileobj.read()
+    header = read_header(stdio.BytesIO(data))
+    assert header.version == FORMAT_VERSION
+    assert header.flags == 0
+    manager, functions = rio.loads(data)
+    assert set(functions) == set(GOLDEN_MASKS)
+    for name, mask in GOLDEN_MASKS.items():
+        assert functions[name].truth_mask(GOLDEN_VARS) == mask, name
+    # A plain manager re-dumps the v1 container byte for byte.
+    assert rio.dumps(manager, functions) == data
+
+
+@st.composite
+def masked_function(draw, max_vars=4):
+    n = draw(st.integers(min_value=2, max_value=max_vars))
+    mask = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    return n, mask
+
+
+def _build_from_mask(manager, names, mask):
+    """Sum-of-minterms build through the shared protocol surface."""
+    f = manager.false()
+    variables = [manager.var(name) for name in names]
+    for idx in range(1 << len(names)):
+        if not (mask >> idx) & 1:
+            continue
+        term = manager.true()
+        for bit, v in enumerate(variables):
+            term = term & (v if (idx >> bit) & 1 else ~v)
+        f = f | term
+    return f
+
+
+@pytest.mark.parametrize("backend", ["bbdd", "bdd", "xmem"])
+@given(masked_function(), st.booleans())
+@settings(**_SETTINGS)
+def test_compressed_roundtrip_across_backends(backend, fn, compress):
+    n, mask = fn
+    names = [f"v{i}" for i in range(n)]
+    manager = repro.open(backend, vars=names)
+    f = _build_from_mask(manager, names, mask)
+    buf = stdio.BytesIO()
+    manager.dump({"f": f}, buf, compress=compress)
+    fresh = repro.open(backend, vars=names)
+    loaded = fresh.load(stdio.BytesIO(buf.getvalue()))
+    assert loaded["f"].truth_mask(names) == mask
+
+
+def test_scan_cli_reports_every_container_kind(tmp_path):
+    m, fns = _small_forest()
+    compressed = str(tmp_path / "small.bbdd")
+    m.dump(fns, compressed, compress=True)
+    out = stdio.StringIO()
+    assert io_main(["scan", compressed, GOLDEN_V1], out=out) == 0
+    text = out.getvalue()
+    assert "version:        2" in text
+    assert "(compressed)" in text
+    assert "version:        1" in text
+    assert "0x0 (none)" in text
+    assert "backend kind:   bbdd" in text
+    assert "bytes per node:" in text
+
+
+def test_scan_cli_missing_file_exits_nonzero(tmp_path, capsys):
+    out = stdio.StringIO()
+    missing = str(tmp_path / "nope.bbdd")
+    assert io_main(["scan", missing], out=out) == 1
+    captured = capsys.readouterr()
+    assert "nope.bbdd" in captured.err
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("name", CHAIN_DUMPS)
+def test_chain_reduced_dumps_are_rejected(name, capsys):
+    path = os.path.join(DATA, name)
+    with open(path, "rb") as fileobj:
+        data = fileobj.read()
+    retired = "chain-reduced dumps are no longer read"
+
+    def rejects(read, names_file=True):
+        with pytest.raises(FormatError) as info:
+            read()
+        message = str(info.value)
+        assert retired in message
+        if names_file:
+            assert path in message
+
+    def stream_read():
+        with open(path, "rb") as fileobj:
+            LevelStreamReader(fileobj).load_into(BBDDManager(CHAIN_VARS))
+
+    # Every reader fails the same way, whatever the record kind.
+    rejects(lambda: rio.load(path))
+    rejects(lambda: rio.loads(data), names_file=False)
+    rejects(lambda: rio.load_bdd(path))
+    rejects(lambda: rio.loads_bdd(data), names_file=False)
+    rejects(lambda: rio.open_forest(path))
+    rejects(lambda: rio.scan(path))
+    rejects(stream_read)
+    rejects(lambda: BBDDManager(CHAIN_VARS).load(path))
+    rejects(lambda: repro.open("xmem", vars=CHAIN_VARS).load(path))
+    # The CLI prints that error and exits 1.
+    out = stdio.StringIO()
+    assert io_main(["scan", path], out=out) == 1
+    assert retired in capsys.readouterr().err
+    assert out.getvalue() == ""
+
+
+def test_json_span_records_are_rejected():
+    """1.3 JSON dumps marked span nodes with a ``bot`` field."""
+    document = {
+        "format": "bbdd-json",
+        "version": 1,
+        "variables": CHAIN_VARS,
+        "order": CHAIN_VARS,
+        "nodes": [
+            {"id": 1, "pv": "a", "sv": "b", "bot": "d", "neq": [0, True],
+             "eq": [0, False]},
+        ],
+        "roots": {"par": [1, False]},
+    }
+    with pytest.raises(FormatError, match="chain-reduced dumps are no longer read"):
+        rio.from_dict(document)

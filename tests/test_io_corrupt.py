@@ -50,27 +50,27 @@ def _empty_dump() -> bytes:
     return rio.dumps(m, {})
 
 
-#: A parity tower over five variables: chain reduction collapses it to
-#: span nodes, so these dumps exercise FLAG_CHAIN alongside
-#: FLAG_COMPRESSED (span records + delta refs + shared deflate).
-_CHAIN_VARS = ["a", "b", "c", "d", "e"]
-_CHAIN_EXPR = "a <-> (b <-> (c <-> (d <-> e)))"
+#: A parity tower over five variables next to a small cone: the
+#: compressed dumps exercise FLAG_COMPRESSED (delta refs + shared
+#: deflate) on couples, literals and complemented edges.
+_TOWER_VARS = ["a", "b", "c", "d", "e"]
+_TOWER_EXPR = "a <-> (b <-> (c <-> (d <-> e)))"
 
 
 def _bbdd_dump_compressed() -> bytes:
-    m = repro.open("bbdd", vars=_CHAIN_VARS, chain_reduce=True)
+    m = repro.open("bbdd", vars=_TOWER_VARS)
     return rio.dumps(
         m,
-        {"par": m.add_expr(_CHAIN_EXPR), "g": m.add_expr("(a ^ b) | e")},
+        {"par": m.add_expr(_TOWER_EXPR), "g": m.add_expr("(a ^ b) | e")},
         compress=True,
     )
 
 
 def _bdd_dump_compressed() -> bytes:
-    m = repro.open("bdd", vars=_CHAIN_VARS, chain_reduce=True)
+    m = repro.open("bdd", vars=_TOWER_VARS)
     return rio.dumps_bdd(
         m,
-        {"par": m.add_expr(_CHAIN_EXPR), "g": m.add_expr("(a ^ b) | e")},
+        {"par": m.add_expr(_TOWER_EXPR), "g": m.add_expr("(a ^ b) | e")},
         compress=True,
     )
 
@@ -106,22 +106,20 @@ def test_bdd_load_rejects_every_truncation(make_dump):
 
 
 def test_compressed_dumps_carry_v2_flags():
-    """The fuzz fixtures really hit the v2 chain+compressed code paths."""
+    """The fuzz fixtures really hit the v2 compressed code paths."""
     from repro.io.format import (
         FLAG_BDD,
-        FLAG_CHAIN,
         FLAG_COMPRESSED,
-        FORMAT_VERSION_CHAIN,
+        FORMAT_VERSION_V2,
         read_header,
     )
 
     bbdd = read_header(_io.BytesIO(_bbdd_dump_compressed()))
-    assert bbdd.version == FORMAT_VERSION_CHAIN
-    assert bbdd.flags & FLAG_COMPRESSED and bbdd.flags & FLAG_CHAIN
-    assert not bbdd.flags & FLAG_BDD
+    assert bbdd.version == FORMAT_VERSION_V2
+    assert bbdd.flags == FLAG_COMPRESSED
     bdd = read_header(_io.BytesIO(_bdd_dump_compressed()))
-    assert bdd.version == FORMAT_VERSION_CHAIN
-    assert bdd.flags & FLAG_COMPRESSED and bdd.flags & FLAG_BDD
+    assert bdd.version == FORMAT_VERSION_V2
+    assert bdd.flags == FLAG_COMPRESSED | FLAG_BDD
 
 
 def test_xmem_load_rejects_every_truncation():
@@ -216,7 +214,7 @@ def _with_bomb(data: bytes) -> bytes:
         (_bdd_dump_compressed, rio.loads_bdd),
         (
             _bbdd_dump_compressed,
-            lambda d: repro.open("xmem", vars=_CHAIN_VARS).load(_io.BytesIO(d)),
+            lambda d: repro.open("xmem", vars=_TOWER_VARS).load(_io.BytesIO(d)),
         ),
     ],
 )
@@ -234,7 +232,7 @@ def test_decompression_bomb_fails_in_bounded_memory(make_dump, load):
 
 
 def test_xmem_spill_reader_bounds_inflation():
-    manager = repro.open("xmem", vars=_CHAIN_VARS)
+    manager = repro.open("xmem", vars=_TOWER_VARS)
     f = manager.add_expr("(a ^ b) | (c & d & ~e)")
     rep = f.edge[0].rep
     assert rep.spill() > 0
@@ -247,7 +245,7 @@ def test_xmem_spill_reader_bounds_inflation():
 
 def test_xmem_spill_reader_rejects_truncated_stream():
     """A spill file missing its adler32 trailer no longer loads."""
-    manager = repro.open("xmem", vars=_CHAIN_VARS)
+    manager = repro.open("xmem", vars=_TOWER_VARS)
     f = manager.add_expr("(a ^ b) | (c & d & ~e)")
     rep = f.edge[0].rep
     assert rep.spill() > 0

@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from test_api_protocol import ALL_BACKENDS
 from test_expr_api import expressions
-from test_wmc import VARIANTS
 from repro.par import (
     ParallelPool,
     ParError,
@@ -40,14 +40,6 @@ _SETTINGS = dict(
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
 
-#: The backend/chain matrix of the weighted-counting oracles, with
-#: chain-reduced variants labelled ``backend+chain``.
-ALL_VARIANTS = [
-    pytest.param(backend, kwargs, id=backend + ("+chain" if kwargs else ""))
-    for backend, kwargs in VARIANTS
-]
-
-
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every test must unlink the segments it created."""
@@ -61,8 +53,8 @@ def all_assignments(names):
         yield {name: (bits >> i) & 1 for i, name in enumerate(names)}
 
 
-def build(backend, expr="(a ^ b) | (c & d) | (e & ~f)", **kwargs):
-    manager = repro.open(backend, vars=NAMES, **kwargs)
+def build(backend, expr="(a ^ b) | (c & d) | (e & ~f)"):
+    manager = repro.open(backend, vars=NAMES)
     return manager, manager.add_expr(expr)
 
 
@@ -71,9 +63,9 @@ def enumerated_count(f, queries):
     return sum(f.evaluate(query) for query in queries)
 
 
-@pytest.mark.parametrize("backend,kwargs", ALL_VARIANTS)
-def test_frozen_forest_matches_manager(backend, kwargs):
-    manager, f = build(backend, **kwargs)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_frozen_forest_matches_manager(backend):
+    manager, f = build(backend)
     g = manager.add_expr("~a | (b ^ c)")
     queries = list(all_assignments(NAMES))
     rng = random.Random(5)
@@ -95,9 +87,9 @@ def test_frozen_forest_matches_manager(backend, kwargs):
             assert named_support == func.support()
 
 
-@pytest.mark.parametrize("backend,kwargs", ALL_VARIANTS)
-def test_frozen_constants_and_complements(backend, kwargs):
-    manager = repro.open(backend, vars=["x", "y"], **kwargs)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_frozen_constants_and_complements(backend):
+    manager = repro.open(backend, vars=["x", "y"])
     t, f_ = manager.true(), manager.false()
     g = ~(manager.var("x") & manager.var("y"))
     queries = list(all_assignments(["x", "y"]))
@@ -110,12 +102,12 @@ def test_frozen_constants_and_complements(backend, kwargs):
         assert forest.sat_count("g") == 3
 
 
-@pytest.mark.parametrize("backend,kwargs", ALL_VARIANTS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 @settings(**_SETTINGS)
 @given(data=st.data())
-def test_frozen_forest_equivalence_property(backend, kwargs, data):
+def test_frozen_forest_equivalence_property(backend, data):
     expr = data.draw(expressions(tuple(NAMES[:4])))
-    manager = repro.open(backend, vars=NAMES[:4], **kwargs)
+    manager = repro.open(backend, vars=NAMES[:4])
     f = manager.add_expr(expr)
     queries = list(all_assignments(NAMES[:4]))
     with ShmForest.freeze(manager, {"f": f}) as forest:

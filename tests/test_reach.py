@@ -40,15 +40,6 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: (backend, manager kwargs) — the matrix the oracle tests sweep.
-VARIANTS = [
-    ("bbdd", {}),
-    ("bbdd", {"chain_reduce": True}),
-    ("bdd", {}),
-    ("xmem", {}),
-]
-
-
 def random_transition_network(rng, bits, inputs=0):
     """A random sequential network: ``bits`` latches, random next-state.
 
@@ -95,11 +86,11 @@ def test_random_systems_match_explicit_bfs():
     for bits, inputs in cases:
         net = random_transition_network(rng, bits, inputs)
         oracle = explicit_reachable(net)
-        for backend, kwargs in VARIANTS:
-            system = from_network(net, backend=backend, **kwargs)
+        for backend in ALL_BACKENDS:
+            system = from_network(net, backend=backend)
             result = reachable(system)
             codes = system.state_codes(result.states)
-            assert codes == oracle, (net.name, backend, kwargs)
+            assert codes == oracle, (net.name, backend)
             assert result.state_count == len(oracle)
             assert result.iterations <= len(oracle)
 
@@ -113,8 +104,8 @@ def test_model_families_match_explicit_bfs():
     ]
     for net in nets:
         oracle = explicit_reachable(net)
-        for backend, kwargs in VARIANTS:
-            system = from_network(net, backend=backend, **kwargs)
+        for backend in ALL_BACKENDS:
+            system = from_network(net, backend=backend)
             result = reachable(system)
             assert system.state_codes(result.states) == oracle, (
                 net.name,
@@ -176,28 +167,12 @@ def test_and_exists_equals_unfused(backend, case):
     assert f.and_exists(g, []) == (f & g)
 
 
-@given(case=conjoined_pair())
-@settings(**_SETTINGS)
-def test_and_exists_equals_unfused_chain_reduced(case):
-    names, f_text, g_text, subset = case
-    for backend in ("bbdd", "bdd"):
-        manager = repro.open(backend, vars=names, chain_reduce=True)
-        f = manager.add_expr(f_text)
-        g = manager.add_expr(g_text)
-        assert f.and_exists(g, subset) == (f & g).exists(subset), (
-            backend,
-            f_text,
-            g_text,
-            subset,
-        )
-
-
 def _parity_tower_operand(rng, names):
     """A random operand around a 5-variable parity tower.
 
-    In chain mode the tower collapses into a span node, so quantifying
-    a couple's secondary variable meets spans rooted at ``v``, rooted
-    at ``w`` and split through their tail.
+    On BBDDs the tower is a run of linear couples, so quantifying a
+    couple's secondary variable substitutes into children rooted at
+    ``v``, rooted at ``w`` and rooted deeper.
     """
     k = rng.randrange(len(names) - 4)
     tower = " ^ ".join(names[k : k + 5])
@@ -213,29 +188,32 @@ def _parity_tower_operand(rng, names):
 
 
 def test_and_exists_chain_spans_match_restrict_oracle():
-    """Parity towers on a chain manager: fused and unfused == restrict-OR.
+    """Parity towers (XOR chains): fused and unfused == restrict-OR.
 
-    The oracle is computed on a plain manager (no spans) by OR-ing the
-    two restricts of each quantified variable in turn.
+    The oracle is computed once per case on a separate bbdd manager by
+    OR-ing the two restricts of each quantified variable in turn; every
+    backend must agree with it.
     """
     rng = random.Random(2026)
     names = [f"v{i}" for i in range(8)]
-    chain = repro.open("bbdd", vars=names, chain_reduce=True)
-    plain = repro.open("bbdd", vars=names)
+    managers = [repro.open(backend, vars=names) for backend in ALL_BACKENDS]
+    oracle_manager = repro.open("bbdd", vars=names)
     for _case in range(600):
         f_text = _parity_tower_operand(rng, names)
         g_text = _parity_tower_operand(rng, names)
         subset = [name for name in names if rng.getrandbits(1)]
-        oracle = plain.add_expr(f_text) & plain.add_expr(g_text)
+        oracle = oracle_manager.add_expr(f_text) & oracle_manager.add_expr(g_text)
         for name in subset:
             oracle = oracle.restrict(name, False) | oracle.restrict(name, True)
         want = oracle.truth_mask(names)
-        f = chain.add_expr(f_text)
-        g = chain.add_expr(g_text)
-        case = (f_text, g_text, subset)
-        assert f.and_exists(g, subset).truth_mask(names) == want, case
-        assert (f & g).exists(subset).truth_mask(names) == want, case
-    chain.check_invariants()
+        for manager in managers:
+            f = manager.add_expr(f_text)
+            g = manager.add_expr(g_text)
+            case = (manager.backend, f_text, g_text, subset)
+            assert f.and_exists(g, subset).truth_mask(names) == want, case
+            assert (f & g).exists(subset).truth_mask(names) == want, case
+    for manager in managers:
+        manager.check_invariants()
 
 
 # ----------------------------------------------------------------------

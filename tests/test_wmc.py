@@ -10,13 +10,12 @@ Three ground truths anchor :mod:`repro.wmc`:
 * the **restrict oracle** — each posterior marginal must satisfy
   ``p(v=1 | f=1) = p_v * p_one(f|v=1) / p_one(f)``.
 
-Every property runs on the full backend matrix (bbdd/bdd/xmem) with
-chain reduction both off and on where supported.  The two-pass
-marginals kernel is checked on the shapes that exercise each of its
-joint sites — parity spans, gap variables above the root and between
-levels, variables outside the support, zero/one weights — and on every
-query path: manager functions, frozen shared-memory forests and the
-protocol-pure fallback.
+Every property runs on the full backend matrix (bbdd/bdd/xmem).  The
+two-pass marginals kernel is checked on the shapes that exercise each
+of its joint sites — parity towers, gap variables above the root and
+between levels, variables outside the support, zero/one weights — and
+on every query path: manager functions, frozen shared-memory forests
+and the protocol-pure fallback.
 """
 
 import math
@@ -33,28 +32,42 @@ from repro.par import ShmForest
 from repro.wmc import WmcError, p_one, resolve_weights, shannon_count
 
 from test_api_protocol import ALL_BACKENDS
-from test_chain import NAMES as CHAIN_NAMES, SPAN_BUILDERS
 
 _SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: (backend, manager kwargs) — the matrix every oracle test sweeps.
-VARIANTS = [
-    ("bbdd", {}),
-    ("bbdd", {"chain_reduce": True}),
-    ("bdd", {}),
-    ("bdd", {"chain_reduce": True}),
-    ("xmem", {}),
-]
+TOWER_NAMES = [f"x{i}" for i in range(8)]
+
+
+def _parity(m, lo=0, hi=len(TOWER_NAMES), neg=False):
+    """An XNOR tower over ``TOWER_NAMES[lo:hi]``."""
+    f = m.var(TOWER_NAMES[lo])
+    for i in range(lo + 1, hi):
+        f = ~f.xnor(m.var(TOWER_NAMES[i]))
+    return ~f if neg else f
+
+
+#: label -> builder: parity towers alone, negated, under AND/OR, two
+#: towers meeting, and towers over a strict subset of the variables.
+TOWER_BUILDERS = {
+    "parity8": lambda m: _parity(m),
+    "parity8n": lambda m: _parity(m, neg=True),
+    "parity_mid": lambda m: _parity(m, 2, 7),
+    "parity_and": lambda m: _parity(m, 1, 6) & m.var("x0"),
+    "parity_or": lambda m: _parity(m, 0, 5) | (m.var("x6") & m.var("x7")),
+    "two_par": lambda m: _parity(m, 0, 4).xnor(_parity(m, 4, 8)),
+    "par_xor_var": lambda m: ~_parity(m, 0, 6).xnor(m.var("x7")),
+    "mixed": lambda m: (_parity(m, 0, 5) & m.var("x5"))
+    | (~_parity(m, 2, 8) & ~m.var("x0")),
+}
 
 
 def variant_managers(names):
-    """Yield ``(label, manager)`` across the backend/chain matrix."""
-    for backend, kwargs in VARIANTS:
-        label = backend + ("+chain" if kwargs else "")
-        yield label, repro.open(backend, vars=names, **kwargs)
+    """Yield ``(backend, manager)`` across every backend."""
+    for backend in ALL_BACKENDS:
+        yield backend, repro.open(backend, vars=names)
 
 
 @st.composite
@@ -236,7 +249,7 @@ def test_constants_and_sparse_support():
 def test_shannon_count_fallback_matches_sweep():
     """The protocol-pure recursion equals the levelized sweep."""
     names = [f"v{i}" for i in range(5)]
-    manager = repro.open("bbdd", vars=names, chain_reduce=True)
+    manager = repro.open("bbdd", vars=names)
     f = manager.add_expr("(v0 ^ v1) | (v2 & v3 & ~v4)")
     weights = {"v0": Fraction(1, 3), "v3": Fraction(5, 7)}
     w1, w0, one, zero = resolve_weights(manager, weights, probabilities=True)
@@ -254,6 +267,30 @@ def test_weight_validation_errors():
     other = repro.open("bbdd", vars=["a", "b"])
     with pytest.raises(ForeignManagerError):
         manager.p_one(other.var("a"))
+
+
+@pytest.mark.parametrize("shape", ["single", "pair"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_non_finite_weights_raise_wmc_error(exact, shape):
+    """inf, -inf and NaN are typed errors on every query path."""
+    manager = repro.open("bbdd", vars=["a", "b"])
+    f = manager.add_expr("a | b")
+    with ShmForest.freeze(manager, {"f": f}) as forest:
+        for bad in (math.inf, -math.inf, math.nan):
+            values = [bad] if shape == "single" else [(bad, 1), (1, bad)]
+            for value in values:
+                weights = {"a": value}
+                queries = [
+                    lambda: f.weighted_count(weights, exact=exact),
+                    lambda: f.p_one(weights, exact=exact),
+                    lambda: f.marginals(weights, exact=exact),
+                    lambda: forest.weighted_count("f", weights, exact=exact),
+                    lambda: forest.p_one("f", weights, exact=exact),
+                    lambda: forest.marginals("f", weights, exact=exact),
+                ]
+                for query in queries:
+                    with pytest.raises(WmcError):
+                        query()
 
 
 def _sweeps():
@@ -310,27 +347,17 @@ def _restrict_oracle(f, weights, names):
     }
 
 
-def _has_span(manager, f):
-    columns = manager.freeze_export([("f", f.edge)])
-    if columns is None:
-        return False
-    return any(row[3] >= 0 for row in columns.rows())
-
-
 def test_marginals_on_parity_spans_match_restrict_oracle():
-    """Chain-reduced parity towers: partner-run joints via parity folds."""
+    """Parity towers: every couple of a linear run decides two joints."""
     rng = random.Random(2014)
-    weights = {name: Fraction(rng.randint(1, 15), 16) for name in CHAIN_NAMES}
-    spans = {}
-    for shape, builder in sorted(SPAN_BUILDERS.items()):
-        for label, manager in variant_managers(CHAIN_NAMES):
+    weights = {name: Fraction(rng.randint(1, 15), 16) for name in TOWER_NAMES}
+    for shape, builder in sorted(TOWER_BUILDERS.items()):
+        for label, manager in variant_managers(TOWER_NAMES):
             f = builder(manager)
-            spans[label] = spans.get(label, 0) + _has_span(manager, f)
-            got = f.marginals(weights, CHAIN_NAMES)
-            assert got == _restrict_oracle(f, weights, CHAIN_NAMES), (label, shape)
-            floats = f.marginals(weights, CHAIN_NAMES, exact=False)
+            got = f.marginals(weights, TOWER_NAMES)
+            assert got == _restrict_oracle(f, weights, TOWER_NAMES), (label, shape)
+            floats = f.marginals(weights, TOWER_NAMES, exact=False)
             assert floats == pytest.approx({k: float(v) for k, v in got.items()})
-    assert spans["bbdd+chain"] >= 3 and spans["bdd+chain"] >= 3, spans
 
 
 def test_marginals_on_sparse_support_with_gap_variables():
@@ -341,7 +368,7 @@ def test_marginals_on_sparse_support_with_gap_variables():
         "v4 ^ v7",
         "(v2 <-> v6) & ~v9",
         "v6",
-        # A chain-reduced BBDD span with a gap before its first partner.
+        # A parity tower with a gap below its first variable.
         "v2 ^ v7 ^ v8 ^ v9",
     ]
     rng = random.Random(2014)
@@ -428,14 +455,14 @@ def test_weighted_count_negative_and_float_weights_match_shannon():
 
 
 def test_shm_forest_marginals_equal_manager_marginals():
-    names = CHAIN_NAMES
+    names = TOWER_NAMES
     rng = random.Random(11)
     weights = {name: Fraction(rng.randint(0, 16), 16) for name in names[1:]}
     pairs = {name: (Fraction(rng.randint(-8, 8), 3), 1) for name in names[::2]}
     for label, manager in variant_managers(names):
         forest = {
-            "tower": SPAN_BUILDERS["par_xor_var"](manager),
-            "mixed": SPAN_BUILDERS["mixed"](manager),
+            "tower": TOWER_BUILDERS["par_xor_var"](manager),
+            "mixed": TOWER_BUILDERS["mixed"](manager),
             "sparse": manager.add_expr("(x2 & x5) | ~x7"),
             "one": manager.true(),
         }
@@ -474,12 +501,8 @@ def test_protocol_fallback_marginals_match_kernel():
 # compiled columns kept by the computed table
 # ----------------------------------------------------------------------
 
-#: The variants whose managers keep the last compiled root.
-KEEPING = [
-    (backend, kwargs)
-    for backend, kwargs in VARIANTS
-    if backend == "bbdd" or (backend == "bdd" and not kwargs)
-]
+#: The backends whose managers keep the last compiled root.
+KEEPING = ["bbdd", "bdd"]
 KEEP_NAMES = [f"v{i}" for i in range(6)]
 KEEP_WEIGHTS = {"v0": Fraction(1, 3), "v2": Fraction(3, 4), "v5": Fraction(1, 7)}
 
@@ -510,22 +533,21 @@ def _check_queries(f):
 
 
 def _scenarios():
-    for backend, kwargs in KEEPING:
-        label = backend + ("+chain" if kwargs else "")
-        for scenario in ("sift", "gc", "chains", "auto_gc", "new_var"):
-            if backend == "bdd" and scenario in ("chains", "auto_gc", "new_var"):
-                continue  # no chain rewrites, auto-GC or new_var there
-            yield pytest.param(backend, kwargs, scenario, id=f"{label}-{scenario}")
+    for backend in KEEPING:
+        for scenario in ("sift", "gc", "auto_gc", "new_var"):
+            if backend == "bdd" and scenario in ("auto_gc", "new_var"):
+                continue  # no auto-GC or new_var there
+            yield pytest.param(backend, scenario, id=f"{backend}-{scenario}")
 
 
-@pytest.mark.parametrize("backend, kwargs, scenario", list(_scenarios()))
-def test_compiled_columns_live_as_long_as_computed_table(backend, kwargs, scenario):
+@pytest.mark.parametrize("backend, scenario", list(_scenarios()))
+def test_compiled_columns_live_as_long_as_computed_table(backend, scenario):
     """Queries keep the last compiled root; every table clear drops it.
 
     A clear that kept the columns would answer ``g`` with ``f``'s
     columns once ``g``'s root takes the slot ``f``'s root freed.
     """
-    manager = repro.open(backend, vars=KEEP_NAMES, **kwargs)
+    manager = repro.open(backend, vars=KEEP_NAMES)
     # Held literals stay live, so a dropped function frees only its own
     # nodes and the next function's root can take their slots.
     _literals = [manager.var(name) for name in KEEP_NAMES]
@@ -549,11 +571,6 @@ def test_compiled_columns_live_as_long_as_computed_table(backend, kwargs, scenar
         if backend == "bbdd":
             assert g.edge == freed  # the slot reuse this scenario needs
         _check_queries(g)
-    elif scenario == "chains":
-        manager.expand_chains()
-        _check_queries(f)
-        manager.reduce_chains()
-        _check_queries(f)
     elif scenario == "auto_gc":
         manager.gc()
         manager.gc_min_nodes = 1
