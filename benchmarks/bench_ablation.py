@@ -1,8 +1,6 @@
 """Ablation benches for the design choices of Sec. IV-A3.
 
 * computed table on/off — the memoization of Algorithm 1;
-* dict vs. Cantor-pairing unique/computed tables — the paper's hashing
-  machinery against native hashing;
 * sifting on/off — the re-ordering contribution to node counts.
 
 Each ablation runs the same fixed workload (build the `comp`, `my_adder`
@@ -16,19 +14,15 @@ from _metrics import record_metric
 from repro.circuits import mcnc
 from repro.core.reorder import sift
 from repro.harness.table1 import run_benchmark
-from repro.network.build import build_bbdd
+from repro.network.build import build
 
 _WORKLOAD = [mcnc.comp(10), mcnc.my_adder(10), mcnc.parity(12)]
 
 
-def _build_all(computed_backend="dict", unique_backend="dict"):
+def _build_all(computed_backend="dict"):
     total = 0
     for net in _WORKLOAD:
-        manager, fns = build_bbdd(
-            net,
-            unique_backend=unique_backend,
-            computed_backend=computed_backend,
-        )
+        manager, fns = build(net, backend="bbdd", computed_backend=computed_backend)
         total += manager.node_count(list(fns.values()))
     return total
 
@@ -43,25 +37,12 @@ def test_ablation_computed_table(benchmark, computed):
     record_metric("ablation", f"computed_{computed}_nodes", nodes, "nodes")
 
 
-@pytest.mark.parametrize("backend", ["dict", "cantor"])
-def test_ablation_table_backend(benchmark, backend):
-    nodes = benchmark.pedantic(
-        _build_all,
-        kwargs={"unique_backend": backend, "computed_backend": backend},
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["nodes"] = nodes
-    benchmark.extra_info["backend"] = backend
-    record_metric("ablation", f"tables_{backend}_nodes", nodes, "nodes")
-
-
 @pytest.mark.parametrize("use_sift", [False, True])
 def test_ablation_sifting(benchmark, use_sift):
     net = mcnc.comp(12)
 
     def pipeline():
-        manager, fns = build_bbdd(net)
+        manager, fns = build(net, backend="bbdd")
         if use_sift:
             sift(manager)
         return manager.node_count(list(fns.values()))

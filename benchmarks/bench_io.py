@@ -19,7 +19,7 @@ import pytest
 from _metrics import record_metric
 from repro import io as rio
 from repro.circuits.registry import TABLE1_ROWS
-from repro.network.build import build_bbdd
+from repro.network.build import build
 
 _ROWS = {row.name: row for row in TABLE1_ROWS}
 
@@ -33,7 +33,7 @@ _PLAIN_BASELINE_B_PER_NODE = 4.7
 
 def _forest(name):
     network = _ROWS[name].build(full=False)
-    manager, functions = build_bbdd(network)
+    manager, functions = build(network, backend="bbdd")
     nodes = manager.node_count(list(functions.values()))
     return manager, functions, nodes
 

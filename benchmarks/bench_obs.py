@@ -21,7 +21,7 @@ import pytest
 
 from _metrics import record_metric
 from repro.circuits import mcnc
-from repro.network.build import build_bbdd
+from repro.network.build import build
 from repro.obs import trace
 
 #: Timed rounds per configuration; the gate uses the minimum.
@@ -35,7 +35,7 @@ def _workload():
     orders of magnitude above the per-apply span-record cost, so the
     5% gate measures instrumentation, not noise floor.
     """
-    manager, fns = build_bbdd(mcnc.alu4())
+    manager, fns = build(mcnc.alu4(), backend="bbdd")
     edges = [f.edge for f in fns.values()]
     pairs = [(edges[i], edges[(i + 3) % len(edges)]) for i in range(len(edges))]
     return manager, pairs

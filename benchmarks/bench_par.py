@@ -115,7 +115,7 @@ def test_shared_pool_memory_is_o1_per_worker(tmp_path, capsys):
     path = tmp_path / "circuit.bbdd"
     manager.dump(functions, str(path))
 
-    pool = ForestPool(workers=2, shared_memory=True)
+    pool = ForestPool(workers=2)
     try:
         pool.warm(str(path))
         stats = pool.stats()

@@ -6,9 +6,9 @@ serves it three ways:
 
 1. direct bulk queries — ``f.evaluate_batch`` (one levelized sweep) and
    batched cube satisfiability;
-2. a :class:`repro.serve.ForestPool` answering sharded, cached batches
-   from the dump (the dump is the pool's wire/warm-start format, so
-   any backend's forest serves from core);
+2. a one-worker :class:`repro.serve.ForestPool` answering cached
+   batches from the dump (the pool freezes the dump once and its worker
+   sweeps the shared segment, so any backend's forest serves from core);
 3. a :class:`repro.serve.BatchingServer` coalescing concurrent single
    queries into sweeps under a latency budget.
 
@@ -63,14 +63,14 @@ def main() -> None:
     cubes = [{"x0": 1, "x6": 0}, {"x0": 1, "x6": 1}, {}]
     print("equal /\\ cube satisfiable:", forest["equal"].satisfiable_batch(cubes))
 
-    # 2. the worker pool over a dumped container ----------------------
+    # 2. the pool over a dumped container -----------------------------
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "forest.bbdd")
         manager.dump(forest, path)
         assignments = [
             {name: rng.getrandbits(1) for name in names} for _ in range(2000)
         ]
-        with ForestPool(workers=0, shard_size=512, cache_size=2048) as pool:
+        with ForestPool(workers=1, cache_size=2048) as pool:
             print("pool serves:", ", ".join(pool.warm(path)))
             pool.evaluate_batch(path, "any_pair", assignments)
             pool.evaluate_batch(path, "any_pair", assignments[:500])  # cache hits

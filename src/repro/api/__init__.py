@@ -87,8 +87,8 @@ def open(
         Number of variables or a sequence of distinct names (variables
         can also be appended later where the backend supports it).
     kwargs:
-        Passed through to the backend factory (e.g. ``unique_backend``,
-        ``computed_backend``, the BBDD GC knobs).
+        Passed through to the backend factory (e.g. ``computed_backend``,
+        the BBDD GC knobs).
     """
     try:
         factory = _BACKENDS[backend.lower()]

@@ -34,7 +34,7 @@ from repro.core.operations import (
     restrict_b,
 )
 from repro.core.order import ChainVariableOrder
-from repro.core.unique_table import make_unique_table
+from repro.core.unique_table import UniqueTable
 
 #: Pending-frame tags of the iterative apply engine.
 _CALL = 0
@@ -50,7 +50,6 @@ class BDDManager(DDManager):
     def __init__(
         self,
         variables: Union[int, Sequence[str]],
-        unique_backend: str = "dict",
         computed_backend: str = "dict",
     ) -> None:
         if isinstance(variables, int):
@@ -65,7 +64,7 @@ class BDDManager(DDManager):
 
         self._uid = 0
         self.sink = make_bdd_sink(self._next_uid())
-        self._unique = make_unique_table(unique_backend)
+        self._unique = UniqueTable()
         self._cache = make_computed_table(computed_backend)
         self._by_var: Dict[int, set] = {i: set() for i in range(len(names))}
         self._node_count = 0

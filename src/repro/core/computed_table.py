@@ -16,9 +16,8 @@ traffic.
 Two backends remain: the dict-backed cache (the default — packed int
 keys hash natively) and :class:`DisabledComputedTable` for ablation
 runs, which keeps nothing (so every query compiles its root).  The
-historical direct-mapped ``"cantor"`` array went away with the Cantor
-hash machinery; the factory accepts the name only as a compatibility
-alias for ``"dict"``.
+paper's direct-mapped Cantor-hashed array went away with the Cantor
+hash machinery.
 """
 
 from __future__ import annotations
@@ -101,9 +100,9 @@ class DisabledComputedTable:
         return {"backend": "disabled", "entries": 0, "lookups": self.lookups, "hits": 0}
 
 
-def make_computed_table(backend: str = "dict", **kwargs):
-    """Factory; ``"cantor"`` is a deprecated alias for ``"dict"``."""
-    if backend in ("dict", "cantor"):
+def make_computed_table(backend: str = "dict"):
+    """Factory used by the managers: ``"dict"`` or ``"disabled"``."""
+    if backend == "dict":
         return DictComputedTable()
     if backend == "disabled":
         return DisabledComputedTable()

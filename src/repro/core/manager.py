@@ -64,7 +64,7 @@ from repro.core.operations import (
     restrict_b,
 )
 from repro.core.order import ChainVariableOrder
-from repro.core.unique_table import make_unique_table
+from repro.core.unique_table import UniqueTable
 
 #: Pending-frame tags of the iterative apply engine.
 _CALL = 0
@@ -118,11 +118,8 @@ class BBDDManager(DDManager):
     ----------
     variables:
         Either the number of variables or a sequence of distinct names.
-    unique_backend / computed_backend:
-        ``"dict"`` (default; ``"cantor"`` is a deprecated alias — the
-        packed-int-key dict table absorbed the historical Cantor
-        backend); the computed table additionally accepts ``"disabled"``
-        for ablation runs.
+    computed_backend:
+        ``"dict"`` (default) or ``"disabled"`` for ablation runs.
     auto_gc:
         Enable automatic garbage collection (default).  When enabled, a
         collection runs at the next safe point after the dead/total node
@@ -141,7 +138,6 @@ class BBDDManager(DDManager):
     def __init__(
         self,
         variables: Union[int, Sequence[str]],
-        unique_backend: str = "dict",
         computed_backend: str = "dict",
         auto_gc: bool = True,
         gc_threshold: float = 0.5,
@@ -171,7 +167,7 @@ class BBDDManager(DDManager):
         #: Interned read-only views (index -> BBDDNode), popped on sweep.
         self._views: Dict[int, BBDDNode] = {}
 
-        self._unique = make_unique_table(unique_backend)
+        self._unique = UniqueTable()
         # Hot-path accelerators: per-variable support bits (avoids big-int
         # shifts per node) and the unique table's raw dict.
         self._var_bits: List[int] = [1 << i for i in range(len(names))]

@@ -7,14 +7,12 @@ the sign) and ``(pv, SV_ONE)`` for literal nodes.  A lookup before
 each insertion guarantees that structurally equal nodes get the *same
 index*, reducing equivalence tests to integer comparisons.
 
-One backend remains: :class:`UniqueTable`, a thin stats-keeping shell
-around the built-in dict.  The historical ``"cantor"`` bucket-array
-implementation (nested Cantor pairings + adaptive rehashing) was
-retired with the integer-coded store — packed int-tuple keys hash
-natively faster than any pure-Python bucket scheme — so the factory
-accepts ``"cantor"`` only as a compatibility alias.
+:class:`UniqueTable` is a thin stats-keeping shell around the built-in
+dict.  The paper's bucket array (nested Cantor pairings + adaptive
+rehashing) was retired with the integer-coded store: packed int-tuple
+keys hash natively faster than any pure-Python bucket scheme.
 
-The protocol is unchanged: ``lookup``, ``insert``, ``delete``,
+The protocol: ``lookup``, ``insert``, ``delete``,
 ``__len__``, ``__contains__``, ``values``, ``clear`` and ``stats``.
 Hot paths (``BBDDManager._make``) bypass the method layer and work on
 the raw ``_table`` dict directly, settling the ``_lookups``/``_hits``
@@ -69,18 +67,3 @@ class UniqueTable:
             "hits": self._hits,
         }
 
-
-#: Backwards-compatible name (the pre-refactor default backend class).
-DictUniqueTable = UniqueTable
-
-
-def make_unique_table(backend: str = "dict", **kwargs):
-    """Factory used by the managers.
-
-    ``"dict"`` is the only real backend; ``"cantor"`` is accepted as a
-    deprecated alias (extra sizing kwargs are ignored) so existing
-    configuration keeps working.
-    """
-    if backend in ("dict", "cantor"):
-        return UniqueTable()
-    raise ValueError(f"unknown unique-table backend: {backend!r}")

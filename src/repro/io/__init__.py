@@ -24,8 +24,7 @@ Note: the convenience function is exported as :func:`migrate_forest`.
 The historical name ``migrate`` is *not* re-bound here — doing so used
 to shadow the :mod:`repro.io.migrate` submodule, so
 ``repro.io.migrate.ProtocolMigrator`` raised ``AttributeError``.
-``repro.io.migrate`` is the module again (and stays callable as a
-deprecated alias of :func:`migrate_forest`).
+``repro.io.migrate`` is the module again.
 """
 
 from repro.io.bdd_binary import dump as dump_bdd

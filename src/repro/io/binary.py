@@ -225,7 +225,7 @@ def open_forest(path) -> Tuple[object, Dict[str, object]]:
     """Load any dump container by sniffing its header flags.
 
     The serving warm-start path (:class:`repro.serve.pool.ForestPool`
-    workers): a ``.bbdd`` container holds either BBDD records (flags 0
+    loads each dump through it before freezing): a ``.bbdd`` container holds either BBDD records (flags 0
     — the in-core loader) or baseline-BDD Shannon records
     (``FLAG_BDD`` — the :mod:`repro.io.bdd_binary` loader); callers who
     just want "the forest in this file, served from core" need not know

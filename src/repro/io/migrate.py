@@ -23,9 +23,9 @@ Three entry points share the rebuild machinery:
 ``migrate_forest`` used to be exported as ``migrate``, which shadowed
 this very module in the ``repro.io`` namespace (``import
 repro.io.migrate`` yielded the *function*, so
-``repro.io.migrate.ProtocolMigrator`` raised ``AttributeError``).  The
-function was renamed; calling this **module** still works as a
-deprecated alias and forwards to :func:`migrate_forest`.
+``repro.io.migrate.ProtocolMigrator`` raised ``AttributeError``).
+``repro.io.migrate`` is the module; the function is
+:func:`migrate_forest`.
 
 Rebuild semantics
 -----------------
@@ -41,7 +41,6 @@ re-canonicalizes the function under the target order.
 
 from __future__ import annotations
 
-import sys as _sys
 from typing import Callable, Dict, List, Mapping, Sequence, Union
 
 from repro.api.base import FunctionBase, rebuild_function
@@ -337,39 +336,3 @@ def migrate_forest(functions, dst, rename: Rename = None):
     mig = _migrator_for(items[0].manager, dst, rename)
     return [mig.function(f) for f in items]
 
-
-def migrate(functions, dst, rename: Rename = None):
-    """Deprecated alias of :func:`migrate_forest`.
-
-    The old name shadowed the ``repro.io.migrate`` module when
-    re-exported from ``repro.io``; use :func:`migrate_forest` (calling
-    the module object also forwards here for backward compatibility).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.io.migrate.migrate() is deprecated; use migrate_forest()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return migrate_forest(functions, dst, rename=rename)
-
-
-class _CallableModule(_sys.modules[__name__].__class__):
-    """Module type that keeps the legacy ``repro.io.migrate(...)`` call
-    working (deprecated) now that the name is bound to the module again."""
-
-    def __call__(self, functions, dst, rename: Rename = None):
-        """Deprecated alias of :func:`migrate_forest`."""
-        import warnings
-
-        warnings.warn(
-            "calling repro.io.migrate(...) is deprecated; use "
-            "repro.io.migrate_forest(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return migrate_forest(functions, dst, rename=rename)
-
-
-_sys.modules[__name__].__class__ = _CallableModule

@@ -8,15 +8,13 @@ network-to-decision-diagram builders used by every experiment harness.
 """
 
 from repro.network.network import Gate, LogicNetwork
-from repro.network.build import build, build_bbdd, build_bdd
+from repro.network.build import build
 from repro.network.simulate import simulate, exhaustive_masks
 
 __all__ = [
     "Gate",
     "LogicNetwork",
     "build",
-    "build_bbdd",
-    "build_bdd",
     "simulate",
     "exhaustive_masks",
 ]

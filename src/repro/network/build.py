@@ -9,7 +9,7 @@ manager.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.operations import OP_AND, OP_OR, OP_XNOR, OP_XOR, flip_output
 
@@ -97,8 +97,6 @@ def build(
     network,
     backend: str = "bbdd",
     manager=None,
-    unique_backend: Optional[str] = None,
-    computed_backend: Optional[str] = None,
     **manager_kwargs,
 ) -> Tuple[object, Dict[str, object]]:
     """Build decision diagrams for all outputs of ``network``.
@@ -110,59 +108,13 @@ def build(
     identical code path.  Returns ``(manager, {output name: function})``;
     a fresh manager with the network's input order is created unless one
     is supplied.  Extra keyword arguments go to the backend factory
-    (``unique_backend``/``computed_backend`` for the table-backed
-    packages, ``node_budget`` for xmem, ...); the table-backend
-    arguments are only forwarded when set, since not every backend has
-    hash tables to configure.
+    (``computed_backend`` for the table-backed packages,
+    ``node_budget`` for xmem, ...).
     """
     if manager is None:
         from repro.api import open as _open
 
-        kwargs = dict(manager_kwargs)
-        if unique_backend is not None:
-            kwargs["unique_backend"] = unique_backend
-        if computed_backend is not None:
-            kwargs["computed_backend"] = computed_backend
-        manager = _open(backend, vars=list(network.inputs), **kwargs)
+        manager = _open(backend, vars=list(network.inputs), **manager_kwargs)
     functions = _build(manager, network, manager.function)
     return manager, functions
 
-
-def build_bbdd(
-    network,
-    manager=None,
-    unique_backend: str = "dict",
-    computed_backend: str = "dict",
-) -> Tuple[object, Dict[str, object]]:
-    """Build BBDDs for all outputs of ``network``.
-
-    Deprecated backend-specific spelling of :func:`build`; prefer
-    ``build(network, backend="bbdd")``.
-    """
-    return build(
-        network,
-        backend="bbdd",
-        manager=manager,
-        unique_backend=unique_backend,
-        computed_backend=computed_backend,
-    )
-
-
-def build_bdd(
-    network,
-    manager=None,
-    unique_backend: str = "dict",
-    computed_backend: str = "dict",
-) -> Tuple[object, Dict[str, object]]:
-    """Build baseline-package BDDs for all outputs of ``network``.
-
-    Deprecated backend-specific spelling of :func:`build`; prefer
-    ``build(network, backend="bdd")``.
-    """
-    return build(
-        network,
-        backend="bdd",
-        manager=manager,
-        unique_backend=unique_backend,
-        computed_backend=computed_backend,
-    )

@@ -83,7 +83,7 @@ CATALOG: "Mapping[str, tuple]" = {
         "counter", "Single queries accepted by the batching server.", (), None),
     "repro_serve_batches_flushed_total": (
         "counter", "Batch-window flushes executed.", (), None),
-    # -- serve: pool dispatcher and forest hosts -----------------------
+    # -- serve: pool dispatcher ----------------------------------------
     "repro_serve_result_cache_hits_total": (
         "counter", "Dispatcher result-cache hits.", (), None),
     "repro_serve_result_cache_misses_total": (
@@ -93,19 +93,11 @@ CATALOG: "Mapping[str, tuple]" = {
     "repro_serve_batches_dispatched_total": (
         "counter", "Miss batches dispatched to evaluation.", (), None),
     "repro_serve_shards_dispatched_total": (
-        "counter", "Shards dispatched across pool workers.", (), None),
+        "counter", "Lane spans swept for miss batches.", (), None),
     "repro_serve_forest_loads_total": (
-        "counter", "Forest containers decoded into a host cache.", (), None),
-    "repro_serve_forest_hits_total": (
-        "counter", "Forest-host LRU hits (container already loaded).", (), None),
-    "repro_serve_worker_restarts_total": (
-        "counter", "Pool workers that died and were respawned.", (), None),
-    "repro_serve_batch_retries_total": (
-        "counter", "Pool batches retried after a worker restart.", (), None),
+        "counter", "Dumps decoded to serve from the dispatcher (no freeze).", (), None),
     "repro_serve_shm_freezes_total": (
         "counter", "Dumps frozen into shared-memory segments.", (), None),
-    "repro_serve_shm_attaches_total": (
-        "counter", "Shared-segment attachments made by forest hosts.", (), None),
     "repro_serve_shm_segment_bytes": (
         "gauge", "Bytes held in live shared forest segments.", (), None),
     # -- par: shared-memory forests and parallel sweeps ----------------

@@ -8,9 +8,9 @@ The parallel-execution layer on top of the flat node store:
   cube satisfiability, exact sat-count) directly on the mapped arrays;
 * :mod:`repro.par.dispatch` — :class:`WorkerCrew`: persistent worker
   processes with death detection, respawn and in-flight-task failure;
-* :mod:`repro.par.pool` — :class:`ParallelPool`: query cohorts split
-  across the crew, one staged encoding per batch, results reassembled
-  in order.
+* :mod:`repro.par.pool` — :class:`ParallelPool`: a batch encoded once
+  and split into lane spans, one message per span, results reassembled
+  in order; weighted queries run as one task each.
 
 The one-call surface (used by
 ``f.evaluate_batch(assignments, workers=N)``):

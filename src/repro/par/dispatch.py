@@ -1,11 +1,11 @@
 """A persistent worker-process crew with death detection and respawn.
 
-The dispatch layer shared by :class:`repro.par.pool.ParallelPool` and
-:class:`repro.serve.pool.ForestPool`: N daemon processes, one request
-queue per worker (so work can be *targeted* — a forest attached by
-worker 3 is queried on worker 3) and one reply **pipe** per worker,
-multiplexed with :func:`multiprocessing.connection.wait` by whichever
-caller thread is currently draining.
+The dispatch layer under :class:`repro.par.pool.ParallelPool` (and,
+through it, :class:`repro.serve.pool.ForestPool`): N daemon processes,
+one request queue per worker (so work can be *targeted* — a forest
+attached by worker 3 is queried on worker 3) and one reply **pipe**
+per worker, multiplexed with :func:`multiprocessing.connection.wait`
+by whichever caller thread is currently draining.
 
 The failure mode this exists for: a worker that dies mid-task (OOM
 killer, segfault, ``kill -9``) used to leave its callers blocked on the
@@ -70,14 +70,12 @@ class WorkerCrew:
         main: Callable,
         args: Tuple = (),
         timeout: float = 120.0,
-        respawn: bool = True,
         name: str = "repro-worker",
     ) -> None:
         """Spawn ``workers`` daemon processes running ``main(*queues, *args)``."""
         if workers < 1:
             raise CrewError("a worker crew needs at least one worker")
         self.timeout = timeout
-        self.respawn = respawn
         self.worker_restarts = 0
         self._main = main
         self._args = args
@@ -95,7 +93,6 @@ class WorkerCrew:
         self._results: Dict[int, Tuple[bool, object]] = {}
         self._task_ids = itertools.count()
         self._rr = itertools.count()
-        self._reaped: set = set()
         self._closed = False
 
     @property
@@ -161,22 +158,18 @@ class WorkerCrew:
             for task_id in dead:
                 del self._waiting[task_id]
                 self._results[task_id] = (False, _RESTART)
-            if process not in self._reaped:
-                self.worker_restarts += 1
-                if self.respawn:
-                    # A worker killed mid-``Queue.get`` can die holding
-                    # the queue's reader lock, which would deadlock its
-                    # replacement; the respawn gets a fresh queue (any
-                    # messages on the old one belonged to the tasks just
-                    # failed above) and a fresh reply pipe.
-                    reader = self._replies[index]
-                    if reader is not None:
-                        self._replies[index] = None
-                        reader.close()
-                    self._in_queues[index] = self._ctx.Queue()
-                    self._processes[index] = self._spawn(index)
-                else:
-                    self._reaped.add(process)
+            self.worker_restarts += 1
+            # A worker killed mid-``Queue.get`` can die holding the
+            # queue's reader lock, which would deadlock its replacement;
+            # the respawn gets a fresh queue (any messages on the old
+            # one belonged to the tasks just failed above) and a fresh
+            # reply pipe.
+            reader = self._replies[index]
+            if reader is not None:
+                self._replies[index] = None
+                reader.close()
+            self._in_queues[index] = self._ctx.Queue()
+            self._processes[index] = self._spawn(index)
             if dead:
                 self._cond.notify_all()
 
@@ -200,7 +193,7 @@ class WorkerCrew:
                         # The sole writer died (possibly mid-message):
                         # the channel is gone, the reap below respawns.
                         severed.append(reader)
-            else:  # pragma: no cover - every worker dead, respawn off
+            else:  # pragma: no cover - every pipe severed, reap pending
                 time.sleep(wait)
         finally:
             self._cond.acquire()

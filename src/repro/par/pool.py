@@ -1,23 +1,24 @@
-"""Multi-core cohort sweeps over shared-memory forests.
+"""Multi-core queries over shared-memory forests.
 
 A :class:`ParallelPool` keeps a persistent crew of worker processes
 (:class:`~repro.par.dispatch.WorkerCrew`) that attach
-:class:`~repro.par.shm.ShmForest` segments **zero-copy** and run the
-levelized cohort sweeps of :mod:`repro.serve.bulk` on lane ranges of a
-query batch.  The batch is encoded once in the dispatcher, *staged* to
-every worker (one pickle per worker, amortized over all of the batch's
-sweeps), and then split into contiguous lane chunks — each worker
-sweeps its chunks against the mapped arrays and ships back one raw
-result bitset, so the per-task wire traffic is tiny in both directions.
+:class:`~repro.par.shm.ShmForest` segments **zero-copy** and answer
+queries straight off the mapped arrays.  A batch is encoded once in
+the dispatcher into bit columns and split into contiguous lane spans;
+each span travels to a worker in **one message** carrying its own
+slice of the columns and every requested function name, and comes back
+as one raw result bitset per name.  Weighted queries
+(:meth:`~ParallelPool.p_one`, :meth:`~ParallelPool.marginals`) run as
+one task each, model counts as one task per worker.
 
-``workers=0`` runs the same code path inline (no subprocesses): the
-right default for tests and single-core machines, with identical
-results and error behaviour.
+``workers=0`` runs the same code path inline (no subprocesses and no
+lock — the segment is read-only): the right default for tests and
+single-core machines, with identical results and error behaviour.
 
 Worker deaths are survived: the crew respawns the worker (which
-re-attaches segments lazily) and the in-flight batch is retried once
-under a fresh staging id, with ``batch_retries`` / ``worker_restarts``
-surfaced through :mod:`repro.obs`.
+re-attaches segments lazily) and the in-flight call is retried once,
+with ``batch_retries`` / ``worker_restarts`` surfaced through
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -30,20 +31,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.par.dispatch import CrewError, WorkerCrew, WorkerRestarted
 from repro.par.shm import ParError, ShmForest
 
-#: Staged batches a worker keeps around (overlapping pipelines).
-_MAX_STAGED = 4
-
-#: Smallest lane chunk worth shipping to a worker.
+#: Smallest lane span worth shipping to a worker.
 _MIN_LANES = 1024
 
 
 class _WorkerState:
-    """Per-worker-process attachment cache and counters."""
+    """Per-worker-process attachment LRU and counters."""
 
     def __init__(self, max_attached: int) -> None:
         self.max_attached = max_attached
         self.attached: "OrderedDict[str, ShmForest]" = OrderedDict()
-        self.staged: "OrderedDict[object, object]" = OrderedDict()
         self.attaches = 0
 
         from repro import obs
@@ -75,7 +72,6 @@ class _WorkerState:
         for forest in self.attached.values():
             forest.close()
         self.attached.clear()
-        self.staged.clear()
 
     def collect_metrics(self, registry) -> None:
         """Sample attachment counters into an obs registry."""
@@ -88,8 +84,11 @@ class _WorkerState:
 def _worker_main(in_queue, reply, max_attached: int) -> None:
     """Worker-process loop: serve ``(task_id, op, payload)`` requests."""
     from repro import obs
-    from repro.serve.bulk import EncodedBatch, _slice_encoded
+    from repro.serve.bulk import EncodedBatch
 
+    # A forked worker inherits the parent's registry values and tracked
+    # objects; drop them so this worker's "metrics" snapshots cover
+    # only its own work (the dispatcher merges them with its own).
     obs.reset()
     state = _WorkerState(max_attached)
     try:
@@ -100,28 +99,20 @@ def _worker_main(in_queue, reply, max_attached: int) -> None:
             task_id, op, payload = message
             try:
                 if op == "sweep":
-                    segment, name, batch_id, start, stop, cube = payload
-                    batch = state.staged.get(batch_id)
-                    if batch is None:
-                        raise ParError(f"stale staged batch {batch_id!r}")
-                    if stop - start != batch.count:
-                        batch = _slice_encoded(batch, start, stop)
-                    result = state.forest(segment).sweep_encoded(
-                        name, batch, cube=cube
-                    )
-                elif op == "stage":
-                    batch_id, count, var_bits, known_bits = payload
-                    state.staged[batch_id] = EncodedBatch(count, var_bits, known_bits)
-                    while len(state.staged) > _MAX_STAGED:
-                        state.staged.popitem(last=False)
-                    result = True
-                elif op == "drop":
-                    state.staged.pop(payload, None)
-                    result = True
+                    segment, names, count, var_bits, known_bits, cube = payload
+                    forest = state.forest(segment)
+                    batch = EncodedBatch(count, var_bits, known_bits)
+                    result = [
+                        forest.sweep_encoded(name, batch, cube=cube) for name in names
+                    ]
                 elif op == "count":
                     segment, names = payload
                     forest = state.forest(segment)
                     result = {name: forest.sat_count(name) for name in names}
+                elif op in ("p_one", "marginals"):
+                    segment, name, args, exact = payload
+                    query = getattr(state.forest(segment), op)
+                    result = query(name, *args, exact=exact)
                 elif op == "attach":
                     result = state.forest(payload).functions
                 elif op == "detach":
@@ -139,19 +130,17 @@ def _worker_main(in_queue, reply, max_attached: int) -> None:
 
 
 class ParallelPool:
-    """A persistent worker pool sweeping shared forests in parallel.
+    """A persistent worker pool querying shared forests in parallel.
 
     Parameters
     ----------
     workers:
-        Worker process count; ``0`` sweeps inline in this process
+        Worker process count; ``0`` queries inline in this process
         (default: ``min(4, cpu_count)``).
     max_attached:
         Per-worker LRU capacity of attached segments.
     timeout:
         Seconds to wait for a worker reply before declaring it dead.
-    respawn:
-        Whether dead workers are replaced (in-flight batches retry once).
     """
 
     def __init__(
@@ -159,7 +148,6 @@ class ParallelPool:
         workers: Optional[int] = None,
         max_attached: int = 8,
         timeout: float = 120.0,
-        respawn: bool = True,
     ) -> None:
         """Spawn the crew (or configure the inline path for ``workers=0``)."""
         if workers is None:
@@ -173,11 +161,9 @@ class ParallelPool:
                 _worker_main,
                 args=(max_attached,),
                 timeout=timeout,
-                respawn=respawn,
                 name="repro-par",
             )
         self._lock = threading.Lock()
-        self._batch_seq = 0
         self.tasks_dispatched = 0
         self.batches = 0
         self.batch_retries = 0
@@ -191,7 +177,7 @@ class ParallelPool:
 
     @property
     def workers(self) -> int:
-        """Worker process count (0 when sweeping inline)."""
+        """Worker process count (0 when querying inline)."""
         return self._crew.workers if self._crew is not None else 0
 
     def close(self) -> None:
@@ -216,19 +202,26 @@ class ParallelPool:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _next_batch_id(self) -> int:
-        with self._lock:
-            self._batch_seq += 1
-            return self._batch_seq
-
     def _count(self, counter: str, delta: int = 1) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + delta)
 
+    def _retry_once(self, attempt):
+        """Run ``attempt()``; after a worker death, once more.
+
+        Every task is a pure read of an immutable segment, so the whole
+        call is safe to re-submit to the respawned crew.
+        """
+        try:
+            return attempt()
+        except WorkerRestarted:
+            self._count("batch_retries")
+            return attempt()
+
     def warm(self, forest: ShmForest) -> List[str]:
         """Attach ``forest`` in every worker now; returns the root names.
 
-        Without warming, each worker attaches lazily on its first sweep
+        Without warming, each worker attaches lazily on its first task
         (correct, just off the first batch's latency path).
         """
         if self._crew is None:
@@ -252,8 +245,13 @@ class ParallelPool:
 
     # -- sweeps --------------------------------------------------------------
 
-    def _chunk_spans(self, count: int) -> List[Tuple[int, int]]:
-        """Contiguous lane ranges balancing ``count`` queries over the crew."""
+    def lane_spans(self, count: int) -> List[Tuple[int, int]]:
+        """The contiguous lane ranges a batch of ``count`` queries splits into.
+
+        One range per worker message, balanced over the crew, at least
+        ``_MIN_LANES`` and at most :data:`~repro.serve.bulk.DEFAULT_CHUNK`
+        lanes wide (inline pools sweep one range at a time).
+        """
         from repro.serve.bulk import DEFAULT_CHUNK
 
         workers = max(self.workers, 1)
@@ -265,7 +263,7 @@ class ParallelPool:
 
     def _sweep(self, forest: ShmForest, names: Sequence[str], assignments, cube: bool):
         """Encode once, sweep every name, return ``{name: [bool, ...]}``."""
-        from repro.serve.bulk import _encode, sweep_chunks
+        from repro.serve.bulk import _encode, _slice_encoded
 
         names = list(names)
         support = None
@@ -278,61 +276,41 @@ class ParallelPool:
                 forest._root(name)
         encoded = _encode(forest, assignments, support, with_known=cube)
         self._count("batches")
-        if encoded.count == 0:
-            return {name: [] for name in names}
+        spans = self.lane_spans(encoded.count)
+        parts = [
+            encoded if len(spans) == 1 else _slice_encoded(encoded, start, stop)
+            for start, stop in spans
+        ]
         if self._crew is None:
-            return {
-                name: sweep_chunks(
-                    encoded,
-                    lambda part, name=name: forest.sweep_encoded(name, part, cube=cube),
-                )
-                for name in names
-            }
-        spans = self._chunk_spans(encoded.count)
+            rows = [
+                [forest.sweep_encoded(name, part, cube=cube) for name in names]
+                for part in parts
+            ]
+        else:
 
-        def attempt():
-            batch_id = self._next_batch_id()
-            crew = self._crew
-            stage_ids = crew.broadcast(
-                "stage",
-                (batch_id, encoded.count, encoded.var_bits, encoded.known_bits),
-            )
-            try:
-                crew.collect_all(stage_ids)
+            def attempt():
+                crew = self._crew
                 task_ids = [
                     crew.submit(
                         "sweep",
-                        (forest.name, name, batch_id, start, stop, cube),
+                        (forest.name, names, part.count, part.var_bits,
+                         part.known_bits, cube),
                     )
-                    for name in names
-                    for start, stop in spans
+                    for part in parts
                 ]
                 self._count("tasks_dispatched", len(task_ids))
-                raw = crew.collect_all(task_ids)
-            finally:
-                try:
-                    crew.abandon(crew.broadcast("drop", batch_id))
-                except CrewError:
-                    pass
-            # Spans are contiguous lane ranges in order: shift each
-            # span's bitset into place and unpack the whole batch once.
-            results: Dict[str, List[bool]] = {}
-            position = 0
-            for name in names:
-                bits = 0
-                for start, _stop in spans:
-                    bits |= raw[position] << start
-                    position += 1
-                results[name] = encoded.unpack(bits)
-            return results
+                return crew.collect_all(task_ids)
 
-        try:
-            return attempt()
-        except WorkerRestarted:
-            # The dead worker took its staged batch with it; re-stage
-            # under a fresh id and retry the whole batch once.
-            self._count("batch_retries")
-            return attempt()
+            rows = self._retry_once(attempt)
+        # Spans are contiguous lane ranges in order: shift each span's
+        # bitset into place and unpack the whole batch once per name.
+        results: Dict[str, List[bool]] = {}
+        for column, name in enumerate(names):
+            bits = 0
+            for (start, _stop), row in zip(spans, rows):
+                bits |= row[column] << start
+            results[name] = encoded.unpack(bits)
+        return results
 
     def evaluate_batch(self, forest: ShmForest, name: str, assignments) -> List[bool]:
         """Evaluate one named function at every assignment, in order.
@@ -356,6 +334,8 @@ class ParallelPool:
         """For each partial assignment: is ``name ∧ cube`` satisfiable?"""
         return self._sweep(forest, [name], assignments, cube=True)[name]
 
+    # -- counting ------------------------------------------------------------
+
     def sat_count(
         self, forest: ShmForest, names: Optional[Iterable[str]] = None
     ) -> Dict[str, int]:
@@ -375,13 +355,11 @@ class ParallelPool:
 
         def attempt():
             crew = self._crew
-            buckets: List[List[str]] = [[] for _ in range(crew.workers)]
-            for i, name in enumerate(names):
-                buckets[i % len(buckets)].append(name)
             task_ids = [
-                crew.submit("count", (forest.name, bucket), worker=index)
-                for index, bucket in enumerate(buckets)
-                if bucket
+                crew.submit(
+                    "count", (forest.name, names[index::crew.workers]), worker=index
+                )
+                for index in range(min(crew.workers, len(names)))
             ]
             self._count("tasks_dispatched", len(task_ids))
             merged: Dict[str, int] = {}
@@ -389,11 +367,44 @@ class ParallelPool:
                 merged.update(reply)
             return {name: merged[name] for name in names}
 
-        try:
-            return attempt()
-        except WorkerRestarted:
-            self._count("batch_retries")
-            return attempt()
+        return self._retry_once(attempt)
+
+    def _weighted(self, op: str, forest: ShmForest, name: str, args: tuple, exact: bool):
+        """One weighted-counting query as one task (inline for ``workers=0``)."""
+        forest._root(name)
+        if self._crew is None:
+            return getattr(forest, op)(name, *args, exact=exact)
+
+        def attempt():
+            task_id = self._crew.submit(op, (forest.name, name, args, exact))
+            self._count("tasks_dispatched")
+            return self._crew.collect(task_id)
+
+        return self._retry_once(attempt)
+
+    def p_one(self, forest: ShmForest, name: str, weights=None, *, exact: bool = True):
+        """``p(name = 1)`` under independent per-variable probabilities.
+
+        Same arguments and result as :meth:`ShmForest.p_one
+        <repro.par.shm.ShmForest.p_one>`, computed by one worker.
+        """
+        return self._weighted("p_one", forest, name, (weights,), exact)
+
+    def marginals(
+        self,
+        forest: ShmForest,
+        name: str,
+        weights=None,
+        variables=None,
+        *,
+        exact: bool = True,
+    ):
+        """Posterior marginals ``p(v = 1 | name = 1)``, computed by one worker.
+
+        Same arguments and result as :meth:`ShmForest.marginals
+        <repro.par.shm.ShmForest.marginals>`.
+        """
+        return self._weighted("marginals", forest, name, (weights, variables), exact)
 
     # -- observability -------------------------------------------------------
 
@@ -411,6 +422,20 @@ class ParallelPool:
             return self._crew.collect_all(task_ids)
         except CrewError:
             return []
+
+    def worker_attaches(self) -> int:
+        """Segment attachments made across the workers (0 inline).
+
+        Read from the workers' metrics snapshots (best effort: a dead
+        or closed crew reports 0 rather than failing).
+        """
+        return int(
+            sum(
+                sample["value"]
+                for snapshot in self.metric_snapshots()
+                for sample in snapshot["repro_par_shm_attaches_total"]["samples"]
+            )
+        )
 
     def collect_metrics(self, registry) -> None:
         """Sample dispatcher counters into an obs registry."""

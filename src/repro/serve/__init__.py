@@ -14,11 +14,12 @@ Three layers, each usable on its own:
   drops them behind the sweep, so huge batches respect the residency
   budget), plus batched cube satisfiability
   (:func:`~repro.serve.bulk.satisfiable_batch`).
-* :mod:`repro.serve.pool` — a multi-process worker pool
-  (:class:`~repro.serve.pool.ForestPool`): each worker hosts an LRU
-  cache of forests loaded from ``.bbdd`` dumps, oversized batches
-  shard across workers, and a cross-request result cache answers
-  repeats without dispatching.
+* :mod:`repro.serve.pool` — a forest pool
+  (:class:`~repro.serve.pool.ForestPool`) over one
+  :class:`repro.par.ParallelPool`: each ``.bbdd`` dump is frozen once
+  into a shared-memory segment the workers attach, a changed dump
+  hot-reloads, and a cross-request result cache answers repeats
+  without dispatching.
 * :mod:`repro.serve.server` — an asyncio front end
   (:class:`~repro.serve.server.BatchingServer`) that coalesces single
   queries into batches under a latency budget, with a
@@ -31,7 +32,7 @@ from repro.serve.bulk import (
     evaluate_batch,
     satisfiable_batch,
 )
-from repro.serve.pool import ForestHost, ForestPool
+from repro.serve.pool import ForestPool
 from repro.serve.server import BatchingServer, serve_tcp
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "ServeError",
     "evaluate_batch",
     "satisfiable_batch",
-    "ForestHost",
     "ForestPool",
     "BatchingServer",
     "serve_tcp",

@@ -38,7 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (0 = serve inline in this process)",
     )
     parser.add_argument(
-        "--max-forests", type=int, default=8, help="per-worker forest LRU size"
+        "--max-forests",
+        type=int,
+        default=8,
+        help="dumps kept frozen (and attached per worker), least recently used out",
     )
     parser.add_argument(
         "--batch-window",
@@ -64,24 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
             "(0 picks a free one; off by default)"
         ),
     )
-    parser.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help=(
-            "give each worker a private forest copy instead of attaching "
-            "one shared frozen segment (shared memory is the default "
-            "with workers > 0 where the platform supports it)"
-        ),
-    )
     return parser
 
 
 async def _serve(args: argparse.Namespace) -> None:
-    pool = ForestPool(
-        workers=args.workers,
-        max_forests=args.max_forests,
-        shared_memory=False if args.no_shared_memory else None,
-    )
+    pool = ForestPool(workers=args.workers, max_forests=args.max_forests)
     server = BatchingServer(
         pool,
         args.forest,

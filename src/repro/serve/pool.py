@@ -1,272 +1,46 @@
-"""Multi-process forest serving: workers, sharding, result caching.
+"""Forest serving: dump paths mapped to shared segments, result caching.
 
 A :class:`ForestPool` answers batch queries against forests stored as
 ``.bbdd`` dump containers (the :mod:`repro.io` format doubles as the
-pool's wire/warm-start format):
+pool's warm-start format).  It is a thin layer over one
+:class:`repro.par.ParallelPool`:
 
-* each **worker** is a separate process hosting an LRU cache of loaded
-  forests (:class:`ForestHost`), so the Python-level evaluation
-  parallelism is real — one GIL per worker;
-* oversized batches are **sharded** across the workers and reassembled
-  in order;
-* a **cross-request result cache** in the dispatcher answers repeated
-  single queries (the common shape of coalesced interactive traffic)
-  without touching a worker at all.
+* the dispatcher loads each dump once and freezes it into a
+  :class:`repro.par.shm.ShmForest` segment; the parallel pool's workers
+  attach the segment zero-copy and sweep the lane spans of each batch,
+  so memory per added worker is O(1) in the forest size (``workers=0``
+  sweeps the segment in this process);
+* a dump file whose on-disk signature ``(mtime_ns, size)`` changes is
+  re-frozen under a bumped generation number, so serving hot-reloads
+  without a restart; a superseded or LRU-evicted segment is detached
+  and unlinked once the last batch that resolved it has finished;
+* a **cross-request result cache** in the dispatcher, keyed by segment,
+  answers repeated single queries (the common shape of coalesced
+  interactive traffic) without a sweep — and never from a superseded
+  forest.
 
-``workers=0`` runs the same code path inline (no subprocesses) — the
-right choice for tests, small deployments, and platforms where
-spawning is expensive; it still provides the forest cache, sharding
-and result cache.
-
-With **shared memory** on (the default wherever
-``multiprocessing.shared_memory`` works), the dispatcher loads each
-dump once, freezes it into a :class:`repro.par.shm.ShmForest` segment
-and the workers *attach* instead of holding private copies — memory
-per added worker is O(1) in the forest size.  A dump file that changes
-on disk is re-frozen under a bumped generation number and the old
-segment retired, so serving hot-reloads without a restart (the result
-cache is keyed by segment, so it never answers from the old forest).
-Inline pools and private-copy workers do not hot-reload: they keep the
-forest they first loaded from a path until it leaves their LRU.  Worker
-processes that die mid-batch are detected, respawned (re-attaching
-lazily) and the in-flight batch retried once
+Where a dump cannot be frozen (freezing raises
+:class:`~repro.par.shm.ParError`, e.g. on a platform without
+``multiprocessing.shared_memory``) the dispatcher answers from the
+loaded manager itself, under one lock.  Worker processes that die
+mid-batch are detected, respawned and the batch retried once
 (:class:`repro.par.dispatch.WorkerCrew`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.api.base import check_assignment_bit
-from repro.par.dispatch import CrewError, WorkerCrew, WorkerRestarted
+from repro.par.dispatch import CrewError
+from repro.par.pool import ParallelPool
+from repro.par.shm import ParError, ShmForest
 from repro.serve.bulk import ServeError
-
-#: Default shard size: batches above this split across workers.
-DEFAULT_SHARD = 4096
-
-
-class ForestHost:
-    """An LRU cache of forests loaded from dump containers.
-
-    One instance lives in every worker process (and one inline in a
-    ``workers=0`` pool).  Forests load through
-    :func:`repro.io.open_forest`, so both BBDD and baseline-BDD
-    containers serve transparently.
-    """
-
-    def __init__(self, max_forests: int = 8) -> None:
-        if max_forests < 1:
-            raise ServeError("max_forests must be positive")
-        self.max_forests = max_forests
-        self._forests: "OrderedDict[str, tuple]" = OrderedDict()
-        self._segments: "OrderedDict[str, object]" = OrderedDict()
-        # An inline (workers=0) pool shares this host across the
-        # batching server's executor threads; serialize access so the
-        # LRU bookkeeping and the underlying manager stay consistent.
-        self._lock = threading.Lock()
-        self.loads = 0
-        self.hits = 0
-        self.shm_attaches = 0
-
-        from repro import obs
-
-        obs.track(self)
-
-    def get(self, path: str) -> tuple:
-        """The ``(manager, {name: function})`` pair for ``path``."""
-        with self._lock:
-            return self._get_locked(path)
-
-    def _get_locked(self, path: str) -> tuple:
-        entry = self._forests.get(path)
-        if entry is None:
-            from repro.io import open_forest
-
-            entry = open_forest(path)
-            self._forests[path] = entry
-            self.loads += 1
-            while len(self._forests) > self.max_forests:
-                self._forests.popitem(last=False)
-        else:
-            self._forests.move_to_end(path)
-            self.hits += 1
-        return entry
-
-    def names(self, path: str) -> List[str]:
-        """The function names stored in ``path`` (loads it if needed)."""
-        return sorted(self.get(path)[1])
-
-    def evaluate(self, path: str, name: str, assignments) -> List[bool]:
-        """Batch-evaluate one named function of the forest at ``path``."""
-        with self._lock:
-            _manager, functions = self._get_locked(path)
-            f = functions.get(name)
-            if f is None:
-                raise ServeError(
-                    f"no function {name!r} in {path!r}; "
-                    f"stored: {', '.join(sorted(functions))}"
-                )
-            # The sweep runs under the lock too: concurrent inline
-            # callers share one manager, whose memo tables are not
-            # thread-safe (worker processes are the parallelism axis).
-            return f.evaluate_batch(assignments)
-
-    def p_one(self, path: str, name: str, weights: Optional[Mapping]) -> float:
-        """``P[f = 1]`` of one stored function under independent weights.
-
-        Float mode (``exact=False``) — the serving surface is JSON, so
-        probabilities travel as floats in both directions.
-        """
-        with self._lock:
-            _manager, functions = self._get_locked(path)
-            f = functions.get(name)
-            if f is None:
-                raise ServeError(
-                    f"no function {name!r} in {path!r}; "
-                    f"stored: {', '.join(sorted(functions))}"
-                )
-            return f.p_one(weights, exact=False)
-
-    def marginals(
-        self,
-        path: str,
-        name: str,
-        weights: Optional[Mapping],
-        variables: Optional[List] = None,
-    ) -> Dict[str, float]:
-        """Posterior marginals of one stored function (float mode)."""
-        with self._lock:
-            _manager, functions = self._get_locked(path)
-            f = functions.get(name)
-            if f is None:
-                raise ServeError(
-                    f"no function {name!r} in {path!r}; "
-                    f"stored: {', '.join(sorted(functions))}"
-                )
-            return f.marginals(weights, variables, exact=False)
-
-    def attach_segment(self, segment: str):
-        """The attached :class:`~repro.par.shm.ShmForest` for ``segment``.
-
-        Attachments share the host's LRU budget semantics (a separate
-        table, same capacity): an evicted segment is closed, and
-        re-attaching later is cheap — the kernel mapping is the only
-        cost, the arrays are never copied.
-        """
-        with self._lock:
-            forest = self._segments.get(segment)
-            if forest is None:
-                from repro.par.shm import ShmForest
-
-                forest = ShmForest.attach(segment)
-                self._segments[segment] = forest
-                self.shm_attaches += 1
-                while len(self._segments) > self.max_forests:
-                    _, evicted = self._segments.popitem(last=False)
-                    evicted.close()
-            else:
-                self._segments.move_to_end(segment)
-            return forest
-
-    def evaluate_segment(self, segment: str, name: str, assignments) -> List[bool]:
-        """Batch-evaluate one named function of an attached segment."""
-        forest = self.attach_segment(segment)
-        return forest.evaluate_batch(name, assignments)
-
-    def detach_segment(self, segment: str) -> None:
-        """Drop (and close) one segment attachment, if present."""
-        with self._lock:
-            forest = self._segments.pop(segment, None)
-        if forest is not None:
-            forest.close()
-
-    def close_segments(self) -> None:
-        """Close every segment attachment (worker exit)."""
-        with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-        for forest in segments:
-            forest.close()
-
-    def collect_metrics(self, registry) -> None:
-        """Sample forest-cache counters into an obs registry.
-
-        Runs in whatever process hosts this cache: inline pools feed
-        the dispatcher's snapshot directly, worker processes feed the
-        snapshot they ship back for the ``"metrics"`` op — so both
-        modes land in the same ``repro_serve_forest_*`` families.
-        """
-        from repro.obs.catalog import family
-
-        family(registry, "repro_serve_forest_loads_total").inc(self.loads)
-        family(registry, "repro_serve_forest_hits_total").inc(self.hits)
-        family(registry, "repro_serve_shm_attaches_total").inc(self.shm_attaches)
-
-
-def _worker_main(in_queue, reply, max_forests: int) -> None:
-    """Worker-process loop: serve ``(task_id, op, payload)`` requests."""
-    from repro import obs
-
-    # A forked worker inherits the parent's registry values and tracked
-    # managers; drop them so this worker's "metrics" snapshots cover
-    # only its own work (the dispatcher merges them with its own).
-    obs.reset()
-    host = ForestHost(max_forests)
-    try:
-        while True:
-            message = in_queue.get()
-            if message is None:
-                return
-            task_id, op, payload = message
-            try:
-                if op == "eval":
-                    path, name, assignments = payload
-                    result = host.evaluate(path, name, assignments)
-                elif op == "eval_shm":
-                    segment, name, assignments = payload
-                    result = host.evaluate_segment(segment, name, assignments)
-                elif op == "p_one":
-                    path, name, weights = payload
-                    result = host.p_one(path, name, weights)
-                elif op == "p_one_shm":
-                    segment, name, weights = payload
-                    result = host.attach_segment(segment).p_one(
-                        name, weights, exact=False
-                    )
-                elif op == "marginals":
-                    path, name, weights, variables = payload
-                    result = host.marginals(path, name, weights, variables)
-                elif op == "marginals_shm":
-                    segment, name, weights, variables = payload
-                    result = host.attach_segment(segment).marginals(
-                        name, weights, variables, exact=False
-                    )
-                elif op == "warm":
-                    result = host.names(payload)
-                elif op == "attach_shm":
-                    result = sorted(host.attach_segment(payload).functions)
-                elif op == "detach_shm":
-                    host.detach_segment(payload)
-                    result = None
-                elif op == "stats":
-                    result = {
-                        "loads": host.loads,
-                        "forest_hits": host.hits,
-                        "shm_attaches": host.shm_attaches,
-                    }
-                elif op == "metrics":
-                    result = obs.snapshot()
-                else:  # pragma: no cover - protocol misuse
-                    raise ServeError(f"unknown worker op {op!r}")
-                reply.send((task_id, True, result))
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                reply.send((task_id, False, f"{type(exc).__name__}: {exc}"))
-    finally:
-        host.close_segments()
-
 
 _BIT_TYPES = frozenset((bool, int))
 _BITS = frozenset((0, 1))
@@ -298,7 +72,7 @@ def _normalize_assignment(assignment: Mapping, where: str) -> tuple:
 
     Values are validated *before* normalization (the shared strictness
     contract), so a malformed assignment raises identically whether the
-    result would have come from the cache or from a worker.
+    result would have come from the cache or from a sweep.
     """
     try:
         pairs = assignment.items()
@@ -313,34 +87,46 @@ def _normalize_assignment(assignment: Mapping, where: str) -> tuple:
     return tuple(sorted(items))
 
 
+class _Forest:
+    """One loaded dump: its segment (or fallback functions) and its users.
+
+    ``generation`` is unique within the pool, so it also keys the
+    result cache.  ``users`` counts the calls that resolved this forest
+    and have not finished; a ``retired`` forest is dropped when it
+    reaches zero.
+    """
+
+    __slots__ = ("segment", "functions", "names", "signature", "generation",
+                 "users", "retired")
+
+    def __init__(self, segment, functions, names, signature, generation) -> None:
+        self.segment: Optional[ShmForest] = segment
+        self.functions: Optional[dict] = functions
+        self.names: List[str] = names
+        self.signature = signature
+        self.generation = generation
+        self.users = 0
+        self.retired = False
+
+
 class ForestPool:
-    """A pool of forest-serving workers with sharding and result caching.
+    """Batch queries against dump files, over one shared-memory worker pool.
 
     Parameters
     ----------
     workers:
-        Worker process count; ``0`` serves inline in this process
+        Worker process count; ``0`` sweeps inline in this process
         (default: ``min(4, cpu_count)``).
     max_forests:
-        Per-worker LRU capacity of loaded forests.
+        Dumps kept frozen at once, least recently used evicted first;
+        also each worker's attachment capacity.
     cache_size:
         Dispatcher-level result-cache entries (``0`` disables); keys
-        are ``(forest, segment, function, assignment)``, so repeated
+        are ``(segment generation, function, assignment)``, so repeated
         queries are answered without dispatching, and a hot-reloaded
         dump (a new segment) never answers from the old forest.
-    shard_size:
-        Batches larger than this split into shards spread round-robin
-        across the workers.
     timeout:
         Seconds to wait for a worker reply before declaring it dead.
-    shared_memory:
-        ``True`` freezes each dump into a shared-memory segment the
-        workers attach zero-copy; ``False`` keeps private per-worker
-        copies; ``None`` (default) enables sharing whenever the
-        platform supports it and the pool has workers.  Forests whose
-        backend cannot freeze fall back to private copies per path.
-        Only shared segments hot-reload: inline pools and private
-        copies keep serving the forest they first loaded from a path.
     """
 
     def __init__(
@@ -348,82 +134,57 @@ class ForestPool:
         workers: Optional[int] = None,
         max_forests: int = 8,
         cache_size: int = 4096,
-        shard_size: int = DEFAULT_SHARD,
         timeout: float = 120.0,
-        shared_memory: Optional[bool] = None,
     ) -> None:
-        if workers is None:
-            workers = min(4, os.cpu_count() or 1)
-        if workers < 0:
+        if workers is not None and workers < 0:
             raise ServeError("workers must be >= 0")
-        if shard_size < 1:
-            raise ServeError("shard_size must be positive")
-        self.shard_size = shard_size
-        self.timeout = timeout
+        if max_forests < 1:
+            raise ServeError("max_forests must be positive")
+        self._max_forests = max_forests
         self._cache: "OrderedDict[tuple, bool]" = OrderedDict()
         self._cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
         self.batches_dispatched = 0
         self.shards_dispatched = 0
-        self.batch_retries = 0
+        self.forest_loads = 0
         self.shm_freezes = 0
-        # Guards the result cache and dispatcher counters: the batching
-        # server calls in from several executor threads at once.
-        self._cond = threading.Condition()
-        self._host: Optional[ForestHost] = None
-        self._crew: Optional[WorkerCrew] = None
-        if shared_memory is None:
-            from repro.par.shm import shm_available
-
-            shared_memory = workers > 0 and shm_available()
-        self.shared_memory = bool(shared_memory) and workers > 0
-        # path -> {"forest": ShmForest, "sig": (mtime_ns, size),
-        #          "generation": int}.  The dispatcher owns the frozen
-        # segments; workers attach them by name on demand.
-        self._shared_lock = threading.Lock()
-        self._shared: Dict[str, dict] = {}
-        self._shm_failed: set = set()
+        # Guards the forest table, the result cache and the counters:
+        # the batching server calls in from several executor threads.
+        self._lock = threading.Lock()
+        # Serializes sweeps over fallback managers, whose memo tables
+        # are not thread-safe (frozen segments are read-only).
+        self._fallback_lock = threading.Lock()
+        self._forests: "OrderedDict[str, _Forest]" = OrderedDict()
+        # path -> (signature, message) of the last dump that failed to load.
+        self._failed: Dict[str, tuple] = {}
+        self._generations = itertools.count()
+        self._closed = False
+        self._par = ParallelPool(workers, max_attached=max_forests, timeout=timeout)
         from repro import obs
 
         obs.track(self)
-        if workers == 0:
-            self._host = ForestHost(max_forests)
-        else:
-            self._crew = WorkerCrew(
-                workers,
-                _worker_main,
-                args=(max_forests,),
-                timeout=timeout,
-                name="repro-serve",
-            )
 
     # -- lifecycle ------------------------------------------------------
 
     @property
     def workers(self) -> int:
         """Worker process count (0 when serving inline)."""
-        return self._crew.workers if self._crew is not None else 0
-
-    @property
-    def worker_restarts(self) -> int:
-        """Workers that died mid-task and were respawned (0 inline)."""
-        return self._crew.worker_restarts if self._crew is not None else 0
+        return self._par.workers
 
     def close(self) -> None:
-        """Stop the workers and unlink owned segments (idempotent)."""
-        if self._crew is not None:
-            self._crew.close()
-        with self._shared_lock:
-            entries = list(self._shared.values())
-            self._shared.clear()
-        for entry in entries:
-            forest = entry["forest"]
-            try:
-                forest.unlink()
-            except Exception:  # pragma: no cover - already unlinked
-                pass
-            forest.close()
+        """Stop the workers and unlink every segment (idempotent).
+
+        A segment still in use by a running call is unlinked when that
+        call finishes.
+        """
+        with self._lock:
+            self._closed = True
+            forests = list(self._forests.values())
+            self._forests.clear()
+            for forest in forests:
+                self._retire(forest)
+        self._par.close()
 
     def __enter__(self) -> "ForestPool":
         return self
@@ -437,223 +198,194 @@ class ForestPool:
         except Exception:
             pass
 
-    # -- dispatch -------------------------------------------------------
+    # -- forests --------------------------------------------------------
 
-    def _crewed(self, attempt):
-        """Run ``attempt()`` against the crew; retry once after a respawn.
+    def _load(self, path: str, signature) -> _Forest:
+        """Load and freeze ``path``, retiring what served it before (lock held).
 
-        A worker death mid-batch surfaces as
-        :class:`~repro.par.dispatch.WorkerRestarted`; since every pool
-        op is idempotent (pure reads over immutable forests), the whole
-        attempt is re-submitted once against the respawned crew.  Any
-        other crew failure surfaces as :class:`ServeError`, keeping one
-        exception surface across inline and worker modes.
+        A dump that fails to load is remembered with its signature: the
+        same file fails again with the same error without being decoded
+        again, while any change on disk retries.
         """
+        old = self._forests.pop(path, None)
+        if old is not None:
+            self._retire(old)
+        failed = self._failed.get(path)
+        if failed is not None and failed[0] == signature:
+            raise ServeError(failed[1])
+        from repro.io import open_forest
+
         try:
+            manager, functions = open_forest(path)
+        except Exception as exc:
+            message = f"cannot load {path!r}: {type(exc).__name__}: {exc}"
+            self._failed[path] = (signature, message)
+            raise ServeError(message) from exc
+        self._failed.pop(path, None)
+        generation = next(self._generations)
+        try:
+            segment = ShmForest.freeze(manager, functions, generation=generation)
+        except ParError:
+            segment = None
+            self.forest_loads += 1
+        else:
+            self.shm_freezes += 1
+        forest = _Forest(
+            segment,
+            functions if segment is None else None,
+            sorted(functions),
+            signature,
+            generation,
+        )
+        self._forests[path] = forest
+        while len(self._forests) > self._max_forests:
+            _path, evicted = self._forests.popitem(last=False)
+            self._retire(evicted)
+        return forest
+
+    def _retire(self, forest: _Forest) -> None:
+        """Stop serving ``forest``; drop it once unused (lock held)."""
+        forest.retired = True
+        if forest.users == 0:
+            self._drop(forest)
+
+    def _drop(self, forest: _Forest) -> None:
+        """Detach and unlink a retired forest's segment (lock held)."""
+        segment = forest.segment
+        if segment is not None:
+            self._par.detach(segment)
             try:
-                return attempt()
-            except WorkerRestarted:
-                with self._cond:
-                    self.batch_retries += 1
-                return attempt()
-        except CrewError as exc:
-            raise ServeError(str(exc)) from exc
+                segment.unlink()
+            except ParError:  # pragma: no cover - the exit hook got there first
+                pass
+            segment.close()
 
-    # -- shared segments ------------------------------------------------
+    @contextmanager
+    def _serving(self, path, name: Optional[str] = None):
+        """The live forest for ``path``, held until the block ends.
 
-    def _segment_for(self, path: str) -> Optional[str]:
-        """The live shared-segment name serving ``path`` (or ``None``).
-
-        Freezes the dump on first use.  A dump whose on-disk signature
-        (mtime, size) changed since the freeze is re-frozen under a
-        bumped generation and the stale segment retired, so serving
-        hot-reloads edited dumps without a pool restart.  A backend
-        that cannot freeze is remembered per path and served through
-        the private-copy ``eval`` path from then on.
+        Loads (and freezes) the dump on first use and again, under a
+        new generation, when its on-disk signature changed.  ``name``,
+        when given, must be stored in it.  Crew failures surface as
+        :class:`ServeError`, one exception surface in every mode.
         """
-        if not self.shared_memory or path in self._shm_failed:
-            return None
+        path = os.fspath(path)
         try:
             info = os.stat(path)
             signature: Optional[tuple] = (info.st_mtime_ns, info.st_size)
         except OSError:
             signature = None
-        retired = None
-        with self._shared_lock:
-            entry = self._shared.get(path)
-            if entry is not None and entry["sig"] == signature:
-                return entry["forest"].name
-            generation = entry["generation"] + 1 if entry is not None else 0
-            try:
-                from repro.io import open_forest
-                from repro.par.shm import ShmForest
-
-                manager, functions = open_forest(path)
-                forest = ShmForest.freeze(
-                    manager, functions, generation=generation
-                )
-            except Exception:
-                self._shm_failed.add(path)
-                return None
-            self._shared[path] = {
-                "forest": forest,
-                "sig": signature,
-                "generation": generation,
-            }
-            self.shm_freezes += 1
-            if entry is not None:
-                retired = entry["forest"]
-        if retired is not None:
-            self._retire_segment(retired)
-        return forest.name
-
-    def _retire_segment(self, forest) -> None:
-        """Unlink a superseded segment after detaching the workers."""
-        if self._crew is not None:
-            try:
-                self._crew.abandon(
-                    self._crew.broadcast("detach_shm", forest.name)
-                )
-            except CrewError:  # pragma: no cover - closed crew
-                pass
+        with self._lock:
+            if self._closed:
+                raise ServeError("the forest pool is closed")
+            forest = self._forests.get(path)
+            if forest is None or forest.signature != signature:
+                forest = self._load(path, signature)
+            else:
+                self._forests.move_to_end(path)
+            forest.users += 1
         try:
-            forest.unlink()
-        except Exception:  # pragma: no cover - already unlinked
-            pass
-        forest.close()
+            if name is not None and name not in forest.names:
+                raise ServeError(
+                    f"no function {name!r} in {path!r}; "
+                    f"stored: {', '.join(forest.names)}"
+                )
+            yield forest
+        except CrewError as exc:
+            raise ServeError(str(exc)) from exc
+        finally:
+            with self._lock:
+                forest.users -= 1
+                if forest.retired and forest.users == 0:
+                    self._drop(forest)
 
     def warm(self, path) -> List[str]:
-        """Pre-load ``path`` into every worker; returns the root names.
+        """Freeze ``path`` and attach it in every worker; the root names.
 
-        Warm-starting moves the dump decode off the first request's
-        latency path.  In shared-memory mode the dispatcher freezes the
-        dump once and the workers merely attach (one map each); in
-        private-copy mode every worker decodes the dump concurrently.
+        Warm-starting moves the dump decode, the freeze and the
+        attachments off the first request's latency path.
         """
-        path = os.fspath(path)
-        if self._host is not None:
-            return self._host.names(path)
-        segment = self._segment_for(path)
-        if segment is not None:
-            return self._crewed(
-                lambda: self._crew.collect_all(
-                    self._crew.broadcast("attach_shm", segment)
-                )[-1]
-            )
-        return self._crewed(
-            lambda: self._crew.collect_all(
-                self._crew.broadcast("warm", path)
-            )[-1]
-        )
+        with self._serving(path) as forest:
+            if forest.segment is not None:
+                self._par.warm(forest.segment)
+            return list(forest.names)
+
+    # -- queries --------------------------------------------------------
 
     def evaluate_batch(self, path, name: str, assignments: Iterable[Mapping]) -> List[bool]:
         """Evaluate many assignments of one stored function.
 
         Cached results are answered locally; the remaining (deduplicated)
-        misses are sharded across the workers and evaluated there with
-        the levelized sweep.  Results come back in input order.
+        misses go to the parallel pool as one batch, encoded into bit
+        columns once and swept in lane spans.  Results come back in
+        input order.
         """
-        path = os.fspath(path)
         batch = assignments if isinstance(assignments, list) else list(assignments)
         if not batch:
             return []
-        # Answers are keyed by the segment that computes them, so a dump
-        # re-frozen under a new segment never reuses the old answers.
-        segment = self._segment_for(path)
-        results: List[Optional[bool]] = [None] * len(batch)
-        pending: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        misses: List[Mapping] = []
-        use_cache = self._cache_size > 0
-        # Cache lookups and eviction run under the pool lock: the
-        # batching server calls evaluate_batch from several executor
-        # threads at once, and an unsynchronized get/move_to_end pair
-        # races against another thread's eviction.
-        with self._cond:
-            for index, assignment in enumerate(batch):
-                key = (
-                    path,
-                    segment,
-                    name,
-                    _assignment_key(assignment, index),
-                )
-                if use_cache:
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        self._cache.move_to_end(key)
-                        self.cache_hits += 1
-                        results[index] = cached
-                        continue
-                    self.cache_misses += 1
-                positions = pending.get(key)
-                if positions is None:
-                    pending[key] = [index]
-                    misses.append(assignment)
-                else:
-                    positions.append(index)
-        if misses:
-            # Dispatch outside the lock (it blocks on the workers).
-            values = self._evaluate_misses(path, segment, name, misses)
-            with self._cond:
+        with self._serving(path, name) as forest:
+            results: List[Optional[bool]] = [None] * len(batch)
+            pending: "OrderedDict[tuple, List[int]]" = OrderedDict()
+            misses: List[Mapping] = []
+            use_cache = self._cache_size > 0
+            # Cache lookups and eviction run under the pool lock: the
+            # batching server calls evaluate_batch from several executor
+            # threads at once, and an unsynchronized get/move_to_end pair
+            # races against another thread's eviction.
+            with self._lock:
+                for index, assignment in enumerate(batch):
+                    key = (
+                        forest.generation,
+                        name,
+                        _assignment_key(assignment, index),
+                    )
+                    if use_cache:
+                        cached = self._cache.get(key)
+                        if cached is not None:
+                            self._cache.move_to_end(key)
+                            self.cache_hits += 1
+                            results[index] = cached
+                            continue
+                        self.cache_misses += 1
+                    positions = pending.get(key)
+                    if positions is None:
+                        pending[key] = [index]
+                        misses.append(assignment)
+                    else:
+                        positions.append(index)
+            if not misses:
+                return results  # type: ignore[return-value]
+            # Sweep outside the lock (it blocks on the workers).
+            if forest.segment is None:
+                with self._fallback_lock:
+                    values = forest.functions[name].evaluate_batch(misses)
+                spans = 1
+            else:
+                values = self._par.evaluate_batch(forest.segment, name, misses)
+                spans = len(self._par.lane_spans(len(misses)))
+            with self._lock:
                 self.batches_dispatched += 1
+                self.shards_dispatched += spans
                 for (key, positions), value in zip(pending.items(), values):
-                    value = bool(value)
                     for index in positions:
                         results[index] = value
                     if use_cache:
                         self._cache[key] = value
                         while len(self._cache) > self._cache_size:
                             self._cache.popitem(last=False)
-        return results  # type: ignore[return-value]
-
-    def _evaluate_misses(
-        self, path: str, segment: Optional[str], name: str, misses: List[Mapping]
-    ) -> List[bool]:
-        if self._host is not None:
-            with self._cond:
-                self.shards_dispatched += 1
-            return self._host.evaluate(path, name, misses)
-        op = "eval" if segment is None else "eval_shm"
-        target = path if segment is None else segment
-        shard = self.shard_size
-
-        def attempt() -> List[bool]:
-            task_ids = [
-                self._crew.submit(op, (target, name, misses[start : start + shard]))
-                for start in range(0, len(misses), shard)
-            ]
-            with self._cond:
-                self.shards_dispatched += len(task_ids)
-            values: List[bool] = []
-            for shard_values in self._crew.collect_all(task_ids):
-                values.extend(shard_values)
-            return values
-
-        return self._crewed(attempt)
+            return results  # type: ignore[return-value]
 
     def evaluate(self, path, name: str, assignment: Mapping) -> bool:
         """Evaluate one assignment (a batch of one, through the cache)."""
         return self.evaluate_batch(path, name, [assignment])[0]
 
-    def _weighted(self, op: str, path, name: str, payload_tail: tuple):
-        """Dispatch one weighted-counting op to a worker (or inline).
-
-        In shared-memory mode the query runs zero-copy against the
-        frozen segment (``<op>_shm``); otherwise the worker's private
-        forest copy answers.  Inline pools call the host directly.
-        """
-        path = os.fspath(path)
-        if self._host is not None:
-            method = getattr(self._host, op)
-            return method(path, name, *payload_tail)
-        segment = self._segment_for(path)
-        worker_op = op if segment is None else op + "_shm"
-        target = path if segment is None else segment
-
-        def attempt():
-            task_id = self._crew.submit(worker_op, (target, name) + payload_tail)
-            return self._crew.collect_all([task_id])[0]
-
-        return self._crewed(attempt)
+    def _weighted(self, op: str, path, name: str, args: tuple):
+        """One weighted-counting query, float mode (the JSON surface)."""
+        with self._serving(path, name) as forest:
+            if forest.segment is None:
+                with self._fallback_lock:
+                    return getattr(forest.functions[name], op)(*args, exact=False)
+            return getattr(self._par, op)(forest.segment, name, *args, exact=False)
 
     def p_one(self, path, name: str, weights: Optional[Mapping] = None) -> float:
         """``P[f = 1]`` of one stored function under independent weights.
@@ -680,103 +412,73 @@ class ForestPool:
         """
         return self._weighted("marginals", path, name, (weights, variables))
 
-    def _forest_counters(self) -> tuple:
-        """``(loads, hits, shm_attaches)`` of the forest caches.
-
-        Inline pools read the host directly; worker pools ask every
-        worker (best effort — a dead pool reports zeros rather than
-        failing a stats call).
-        """
-        if self._host is not None:
-            return (self._host.loads, self._host.hits, self._host.shm_attaches)
-        if self._crew is None:
-            return (0, 0, 0)
-        try:
-            replies = self._crew.collect_all(
-                self._crew.broadcast("stats", None)
-            )
-        except CrewError:
-            return (0, 0, 0)
-        loads = sum(reply["loads"] for reply in replies)
-        hits = sum(reply["forest_hits"] for reply in replies)
-        attaches = sum(reply.get("shm_attaches", 0) for reply in replies)
-        return (loads, hits, attaches)
+    # -- observability --------------------------------------------------
 
     def metric_snapshots(self) -> List[dict]:
         """Metrics snapshots of every worker process (empty inline).
 
         Worker snapshots travel over the ordinary result channel; the
-        inline host is tracked in this process, so it is already part
-        of the local :func:`repro.obs.snapshot` and returns nothing
-        here (no double counting).
+        dispatcher's own counters (this pool and its parallel pool) are
+        tracked in this process, so they are already part of the local
+        :func:`repro.obs.snapshot`.
         """
-        if self._host is not None or self._crew is None:
-            return []
-        try:
-            return self._crew.collect_all(
-                self._crew.broadcast("metrics", None)
-            )
-        except CrewError:
-            return []
+        return self._par.metric_snapshots()
+
+    def _segment_bytes(self) -> tuple:
+        """``(live segments, their bytes)`` held by the dispatcher (lock held)."""
+        segments = [
+            forest.segment
+            for forest in self._forests.values()
+            if forest.segment is not None
+        ]
+        return len(segments), sum(segment.nbytes for segment in segments)
 
     def collect_metrics(self, registry) -> None:
         """Sample dispatcher counters into an obs registry.
 
-        Covers the result cache and dispatch volume of this process;
-        worker-side counters arrive via :meth:`metric_snapshots`.
+        Covers the result cache, dispatch volume and segments of this
+        process; retries, restarts and worker attachments report under
+        the parallel pool's ``repro_par_*`` families.
         """
         from repro.obs.catalog import family
 
+        with self._lock:
+            _count, segment_bytes = self._segment_bytes()
+            entries = len(self._cache)
         family(registry, "repro_serve_result_cache_hits_total").inc(
             self.cache_hits
         )
         family(registry, "repro_serve_result_cache_misses_total").inc(
             self.cache_misses
         )
-        family(registry, "repro_serve_result_cache_entries").inc(
-            len(self._cache)
-        )
+        family(registry, "repro_serve_result_cache_entries").inc(entries)
         family(registry, "repro_serve_batches_dispatched_total").inc(
             self.batches_dispatched
         )
         family(registry, "repro_serve_shards_dispatched_total").inc(
             self.shards_dispatched
         )
-        family(registry, "repro_serve_worker_restarts_total").inc(
-            self.worker_restarts
-        )
-        family(registry, "repro_serve_batch_retries_total").inc(
-            self.batch_retries
-        )
+        family(registry, "repro_serve_forest_loads_total").inc(self.forest_loads)
         family(registry, "repro_serve_shm_freezes_total").inc(self.shm_freezes)
-        with self._shared_lock:
-            segment_bytes = sum(
-                entry["forest"].nbytes for entry in self._shared.values()
-            )
         family(registry, "repro_serve_shm_segment_bytes").inc(segment_bytes)
 
     def stats(self) -> dict:
         """Dispatcher counters (cache effectiveness, dispatch volume)."""
-        forest_loads, forest_hits, shm_attaches = self._forest_counters()
-        with self._shared_lock:
-            shared_segments = len(self._shared)
-            segment_bytes = sum(
-                entry["forest"].nbytes for entry in self._shared.values()
-            )
-        return {
-            "workers": self.workers,
-            "shared_memory": self.shared_memory,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_entries": len(self._cache),
-            "batches_dispatched": self.batches_dispatched,
-            "shards_dispatched": self.shards_dispatched,
-            "batch_retries": self.batch_retries,
-            "worker_restarts": self.worker_restarts,
-            "forest_loads": forest_loads,
-            "forest_hits": forest_hits,
-            "shm_freezes": self.shm_freezes,
-            "shm_attaches": shm_attaches,
-            "shared_segments": shared_segments,
-            "shm_segment_bytes": segment_bytes,
-        }
+        shm_attaches = self._par.worker_attaches()
+        with self._lock:
+            shared_segments, segment_bytes = self._segment_bytes()
+            return {
+                "workers": self.workers,
+                "cache_hits": self.cache_hits,
+                "cache_misses": self.cache_misses,
+                "cache_entries": len(self._cache),
+                "batches_dispatched": self.batches_dispatched,
+                "shards_dispatched": self.shards_dispatched,
+                "batch_retries": self._par.batch_retries,
+                "worker_restarts": self._par.worker_restarts,
+                "forest_loads": self.forest_loads,
+                "shm_freezes": self.shm_freezes,
+                "shm_attaches": shm_attaches,
+                "shared_segments": shared_segments,
+                "shm_segment_bytes": segment_bytes,
+            }

@@ -36,7 +36,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 from repro import obs
 from repro.core.exceptions import BBDDError
 from repro.obs.catalog import family as _metric
-from repro.par.dispatch import CrewError, TaskFailed
+from repro.par.dispatch import CrewError
 from repro.serve.bulk import ServeError
 from repro.serve.pool import ForestPool
 
@@ -48,14 +48,13 @@ Deliver = Callable[[object], None]
 def _query_error(exc: Exception) -> bool:
     """True when a batch failed on its queries rather than on the pool.
 
-    Encoder errors surface as ``TypeError`` or a :class:`BBDDError`
-    (``VariableError`` included) from an inline pool, and as a
-    :class:`ServeError` caused by :class:`TaskFailed` from a worker.
-    Any other crew failure (a dead or silent worker) is the pool's.
+    The dispatcher encodes every batch, so encoder errors surface there
+    as ``TypeError`` or a :class:`BBDDError` (``VariableError``
+    included) in every pool mode.  A :class:`ServeError` caused by a
+    crew failure (a dead, failing or silent worker) is the pool's.
     """
-    cause = exc.__cause__
-    if isinstance(cause, CrewError):
-        return isinstance(cause, TaskFailed)
+    if isinstance(exc.__cause__, CrewError):
+        return False
     return isinstance(exc, (TypeError, BBDDError))
 
 
@@ -112,7 +111,7 @@ class BatchingServer:
         )
 
     def warm(self) -> List[str]:
-        """Pre-load the forest into every pool worker; root names."""
+        """Freeze the forest and attach it in every pool worker; root names."""
         return self.pool.warm(self.path)
 
     async def query(self, name: str, assignment: Mapping) -> bool:
@@ -235,8 +234,8 @@ class BatchingServer:
     async def p_one(self, name: str, weights: Optional[Mapping] = None) -> float:
         """``P[f = 1]`` of the stored function ``name`` (float mode).
 
-        One weighted sweep on the pool (zero-copy against the shared
-        segment where available), off the event loop.  ``weights`` maps
+        One weighted sweep on the pool (zero-copy against the frozen
+        segment), off the event loop.  ``weights`` maps
         variable names to ``P[x = 1]``; unlisted variables default to
         1/2.
         """
@@ -290,8 +289,8 @@ class BatchingServer:
     def metrics_snapshot(self) -> dict:
         """The merged metrics snapshot: this process plus pool workers.
 
-        Local instrumentation (serve histograms, tracked managers and
-        the inline host) comes from :func:`repro.obs.snapshot`; worker
+        Local instrumentation (serve histograms, the dispatcher's pool
+        counters) comes from :func:`repro.obs.snapshot`; worker
         processes ship their own snapshots back over the pool's result
         channel and merge in.  Rendered by ``{"op": "metrics"}`` and the
         ``--metrics-port`` HTTP endpoint.

@@ -95,9 +95,10 @@ def test_manager_let_rejects_foreign_function():
 
 
 def test_open_passes_table_backends():
-    m = repro.open("bbdd", vars=4, unique_backend="cantor", computed_backend="cantor")
+    m = repro.open("bbdd", vars=4, computed_backend="disabled")
     f = m.add_expr("x0 ^ x1 ^ x2 ^ x3")
     assert f.sat_count() == 8
+    assert m.table_stats()["computed"]["backend"] == "disabled"
 
 
 # ----------------------------------------------------------------------

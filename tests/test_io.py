@@ -20,7 +20,7 @@ from repro.io.__main__ import main as io_main
 from repro.io.checkpoint import CheckpointStore
 from repro.io.format import FORMAT_VERSION, FormatError, read_header, unpack_ref
 from repro.io.stream import LevelStreamReader
-from repro.network.build import build_bbdd
+from repro.network.build import build
 
 # max_examples comes from the active hypothesis profile (fast/ci —
 # see tests/conftest.py); only per-test shape settings live here.
@@ -330,13 +330,11 @@ def _spot_check(network, originals, reloaded, rng, vectors=8):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["dict", "cantor"])
+@pytest.mark.parametrize("backend", ["dict"])
 def test_registry_dump_reload_sweep(backend):
     rng = random.Random(0xBBDD)
     for name, network in _registry_networks():
-        manager, functions = build_bbdd(
-            network, unique_backend=backend, computed_backend=backend
-        )
+        manager, functions = build(network, backend="bbdd", computed_backend=backend)
         data = rio.dumps(manager, functions)
 
         # Same order: canonical node-for-node reconstruction.
@@ -356,11 +354,7 @@ def test_registry_dump_reload_sweep(backend):
         # (adders, comparators) exponentially large.
         names = list(manager.var_names)
         names[0], names[1] = names[1], names[0]
-        permuted = BBDDManager(
-            names,
-            unique_backend=backend,
-            computed_backend=backend,
-        )
+        permuted = BBDDManager(names, computed_backend=backend)
         replayed = permuted.load(stdio.BytesIO(data))
         _spot_check(network, functions, replayed, rng)
         if network.num_inputs <= 10:

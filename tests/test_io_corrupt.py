@@ -8,7 +8,7 @@
 * The ``repro.io.migrate`` module-shadowing regression: importing the
   submodule must yield the module (exposing ``ProtocolMigrator``), with
   the renamed :func:`~repro.io.migrate.migrate_forest` re-exported from
-  ``repro.io`` and the legacy spellings still callable (deprecated).
+  ``repro.io``.
 * Swapped ``dump``/``load`` argument validation raises
   :class:`~repro.core.exceptions.BBDDError` naming the expected order.
 * Decompression bombs: a small compressed level block (or xmem spill
@@ -19,7 +19,6 @@
 import io as _io
 import tracemalloc
 import types
-import warnings
 import zlib
 
 import pytest
@@ -302,20 +301,6 @@ def test_import_repro_io_migrate_is_a_module():
     # And the convenience function is re-exported under its new name.
     assert rio.migrate_forest is migrate_module.migrate_forest
     assert rio.ProtocolMigrator is migrate_module.ProtocolMigrator
-
-
-def test_legacy_migrate_spellings_still_call_through():
-    src = repro.open("bbdd", vars=["a", "b"])
-    dst = repro.open("bbdd", vars=["a", "b"])
-    f = src.add_expr("a ^ b")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        via_module_call = rio.migrate(f, dst)  # calling the module object
-        via_function = rio.migrate.migrate(f, dst)  # the deprecated function
-    assert via_module_call == via_function
-    assert sum(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    ) >= 2
 
 
 # ----------------------------------------------------------------------

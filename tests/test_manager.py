@@ -113,16 +113,6 @@ def test_table_stats_shape():
     assert "unique" in stats and "computed" in stats
 
 
-def test_cantor_backend_manager_end_to_end():
-    m = BBDDManager(4, unique_backend="cantor", computed_backend="cantor")
-    a, b, c, d = m.variables()
-    f = (a ^ b) | (c & d)
-    ref = BBDDManager(4)
-    g = (ref.var(0) ^ ref.var(1)) | (ref.var(2) & ref.var(3))
-    assert f.truth_mask(range(4)) == g.truth_mask(range(4))
-    m.check_invariants()
-
-
 def test_disabled_cache_still_correct():
     m = BBDDManager(4, computed_backend="disabled")
     a, b, c, d = m.variables()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.truthtable import TruthTable
 from repro.network.blif import parse_blif, write_blif
-from repro.network.build import build_bbdd, build_bdd
+from repro.network.build import build
 from repro.network.network import LogicNetwork
 from repro.network.simulate import (
     apply_vector,
@@ -130,17 +130,17 @@ def test_verilog_rejects_vectors():
 def test_builders_match_simulation():
     net = full_adder_network()
     masks = output_truth_masks(net)
-    _mg, fns = build_bbdd(net)
+    _mg, fns = build(net, backend="bbdd")
     for name, f in fns.items():
         assert f.truth_mask(net.inputs) == masks[name]
-    _mg2, fns2 = build_bdd(net)
+    _mg2, fns2 = build(net, backend="bdd")
     for name, f in fns2.items():
         assert f.truth_mask(net.inputs) == masks[name]
 
 
 def test_builders_share_across_outputs():
     net = full_adder_network()
-    mg, fns = build_bbdd(net)
+    mg, fns = build(net, backend="bbdd")
     total = mg.node_count(list(fns.values()))
     separate = sum(f.node_count() for f in fns.values())
     assert total <= separate

@@ -263,7 +263,9 @@ def test_parallel_pool_inline_mode():
 def test_parallel_pool_worker_death_respawns():
     manager, f = build("bbdd")
     rng = random.Random(13)
-    queries = [{n: rng.getrandbits(1) for n in NAMES} for _ in range(300)]
+    # Wider than 2 x 1024 lanes: one span per worker, so the killed
+    # worker receives a task of the second batch.
+    queries = [{n: rng.getrandbits(1) for n in NAMES} for _ in range(2500)]
     want = f.evaluate_batch(queries)
     forest = ShmForest.freeze(manager, {"f": f})
     try:

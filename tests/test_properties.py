@@ -138,11 +138,11 @@ def sparse_function(draw, max_vars=8):
     return n, mask
 
 
-@given(sparse_function(), st.sampled_from(["dict", "cantor"]))
+@given(sparse_function())
 @settings(**_SETTINGS)
-def test_sat_one_always_satisfies_property(fn, backend):
+def test_sat_one_always_satisfies_property(fn):
     n, mask = fn
-    m = BBDDManager(n, unique_backend=backend, computed_backend=backend)
+    m = BBDDManager(n)
     f = m.function(reorder.from_truth_table(m, mask))
     witness = f.sat_one()
     assert witness is not None  # sub_mask >= 1 guarantees satisfiability

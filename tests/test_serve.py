@@ -5,8 +5,9 @@ oracle on every backend (hypothesis property, duplicates, empty batch,
 beyond-``request_chunk`` batches on xmem), the batched cube
 satisfiability, the strict assignment error contract (missing support
 variables are *named*, batch errors carry the position, constants
-reject malformed mappings), the multi-process pool with sharding and
-result caching, the asyncio batching server, its TCP front end (a
+reject malformed mappings), the forest pool (lane spans, hot reload
+racing in-flight batches, the no-shared-memory fallback, result
+caching), the asyncio batching server, its TCP front end (a
 seeded fuzz of hostile lines, the per-connection in-flight cap), and
 the ``python -m repro.serve`` CLI.
 """
@@ -347,7 +348,7 @@ def reference_results(forest, name, batch):
 def test_inline_pool_shards_and_caches(forest_path):
     batch = reference_batch()
     want = reference_results(forest_path, "f", batch)
-    with ForestPool(workers=0, cache_size=128, shard_size=64) as pool:
+    with ForestPool(workers=0, cache_size=128) as pool:
         assert pool.warm(forest_path) == ["f", "g"]
         assert pool.evaluate_batch(forest_path, "f", batch) == want
         stats = pool.stats()
@@ -365,18 +366,30 @@ def test_inline_pool_shards_and_caches(forest_path):
         ForestPool(workers=0).evaluate(forest_path, "nope", {})
 
 
-def test_multiprocess_pool_round_trip(forest_path):
+def test_multiprocess_pool_round_trip(forest_path, tmp_path):
     batch = reference_batch(150)
     want = reference_results(forest_path, "f", batch)
-    with ForestPool(workers=2, cache_size=0, shard_size=8) as pool:
+    # 12 variables: 3000 distinct misses span more than 2 x 1024 lanes.
+    wide_names = [f"x{i}" for i in range(12)]
+    manager = repro.open("bbdd", vars=wide_names)
+    parity = manager.add_expr(" ^ ".join(wide_names))
+    wide_path = str(tmp_path / "wide.bbdd")
+    manager.dump({"p": parity}, wide_path)
+    wide = [
+        {name: (i >> bit) & 1 for bit, name in enumerate(wide_names)}
+        for i in range(3000)
+    ]
+    with ForestPool(workers=2, cache_size=0) as pool:
         assert pool.warm(forest_path) == ["f", "g"]
         assert pool.evaluate_batch(forest_path, "f", batch) == want
         stats = pool.stats()
         assert stats["workers"] == 2
-        # 5 variables give at most 32 distinct assignments; after the
-        # dispatcher dedups them, shard_size=8 still needs 4 shards.
-        assert stats["shards_dispatched"] >= 4
-        with pytest.raises(ServeError, match="worker failed"):
+        # 5 variables give at most 32 distinct assignments: one span.
+        assert (stats["batches_dispatched"], stats["shards_dispatched"]) == (1, 1)
+        assert pool.evaluate_batch(wide_path, "p", wide) == parity.evaluate_batch(wide)
+        # 3000 lanes over 2 workers: two spans of 1500.
+        assert pool.stats()["shards_dispatched"] == 3
+        with pytest.raises(ServeError, match="no function 'nope'"):
             pool.evaluate_batch(forest_path, "nope", batch[:2])
         # The pool survives a failed request.
         assert pool.evaluate_batch(forest_path, "g", batch[:8]) == (
@@ -442,23 +455,32 @@ def test_inline_pool_concurrent_cache_access(forest_path):
         assert outcome == (want_f if index % 2 == 0 else want_g)
 
 
-def test_forest_host_lru(tmp_path):
+def test_pool_max_forests_lru(tmp_path):
+    """max_forests bounds the frozen segments; the oldest is unlinked."""
+    from repro.par.shm import active_segments
+
     paths = []
     for i in range(3):
         manager = repro.open("bbdd", vars=["x"])
         path = tmp_path / f"forest{i}.bbdd"
         manager.dump({"f": manager.var("x")}, str(path))
         paths.append(str(path))
-    from repro.serve import ForestHost
-
-    host = ForestHost(max_forests=2)
-    for path in paths:
-        assert host.evaluate(path, "f", [{"x": 1}]) == [True]
-    assert host.loads == 3
-    host.evaluate(paths[0], "f", [{"x": 0}])  # evicted: reloads
-    assert host.loads == 4
-    host.evaluate(paths[0], "f", [{"x": 1}])  # now cached
-    assert host.hits == 1
+    before = set(active_segments())
+    with ForestPool(workers=0, max_forests=2) as pool:
+        first = set()
+        for index, path in enumerate(paths):
+            assert pool.evaluate(path, "f", {"x": 1}) is True
+            if index == 0:
+                first = set(active_segments()) - before
+        assert len(first) == 1
+        # The third path evicted the first, whose segment is unlinked.
+        live = set(active_segments()) - before
+        assert len(live) == 2 and not live & first
+        assert pool.stats()["shm_freezes"] == 3
+        assert pool.evaluate(paths[0], "f", {"x": 0}) is False  # re-frozen
+        stats = pool.stats()
+        assert (stats["shm_freezes"], stats["shared_segments"]) == (4, 2)
+    assert set(active_segments()) - before == set()
 
 
 # ----------------------------------------------------------------------
@@ -862,9 +884,11 @@ def test_result_cache_key_contract(tmp_path):
         assert pool.evaluate(path, "f", {0: 0, 3: True}) is False
         stats = pool.stats()
         assert (stats["cache_entries"], stats["cache_hits"]) == (2, 2)
-        pool.evaluate(path, "f", {3.0: 1, 0.0: 0})
+        # A float is neither a name nor an index of the frozen forest.
+        with pytest.raises(VariableError, match="got 3.0"):
+            pool.evaluate(path, "f", {3.0: 1, 0.0: 0})
         stats = pool.stats()
-        assert (stats["cache_entries"], stats["cache_hits"]) == (3, 2)
+        assert (stats["cache_entries"], stats["cache_hits"]) == (2, 2)
     for bad in (2, 1.0, "1", None):
         messages = []
         for cache_size in (4096, 0):
@@ -1096,30 +1120,31 @@ def test_serve_cli_sigterm_unlinks_segments(forest_path):
 
 
 def test_pool_stats_expose_forest_counters_inline(forest_path):
+    """An inline pool freezes the dump too, and sweeps it in-process."""
     with ForestPool(workers=0) as pool:
         pool.warm(forest_path)
         pool.evaluate(forest_path, "f", reference_batch(1, seed=3)[0])
         stats = pool.stats()
-    assert stats["forest_loads"] == 1
-    assert stats["forest_hits"] >= 1
+    assert (stats["forest_loads"], stats["shm_freezes"]) == (0, 1)
+    assert stats["shm_attaches"] == 0
+    assert stats["batches_dispatched"] == stats["shards_dispatched"] == 1
 
 
 def test_pool_stats_expose_forest_counters_workers(forest_path):
-    with ForestPool(workers=2, shared_memory=False) as pool:
+    with ForestPool(workers=2) as pool:
         pool.warm(forest_path)
         pool.evaluate_batch(forest_path, "f", reference_batch(20, seed=11))
         stats = pool.stats()
-    # Warming loads the forest once per worker (private-copy mode).
-    assert stats["forest_loads"] == 2
-    assert stats["forest_hits"] >= 1
+    # One freeze in the dispatcher; warming attaches it once per worker.
+    assert (stats["forest_loads"], stats["shm_freezes"]) == (0, 1)
+    assert stats["shm_attaches"] == pool.workers == 2
 
 
 def test_pool_shared_memory_attaches_instead_of_loading(forest_path):
-    """Shared-memory pools freeze the dump once; workers never decode it."""
+    """Pools freeze the dump once; workers never decode it."""
     batch = reference_batch(60, seed=21)
     want = reference_results(forest_path, "f", batch)
-    with ForestPool(workers=2, cache_size=0, shared_memory=True) as pool:
-        assert pool.shared_memory is True
+    with ForestPool(workers=2, cache_size=0) as pool:
         assert pool.warm(forest_path) == ["f", "g"]
         assert pool.evaluate_batch(forest_path, "f", batch) == want
         stats = pool.stats()
@@ -1142,20 +1167,22 @@ def test_pool_shared_memory_hot_reload(forest_path, tmp_path):
         os.utime(forest_path)
 
     batch = reference_batch(40, seed=23)
-    # Without and with the default result cache: cached answers of the
-    # old forest must not outlive its segment.
-    for options in ({"cache_size": 0}, {}):
-        dump("a & ~e")
-        with ForestPool(workers=2, shared_memory=True, **options) as pool:
-            pool.warm(forest_path)
-            before = pool.evaluate_batch(forest_path, "g", batch)
-            time_mod.sleep(0.01)
-            dump("~(a & ~e)")  # inverted vs the fixture
-            after = pool.evaluate_batch(forest_path, "g", batch)
-            stats = pool.stats()
-        assert after == [not value for value in before], options
-        assert stats["shm_freezes"] == 2
-        assert stats["shared_segments"] == 1  # the stale segment was retired
+    # Inline and with workers, without and with the default result
+    # cache: cached answers of the old forest must not outlive its
+    # segment.
+    for workers in (0, 2):
+        for options in ({"cache_size": 0}, {}):
+            dump("a & ~e")
+            with ForestPool(workers=workers, **options) as pool:
+                pool.warm(forest_path)
+                before = pool.evaluate_batch(forest_path, "g", batch)
+                time_mod.sleep(0.01)
+                dump("~(a & ~e)")  # inverted vs the fixture
+                after = pool.evaluate_batch(forest_path, "g", batch)
+                stats = pool.stats()
+            assert after == [not value for value in before], (workers, options)
+            assert stats["shm_freezes"] == 2
+            assert stats["shared_segments"] == 1  # the stale segment was retired
 
 
 @pytest.mark.timeout(60)
@@ -1168,25 +1195,164 @@ def test_pool_worker_death_respawns_and_retries(forest_path):
     with ForestPool(workers=2, cache_size=0, timeout=30) as pool:
         pool.warm(forest_path)
         assert pool.evaluate_batch(forest_path, "f", batch) == want
-        pool._crew.processes[0].kill()
+        # One span per batch reaches one worker: kill them all, so the
+        # next batch meets a dead one whichever the crew picks.
+        for process in pool._par._crew.processes:
+            process.kill()
         time_mod.sleep(0.2)
         assert pool.evaluate_batch(forest_path, "f", batch) == want
         stats = pool.stats()
     assert stats["worker_restarts"] >= 1
+    assert stats["batch_retries"] == 1
 
 
 def test_pool_close_unlinks_all_segments(forest_path):
-    """Closing a shared-memory pool leaves no segments behind."""
+    """Closing a pool leaves no segments behind, inline or with workers."""
     from repro.par.shm import active_segments
 
     before = set(active_segments())
-    pool = ForestPool(workers=2, cache_size=0, shared_memory=True)
+    for workers in (0, 1, 2):
+        pool = ForestPool(workers=workers, cache_size=0)
+        try:
+            pool.warm(forest_path)
+            assert set(active_segments()) - before, workers
+        finally:
+            pool.close()
+        assert set(active_segments()) - before == set(), workers
+
+
+class _Dumps:
+    """Writes forests to one path, each under a fresh on-disk signature."""
+
+    def __init__(self, path):
+        self.path = path
+        self.stamp = 10**18
+
+    def write(self, data: bytes) -> None:
+        staging = self.path + ".tmp"
+        with open(staging, "wb") as out:
+            out.write(data)
+        # Explicit mtimes: coarse file-system clocks could otherwise
+        # give two quick rewrites of equal size the same signature.
+        self.stamp += 10**9
+        os.utime(staging, ns=(self.stamp, self.stamp))
+        os.replace(staging, self.path)
+
+    def dump(self, expr: str, batch=()):
+        """Dump ``f = expr`` over NAMES; returns ``f`` at every query."""
+        from repro import io as rio
+
+        manager = repro.open("bbdd", vars=NAMES)
+        f = manager.add_expr(expr)
+        self.write(rio.dumps(manager, {"f": f}))
+        return f.evaluate_batch(list(batch))
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_pool_reloads_after_a_failed_load(tmp_path, monkeypatch, workers):
+    """A dump that once failed to load is served again once rewritten."""
+    import repro.io
+
+    dumps = _Dumps(str(tmp_path / "flaky.bbdd"))
+    decodes = []
+    open_forest = repro.io.open_forest
+
+    def counted(path):
+        decodes.append(path)
+        return open_forest(path)
+
+    monkeypatch.setattr(repro.io, "open_forest", counted)
+    query = {"a": 1, "b": 0, "c": 0, "d": 0, "e": 0}
+    with ForestPool(workers=workers, timeout=20) as pool:
+        dumps.dump("a & b")
+        assert pool.evaluate(dumps.path, "f", query) is False
+        dumps.write(b"garbage" * 10)
+        for _ in range(2):
+            with pytest.raises(ServeError, match="FormatError: .*bad magic"):
+                pool.evaluate(dumps.path, "f", query)
+        # The failure is remembered for its signature, not decoded again.
+        assert len(decodes) == 2
+        dumps.dump("a | b")
+        assert pool.evaluate(dumps.path, "f", query) is True
+        dumps.dump("a & b")
+        assert pool.evaluate(dumps.path, "f", query) is False
+        stats = pool.stats()
+    assert (stats["shm_freezes"], stats["shared_segments"]) == (3, 1)
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("workers", [0, 1])
+def test_pool_hot_reload_races_in_flight_batches(tmp_path, workers):
+    """Batches racing a dump replaced every few ms finish on their segment."""
+    import threading
+    import time as time_mod
+
+    switch = sys.getswitchinterval()
+    rng = random.Random(0x4ACE)
+    batch = [{name: rng.getrandbits(1) for name in NAMES} for _ in range(64)]
+    dumps = _Dumps(str(tmp_path / "racy.bbdd"))
+    blobs, answers = [], []
+    for expr in ("(a ^ b) | (c & d)", "(a & ~e) ^ (b | c)"):
+        answers.append(dumps.dump(expr, batch))
+        with open(dumps.path, "rb") as stored:
+            blobs.append(stored.read())
+    outcomes, errors = [], []
+    deadline = time_mod.monotonic() + 2.0
+    # Frequent thread switches widen the windows between resolving a
+    # segment, sweeping it and releasing it.
+    sys.setswitchinterval(1e-5)
     try:
-        pool.warm(forest_path)
-        assert set(active_segments()) - before
+        with ForestPool(workers=workers, cache_size=0, timeout=20) as pool:
+
+            def client():
+                while time_mod.monotonic() < deadline:
+                    try:
+                        outcomes.append(pool.evaluate_batch(dumps.path, "f", batch))
+                    except Exception as exc:  # noqa: BLE001 - asserted below
+                        errors.append(exc)
+
+            threads = [threading.Thread(target=client) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            flips = 0
+            while time_mod.monotonic() < deadline:
+                flips += 1
+                dumps.write(blobs[flips % 2])
+                time_mod.sleep(0.003)
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            stats = pool.stats()
     finally:
-        pool.close()
-    assert set(active_segments()) - before == set()
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert outcomes and all(outcome in answers for outcome in outcomes)
+    assert stats["shm_freezes"] > 2  # the pool really reloaded
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_pool_serves_from_the_manager_without_shared_memory(
+    forest_path, monkeypatch, workers
+):
+    """Where freezing fails, the dispatcher answers from the loaded manager."""
+    from repro.par import shm
+
+    monkeypatch.setattr(shm, "_shared_memory", None)
+    batch = reference_batch(50, seed=41)
+    weights = {"a": 0.25}
+    want_p, want_m = wmc_reference(forest_path, "f", weights)
+    with ForestPool(workers=workers, timeout=20) as pool:
+        assert pool.warm(forest_path) == ["f", "g"]
+        assert pool.evaluate_batch(forest_path, "f", batch) == (
+            reference_results(forest_path, "f", batch)
+        )
+        assert pool.p_one(forest_path, "f", weights) == pytest.approx(want_p)
+        assert pool.marginals(forest_path, "f", weights) == pytest.approx(want_m)
+        with pytest.raises(ServeError, match="no function 'nope'"):
+            pool.evaluate(forest_path, "nope", {})
+        stats = pool.stats()
+    assert stats["forest_loads"] == 1
+    assert (stats["shm_freezes"], stats["shared_segments"]) == (0, 0)
 
 
 def test_server_metrics_snapshot_and_op(forest_path):
@@ -1220,7 +1386,7 @@ def test_server_metrics_snapshot_and_op(forest_path):
     for payload in (remote, snap):
         latency = payload["repro_serve_request_latency_seconds"]["samples"][0]
         assert latency["count"] >= len(batch)
-        assert payload["repro_serve_forest_loads_total"]["samples"][0]["value"] >= 1
+        assert payload["repro_serve_shm_freezes_total"]["samples"][0]["value"] >= 1
     text = obs.render_prometheus(snap)
     assert "repro_serve_request_latency_seconds_bucket" in text
     assert "repro_xmem_spill_bytes_total" in text

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits import datapath
-from repro.network.build import build_bbdd
+from repro.network.build import build
 from repro.network.network import LogicNetwork
 from repro.network.simulate import networks_equivalent, output_truth_masks
 from repro.synth.bbdd_rewrite import rewrite_functions
@@ -107,7 +107,7 @@ def test_bbdd_rewrite_equivalent_and_maj_rich():
     rtl = datapath.magnitude_dp(6)
     ordered = rtl.copy()
     ordered.inputs = datapath_order(rtl.inputs)
-    manager, functions = build_bbdd(ordered)
+    manager, functions = build(ordered, backend="bbdd")
     rewritten = rewrite_functions(manager, functions)
     assert networks_equivalent(rtl, rewritten)
     hist = rewritten.gate_histogram()
@@ -118,7 +118,7 @@ def test_bbdd_rewrite_adder_xor_structure():
     rtl = datapath.adder(6)
     ordered = rtl.copy()
     ordered.inputs = datapath_order(rtl.inputs)
-    manager, functions = build_bbdd(ordered)
+    manager, functions = build(ordered, backend="bbdd")
     rewritten = rewrite_functions(manager, functions)
     assert networks_equivalent(rtl, rewritten)
     hist = rewritten.gate_histogram()

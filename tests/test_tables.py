@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.computed_table import make_computed_table
-from repro.core.unique_table import make_unique_table
+from repro.core.unique_table import UniqueTable
 
 
-@pytest.mark.parametrize("backend", ["dict", "cantor"])
+@pytest.mark.parametrize("backend", ["dict"])
 def test_unique_table_protocol(backend):
-    table = make_unique_table(backend)
+    table = UniqueTable()
+    assert table.stats()["backend"] == backend
     key = (1, 2, 3, False, 4)
     assert table.lookup(key) is None
     table.insert(key, "node")
@@ -22,9 +23,9 @@ def test_unique_table_protocol(backend):
         table.delete(key)
 
 
-@pytest.mark.parametrize("backend", ["dict", "cantor"])
+@pytest.mark.parametrize("backend", ["dict"])
 def test_unique_table_many_entries(backend):
-    table = make_unique_table(backend)
+    table = UniqueTable()
     keys = [(i, i + 1, i * 7, bool(i & 1), i * 3) for i in range(3000)]
     for i, key in enumerate(keys):
         table.insert(key, i)
@@ -37,22 +38,10 @@ def test_unique_table_many_entries(backend):
     assert table.lookup(keys[0]) is None
     assert table.lookup(keys[1]) == 1
     stats = table.stats()
-    assert stats["entries"] == 1500
+    assert (stats["backend"], stats["entries"]) == (backend, 1500)
 
 
-def test_cantor_alias_resolves_to_dict_table():
-    # "cantor" survives as a config alias only; extra sizing kwargs of
-    # the removed open-addressed tables are accepted and ignored.
-    table = make_unique_table("cantor", initial_size=16)
-    for i in range(5000):
-        table.insert((i, i, i, False, i), i)
-        table.lookup((i, i, i, False, i))
-    stats = table.stats()
-    assert stats["backend"] == "dict"
-    assert stats["entries"] == 5000
-
-
-@pytest.mark.parametrize("backend", ["dict", "cantor"])
+@pytest.mark.parametrize("backend", ["dict"])
 def test_computed_table_roundtrip(backend):
     cache = make_computed_table(backend)
     assert cache.lookup((1, 2, 8)) is None
@@ -60,15 +49,7 @@ def test_computed_table_roundtrip(backend):
     assert cache.lookup((1, 2, 8)) == "result"
     cache.clear()
     assert cache.lookup((1, 2, 8)) is None
-
-
-def test_cantor_computed_alias_resolves_to_dict_table():
-    cache = make_computed_table("cantor", size=4)
-    for i in range(64):
-        cache.insert((i, i, 6), i)
-    for i in range(64):
-        assert cache.lookup((i, i, 6)) == i
-    assert cache.stats()["backend"] == "dict"
+    assert cache.stats()["backend"] == backend
 
 
 def test_disabled_computed_table():
