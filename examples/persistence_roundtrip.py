@@ -1,10 +1,11 @@
 """Persistence round trip: dump, scan, reload, migrate — on any backend.
 
-Both backends share the levelized binary container (BBDD couple records
-vs. BDD Shannon records, told apart by a header flag), and migration
-works across backends through the repro.api protocol.
+Every backend writes the one levelized binary container from the same
+node rows (BBDD couple records vs. BDD Shannon records, told apart by a
+header flag); one ``repro.io.load`` reads every dump, into any backend,
+and migration is the same row replay without the bytes.
 
-Run:  python examples/persistence_roundtrip.py  (REPRO_BACKEND=bdd to switch)
+Run:  python examples/persistence_roundtrip.py  (REPRO_BACKEND=bdd|xmem to switch)
 """
 
 import os
@@ -16,9 +17,6 @@ from repro import io as rio
 
 def main() -> None:
     backend = os.environ.get("REPRO_BACKEND", "bbdd")
-    # The BBDD and xmem backends share the couple-record container; only
-    # the baseline BDD package writes Shannon records (header flag).
-    loader = rio.load_bdd if backend == "bdd" else rio.load
 
     # Build a small shared forest: a comparator slice and a majority vote.
     manager = repro.open(backend, vars=["a", "b", "c", "d"])
@@ -35,8 +33,9 @@ def main() -> None:
     print("scan:", info.summary())
 
     # Reload into a fresh manager (same variables, same order): the
-    # canonical forest comes back node for node.
-    fresh, funcs = loader(path)
+    # canonical forest comes back node for node — in a BDD manager for a
+    # BDD dump, a BBDD manager otherwise.
+    fresh, funcs = rio.load(path)
     print("fresh reload:", {n: f.node_count() for n, f in funcs.items()})
     order = ["a", "b", "c", "d"]
     assert funcs["equal"].truth_mask(order) == equal.truth_mask(order)
@@ -55,14 +54,20 @@ def main() -> None:
     )
     print("migrated under rename:", renamed["equal"])
 
-    # Migration also crosses backends (re-canonicalized via the protocol).
+    # Migration also crosses backends (the same rows, re-reduced by the target).
     cross = repro.open("bdd" if backend == "bbdd" else "bbdd", vars=order)
     crossed = rio.migrate_forest({"equal": equal}, cross)
     assert crossed["equal"].truth_mask(order) == equal.truth_mask(order)
     print(f"cross-backend migration -> {cross.backend} ok")
 
-    # JSON interchange for debugging — print it, diff it, grep it.
-    if backend == "bbdd":
+    # Any dump loads into any backend too.
+    loaded = cross.load(path)
+    assert loaded["majority"].truth_mask(order) == majority.truth_mask(order)
+    print(f"cross-backend load -> {cross.backend} ok")
+
+    # JSON interchange for debugging — print it, diff it, grep it (it
+    # holds couples and literals, so BDD forests use the binary dump).
+    if backend != "bdd":
         doc = rio.to_dict(manager, {"equal": equal})
         print("json nodes:", doc["nodes"])
 

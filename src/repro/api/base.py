@@ -155,11 +155,15 @@ class DDManager:
         The producer of the compiled query form (:class:`Columns`)
         behind the batch sweeps, ``sat_count`` and weighted counting,
         which reach it through ``compiled_root(edge)``.
+    ``make_row(pv, sv, t, f)`` (optional)
+        One structural node for a replayed :mod:`repro.io` row, behind
+        ``dump``/``load``/``migrate_forest``; the default rebuilds every
+        row with ``ite_edges``.
     ``acquire_ref(node)`` / ``release_ref(node)`` / ``defer_gc()``
         Memory management hooks used by the function handles.
     ``var_index`` / ``var_name`` / ``num_vars`` / ``order`` /
-    ``current_order`` / ``sift(**kw)`` / ``dump(functions, target)``
-        Variable bookkeeping, reordering and persistence.
+    ``current_order`` / ``sift(**kw)``
+        Variable bookkeeping and reordering.
 
     The function-returning conveniences (``var``, ``nvar``,
     ``variables``, ``true``, ``false``, ``function``, ``node_count``)
@@ -412,6 +416,59 @@ class DDManager:
             if shared:
                 product = self.quantify_edge(product, shared, False)
             return product
+
+    # -- persistence and row replay (repro.io) ------------------------------
+
+    def dump(self, functions, target, compress: bool = False) -> None:
+        """Write a forest to ``target`` in the levelized ``.bbdd`` container.
+
+        ``functions`` is a ``{name: function}`` mapping (or a sequence);
+        ``target`` a path or binary file object.  ``compress=True``
+        writes the v2 ``FLAG_COMPRESSED`` container.  See
+        :func:`repro.io.dump`.
+        """
+        from repro.io.binary import dump
+
+        dump(self, functions, target, compress=compress)
+
+    def load(self, source, rename=None) -> dict:
+        """Load any ``.bbdd`` dump *into this manager*; ``{name: function}``.
+
+        The dump's variables (after the optional ``rename`` mapping)
+        must all exist here, but this manager may hold a superset of
+        them, use a different order or another backend than the one
+        that wrote the dump — nodes are re-reduced on the fly.  To load
+        into a fresh manager use :func:`repro.io.load`.
+        """
+        from repro.io.binary import load
+
+        return load(source, manager=self, rename=rename)[1]
+
+    def row_target(self):
+        """Where :class:`repro.io.migrate.ForestRebuilder` builds rows.
+
+        A target offers ``true_edge``, ``negate_edge``, ``literal_edge``,
+        ``apply_edges``, ``ite_edges``, ``make_row`` and
+        ``finish_rows``.  The default is the manager itself, building
+        bare edges; a backend that builds elsewhere (xmem's builder)
+        returns its own target.
+        """
+        return self
+
+    def make_row(self, pv: int, sv, t, f):
+        """Row ``(pv, sv, t, f)`` as one structural node, or None.
+
+        ``sv`` is None for a single-variable row; ``t``/``f`` are the
+        children where the test holds / fails.  Called only when the
+        source order survives in this manager.  None (this default, or
+        a row the backend cannot store as it is) rebuilds the row as
+        ``ite(test, t, f)``.
+        """
+        return None
+
+    def finish_rows(self, edges) -> list:
+        """The replayed root edges as this manager's edges (no-op here)."""
+        return edges
 
     def relabel_edge(self, edge, values):
         """``edge`` under a rename done in place of a rebuild, or None.

@@ -377,6 +377,10 @@ class BDDManager(DDManager):
         roots = {name: -ids[node] if attr else ids[node] for name, (node, attr) in named}
         return Columns(self.order.order, roots, [(0, pv, sv, t, f)], pv)
 
+    def make_row(self, pv: int, sv, t: BDDEdge, f: BDDEdge):
+        """A replayed io row as a Shannon node (None: a couple)."""
+        return self._make(pv, t, f) if sv is None else None
+
     def compiled_root(self, edge: BDDEdge) -> Columns:
         """:meth:`freeze_export` of one root, kept by the computed table.
 
@@ -399,35 +403,6 @@ class BDDManager(DDManager):
         from repro.bdd.reorder import sift_bdd as _sift
 
         return _sift(self, **kwargs)
-
-    # ------------------------------------------------------------------
-    # persistence (repro.io convenience surface)
-    # ------------------------------------------------------------------
-
-    def dump(self, functions, target, compress: bool = False) -> None:
-        """Write a forest to ``target`` in the levelized BDD binary format.
-
-        ``functions`` is a ``{name: BDDFunction}`` mapping (or a
-        sequence); ``target`` a path or binary file object.
-        ``compress=True`` writes the v2 ``FLAG_COMPRESSED`` container.
-        See :mod:`repro.io.bdd_binary`.
-        """
-        from repro.io import bdd_binary as _binary
-
-        _binary.dump(self, functions, target, compress=compress)
-
-    def load(self, source, rename=None) -> dict:
-        """Load a BDD dump *into this manager*; returns ``{name: BDDFunction}``.
-
-        The dump's variables (after the optional ``rename`` mapping)
-        must all exist here; nodes are re-reduced on the fly when the
-        relative order differs.  To load into a fresh manager use
-        :func:`repro.io.bdd_binary.load`.
-        """
-        from repro.io import bdd_binary as _binary
-
-        _manager, functions = _binary.load(source, manager=self, rename=rename)
-        return functions
 
     # ------------------------------------------------------------------
     # semantics

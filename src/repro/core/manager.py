@@ -1192,6 +1192,14 @@ class BBDDManager(DDManager):
         roots = {name: slots[e] if e > 0 else -slots[-e] for name, e in named}
         return Columns(self.order.order, roots, [(0, pv, sv, t, f)], pv)
 
+    def make_row(self, pv: int, sv, t: Edge, f: Edge):
+        """A replayed io row as a couple or literal (None: Shannon node)."""
+        if sv is not None:
+            return self._make(pv, sv, t, f)
+        if t == 1 and f == -1:
+            return self.literal_node(pv)
+        return None
+
     def compiled_root(self, edge: Edge) -> Columns:
         """:meth:`freeze_export` of one root, kept by the computed table.
 
@@ -1687,35 +1695,6 @@ class BBDDManager(DDManager):
         family(registry, "repro_manager_dead_nodes").labels(**label).inc(
             len(self._dead_set)
         )
-
-    # ------------------------------------------------------------------
-    # persistence (repro.io convenience surface)
-    # ------------------------------------------------------------------
-
-    def dump(self, functions, target, compress: bool = False) -> None:
-        """Write a forest to ``target`` in the levelized binary format.
-
-        ``functions`` is a ``{name: Function}`` mapping (or a sequence);
-        ``target`` a path or binary file object.  ``compress=True``
-        writes the v2 ``FLAG_COMPRESSED`` container.  See
-        :mod:`repro.io`.
-        """
-        from repro.io import binary as _binary
-
-        _binary.dump(self, functions, target, compress=compress)
-
-    def load(self, source, rename=None) -> dict:
-        """Load a dump *into this manager*; returns ``{name: Function}``.
-
-        The dump's variables (after the optional ``rename`` mapping)
-        must all exist here, but this manager may hold a superset of
-        them and/or use a different order — nodes are re-reduced on the
-        fly.  To load into a fresh manager use :func:`repro.io.load`.
-        """
-        from repro.io import binary as _binary
-
-        _manager, functions = _binary.load(source, manager=self, rename=rename)
-        return functions
 
     # ------------------------------------------------------------------
     # introspection / debugging

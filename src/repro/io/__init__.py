@@ -1,22 +1,20 @@
-"""repro.io — persistence & interchange for BBDD forests.
+"""repro.io — persistence & interchange for decision-diagram forests.
 
-The subsystem makes BBDDs durable and portable:
+Every path moves a forest as *rows* (see :mod:`repro.io.migrate`), the
+one node form every backend exports through ``freeze_export`` and every
+backend rebuilds from:
 
-* :mod:`repro.io.format` — the levelized binary format (varint node
-  records, header with names/order/per-level counts);
+* :mod:`repro.io.format` — the levelized ``.bbdd`` container (varint
+  couple or Shannon records, header with names/order/per-level counts);
 * :mod:`repro.io.binary` — ``dump``/``load`` (+ ``dumps``/``loads``) of
-  shared forests with on-the-fly re-reduction on import, and
-  :func:`~repro.io.binary.open_forest`, which sniffs a container's
-  header flags and loads it with the right decoder (the serving
-  warm-start path);
-* :mod:`repro.io.stream` — one-level-at-a-time writer/reader and the
+  any backend's shared forest, with on-the-fly re-reduction on import;
+  ``load`` without a manager opens a fresh one of the dump's kind;
+* :mod:`repro.io.stream` — the level-at-a-time reader and the
   header-only :func:`~repro.io.stream.scan`;
-* :mod:`repro.io.bdd_binary` — the same container for baseline-BDD
-  forests (Shannon node records, header flag bit 0 set);
 * :mod:`repro.io.jsondump` — JSON/dict interchange for debugging;
-* :mod:`repro.io.migrate` — cross-manager (and cross-backend) copy with
-  variable remapping (:func:`~repro.io.migrate.migrate_forest`,
-  :class:`~repro.io.migrate.Migrator`,
+* :mod:`repro.io.migrate` — the row export, the row replay
+  (:class:`~repro.io.migrate.ForestRebuilder`) and cross-manager copy
+  with variable remapping (:func:`~repro.io.migrate.migrate_forest`,
   :class:`~repro.io.migrate.ProtocolMigrator`);
 * :mod:`repro.io.checkpoint` — harness checkpoint store (``--checkpoint``).
 
@@ -27,39 +25,28 @@ to shadow the :mod:`repro.io.migrate` submodule, so
 ``repro.io.migrate`` is the module again.
 """
 
-from repro.io.bdd_binary import dump as dump_bdd
-from repro.io.bdd_binary import dumps as dumps_bdd
-from repro.io.bdd_binary import load as load_bdd
-from repro.io.bdd_binary import loads as loads_bdd
-from repro.io.binary import dump, dumps, load, loads, open_forest
+from repro.io.binary import dump, dumps, load, loads
 from repro.io.checkpoint import CheckpointStore
 from repro.io.format import FormatError
 from repro.io.jsondump import dump_json, from_dict, load_json, to_dict
-from repro.io.migrate import ForestRebuilder, Migrator, ProtocolMigrator, migrate_forest
-from repro.io.stream import FileInfo, LevelStreamReader, LevelStreamWriter, scan
+from repro.io.migrate import ForestRebuilder, ProtocolMigrator, migrate_forest
+from repro.io.stream import FileInfo, LevelStreamReader, scan
 
 __all__ = [
     "dump",
     "dumps",
     "load",
     "loads",
-    "open_forest",
-    "dump_bdd",
-    "dumps_bdd",
-    "load_bdd",
-    "loads_bdd",
     "dump_json",
     "load_json",
     "to_dict",
     "from_dict",
     "migrate_forest",
-    "Migrator",
     "ProtocolMigrator",
     "ForestRebuilder",
     "scan",
     "FileInfo",
     "LevelStreamReader",
-    "LevelStreamWriter",
     "CheckpointStore",
     "FormatError",
 ]

@@ -9,8 +9,9 @@ checkpoint key:
 * ``<key>.bbdd`` — a levelized binary forest dump (see
   :mod:`repro.io.format`) of the benchmark's decision diagrams.  Saving
   goes through the owning manager's ``dump`` protocol method, so any
-  :mod:`repro.api` backend's forest checkpoints (the header flag records
-  which codec wrote it); reloading dispatches on that flag.
+  :mod:`repro.api` backend's forest checkpoints; reloading is
+  :func:`repro.io.load`, which opens a fresh manager of the kind the
+  header flag records.
 
 The Table I/II drivers (:mod:`repro.harness.table1`,
 :mod:`repro.harness.table2`) use it for ``--checkpoint DIR`` resume:
@@ -25,7 +26,7 @@ import re
 from typing import Dict, Optional
 
 from repro.core.exceptions import BBDDError
-from repro.io import binary
+from repro.io.binary import load
 
 
 def _slug(key: str) -> str:
@@ -90,29 +91,20 @@ class CheckpointStore:
         path = self.forest_path(key)
         tmp = path + ".tmp"
         with open(tmp, "wb") as fileobj:
-            # Protocol dispatch: each backend writes its own record kind
-            # into the shared container (BBDD couples / BDD Shannon).
             manager.dump(functions, fileobj, compress=True)
         os.replace(tmp, path)
 
     def load_forest(self, key: str, manager=None):
         """Reload a forest dump; returns ``(manager, {name: function})``.
 
-        Returns ``None`` when no forest is stored under ``key``.  The
-        dump's header flag selects the codec (BBDD or baseline BDD).
+        Returns ``None`` when no forest is stored under ``key``.  Without
+        ``manager`` the forest loads into a fresh manager of the dump's
+        kind (see :func:`repro.io.load`).
         """
         path = self.forest_path(key)
         if not os.path.exists(path):
             return None
-        from repro.io.format import FLAG_BDD, read_header
-
-        with open(path, "rb") as fileobj:
-            flags = read_header(fileobj).flags
-        if flags & FLAG_BDD:
-            from repro.io import bdd_binary
-
-            return bdd_binary.load(path, manager=manager)
-        return binary.load(path, manager=manager)
+        return load(path, manager=manager)
 
     # -- maintenance -------------------------------------------------------
 

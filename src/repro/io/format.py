@@ -1,4 +1,4 @@
-"""The levelized BBDD binary format: layout constants and codecs.
+"""The levelized ``.bbdd`` container: layout constants and codecs.
 
 A ``.bbdd`` file stores a shared forest of root edges level-by-level in
 CVO order, bottom level first, so a sequential reader always sees a
@@ -22,12 +22,15 @@ Layout::
                  count     varint
                  nbytes    varint          -- byte length of the records
                                            -- payload (enables skipping)
-                 records   count x NodeRecord
+                 records   count x NodeRecord, or count x ShannonRecord
+                           when the header sets FLAG_BDD
     NodeRecord = svtag     varint          -- 0: literal (R4) node with the
                                            -- fixed sink children; else
                                            -- position(SV) - position(PV)
-                 [neq      varint]         -- chain nodes only: edge ref
-                 [eq       varint]         -- chain nodes only: edge ref
+                 [neq      varint]         -- couples only: edge ref
+                 [eq       varint]         -- couples only: edge ref
+    ShannonRecord = then   varint          -- edge ref
+                    else   varint          -- edge ref
     RootsBlock = nroots x (varint edge ref, varint name len, utf-8 name)
 
 An *edge ref* packs a node id and its complement attribute as
@@ -38,6 +41,12 @@ first.  The header's level directory carries per-level node counts, so
 a file can be size-estimated from the header alone; each level block
 additionally records its payload byte length, so a scanner can skip
 from block to block without decoding node records.
+
+Both record grammars decode to one *row* form, ``(position,
+sv_position, t_ref, f_ref)`` (see :func:`decode_rows`): a couple's
+``t``/``f`` are its ``neq``/``eq`` edges, a Shannon node's its
+``then``/``else`` edges, and a literal is the single-variable row
+whose children are the constants ``(TRUE, FALSE)``, refs ``(0, 1)``.
 
 Version 2 (compression)
 -----------------------
@@ -67,7 +76,7 @@ from __future__ import annotations
 
 import zlib
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.exceptions import BBDDError
 
@@ -81,8 +90,8 @@ FORMAT_VERSION_V2 = 2
 #: Format versions :func:`read_header` accepts.
 SUPPORTED_VERSIONS = frozenset({1, 2})
 
-#: Header flag bit: the dump holds baseline-BDD (Shannon) node records
-#: (see :mod:`repro.io.bdd_binary`) instead of BBDD couple records.
+#: Header flag bit: the dump holds baseline-BDD Shannon records
+#: instead of BBDD couple and literal records.
 FLAG_BDD = 1
 
 #: Reserved header flag bit: chain-reduced span records, written by
@@ -108,6 +117,10 @@ SINK_ID = 0
 #: svtag value marking a literal (R4) node record.
 LITERAL_TAG = 0
 
+#: One node as it crosses a manager boundary: ``(position, sv_position,
+#: t_ref, f_ref)`` — see :mod:`repro.io.migrate`.
+Row = Tuple[int, Optional[int], int, int]
+
 
 def version_for_flags(flags: int) -> int:
     """The lowest header version able to express ``flags``."""
@@ -131,22 +144,6 @@ def encode_varint(value: int, out: bytearray) -> None:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
     out.append(value)
-
-
-def decode_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    """Decode the varint at ``data[pos:]``; return ``(value, next_pos)``."""
-    result = 0
-    shift = 0
-    while True:
-        try:
-            byte = data[pos]
-        except IndexError:
-            raise FormatError("truncated varint") from None
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
 
 
 def read_varint(fileobj) -> int:
@@ -286,41 +283,102 @@ def read_header(fileobj) -> Header:
 # ----------------------------------------------------------------------
 
 
-def encode_literal(out: bytearray) -> None:
-    """Append a literal (R4) node record: svtag 0, fixed children."""
-    encode_varint(LITERAL_TAG, out)
+def encode_rows(rows, first_id: int, shannon: bool, delta: bool) -> bytes:
+    """Encode one level block's rows; the inverse of :func:`decode_rows`.
 
-
-def encode_chain(sv_delta: int, neq_ref: int, eq_ref: int, out: bytearray) -> None:
-    """Append a chain node record (``sv_delta`` = position(SV) - position(PV))."""
-    if sv_delta < 1:
-        raise FormatError(f"chain SV must lie below PV (delta {sv_delta})")
-    encode_varint(sv_delta, out)
-    encode_varint(neq_ref, out)
-    encode_varint(eq_ref, out)
-
-
-def decode_records(payload: bytes, count: int) -> List[Tuple[int, int, int]]:
-    """Decode ``count`` node records from a level payload.
-
-    Returns ``(sv_delta, neq_ref, eq_ref)`` tuples; literal records come
-    back as ``(LITERAL_TAG, 0, 0)``.
+    ``first_id`` is the file id of the block's first record, ``shannon``
+    picks the grammar (``FLAG_BDD``) and ``delta`` delta-codes the child
+    refs (``FLAG_COMPRESSED``).  A grammar that cannot hold a row — a
+    couple in Shannon records, a non-literal single-variable node in
+    couple records — raises :class:`FormatError`.
     """
-    records = []
-    pos = 0
-    for _ in range(count):
-        sv_delta, pos = decode_varint(payload, pos)
-        if sv_delta == LITERAL_TAG:
-            records.append((LITERAL_TAG, 0, 0))
+    out = bytearray()
+    for node_id, (position, sv_position, t_ref, f_ref) in enumerate(rows, first_id):
+        if shannon:
+            if sv_position is not None:
+                raise FormatError("Shannon records cannot hold a couple")
+        elif sv_position is None:
+            if t_ref != 0 or f_ref != 1:
+                raise FormatError(
+                    "couple records hold literals and couples only; a "
+                    "forest with Shannon nodes needs FLAG_BDD"
+                )
+            out.append(LITERAL_TAG)
             continue
-        neq_ref, pos = decode_varint(payload, pos)
-        eq_ref, pos = decode_varint(payload, pos)
-        records.append((sv_delta, neq_ref, eq_ref))
-    if pos != len(payload):
+        else:
+            encode_varint(sv_position - position, out)
+        if delta:
+            t_ref = delta_ref(t_ref, node_id)
+            f_ref = delta_ref(f_ref, node_id)
+        encode_varint(t_ref, out)
+        encode_varint(f_ref, out)
+    return bytes(out)
+
+
+def _varints(payload: bytes) -> List[int]:
+    """Every varint of ``payload``, in order."""
+    values = []
+    append = values.append
+    value = shift = 0
+    for byte in payload:
+        if byte & 0x80:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+        else:
+            append(value | byte << shift)
+            value = shift = 0
+    if shift:
+        raise FormatError("truncated varint")
+    return values
+
+
+def decode_rows(
+    payload: bytes,
+    count: int,
+    position: int,
+    shannon: bool = False,
+    first_id: Optional[int] = None,
+) -> List[Row]:
+    """Decode one level block of ``count`` records into rows.
+
+    A row is ``(position, sv_position, t_ref, f_ref)`` with plain packed
+    refs; ``sv_position`` is None for a single-variable record, and a
+    literal's refs are the constants ``(0, 1)``.  ``shannon`` picks the
+    grammar (``FLAG_BDD``); ``first_id`` is the file id of the block's
+    first record when its refs are delta-coded (``FLAG_COMPRESSED``).
+    """
+    values = _varints(payload)
+    rows: List[Row] = []
+    append = rows.append
+    i = 0
+    try:
+        for k in range(count):
+            if shannon:
+                sv_position = None
+            else:
+                tag = values[i]
+                i += 1
+                if tag == LITERAL_TAG:
+                    append((position, None, 0, 1))
+                    continue
+                sv_position = position + tag
+            t_ref = values[i]
+            f_ref = values[i + 1]
+            i += 2
+            if first_id is not None:
+                t_ref = undelta_ref(t_ref, first_id + k)
+                f_ref = undelta_ref(f_ref, first_id + k)
+            append((position, sv_position, t_ref, f_ref))
+    except IndexError:
         raise FormatError(
-            f"level payload has {len(payload) - pos} trailing bytes"
+            f"level payload at position {position} holds fewer than "
+            f"{count} records"
+        ) from None
+    if i != len(values):
+        raise FormatError(
+            f"level payload has {len(values) - i} trailing values"
         )
-    return records
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +427,7 @@ class PayloadCompressor:
 
 #: Most bytes one node record can take: three varints
 #: of at most ten bytes each (ten LEB128 bytes hold any 64-bit value,
-#: and no valid record field is wider).
+#: and no valid record field is wider).  Shannon records take two.
 MAX_RECORD_BYTES = 30
 
 

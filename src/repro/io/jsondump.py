@@ -12,15 +12,20 @@ but names everything explicitly, so a dump is greppable and diffable:
       "order": ["a", "b", "c"],            # CVO, root to bottom
       "nodes": [                           # bottom-up; id = index + 1
         {"id": 1, "var": "c"},                            # literal (R4)
-        {"id": 2, "pv": "a", "sv": "b",                   # chain node
+        {"id": 2, "pv": "a", "sv": "b",                   # couple
          "neq": [1, true], "eq": [1, false]},             # [id, attr]
       ],
       "roots": {"f": [2, false]}           # name -> [id, attr]; id 0 = sink
     }
 
-Loading replays the node list through the same
-:class:`~repro.io.migrate.ForestRebuilder` as the binary reader, so all
-the cross-order / superset-variable migration semantics apply here too.
+Both directions go through the rows of :mod:`repro.io.migrate`:
+:func:`to_dict` reads the same rows as the binary writer (so a BBDD or
+an xmem forest exports), and :func:`from_dict` replays through the
+same :class:`~repro.io.migrate.ForestRebuilder` as the binary reader,
+so all the cross-order / superset-variable semantics apply here too.
+The form holds couples and literals only: a baseline-BDD forest with
+Shannon nodes raises :class:`~repro.core.exceptions.BBDDError` and
+belongs in a binary dump.
 """
 
 from __future__ import annotations
@@ -28,45 +33,55 @@ from __future__ import annotations
 import json
 from typing import Dict, Tuple
 
-from repro.core.function import Function
+from repro.core.exceptions import BBDDError
 
-from repro.io.binary import _named_edges, forest_records
 from repro.io.format import CHAIN_DUMP_REJECTED, FormatError
-from repro.io.migrate import ForestRebuilder, Rename
+from repro.io.migrate import ForestRebuilder, Rename, _resolve_rename, export_rows
 
 JSON_FORMAT = "bbdd-json"
 JSON_VERSION = 1
 
 
+def _ref(ref: int) -> list:
+    return [ref >> 1, bool(ref & 1)]
+
+
 def to_dict(manager, functions) -> dict:
     """Encode a forest as the documented dict form."""
-    named = _named_edges(functions)
-    records, ids = forest_records(manager, named)
+    exported = export_rows(manager, functions)
+    if exported is None:
+        raise BBDDError(
+            f"the {manager.backend!r} backend has no freeze_export, so its "
+            f"forests cannot be exported"
+        )
+    levels, roots = exported
+    ordered = list(manager.current_order())
     nodes = []
-    for _position, sv_position, node, neq, eq in records:
-        pv, sv, _d, _e = manager.node_fields(node)
-        if sv_position is None:
-            nodes.append({"id": ids[node], "var": manager.var_name(pv)})
-        else:
-            nodes.append(
-                {
-                    "id": ids[node],
-                    "pv": manager.var_name(pv),
-                    "sv": manager.var_name(sv),
-                    "neq": [neq[0], neq[1]],
-                    "eq": [eq[0], eq[1]],
-                }
-            )
+    for _position, rows in levels:
+        for position, sv_position, t_ref, f_ref in rows:
+            node = {"id": len(nodes) + 1}
+            if sv_position is not None:
+                node.update(
+                    pv=ordered[position],
+                    sv=ordered[sv_position],
+                    neq=_ref(t_ref),
+                    eq=_ref(f_ref),
+                )
+            elif (t_ref, f_ref) == (0, 1):
+                node["var"] = ordered[position]
+            else:
+                raise BBDDError(
+                    "this forest has Shannon nodes, which the JSON form "
+                    "cannot hold; write it with repro.io.dump instead"
+                )
+            nodes.append(node)
     return {
         "format": JSON_FORMAT,
         "version": JSON_VERSION,
         "variables": list(manager.var_names),
-        "order": [manager.var_name(v) for v in manager.order.order],
+        "order": ordered,
         "nodes": nodes,
-        "roots": {
-            name: [ids[-edge if edge < 0 else edge], edge < 0]
-            for name, edge in named
-        },
+        "roots": {name: _ref(ref) for name, ref in roots},
     }
 
 
@@ -74,7 +89,7 @@ def from_dict(
     data: dict,
     manager=None,
     rename: Rename = None,
-) -> Tuple[object, Dict[str, Function]]:
+) -> Tuple[object, Dict[str, object]]:
     """Rebuild a forest from its dict form; see :func:`repro.io.binary.load`."""
     if data.get("format") != JSON_FORMAT:
         raise FormatError(f"not a {JSON_FORMAT} document")
@@ -83,21 +98,7 @@ def from_dict(
     ordered_names = list(data["order"])
     if sorted(ordered_names) != sorted(data["variables"]):
         raise FormatError("order is not a permutation of the variables")
-    if manager is None:
-        from repro.core.manager import BBDDManager
-        from repro.io.migrate import _resolve_rename
-
-        # Fresh manager: take the dump's order *after* renaming (the
-        # rebuilder resolves renamed names against the manager).
-        rename_fn = _resolve_rename(rename)
-        manager = BBDDManager([rename_fn(name) for name in ordered_names])
-    rebuilder = ForestRebuilder(manager, ordered_names, rename=rename)
     position_of = {name: pos for pos, name in enumerate(ordered_names)}
-    with manager.defer_gc():
-        return _replay(rebuilder, manager, data, position_of)
-
-
-def _replay(rebuilder, manager, data, position_of):
 
     def position_for(name):
         try:
@@ -105,6 +106,7 @@ def _replay(rebuilder, manager, data, position_of):
         except KeyError:
             raise FormatError(f"unknown variable {name!r} in dump") from None
 
+    rows = []
     for expected_id, record in enumerate(data["nodes"], start=1):
         if record["id"] != expected_id:
             raise FormatError(
@@ -112,29 +114,34 @@ def _replay(rebuilder, manager, data, position_of):
                 f"got {record['id']}"
             )
         if "var" in record:
-            rebuilder.add_record(position_for(record["var"]), 0, 0, 0)
+            rows.append((position_for(record["var"]), None, 0, 1))
             continue
         if "bot" in record:
             raise FormatError(CHAIN_DUMP_REJECTED)
-        position = position_for(record["pv"])
-        sv_position = position_for(record["sv"])
-        if sv_position <= position:
-            raise FormatError(
-                f"chain SV {record['sv']!r} does not lie below PV {record['pv']!r}"
-            )
         neq_id, neq_attr = record["neq"]
         eq_id, eq_attr = record["eq"]
-        rebuilder.add_record(
-            position,
-            sv_position - position,
-            (neq_id << 1) | bool(neq_attr),
-            (eq_id << 1) | bool(eq_attr),
+        rows.append(
+            (
+                position_for(record["pv"]),
+                position_for(record["sv"]),
+                neq_id << 1 | bool(neq_attr),
+                eq_id << 1 | bool(eq_attr),
+            )
         )
-    functions = {}
-    for name, (node_id, attr) in data["roots"].items():
-        edge = rebuilder.edge_for((node_id << 1) | bool(attr))
-        functions[name] = Function(manager, edge)
-    return manager, functions
+    if manager is None:
+        from repro.core.manager import BBDDManager
+
+        # Fresh manager: take the dump's order *after* renaming (the
+        # rebuilder resolves renamed names against the manager).
+        rename_fn = _resolve_rename(rename)
+        manager = BBDDManager([rename_fn(name) for name in ordered_names])
+    rebuilder = ForestRebuilder(manager, ordered_names, rename=rename)
+    with manager.defer_gc():
+        rebuilder.add_rows(rows)
+        return manager, rebuilder.functions(
+            (name, node_id << 1 | bool(attr))
+            for name, (node_id, attr) in data["roots"].items()
+        )
 
 
 def dump_json(manager, functions, target, indent=2) -> None:

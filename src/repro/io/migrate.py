@@ -1,56 +1,56 @@
-"""Cross-manager migration: rebuild decision diagrams in another manager.
+"""Rows: the one node form that crosses a manager boundary.
 
-Three entry points share the rebuild machinery:
+Every interchange path — the binary container, JSON and live
+migration — moves a forest as *rows*, one per node, children first::
 
-* :class:`ForestRebuilder` — drives the codecs (:mod:`repro.io.binary`,
-  :mod:`repro.io.jsondump`): given a dump's variable order it replays
-  serialized node records inside a target manager, re-reducing on the
-  fly (see `Rebuild semantics` below).
-* :class:`Migrator` — copies *live* BBDD functions into another BBDD
-  manager without a serialization round trip, with optional variable
-  renaming.
-* :class:`ProtocolMigrator` / :func:`migrate_forest` — the
-  backend-agnostic path: copies live functions between *any* pair of
-  :class:`repro.api.base.DDManager` backends (BBDD -> BDD,
-  BDD -> BBDD, BDD -> BDD, ...) by replaying each source node through
-  the target's protocol operations (a Shannon node becomes
-  ``ite(v, t, e)``, a biconditional couple ``ite(v <-> w, eq, neq)``).
-  :func:`migrate_forest` picks a structural fast path automatically
-  when both managers share a record layout (BBDD pairs, and any pair
-  involving the external-memory ``xmem`` backend, whose levelized
-  representation is this format's record shape).
+    (position, sv_position, t_ref, f_ref)
 
-``migrate_forest`` used to be exported as ``migrate``, which shadowed
-this very module in the ``repro.io`` namespace (``import
-repro.io.migrate`` yielded the *function*, so
-``repro.io.migrate.ProtocolMigrator`` raised ``AttributeError``).
-``repro.io.migrate`` is the module; the function is
-:func:`migrate_forest`.
+``position`` is the order position of the node's primary variable and
+``sv_position`` that of a couple's secondary variable, or None for a
+single-variable test.  ``t_ref``/``f_ref`` are packed edge refs
+``(id << 1) | attr`` of the children on the branches where the test
+holds / fails — it holds where ``pv != sv`` on a couple and where
+``pv`` is 1 on a single-variable node.  Rows take ids 1, 2, ... in
+order and id 0 is the 1-sink, so a literal is the single-variable row
+with refs ``(0, 1)`` (TRUE, FALSE).  The shape is the couple of the
+paper and the baseline's Shannon node alike, so any dump loads into
+any manager.
+
+* :func:`named_edges` normalizes every accepted forest shape, and
+  :func:`export_rows` turns a forest into rows through the manager's
+  ``freeze_export`` (level by level, deepest first; equal records of a
+  level merge, so several xmem representations share their nodes).
+* :class:`ForestRebuilder` replays rows into any manager (see
+  `Rebuild semantics` below); the codecs (:mod:`repro.io.binary`,
+  :mod:`repro.io.jsondump`) and :func:`migrate_forest` all use it.
+* :func:`migrate_forest` copies live functions into another manager —
+  export and replay with no bytes in between.  A source without
+  ``freeze_export`` goes through :class:`ProtocolMigrator`, which
+  rebuilds node by node through the target's protocol operations.
 
 Rebuild semantics
 -----------------
-When the target manager's order preserves the relative order of the
-dump's variables (extra target variables may interleave freely — couples
-chain over *support*, so they never appear in the rebuilt nodes), every
-record maps to a single :meth:`BBDDManager._make` call, which re-applies
-rules R1/R2/R4 and the complement normalization.  Otherwise each chain
-node ``(v, w)`` is rebuilt semantically from the biconditional expansion
-``f = (v = w) ? f_eq : f_neq`` — one XNOR node plus an ITE — which
-re-canonicalizes the function under the target order.
+Each row is validated once: its positions must be in range, a couple's
+secondary variable must lie below its primary, and its children must
+be written already and rooted no higher than the couple's secondary
+variable (for a single-variable row, strictly below the row's level).
+When the target's order preserves the relative order of the source's
+variables (extra target variables may interleave freely), each row asks
+the target's ``make_row`` for one structural node, which re-applies
+the reduction rules.  Otherwise, or when the target cannot store the
+row as it is (a couple in a Shannon manager, a Shannon node in a BBDD
+one), the row rebuilds as ``ite(test, t, f)`` under the target order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.base import FunctionBase, rebuild_function
-from repro.core import apply as _ops
 from repro.core.exceptions import BBDDError, VariableError
-from repro.core.function import Function
-from repro.core.node import SINK, SV_ONE, Edge
-from repro.core.operations import OP_XNOR
+from repro.core.operations import OP_XOR
 
-from repro.io.format import FormatError, LITERAL_TAG, SINK_ID, unpack_ref
+from repro.io.format import FormatError, Row
 
 Rename = Union[None, Mapping[str, str], Callable[[str], str]]
 
@@ -64,15 +64,92 @@ def _resolve_rename(rename: Rename) -> Callable[[str], str]:
     return lambda name: mapping.get(name, name)
 
 
+def named_edges(functions) -> List[Tuple[object, object]]:
+    """Normalize the accepted forest shapes to ``[(name, edge)]``.
+
+    Accepts a function handle or a bare edge (a flat-store signed int
+    or an ``(node, attr)`` pair), a sequence of either, or a name-keyed
+    mapping; anonymous roots are named ``f0``, ``f1``, ...
+    """
+    if isinstance(functions, FunctionBase):
+        return [("f0", functions.edge)]
+    if isinstance(functions, int) or (
+        isinstance(functions, tuple)
+        and len(functions) == 2
+        and isinstance(functions[1], bool)
+    ):
+        return [("f0", functions)]
+    if isinstance(functions, Mapping):
+        items = functions.items()
+    else:
+        items = ((f"f{i}", f) for i, f in enumerate(functions))
+    return [
+        (name, f.edge if isinstance(f, FunctionBase) else f) for name, f in items
+    ]
+
+
+def export_rows(manager, functions):
+    """A forest as ``(levels, roots)`` rows, or None without a producer.
+
+    ``levels`` lists ``(position, rows)`` deepest level first, rows in
+    slot order within a level, and ``roots`` the ``(name, ref)`` pairs
+    in the forest's order.  Equal rows of a level merge into one, so
+    ids stay dense and shared.  None means the manager has no
+    ``freeze_export`` (a third-party backend).
+    """
+    columns = manager.freeze_export(named_edges(functions))
+    if columns is None:
+        return None
+    columns = columns.joined()
+    ((_base, pv, sv, t, f),) = columns.blocks
+    position = columns.positions()
+    by_level: Dict[int, List[int]] = {}
+    for slot in range(2, len(pv)):
+        level = position[pv[slot]]
+        bucket = by_level.get(level)
+        if bucket is None:
+            bucket = by_level[level] = []
+        bucket.append(slot)
+    ids = [0] * len(pv)  # slot -> file id; the sink's slot 1 is id 0
+    next_id = 1
+    levels = []
+    for level in sorted(by_level, reverse=True):
+        unique: Dict[Row, int] = {}
+        rows: List[Row] = []
+        for slot in by_level[level]:
+            a = t[slot]
+            b = f[slot]
+            s = sv[slot]
+            row = (
+                level,
+                None if s < 0 else position[s],
+                ids[a] << 1 if a > 0 else ids[-a] << 1 | 1,
+                ids[b] << 1 if b > 0 else ids[-b] << 1 | 1,
+            )
+            node_id = unique.get(row)
+            if node_id is None:
+                node_id = unique[row] = next_id
+                next_id += 1
+                rows.append(row)
+            ids[slot] = node_id
+        levels.append((level, rows))
+    roots = [
+        (name, ids[r] << 1 if r > 0 else ids[-r] << 1 | 1)
+        for name, r in columns.roots.items()
+    ]
+    return levels, roots
+
+
 class ForestRebuilder:
-    """Replays a serialized forest inside a target manager.
+    """Replays rows inside a target manager (any backend).
 
     Parameters
     ----------
     manager:
-        The target :class:`~repro.core.manager.BBDDManager`.
+        The target manager; rows go to its ``row_target()`` (see
+        :meth:`repro.api.base.DDManager.row_target`).
     ordered_names:
-        The dump's variable names, root to bottom (its CVO).
+        The source's variable names, root to bottom (its order).
     rename:
         Optional variable renaming applied before resolving names in the
         target manager (a mapping or a callable; unknown names raise
@@ -96,154 +173,110 @@ class ForestRebuilder:
                 f"dump variable missing from target manager: {exc}"
             ) from None
         positions = [manager.order.position(v) for v in self._var_at]
-        #: Whether the dump's relative variable order survives in the
-        #: target — the precondition for the structural `_make` fast path.
+        #: Whether the source's relative variable order survives in the
+        #: target — the precondition for structural ``make_row`` calls.
         self.order_preserved = all(
             a < b for a, b in zip(positions, positions[1:])
         )
-        #: Replayed edges by file id; id 0 is the sink (+1 in the flat
-        #: store's signed-int edge coding).
-        self._edges: List[Edge] = [SINK]
-        self._xnor_cache: Dict[tuple, Edge] = {}
+        self._target = manager.row_target()
+        #: Rebuilt target edges by id; id 0 is the sink.
+        self._edges: List[object] = [self._target.true_edge]
+        #: Source position of every id's root; the sink is below them all.
+        self._levels: List[int] = [len(self._var_at)]
+        self._tests: Dict[Tuple[int, Optional[int]], object] = {}
 
-    # -- structural primitives (shared with the live Migrator) ----------
+    def add_rows(self, rows) -> None:
+        """Replay rows in order; each takes the next id.
 
-    def make_literal(self, position: int) -> Edge:
-        """Rebuild a literal (R4) node for the variable at ``position``."""
-        var = self._var_at[position]
-        return self.manager.literal_node(var)
-
-    def make_chain(self, position: int, sv_position: int, d: Edge, e: Edge) -> Edge:
-        """Rebuild a chain node ``(PV, SV)`` with children ``d`` / ``e``."""
-        mgr = self.manager
-        pv = self._var_at[position]
-        sv = self._var_at[sv_position]
-        if self.order_preserved:
-            return mgr._make(pv, sv, d, e)
-        biq = self._xnor_cache.get((pv, sv))
-        if biq is None:
-            biq = mgr.apply_edges(
-                mgr.literal_edge(pv), mgr.literal_edge(sv), OP_XNOR
-            )
-            self._xnor_cache[(pv, sv)] = biq
-        return _ops.ite(mgr, biq, e, d)
-
-    # -- record replay (used by the codecs) ------------------------------
-
-    def add_record(
-        self, position: int, sv_delta: int, neq_ref: int, eq_ref: int
-    ) -> Edge:
-        """Replay one serialized node record; returns its rebuilt edge.
-
-        Node ids are assigned in replay order (the file's id space);
-        refs must point at already-replayed ids.  Positions come from
-        the (untrusted) dump, so they are bounds-checked here — every
-        malformed-record failure surfaces as :class:`FormatError`.
+        Rows come from untrusted input, so every malformed one raises
+        :class:`FormatError` before it reaches the target.
         """
-        n = len(self._var_at)
-        if not 0 <= position < n:
-            raise FormatError(f"record position {position} out of range 0..{n - 1}")
-        if sv_delta and not position + sv_delta < n:
-            raise FormatError(
-                f"record SV position {position + sv_delta} out of range (PV at "
-                f"{position}, {n} variables)"
-            )
-        if sv_delta == LITERAL_TAG:
-            edge = self.make_literal(position)
-        else:
-            edge = self.make_chain(
-                position,
-                position + sv_delta,
-                self.edge_for(neq_ref),
-                self.edge_for(eq_ref),
-            )
-        self._edges.append(edge)
-        return edge
+        target = self._target
+        make = target.make_row if self.order_preserved else None
+        negate = target.negate_edge
+        var_at = self._var_at
+        edges = self._edges
+        levels = self._levels
+        n = len(var_at)
+        for position, sv_position, t_ref, f_ref in rows:
+            if not 0 <= position < n:
+                raise FormatError(
+                    f"record position {position} out of range 0..{n - 1}"
+                )
+            if sv_position is None:
+                sv = None
+                below = position + 1
+            elif position < sv_position < n:
+                sv = var_at[sv_position]
+                below = sv_position
+            else:
+                raise FormatError(
+                    f"record SV position {sv_position} out of range (PV at "
+                    f"{position}, {n} variables)"
+                )
+            count = len(edges)
+            t_id = t_ref >> 1
+            f_id = f_ref >> 1
+            if not (
+                0 <= t_id < count
+                and 0 <= f_id < count
+                and levels[t_id] >= below
+                and levels[f_id] >= below
+            ):
+                raise self._child_error(position, below, t_id, f_id)
+            t = edges[t_id]
+            if t_ref & 1:
+                t = negate(t)
+            f = edges[f_id]
+            if f_ref & 1:
+                f = negate(f)
+            pv = var_at[position]
+            edge = None if make is None else make(pv, sv, t, f)
+            if edge is None:
+                edge = self._ite(pv, sv, t, f)
+            edges.append(edge)
+            levels.append(position)
 
-    def edge_for(self, ref: int) -> Edge:
-        """Resolve a packed edge ref against the replayed id table."""
-        node_id, attr = unpack_ref(ref)
-        if not 0 <= node_id < len(self._edges):
-            raise FormatError(f"edge ref to unwritten node id {node_id}")
-        edge = self._edges[node_id]
-        return -edge if attr else edge
+    def _child_error(self, position: int, below: int, *children) -> FormatError:
+        """The error for a row whose child is unwritten or rooted too high."""
+        for child in children:
+            if not 0 <= child < len(self._edges):
+                return FormatError(f"edge ref to unwritten node id {child}")
+            if self._levels[child] < below:
+                return FormatError(
+                    f"record at position {position} has child {child} rooted "
+                    f"at position {self._levels[child]}; its children must "
+                    f"lie at position {below} or below"
+                )
+        raise AssertionError("no bad child")  # pragma: no cover
 
-    @property
-    def replayed(self) -> int:
-        """Number of node records replayed so far (sink excluded)."""
-        return len(self._edges) - 1 - SINK_ID
+    def _ite(self, pv: int, sv: Optional[int], t, f):
+        """``ite(test, t, f)`` under the target's order (semantic path)."""
+        target = self._target
+        test = self._tests.get((pv, sv))
+        if test is None:
+            test = target.literal_edge(pv)
+            if sv is not None:
+                test = target.apply_edges(test, target.literal_edge(sv), OP_XOR)
+            self._tests[(pv, sv)] = test
+        return target.ite_edges(test, t, f)
 
-
-class Migrator:
-    """Copies live functions from ``src`` into ``dst`` (memoized)."""
-
-    def __init__(self, src, dst, rename: Rename = None) -> None:
-        if src is dst:
-            raise BBDDError("source and target managers must differ")
-        self.src = src
-        self.dst = dst
-        ordered_names = [src.var_name(v) for v in src.order.order]
-        self._rebuilder = ForestRebuilder(dst, ordered_names, rename=rename)
-        #: Source node index -> rebuilt signed edge in ``dst``.
-        self._memo: Dict[int, Edge] = {}
-
-    def edge(self, edge: Edge) -> Edge:
-        """Copy a bare edge into the target manager (memoized)."""
-        # The memo and the copies are bare edges in ``dst``; keep its
-        # automatic GC out of the way while the copy is in flight.
-        with self.dst.defer_gc():
-            copied = self._copy(-edge if edge < 0 else edge)
-        return -copied if edge < 0 else copied
-
-    def function(self, f: Function) -> Function:
-        """Copy a source function; repeated calls keep the sharing."""
-        if f.manager is not self.src:
-            raise BBDDError("function does not belong to the source manager")
-        with self.dst.defer_gc():
-            return Function(self.dst, self.edge(f.edge))
-
-    def _copy(self, node: int) -> Edge:
-        """Copy node ``node`` into ``dst`` (iterative post-order, deep-safe)."""
-        if node == SINK:
-            return SINK
-        src = self.src
-        pvl = src._pv
-        svl = src._sv
-        neql = src._neq
-        eql = src._eq
-        memo = self._memo
-        position = src.order.position
-        stack: List[int] = [node]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            if svl[top] == SV_ONE:
-                memo[top] = self._rebuilder.make_literal(position(pvl[top]))
-                stack.pop()
-                continue
-            d = neql[top]
-            dn = -d if d < 0 else d
-            pending = [
-                c for c in (dn, eql[top]) if c != SINK and c not in memo
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            eq = eql[top]
-            e_copy = SINK if eq == SINK else memo[eq]
-            d_copy = SINK if dn == SINK else memo[dn]
-            if d < 0:
-                d_copy = -d_copy
-            memo[top] = self._rebuilder.make_chain(
-                position(pvl[top]),
-                position(svl[top]),
-                d_copy,
-                e_copy,
-            )
-        return memo[node]
+    def functions(self, roots) -> dict:
+        """``{name: function}`` of the target for ``(name, ref)`` roots."""
+        names = []
+        edges = []
+        for name, ref in roots:
+            node_id = ref >> 1
+            if not 0 <= node_id < len(self._edges):
+                raise FormatError(f"edge ref to unwritten node id {node_id}")
+            edge = self._edges[node_id]
+            names.append(name)
+            edges.append(self._target.negate_edge(edge) if ref & 1 else edge)
+        function = self.manager.function
+        return {
+            name: function(edge)
+            for name, edge in zip(names, self._target.finish_rows(edges))
+        }
 
 
 class ProtocolMigrator:
@@ -256,6 +289,7 @@ class ProtocolMigrator:
     as the target's projection function.  Copies are memoized per source
     node (complements ride on the handles), and the walk is iterative —
     deep diagrams migrate without touching the recursion limit.
+    :func:`migrate_forest` uses it for sources without ``freeze_export``.
     """
 
     def __init__(self, src, dst, rename: Rename = None) -> None:
@@ -290,49 +324,42 @@ class ProtocolMigrator:
         return ~copied if f.attr else copied
 
 
-def _migrator_for(src, dst, rename: Rename):
-    """Pick the cheapest migrator for a backend pair.
-
-    Structural fast paths (record replay, no protocol ``ite`` chains)
-    exist for BBDD -> BBDD and for every pair involving the levelized
-    ``xmem`` backend; everything else takes the generic
-    :class:`ProtocolMigrator`.
-    """
-    src_backend = getattr(src, "backend", None)
-    dst_backend = getattr(dst, "backend", None)
-    if src_backend == "bbdd" and dst_backend == "bbdd":
-        return Migrator(src, dst, rename=rename)
-    if dst_backend == "xmem" and src_backend in ("bbdd", "xmem"):
-        from repro.xmem.convert import ToXmemMigrator
-
-        return ToXmemMigrator(src, dst, rename=rename)
-    if src_backend == "xmem" and dst_backend == "bbdd":
-        from repro.xmem.convert import XmemToBBDDMigrator
-
-        return XmemToBBDDMigrator(src, dst, rename=rename)
-    return ProtocolMigrator(src, dst, rename=rename)
-
-
 def migrate_forest(functions, dst, rename: Rename = None):
     """Copy functions into the manager ``dst``, remapping variables by name.
 
     ``functions`` may be a single function handle, a sequence, or a
     name-keyed mapping; the result mirrors the input shape.  All inputs
-    must share one source manager.  Source and target may use different
-    backends — a BBDD forest migrates into a BDD manager and vice versa
-    (re-canonicalized through the target's protocol operations).
+    must share one source manager, which may use any backend: the
+    forest is exported once as rows and replayed children first into
+    ``dst`` (see :class:`ForestRebuilder`), so a mapping keeps its
+    sharing and an xmem target gets one representation for all of it.
     """
     if isinstance(functions, FunctionBase):
-        return _migrator_for(functions.manager, dst, rename).function(functions)
+        return migrate_forest([functions], dst, rename)[0]
     if isinstance(functions, Mapping):
-        items = list(functions.items())
-        if not items:
-            return {}
-        mig = _migrator_for(items[0][1].manager, dst, rename)
-        return {name: mig.function(f) for name, f in items}
-    items = list(functions)
-    if not items:
-        return []
-    mig = _migrator_for(items[0].manager, dst, rename)
-    return [mig.function(f) for f in items]
-
+        items = dict(functions)
+    else:
+        items = dict(enumerate(functions))
+    moved: dict = {}
+    if items:
+        src = next(iter(items.values())).manager
+        if src is dst:
+            raise BBDDError("source and target managers must differ")
+        if any(f.manager is not src for f in items.values()):
+            raise BBDDError("function does not belong to the source manager")
+        exported = export_rows(src, items)
+        if exported is None:
+            migrator = ProtocolMigrator(src, dst, rename=rename)
+            moved = {name: migrator.function(f) for name, f in items.items()}
+        else:
+            levels, roots = exported
+            rebuilder = ForestRebuilder(
+                dst, [src.var_name(v) for v in src.order.order], rename=rename
+            )
+            with dst.defer_gc():
+                for _position, rows in levels:
+                    rebuilder.add_rows(rows)
+                moved = rebuilder.functions(roots)
+    if isinstance(functions, Mapping):
+        return moved
+    return list(moved.values())

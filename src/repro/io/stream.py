@@ -1,16 +1,14 @@
-"""Streaming writer/reader for the levelized binary format.
+"""Level blocks of ``.bbdd`` containers: writer, reader and scanner.
 
-Both halves work one CVO level at a time over the layout defined in
+All three work one CVO level at a time over the layout defined in
 :mod:`repro.io.format` (header / level blocks / roots trailer):
 
-* :class:`LevelStreamWriter` buffers exactly one level's records before
-  flushing its block (each block carries its payload byte length), so
-  writing a forest never holds more than a level of encoded bytes.
-* :class:`LevelStreamReader` exposes :meth:`iter_levels` for sequential
-  record iteration and :meth:`load_into` for incremental reconstruction
-  through a :class:`~repro.io.migrate.ForestRebuilder` — nodes enter the
-  target manager as their records stream in, with on-the-fly R1/R2/R4
-  re-reduction.
+* :func:`write_levels` encodes a forest's rows — the one node form of
+  :mod:`repro.io.migrate` — block by block in the record grammar the
+  header's ``FLAG_BDD`` picks.
+* :class:`LevelStreamReader` yields each level block back as rows,
+  whichever the grammar, so a loader replays a level as soon as it is
+  read.
 * :func:`scan` reads only the header and the per-block lengths (seeking
   past record payloads), returning a :class:`FileInfo` — the cheap
   "what's in this file" primitive the level directory exists for.
@@ -18,7 +16,7 @@ Both halves work one CVO level at a time over the layout defined in
 The v2 extension is handled transparently from the header flags: under
 ``FLAG_COMPRESSED`` the writer delta-codes child refs and deflates each
 block through one shared zlib stream, and the reader undoes both, so
-record consumers always see plain packed refs.
+rows always carry plain packed refs.
 """
 
 from __future__ import annotations
@@ -26,125 +24,61 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 from repro.io.format import (
+    FLAG_BDD,
     FLAG_COMPRESSED,
-    LITERAL_TAG,
     FormatError,
     Header,
     PayloadCompressor,
     PayloadDecompressor,
+    Row,
     decode_name,
-    decode_records,
-    delta_ref,
-    encode_chain,
-    encode_literal,
+    decode_rows,
+    encode_rows,
     encode_varint,
     read_header,
     read_varint,
-    undelta_ref,
 )
-from repro.io.migrate import ForestRebuilder, Rename
 
 
-class LevelStreamWriter:
-    """Writes a dump level by level; one level buffered at a time."""
-
-    def __init__(self, fileobj, header: Header) -> None:
-        self._file = fileobj
-        self._header = header
-        self._pending = dict(header.levels)  # position -> expected count
-        self.compressed = bool(header.flags & FLAG_COMPRESSED)
-        # One deflate stream shared by every level block (dictionary
-        # carries over; blocks stay decodable in file order).
-        self._compressor = PayloadCompressor() if self.compressed else None
-        fileobj.write(header.encode())
-        self._next_id = 1
-        self._roots_written = False
-
-    def begin_level(self, position: int) -> "_LevelBuffer":
-        """Open the block for ``position`` (declared in the header)."""
-        if position not in self._pending:
-            raise FormatError(f"level {position} not declared in the header")
-        return _LevelBuffer(self, position, self._pending.pop(position))
-
-    def write_roots(self, roots: List[Tuple[int, str]]) -> None:
-        """Write the trailer: ``(edge ref, name)`` per root."""
-        if self._roots_written:
-            raise FormatError("roots trailer already written")
-        if self._pending:
-            raise FormatError(
-                f"levels {sorted(self._pending)} declared but never written"
-            )
-        if len(roots) != self._header.num_roots:
-            raise FormatError(
-                f"header declares {self._header.num_roots} roots, got {len(roots)}"
-            )
-        out = bytearray()
-        for ref, name in roots:
-            encode_varint(ref, out)
-            raw = name.encode("utf-8")
-            encode_varint(len(raw), out)
-            out.extend(raw)
-        self._file.write(bytes(out))
-        self._roots_written = True
-
-    def allocate_id(self) -> int:
-        """Reserve the next dense node id (children before parents)."""
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
-
-
-class _LevelBuffer:
-    """One open level block: records accumulate, then flush as a unit."""
-
-    def __init__(self, writer: LevelStreamWriter, position: int, count: int) -> None:
-        self._writer = writer
-        self.position = position
-        self._expected = count
-        self._written = 0
-        self._payload = bytearray()
-
-    def write_literal(self) -> int:
-        """Append a literal record; returns the node's file id."""
-        node_id = self._allocate()
-        encode_literal(self._payload)
-        return node_id
-
-    def write_chain(self, sv_delta: int, neq_ref: int, eq_ref: int) -> int:
-        """Append a plain chain record; returns the node's file id."""
-        writer = self._writer
-        node_id = self._allocate()
-        if writer.compressed:
-            neq_ref = delta_ref(neq_ref, node_id)
-            eq_ref = delta_ref(eq_ref, node_id)
-        encode_chain(sv_delta, neq_ref, eq_ref, self._payload)
-        return node_id
-
-    def _allocate(self) -> int:
-        self._written += 1
-        if self._written > self._expected:
-            raise FormatError(
-                f"level {self.position} overflows its declared count"
-            )
-        return self._writer.allocate_id()
-
-    def close(self) -> None:
-        """Flush the block (header + payload); counts must match."""
-        if self._written != self._expected:
-            raise FormatError(
-                f"level {self.position} wrote {self._written} of "
-                f"{self._expected} declared records"
-            )
-        payload = bytes(self._payload)
-        compressor = self._writer._compressor
+def write_levels(fileobj, header: Header, levels, roots) -> None:
+    """Write a container: ``header``, one block per ``(position, rows)``
+    level (in the order the header's directory lists them) and the
+    ``(name, ref)`` roots trailer."""
+    shannon = bool(header.flags & FLAG_BDD)
+    compressor = PayloadCompressor() if header.flags & FLAG_COMPRESSED else None
+    fileobj.write(header.encode())
+    first_id = 1
+    for position, rows in levels:
+        payload = encode_rows(rows, first_id, shannon, compressor is not None)
+        first_id += len(rows)
         if compressor is not None:
             payload = compressor.compress(payload)
         head = bytearray()
-        encode_varint(self.position, head)
-        encode_varint(self._written, head)
-        encode_varint(len(payload), head)
-        self._writer._file.write(bytes(head))
-        self._writer._file.write(payload)
+        for value in (position, len(rows), len(payload)):
+            encode_varint(value, head)
+        fileobj.write(bytes(head))
+        fileobj.write(payload)
+    trailer = bytearray()
+    for name, ref in roots:
+        raw = name.encode("utf-8")
+        encode_varint(ref, trailer)
+        encode_varint(len(raw), trailer)
+        trailer.extend(raw)
+    fileobj.write(bytes(trailer))
+
+
+def _block_prefix(fileobj, declared: Tuple[int, int]) -> Tuple[int, int, int]:
+    """Read a level block's ``(position, count, nbytes)`` prefix and
+    check it against the header directory's entry ``declared``."""
+    position = read_varint(fileobj)
+    count = read_varint(fileobj)
+    nbytes = read_varint(fileobj)
+    if (position, count) != declared:
+        raise FormatError(
+            f"level block ({position}, {count}) disagrees with the "
+            f"header directory ({declared[0]}, {declared[1]})"
+        )
+    return position, count, nbytes
 
 
 class LevelStreamReader:
@@ -153,64 +87,42 @@ class LevelStreamReader:
     def __init__(self, fileobj) -> None:
         self._file = fileobj
         self.header = read_header(fileobj)
-        self.compressed = bool(self.header.flags & FLAG_COMPRESSED)
-        self._decompressor = PayloadDecompressor() if self.compressed else None
+        flags = self.header.flags
+        #: Whether the records are Shannon nodes (``FLAG_BDD``).
+        self.shannon = bool(flags & FLAG_BDD)
+        self._decompressor = (
+            PayloadDecompressor() if flags & FLAG_COMPRESSED else None
+        )
         self._levels_read = 0
         self._next_id = 1
 
-    def iter_levels(self) -> Iterator[Tuple[int, list]]:
-        """Yield ``(position, records)`` per level block, file order.
-
-        Records are raw ``(sv_delta, neq_ref, eq_ref)`` tuples (see
-        :func:`repro.io.format.decode_records`).  Compressed payloads
-        are inflated and their delta-coded refs rewritten back to plain
-        packed refs here, so consumers never see the wire transforms.
-        """
-        while self._levels_read < len(self.header.levels):
-            position = read_varint(self._file)
-            count = read_varint(self._file)
-            nbytes = read_varint(self._file)
+    def iter_levels(self) -> Iterator[Tuple[int, List[Row]]]:
+        """Yield ``(position, rows)`` per level block, in file order."""
+        levels = self.header.levels
+        while self._levels_read < len(levels):
+            position, count, nbytes = _block_prefix(
+                self._file, levels[self._levels_read]
+            )
             payload = self._file.read(nbytes)
             if len(payload) != nbytes:
                 raise FormatError(f"truncated level block at position {position}")
-            declared_pos, declared_count = self.header.levels[self._levels_read]
-            if (position, count) != (declared_pos, declared_count):
-                raise FormatError(
-                    f"level block ({position}, {count}) disagrees with the "
-                    f"header directory ({declared_pos}, {declared_count})"
-                )
             self._levels_read += 1
+            first_id = None
             if self._decompressor is not None:
                 payload = self._decompressor.decompress(payload, count)
-            records = decode_records(payload, count)
-            if self.compressed:
-                records = self._undelta(records)
-            yield position, records
-
-    def _undelta(self, records: list) -> list:
-        """Rewrite a level's delta-coded refs to plain packed refs."""
-        out = []
-        for sv_delta, neq_ref, eq_ref in records:
-            node_id = self._next_id
-            self._next_id += 1
-            if sv_delta == LITERAL_TAG:
-                out.append((LITERAL_TAG, 0, 0))
-                continue
-            out.append(
-                (
-                    sv_delta,
-                    undelta_ref(neq_ref, node_id),
-                    undelta_ref(eq_ref, node_id),
-                )
+                first_id = self._next_id
+            self._next_id += count
+            yield position, decode_rows(
+                payload, count, position, self.shannon, first_id
             )
-        return out
 
-    def read_roots(self) -> List[Tuple[int, str]]:
-        """Read the roots trailer (after all levels have been iterated)."""
-        if self._levels_read < len(self.header.levels):
-            # Drain any remaining level blocks first.
-            for _ in self.iter_levels():
-                pass
+    def read_roots(self) -> List[Tuple[str, int]]:
+        """Read the roots trailer as ``(name, edge ref)`` pairs.
+
+        Any level blocks not yet iterated are read (and checked) first.
+        """
+        for _ in self.iter_levels():
+            pass
         roots = []
         for _ in range(self.header.num_roots):
             ref = read_varint(self._file)
@@ -218,28 +130,8 @@ class LevelStreamReader:
             raw = self._file.read(length)
             if len(raw) != length:
                 raise FormatError("truncated root name")
-            roots.append((ref, decode_name(raw)))
+            roots.append((decode_name(raw), ref))
         return roots
-
-    def load_into(self, manager, rename: Rename = None):
-        """Incrementally rebuild the forest inside ``manager``.
-
-        Returns ``(rebuilder, roots)`` where ``roots`` is the list of
-        ``(edge, name)`` pairs resolved in the target manager.
-        """
-        rebuilder = ForestRebuilder(
-            manager, self.header.ordered_names(), rename=rename
-        )
-        # The rebuilder's replay table holds bare edges; defer automatic
-        # GC until the caller has wrapped (or referenced) the roots.
-        with manager.defer_gc():
-            for position, records in self.iter_levels():
-                for sv_delta, neq_ref, eq_ref in records:
-                    rebuilder.add_record(position, sv_delta, neq_ref, eq_ref)
-            roots = [
-                (rebuilder.edge_for(ref), name) for ref, name in self.read_roots()
-            ]
-        return rebuilder, roots
 
 
 class FileInfo:
@@ -298,15 +190,8 @@ def scan(source) -> FileInfo:
 def _scan_file(fileobj) -> FileInfo:
     header = read_header(fileobj)
     level_bytes = []
-    for declared_pos, declared_count in header.levels:
-        position = read_varint(fileobj)
-        count = read_varint(fileobj)
-        nbytes = read_varint(fileobj)
-        if (position, count) != (declared_pos, declared_count):
-            raise FormatError(
-                f"level block ({position}, {count}) disagrees with the "
-                f"header directory ({declared_pos}, {declared_count})"
-            )
+    for declared in header.levels:
+        _position, _count, nbytes = _block_prefix(fileobj, declared)
         level_bytes.append(nbytes)
         fileobj.seek(nbytes, 1)
     trailer_start = fileobj.tell()

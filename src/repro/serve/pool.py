@@ -213,10 +213,10 @@ class ForestPool:
         failed = self._failed.get(path)
         if failed is not None and failed[0] == signature:
             raise ServeError(failed[1])
-        from repro.io import open_forest
+        from repro.io import load
 
         try:
-            manager, functions = open_forest(path)
+            manager, functions = load(path)
         except Exception as exc:
             message = f"cannot load {path!r}: {type(exc).__name__}: {exc}"
             self._failed[path] = (signature, message)

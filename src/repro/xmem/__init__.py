@@ -18,19 +18,12 @@ Open it through the unified front end::
 The manager implements the :class:`repro.api.base.DDManager` edge
 protocol, so the whole shared function surface (operators, ``ite``,
 ``restrict``/``compose``/quantification, ``let``, ``sat_one``,
-``add_expr``/``to_expr``, ``dump``) works unchanged; dumps are standard
-``.bbdd`` containers that interoperate with the in-core BBDD loader.
+``add_expr``/``to_expr``, ``dump``/``load``) works unchanged; dumps are
+standard ``.bbdd`` containers written from the same rows as every other
+backend's, and loads replay rows into one builder.
 """
 
 from repro.xmem.builder import Builder
-from repro.xmem.convert import (
-    ToXmemMigrator,
-    XmemForestRebuilder,
-    XmemToBBDDMigrator,
-    dump_forest,
-    load_forest,
-    loads_forest,
-)
 from repro.xmem.manager import XmemFunction, XmemManager, XmemNode, open_xmem
 from repro.xmem.rep import Levelized, SpillStore
 from repro.xmem.runs import SortedRunSpiller
@@ -44,10 +37,4 @@ __all__ = [
     "SpillStore",
     "Builder",
     "SortedRunSpiller",
-    "XmemForestRebuilder",
-    "ToXmemMigrator",
-    "XmemToBBDDMigrator",
-    "dump_forest",
-    "load_forest",
-    "loads_forest",
 ]

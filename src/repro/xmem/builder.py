@@ -194,23 +194,14 @@ class Builder:
 
     # -- lifecycle -------------------------------------------------------
 
-    def snapshot(self, roots: List[int]):
-        """Extract the sub-DAG of ``roots`` as a canonical representation
-        *without* consuming the builder — callers that materialize
-        several functions from one shared construction (migrators)
-        snapshot per root and dispose once at the end.
-        """
-        levels, new_roots = canonicalize(self.full_record, roots)
-        rep = Levelized(self._store, levels, new_roots)
-        return rep, new_roots
-
     def finish(self, roots: List[int]):
         """Prune + canonically renumber; returns ``(rep, new_roots)``.
 
         ``roots`` are packed builder refs; refs to the sink pass
         through unchanged (with no rep nodes of their own).
         """
-        rep, new_roots = self.snapshot(roots)
+        levels, new_roots = canonicalize(self.full_record, roots)
+        rep = Levelized(self._store, levels, new_roots)
         self.dispose()
         return rep, new_roots
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import shutil
 import weakref
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.base import Columns, DDManager, FunctionBase, install_function_helpers
 from repro.core.exceptions import BBDDError, VariableError
@@ -605,33 +605,13 @@ class XmemManager(DDManager):
         family(registry, "repro_xmem_live_nodes").inc(self.size())
 
     # ------------------------------------------------------------------
-    # persistence (native: representations *are* the file format)
+    # row replay (repro.io): rows build inside one builder
     # ------------------------------------------------------------------
 
-    def dump(self, functions, target, compress: bool = False) -> None:
-        """Write a forest to ``target`` in the levelized binary format.
-
-        The output is a standard ``.bbdd`` container (flags 0, or the
-        v2 ``FLAG_COMPRESSED`` container with ``compress=True``):
-        representations are merged into one shared id space — per-level
-        unique records re-share structure across functions — and the
-        blocks stream out unchanged, so the dump interoperates with the
-        in-core BBDD loader and vice versa.
-        """
-        from repro.xmem.convert import dump_forest
-
-        dump_forest(self, functions, target, compress=compress)
-
-    def load(self, source, rename=None) -> dict:
-        """Load a ``.bbdd`` dump *into this manager*; ``{name: function}``.
-
-        The dump's variables (after ``rename``) must exist here; records
-        replay through the builder with on-the-fly re-reduction (R1/R2/
-        R4), re-canonicalizing when the relative order differs.
-        """
-        from repro.xmem.convert import load_forest
-
-        return load_forest(self, source, rename=rename)
+    def row_target(self) -> "_BuilderTarget":
+        """Replayed rows build as refs of one builder, finished into one
+        representation for every root (see :class:`_BuilderTarget`)."""
+        return _BuilderTarget(self)
 
     # ------------------------------------------------------------------
     # debugging
@@ -670,6 +650,58 @@ class XmemManager(DDManager):
             f"<XmemManager vars={len(self._names)} live={self.size()} "
             f"resident={store.resident}/{self.node_budget}>"
         )
+
+
+class _BuilderTarget:
+    """Row replay target of :class:`repro.io.migrate.ForestRebuilder`.
+
+    Rows build as packed refs of one :class:`~repro.xmem.builder.Builder`
+    — couples through :meth:`Builder.make`, literals through
+    :meth:`Builder.literal`, everything else as in-builder ``ite``
+    sweeps — and :meth:`finish_rows` closes the builder into one
+    representation shared by every root.
+    """
+
+    true_edge = 0
+
+    def __init__(self, manager: XmemManager) -> None:
+        self.manager = manager
+        self.builder = Builder(manager)
+
+    @staticmethod
+    def negate_edge(ref: int) -> int:
+        return ref ^ 1
+
+    def literal_edge(self, var: int) -> int:
+        return self.builder.literal(var)
+
+    def apply_edges(self, f: int, g: int, op: int) -> int:
+        builder = self.builder
+        return apply_refs(self.manager, builder, builder, f, builder, g, op)
+
+    def ite_edges(self, f: int, g: int, h: int) -> int:
+        builder = self.builder
+        return ite_refs(
+            self.manager, builder, builder, f, builder, g, builder, h
+        )
+
+    def make_row(self, pv: int, sv, t: int, f: int):
+        if sv is not None:
+            return self.builder.make(pv, sv, t, f)
+        if t == 0 and f == 1:
+            return self.builder.literal(pv)
+        return None
+
+    def finish_rows(self, refs: List[int]) -> list:
+        manager = self.manager
+        rep, roots = self.builder.finish(refs)  # sink refs pass through
+        manager._register(rep)
+        edges = [
+            (manager._handle(rep, ref >> 1) if ref >> 1 else manager._sink, bool(ref & 1))
+            for ref in roots
+        ]
+        manager._rebalance()
+        return edges
 
 
 class _LevelStream:
@@ -737,6 +769,3 @@ def open_xmem(variables, **kwargs) -> XmemManager:
     """Factory registered as the ``"xmem"`` backend."""
     return XmemManager(variables, **kwargs)
 
-
-# Mappings are accepted by dump(); re-exported for convert's validation.
-ForestLike = Union[FunctionBase, Mapping, Sequence]

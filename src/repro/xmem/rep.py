@@ -34,13 +34,7 @@ from bisect import bisect_right
 from hashlib import blake2b
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.io.format import (
-    FormatError,
-    decode_records,
-    encode_chain,
-    encode_literal,
-    inflate_records,
-)
+from repro.io.format import FormatError, decode_rows, encode_rows, inflate_records
 
 Record = Tuple[int, int, int]  # (sv_delta, neq_ref, eq_ref); literal = (0, 0, 0)
 
@@ -100,13 +94,12 @@ class _LevelBlock:
         self.spill_path: Optional[str] = None
 
     def encode(self) -> bytes:
-        out = bytearray()
-        for sv_delta, neq_ref, eq_ref in self.records:
-            if sv_delta == 0:
-                encode_literal(out)
-            else:
-                encode_chain(sv_delta, neq_ref, eq_ref, out)
-        return bytes(out)
+        pos = self.position
+        rows = [
+            (pos, pos + sv_delta, neq_ref, eq_ref) if sv_delta else (pos, None, 0, 1)
+            for sv_delta, neq_ref, eq_ref in self.records
+        ]
+        return encode_rows(rows, 1, shannon=False, delta=False)
 
 
 def _cleanup_rep(store: SpillStore, state: dict) -> None:
@@ -180,7 +173,12 @@ class Levelized:
                     f"spill file {block.spill_path} is truncated: its "
                     "compressed stream has no end"
                 )
-            records = decode_records(payload, block.count)
+            records = [
+                (sv - pos, t_ref, f_ref) if sv is not None else (0, 0, 0)
+                for pos, sv, t_ref, f_ref in decode_rows(
+                    payload, block.count, block.position
+                )
+            ]
             block.records = records
             store = self.store
             store.level_loads += 1

@@ -340,8 +340,9 @@ def test_bdd_dump_load_round_trip():
     m = repro.open("bdd", vars=names)
     f = m.add_expr("(a ^ b) | (c & d)")
     g = m.add_expr("a <-> c")
-    data = rio.dumps_bdd(m, {"f": f, "g": g})
-    m2, funcs = rio.loads_bdd(data)
+    data = rio.dumps(m, {"f": f, "g": g})
+    m2, funcs = rio.loads(data)
+    assert m2.backend == "bdd"
     assert funcs["f"].truth_mask(names) == f.truth_mask(names)
     assert funcs["g"].truth_mask(names) == g.truth_mask(names)
     # Into an existing manager with a superset and different order.
@@ -350,39 +351,63 @@ def test_bdd_dump_load_round_trip():
     assert moved["f"].truth_mask(names) == f.truth_mask(names)
     # Under a rename.
     m4 = repro.open("bdd", vars=["p", "q", "r", "s"])
-    renamed = rio.loads_bdd(
+    renamed = rio.loads(
         data, manager=m4, rename={"a": "p", "b": "q", "c": "r", "d": "s"}
     )[1]
     assert renamed["g"].truth_mask(["p", "q", "r", "s"]) == g.truth_mask(names)
 
 
 def test_dump_kind_flags_are_enforced():
+    """FLAG_BDD picks the record grammar and the fresh manager's backend;
+    either kind of dump also loads into the other kind of manager."""
     from repro import io as rio
-    from repro.io.format import FormatError
+    from repro.io.format import FLAG_BDD, read_header
 
-    mb = repro.open("bbdd", vars=["a", "b"])
-    md = repro.open("bdd", vars=["a", "b"])
-    bbdd_dump = rio.dumps(mb, {"f": mb.add_expr("a ^ b")})
-    bdd_dump = rio.dumps_bdd(md, {"f": md.add_expr("a ^ b")})
-    with pytest.raises(FormatError):
-        rio.loads(bdd_dump)
-    with pytest.raises(FormatError):
-        rio.loads_bdd(bbdd_dump)
+    names = ["a", "b", "c"]
+    for backend, other in (("bbdd", "bdd"), ("bdd", "bbdd")):
+        m = repro.open(backend, vars=names)
+        f = m.add_expr("(a ^ b) | c")
+        data = rio.dumps(m, {"f": f})
+        flags = read_header(_io.BytesIO(data)).flags
+        assert bool(flags & FLAG_BDD) == (backend == "bdd")
+        fresh, funcs = rio.loads(data)
+        assert fresh.backend == backend
+        assert funcs["f"].truth_mask(names) == f.truth_mask(names)
+        moved = repro.open(other, vars=names).load(_io.BytesIO(data))
+        assert moved["f"].truth_mask(names) == f.truth_mask(names)
 
 
 @pytest.mark.parametrize("src_backend", ALL_BACKENDS)
 @pytest.mark.parametrize("dst_backend", ALL_BACKENDS)
 def test_cross_backend_migration_matrix(src_backend, dst_backend):
+    """Migration and dump/load agree on every (src, dst) backend pair."""
+    from repro import io as rio
     from repro.io.migrate import migrate_forest
 
     names = ["a", "b", "c", "d"]
+    permuted = ["d", "c", "b", "a", "extra"]
     src = repro.open(src_backend, vars=names)
-    dst = repro.open(dst_backend, vars=["d", "c", "b", "a", "extra"])
+    dst = repro.open(dst_backend, vars=permuted)
     f = src.add_expr("(a ^ b) | (c & ~d)")
+    g = src.add_expr("(a <-> c) & b")
     moved = migrate_forest({"f": f}, dst)["f"]
     assert isinstance(moved, FunctionBase)
     assert moved.manager is dst
     assert moved.truth_mask(names) == f.truth_mask(names)
+    # A two-function mapping moves both ways — migrated, and dumped and
+    # loaded under the permuted superset order — and arrives whole.
+    data = rio.dumps(src, {"f": f, "g": g})
+    copies = [
+        migrate_forest({"f": f, "g": g}, repro.open(dst_backend, vars=permuted)),
+        dst.load(_io.BytesIO(data)),
+    ]
+    for copy in copies:
+        for name, h in (("f", f), ("g", g)):
+            assert copy[name].truth_mask(names) == h.truth_mask(names)
+        copy["f"].manager.check_invariants()
+        if dst_backend == "xmem":
+            # One representation for the whole mapping.
+            assert copy["f"].node.rep is copy["g"].node.rep
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.core.traversal import levelize
 from repro.harness.table1 import run_table1
 from repro.io.__main__ import main as io_main
 from repro.io.checkpoint import CheckpointStore
-from repro.io.format import FORMAT_VERSION, FormatError, read_header, unpack_ref
+from repro.io.format import FLAG_BDD, FORMAT_VERSION, FormatError, read_header, unpack_ref
 from repro.io.stream import LevelStreamReader
 from repro.network.build import build
 
@@ -32,8 +32,8 @@ _SETTINGS = dict(
 VARS = ["a", "b", "c", "d"]
 
 
-def _small_forest():
-    m = BBDDManager(VARS)
+def _small_forest(backend="bbdd"):
+    m = repro.open(backend, vars=VARS)
     a, b, c, d = m.variables()
     return m, {
         "f": (a ^ b) | (c & d),
@@ -157,17 +157,21 @@ def test_iter_levels_is_bottom_up_and_backward_referencing():
     reader = LevelStreamReader(stdio.BytesIO(rio.dumps(m, fns)))
     next_id = 1
     last_position = None
-    for position, records in reader.iter_levels():
+    for position, rows in reader.iter_levels():
         if last_position is not None:
             assert position < last_position  # deepest level first
         last_position = position
-        for sv_delta, neq_ref, eq_ref in records:
-            if sv_delta:  # chain node: both children already written
-                assert unpack_ref(neq_ref)[0] < next_id
-                assert unpack_ref(eq_ref)[0] < next_id
+        for row_position, sv_position, t_ref, f_ref in rows:
+            assert row_position == position
+            if sv_position is None:  # literal: the constant children
+                assert (t_ref, f_ref) == (0, 1)
+            else:  # couple: SV below PV, both children already written
+                assert sv_position > position
+                assert unpack_ref(t_ref)[0] < next_id
+                assert unpack_ref(f_ref)[0] < next_id
             next_id += 1
     roots = reader.read_roots()
-    assert {name for _ref, name in roots} == set(fns)
+    assert {name for name, _ref in roots} == set(fns)
 
 
 def test_levelize_orders_children_first():
@@ -187,14 +191,17 @@ def test_levelize_orders_children_first():
 # ----------------------------------------------------------------------
 
 
-def test_json_roundtrip():
-    m, fns = _small_forest()
+@pytest.mark.parametrize("backend", ["bbdd", "xmem"])
+def test_json_roundtrip(backend):
+    m, fns = _small_forest(backend)
     data = rio.to_dict(m, fns)
     assert data["format"] == "bbdd-json"
     assert data["order"] == VARS
     m2, loaded = rio.from_dict(data)
     assert _masks(loaded) == _masks(fns)
     m2.check_invariants()
+    # The same rows as the binary writer: one record per stored node.
+    assert len(data["nodes"]) == rio.scan(stdio.BytesIO(rio.dumps(m, fns))).node_count
 
 
 def test_json_roundtrip_permuted_order(tmp_path):
@@ -205,6 +212,16 @@ def test_json_roundtrip_permuted_order(tmp_path):
     _m, loaded = rio.load_json(str(path), manager=m2)
     assert _masks(loaded) == _masks(fns)
     m2.check_invariants()
+
+
+def test_json_refuses_shannon_forests():
+    """The JSON form holds couples and literals; BDD forests go binary."""
+    m, fns = _small_forest("bdd")
+    with pytest.raises(BBDDError, match="repro.io.dump"):
+        rio.to_dict(m, fns)
+    # A forest of literals has no Shannon node to refuse.
+    m2, loaded = rio.from_dict(rio.to_dict(m, {"a": m.var("a")}))
+    assert loaded["a"].truth_mask(VARS) == m.var("a").truth_mask(VARS)
 
 
 def test_json_rejects_foreign_documents():
@@ -425,9 +442,13 @@ def test_rebuilder_rejects_malformed_records():
 
     rb = ForestRebuilder(m, ["a", "b"])
     with pytest.raises(FormatError):
-        rb.add_record(9, 0, 0, 0)  # PV position out of range
+        rb.add_rows([(9, None, 0, 1)])  # PV position out of range
     with pytest.raises(FormatError):
-        rb.add_record(1, 5, 0, 0)  # SV position out of range
+        rb.add_rows([(1, 5, 0, 0)])  # SV position out of range
+    with pytest.raises(FormatError):
+        rb.add_rows([(1, 0, 0, 0)])  # SV above PV
+    with pytest.raises(FormatError):
+        rb.add_rows([(0, None, 2, 1)])  # child id 1 not replayed yet
     with pytest.raises(FormatError):
         rio.from_dict(
             {
@@ -479,6 +500,8 @@ def test_to_dot_rejects_mismatched_names():
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_V1 = os.path.join(DATA, "golden_v1.bbdd")
+#: The same three functions written by the 2.0 baseline-BDD writer.
+GOLDEN_V1_BDD = os.path.join(DATA, "golden_v1_bdd.bbdd")
 GOLDEN_VARS = ["a", "b", "c", "d"]
 GOLDEN_MASKS = {"maj": 0xE8E8, "parity": 0x6996, "bic": 0x9990}
 
@@ -495,17 +518,22 @@ CHAIN_VARS = ["a", "b", "c", "d", "e"]
 
 
 def test_golden_v1_reloads_bit_exactly():
-    with open(GOLDEN_V1, "rb") as fileobj:
-        data = fileobj.read()
-    header = read_header(stdio.BytesIO(data))
-    assert header.version == FORMAT_VERSION
-    assert header.flags == 0
-    manager, functions = rio.loads(data)
-    assert set(functions) == set(GOLDEN_MASKS)
-    for name, mask in GOLDEN_MASKS.items():
-        assert functions[name].truth_mask(GOLDEN_VARS) == mask, name
-    # A plain manager re-dumps the v1 container byte for byte.
-    assert rio.dumps(manager, functions) == data
+    for path, flags, backend in (
+        (GOLDEN_V1, 0, "bbdd"),
+        (GOLDEN_V1_BDD, FLAG_BDD, "bdd"),
+    ):
+        with open(path, "rb") as fileobj:
+            data = fileobj.read()
+        header = read_header(stdio.BytesIO(data))
+        assert header.version == FORMAT_VERSION
+        assert header.flags == flags
+        manager, functions = rio.loads(data)
+        assert manager.backend == backend
+        assert set(functions) == set(GOLDEN_MASKS)
+        for name, mask in GOLDEN_MASKS.items():
+            assert functions[name].truth_mask(GOLDEN_VARS) == mask, (path, name)
+        # A plain manager re-dumps the v1 container byte for byte.
+        assert rio.dumps(manager, functions) == data, path
 
 
 @st.composite
@@ -585,17 +613,15 @@ def test_chain_reduced_dumps_are_rejected(name, capsys):
 
     def stream_read():
         with open(path, "rb") as fileobj:
-            LevelStreamReader(fileobj).load_into(BBDDManager(CHAIN_VARS))
+            LevelStreamReader(fileobj)
 
     # Every reader fails the same way, whatever the record kind.
     rejects(lambda: rio.load(path))
     rejects(lambda: rio.loads(data), names_file=False)
-    rejects(lambda: rio.load_bdd(path))
-    rejects(lambda: rio.loads_bdd(data), names_file=False)
-    rejects(lambda: rio.open_forest(path))
     rejects(lambda: rio.scan(path))
     rejects(stream_read)
     rejects(lambda: BBDDManager(CHAIN_VARS).load(path))
+    rejects(lambda: repro.open("bdd", vars=CHAIN_VARS).load(path))
     rejects(lambda: repro.open("xmem", vars=CHAIN_VARS).load(path))
     # The CLI prints that error and exits 1.
     out = stdio.StringIO()

@@ -2,9 +2,12 @@
 
 * Truncation fuzz: a valid dump cut at *every* byte boundary must fail
   with :class:`~repro.io.format.FormatError` (never ``IndexError`` /
-  ``struct.error`` / ``UnicodeDecodeError``) through all three readers
-  (``binary.load``, ``bdd_binary.load``, ``stream.scan``) — including
-  the empty-forest dump.
+  ``struct.error`` / ``UnicodeDecodeError``) through ``repro.io.load``
+  (on both record grammars), an xmem manager's ``load`` and
+  ``stream.scan`` — including the empty-forest dump.
+* Hostile records: a child rooted above its parent, or a level block
+  that disagrees with the header directory, fails with ``FormatError``
+  into every backend.
 * The ``repro.io.migrate`` module-shadowing regression: importing the
   submodule must yield the module (exposing ``ProtocolMigrator``), with
   the renamed :func:`~repro.io.migrate.migrate_forest` re-exported from
@@ -41,7 +44,7 @@ def _bbdd_dump() -> bytes:
 
 def _bdd_dump() -> bytes:
     m = repro.open("bdd", vars=NAMES)
-    return rio.dumps_bdd(m, {"f": m.add_expr("(a ^ b) | c")})
+    return rio.dumps(m, {"f": m.add_expr("(a ^ b) | c")})
 
 
 def _empty_dump() -> bytes:
@@ -67,7 +70,7 @@ def _bbdd_dump_compressed() -> bytes:
 
 def _bdd_dump_compressed() -> bytes:
     m = repro.open("bdd", vars=_TOWER_VARS)
-    return rio.dumps_bdd(
+    return rio.dumps(
         m,
         {"par": m.add_expr(_TOWER_EXPR), "g": m.add_expr("(a ^ b) | e")},
         compress=True,
@@ -99,9 +102,9 @@ def test_bbdd_load_rejects_every_truncation(make_dump):
 @pytest.mark.parametrize("make_dump", [_bdd_dump, _bdd_dump_compressed])
 def test_bdd_load_rejects_every_truncation(make_dump):
     data = make_dump()
-    rio.loads_bdd(data)
+    rio.loads(data)
     for cut in range(len(data)):
-        _assert_formaterror(rio.loads_bdd, data[:cut])
+        _assert_formaterror(rio.loads, data[:cut])
 
 
 def test_compressed_dumps_carry_v2_flags():
@@ -145,11 +148,8 @@ def test_scan_rejects_header_truncations():
         assert cut > len(data) - 16, f"scan accepted deep truncation at {cut}"
 
 
-@pytest.mark.parametrize(
-    "make_dump, loader",
-    [(_bbdd_dump_compressed, "loads"), (_bdd_dump_compressed, "loads_bdd")],
-)
-def test_compressed_payload_byte_flips_never_leak_raw_errors(make_dump, loader):
+@pytest.mark.parametrize("make_dump", [_bbdd_dump_compressed, _bdd_dump_compressed])
+def test_compressed_payload_byte_flips_never_leak_raw_errors(make_dump):
     """Corrupting deflate data must surface as FormatError, not zlib.error.
 
     Flips are restricted to the payload region (a flipped *header* byte
@@ -158,7 +158,6 @@ def test_compressed_payload_byte_flips_never_leak_raw_errors(make_dump, loader):
     """
     from repro.io.format import read_header
 
-    load = getattr(rio, loader)
     data = make_dump()
     buf = _io.BytesIO(data)
     read_header(buf)
@@ -166,7 +165,7 @@ def test_compressed_payload_byte_flips_never_leak_raw_errors(make_dump, loader):
     for i in range(start, len(data)):
         flipped = data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :]
         try:
-            load(flipped)
+            rio.loads(flipped)
         except BBDDError:
             continue
         except Exception as exc:  # pragma: no cover - the failure under test
@@ -210,7 +209,7 @@ def _with_bomb(data: bytes) -> bytes:
     "make_dump, load",
     [
         (_bbdd_dump_compressed, rio.loads),
-        (_bdd_dump_compressed, rio.loads_bdd),
+        (_bdd_dump_compressed, rio.loads),
         (
             _bbdd_dump_compressed,
             lambda d: repro.open("xmem", vars=_TOWER_VARS).load(_io.BytesIO(d)),
@@ -272,7 +271,6 @@ def test_unsupported_version_names_file_and_supported_range(tmp_path):
 def test_garbage_and_wrong_magic_rejected():
     for junk in (b"", b"\x00", b"BBD", b"NOPE" + b"\x00" * 64, b"\xff" * 32):
         _assert_formaterror(rio.loads, junk)
-        _assert_formaterror(rio.loads_bdd, junk)
         _assert_formaterror(lambda d: rio.scan(_io.BytesIO(d)), junk)
 
 
@@ -285,6 +283,83 @@ def test_empty_forest_round_trips():
 
 
 # ----------------------------------------------------------------------
+# hostile records: every backend's load rejects them the same way
+# ----------------------------------------------------------------------
+
+
+def _crafted(blocks, roots, flags=0, directory=None) -> bytes:
+    """A v1 container over a, b, c (in that order) from raw level blocks.
+
+    ``blocks`` are ``(position, count, payload)``; ``directory`` is the
+    header's level directory, by default the blocks' own.
+    """
+    from repro.io.format import Header, encode_varint
+
+    if directory is None:
+        directory = [(position, count) for position, count, _ in blocks]
+    out = bytearray(Header(NAMES, [0, 1, 2], len(roots), directory, flags=flags).encode())
+    for position, count, payload in blocks:
+        for value in (position, count, len(payload)):
+            encode_varint(value, out)
+        out += payload
+    for name, ref in roots:
+        encode_varint(ref, out)
+        encode_varint(len(name), out)
+        out += name.encode()
+    return bytes(out)
+
+
+def _into(backend, data):
+    return repro.open(backend, vars=NAMES).load(_io.BytesIO(data))
+
+
+def test_child_rooted_above_its_parent_is_rejected():
+    """Id 1 is the literal of a; id 2 at position 1 points down to it."""
+    from repro.io.format import FLAG_BDD
+
+    # Couple (b, c) whose !=-child is id 1; the =-child is the sink.
+    couples = _crafted([(0, 1, b"\x00"), (1, 1, b"\x01\x02\x00")], [("f", 4)])
+    # Shannon node on b whose then-child is id 1 (a Shannon literal of a).
+    shannon = _crafted(
+        [(0, 1, b"\x00\x01"), (1, 1, b"\x02\x00")], [("f", 4)], flags=FLAG_BDD
+    )
+    document = {
+        "format": "bbdd-json",
+        "version": 1,
+        "variables": NAMES,
+        "order": NAMES,
+        "nodes": [
+            {"id": 1, "var": "a"},
+            {"id": 2, "pv": "b", "sv": "c", "neq": [1, False], "eq": [0, False]},
+        ],
+        "roots": {"f": [2, False]},
+    }
+    for load in (
+        lambda: rio.loads(couples),
+        lambda: _into("bbdd", couples),
+        lambda: _into("xmem", couples),
+        lambda: _into("bdd", shannon),
+        lambda: rio.from_dict(document),
+    ):
+        with pytest.raises(FormatError, match="its children must lie at position"):
+            load()
+
+
+def test_level_block_must_match_the_header_directory():
+    """The directory declares (position 2, 1 record); the block says 0."""
+    from repro.io.format import FLAG_BDD
+
+    literal = _crafted([(0, 1, b"\x00")], [("f", 2)], directory=[(2, 1)])
+    shannon = _crafted(
+        [(0, 1, b"\x00\x01")], [("f", 2)], flags=FLAG_BDD, directory=[(2, 1)]
+    )
+    for data in (literal, shannon):
+        for load in (rio.loads, lambda d: _into("bdd", d)):
+            with pytest.raises(FormatError, match="disagrees with the header directory"):
+                load(data)
+
+
+# ----------------------------------------------------------------------
 # regression: repro.io.migrate is a module again (the shadowing bug)
 # ----------------------------------------------------------------------
 
@@ -294,7 +369,6 @@ def test_import_repro_io_migrate_is_a_module():
 
     assert isinstance(migrate_module, types.ModuleType)
     assert hasattr(migrate_module, "ProtocolMigrator")
-    assert hasattr(migrate_module, "Migrator")
     assert hasattr(migrate_module, "migrate_forest")
     # The package attribute is the module too, not the old function.
     assert rio.migrate is migrate_module

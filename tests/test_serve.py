@@ -1255,13 +1255,13 @@ def test_pool_reloads_after_a_failed_load(tmp_path, monkeypatch, workers):
 
     dumps = _Dumps(str(tmp_path / "flaky.bbdd"))
     decodes = []
-    open_forest = repro.io.open_forest
+    load = repro.io.load
 
     def counted(path):
         decodes.append(path)
-        return open_forest(path)
+        return load(path)
 
-    monkeypatch.setattr(repro.io, "open_forest", counted)
+    monkeypatch.setattr(repro.io, "load", counted)
     query = {"a": 1, "b": 0, "c": 0, "d": 0, "e": 0}
     with ForestPool(workers=workers, timeout=20) as pool:
         dumps.dump("a & b")

@@ -145,11 +145,9 @@ def test_xmem_dump_interoperates_with_bbdd_container():
     mx2 = repro.open("xmem", vars=["d", "x", "c", "b", "a"])
     reloaded = mx2.load(_io.BytesIO(back))
     assert reloaded["f"].truth_mask(names) == f.truth_mask(names)
-    from repro.xmem import loads_forest
-
     mx3 = repro.open("xmem", vars=["p", "q", "r", "s"])
-    renamed = loads_forest(
-        mx3, data, rename={"a": "p", "b": "q", "c": "r", "d": "s"}
+    renamed = mx3.load(
+        _io.BytesIO(data), rename={"a": "p", "b": "q", "c": "r", "d": "s"}
     )
     assert renamed["g"].truth_mask(["p", "q", "r", "s"]) == g.truth_mask(names)
 
