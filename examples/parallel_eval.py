@@ -7,8 +7,7 @@ and answers the same batch three ways:
 1. the plain serial sweep — ``f.evaluate_batch(batch)``;
 2. the one-call parallel surface — ``f.evaluate_batch(batch,
    workers=2)`` (freeze + fan-out + reassembly behind one keyword,
-   sequential fallback where shared memory or the backend's freeze
-   export is unavailable);
+   sequential fallback where shared memory is unavailable);
 3. an explicit :class:`repro.par.ShmForest` +
    :class:`repro.par.ParallelPool`, the shape a long-lived service
    uses: freeze once, ``warm`` the workers, sweep many batches.
@@ -65,7 +64,7 @@ def main() -> None:
 
     frozen = try_freeze(manager, forest_fns)
     if frozen is None:
-        print(f"backend {backend!r} has no freeze export here; done.")
+        print("multiprocessing.shared_memory is unavailable here; done.")
         return
     try:
         print(f"frozen segment:   {frozen.name} ({frozen.nbytes} bytes, "

@@ -134,9 +134,11 @@ class Columns:
 class DDManager:
     """The uniform decision-diagram manager protocol.
 
-    A backend subclasses this and implements the primitives below
-    (``NotImplementedError`` stubs here document the contract; they all
-    take/return bare ``(node, attr)`` edges):
+    A backend subclasses this and implements the primitives below;
+    they all take/return bare edges.  Only :meth:`freeze_export` has a
+    stub here (it raises ``NotImplementedError`` naming the backend);
+    a backend missing any other primitive fails with
+    ``AttributeError`` at its first use.
 
     ``true_edge`` / ``false_edge``
         Terminal edge properties.
@@ -151,10 +153,11 @@ class DDManager:
     ``support_edge(f)`` / ``root_var(f)`` / ``count_nodes(edges)``
         Semantics and structure queries (``values`` and the returned
         assignments are keyed by variable *index*).
-    ``freeze_export(named)`` (optional)
+    ``freeze_export(named)``
         The producer of the compiled query form (:class:`Columns`)
         behind the batch sweeps, ``sat_count`` and weighted counting,
-        which reach it through ``compiled_root(edge)``.
+        which reach it through ``compiled_root(edge)``, and of the rows
+        behind ``dump``, ``migrate_forest`` and ``let``.
     ``make_row(pv, sv, t, f)`` (optional)
         One structural node for a replayed :mod:`repro.io` row, behind
         ``dump``/``load``/``migrate_forest``; the default rebuilds every
@@ -276,22 +279,22 @@ class DDManager:
     # -- compiled query form (repro.serve, repro.wmc, repro.par) ----------
 
     def freeze_export(self, named):
-        """The backend's producer of the compiled query form, or None.
+        """The backend's producer of the compiled query form (required).
 
         ``named`` is a list of ``(name, edge)`` pairs; the result is a
         :class:`Columns` of every node reachable from them, ``roots``
         keyed by those names.  The batch sweeps, ``sat_count`` and the
         weighted counts compile the queried root through
-        :meth:`compiled_root`, and :meth:`repro.par.shm.ShmForest.freeze`
-        copies the columns into shared memory.  The default None sends
-        those queries to the protocol-pure fallbacks below, so any
-        third-party backend is correct without knowing about columns
-        (but cannot be frozen).
+        :meth:`compiled_root`, :meth:`repro.par.shm.ShmForest.freeze`
+        copies the columns into shared memory, and
+        :func:`repro.io.migrate.export_rows` turns them into rows.
         """
-        return None
+        raise NotImplementedError(
+            f"the {self.backend!r} backend does not implement freeze_export"
+        )
 
     def compiled_root(self, edge):
-        """The compiled columns of one root (named ``"f"``), or None.
+        """The compiled columns of one root (named ``"f"``).
 
         This default compiles on every call.  The built-in managers
         override it to keep the last root's columns in their computed
@@ -303,20 +306,12 @@ class DDManager:
     def evaluate_batch_edges(self, edge, batch):
         """Evaluate one encoded batch (see :mod:`repro.serve.bulk`).
 
-        With a :meth:`freeze_export` producer this is the levelized
-        cohort sweep over the compiled columns — ``O(nodes + queries)``;
-        without one it degrades to the looped ``O(nodes × queries)``
-        walk per query.
+        The levelized cohort sweep over the compiled columns —
+        ``O(nodes + queries)``.
         """
-        columns = self.compiled_root(edge)
-        if columns is None:
-            evaluate = self.evaluate_edge
-            return [
-                evaluate(edge, values)
-                for values in batch.iter_value_dicts(self.num_vars)
-            ]
         from repro.serve.bulk import cohort_sweep, sweep_chunks
 
+        columns = self.compiled_root(edge)
         root = columns.roots["f"]
         return sweep_chunks(
             batch, lambda part: cohort_sweep(columns, root, part.var_bits, part.full)
@@ -325,22 +320,12 @@ class DDManager:
     def satisfiable_batch_edges(self, edge, batch):
         """Batched cube satisfiability (see :func:`repro.serve.bulk.satisfiable_batch`).
 
-        With a :meth:`freeze_export` producer, unconstrained queries
-        flow into both branches of one sweep; the fallback restricts the
-        edge by each cube and checks the cofactor against the 0-sink.
+        Unconstrained queries flow into both branches of one sweep over
+        the compiled columns.
         """
-        columns = self.compiled_root(edge)
-        if columns is None:
-            results = []
-            with self.defer_gc():
-                for values in batch.iter_known_dicts():
-                    cofactor = edge
-                    for var, value in values.items():
-                        cofactor = self.restrict_edge(cofactor, var, value)
-                    results.append(not self.edge_is_false(cofactor))
-            return results
         from repro.serve.bulk import cube_sweep, sweep_chunks
 
+        columns = self.compiled_root(edge)
         root = columns.roots["f"]
         return sweep_chunks(
             batch,
@@ -353,15 +338,11 @@ class DDManager:
         """Satisfying assignments of ``edge`` over all manager variables.
 
         The column count :func:`repro.wmc.sweep.sat_count` over the
-        compiled root; without a producer, the protocol-pure
-        :func:`repro.wmc.sweep.shannon_count` with unit weights.
+        compiled root.
         """
-        from repro.wmc.sweep import resolve_weights, sat_count, shannon_count
+        from repro.wmc.sweep import sat_count
 
         columns = self.compiled_root(edge)
-        if columns is None:
-            units = resolve_weights(self, None, probabilities=False)
-            return int(shannon_count(self, edge, *units))
         return sat_count(columns, columns.roots["f"])
 
     def weighted_count_edge(self, edge, w1, w0, one, zero, *, joints=None):
@@ -370,18 +351,12 @@ class DDManager:
         ``w1``/``w0`` are per-variable weight columns indexed by
         variable index, ``one``/``zero`` the units of the arithmetic in
         use (Fractions or floats).  With ``joints`` (variable indices)
-        the result is ``(count, {index: WMC(f ∧ v)})``.  With a
-        :meth:`freeze_export` producer this is the column kernel
-        :func:`repro.wmc.sweep.wmc_sweep`; any other backend takes the
-        protocol-pure memoized Shannon recursion
-        (:func:`repro.wmc.sweep.shannon_count`) — correct without
-        knowing the node layout.
+        the result is ``(count, {index: WMC(f ∧ v)})``, from the column
+        kernel :func:`repro.wmc.sweep.wmc_sweep`.
         """
-        from repro.wmc.sweep import shannon_count, wmc_sweep
+        from repro.wmc.sweep import wmc_sweep
 
         columns = self.compiled_root(edge)
-        if columns is None:
-            return shannon_count(self, edge, w1, w0, one, zero, joints=joints)
         return wmc_sweep(
             columns, columns.roots["f"], w1, w0, one, zero, joints=joints
         )
@@ -482,115 +457,53 @@ class DDManager:
         return None
 
 
-def rebuild_function(manager, root, var_fn, target, memo=None):
-    """Rebuild the regular (attribute-free) function of node ``root``
-    inside ``target``, mapping every source variable through ``var_fn``
-    (index -> target function).
+def rebuild_function(manager, edge, var_fn):
+    """The function of ``edge`` with every variable mapped through ``var_fn``.
 
-    The workhorse behind simultaneous substitution
-    (:meth:`FunctionBase.let`, where ``target`` is the source manager
-    itself) and cross-backend migration
-    (:class:`repro.io.migrate.ProtocolMigrator`): each Shannon node
-    rebuilds as ``ite(var_fn(v), then, else)``, each biconditional
-    couple as ``ite(var_fn(pv) <-> var_fn(sv), eq, neq)``, each literal
-    as ``var_fn(pv)`` — substitution distributes over the expansions, so
-    the walk is *simultaneous* by construction (values are never
-    re-substituted).  Iterative post-order, memoized per source node:
-    linear in the diagram size times the cost of the target operations.
-    A caller copying a shared forest may pass one ``memo`` dict across
-    calls to keep the sharing.
-
-    The couple/Shannon walks are structural fast paths for the built-in
-    backends; any other registered backend takes the protocol-pure
-    Shannon decomposition via ``root_var``/``restrict_edge`` (the same
-    one ``to_expr`` uses), so third-party backends plug in without this
-    function knowing their node layout.
+    ``var_fn`` maps a variable index to a function handle of
+    ``manager``.  The general path of :meth:`FunctionBase.let`: the
+    diagram is exported once as rows (:func:`repro.io.migrate.export_rows`)
+    and replayed deepest level first, a couple row as
+    ``ite(var_fn(pv) ^ var_fn(sv), t, f)`` and a single-variable row as
+    ``ite(var_fn(pv), t, f)``.  Substitution distributes over both
+    expansions, and each row reads only the rows built before it, so
+    values are never re-substituted: the substitution is simultaneous
+    by construction.  One ``ite`` per node in one flat loop, so deep
+    diagrams need no recursion.  Everything built is a function
+    handle, so automatic GC stays safe mid-rebuild.
     """
-    true = target.true()
-    if root.is_sink:
-        return true
-    if memo is None:
-        memo = {}
-    backend = manager.backend
-    if backend not in ("bbdd", "bdd"):
-        return _rebuild_via_protocol(manager, root, var_fn, target, memo)
-    bbdd_nodes = backend == "bbdd"
-    stack = [root]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        if bbdd_nodes:
-            if top.is_literal:
-                memo[top] = var_fn(top.pv)
-                stack.pop()
-                continue
-            children = (top.neq, top.eq)
-        else:
-            children = (top.then, top.else_)
-        pending = [c for c in children if not c.is_sink and c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if bbdd_nodes:
-            e = true if top.eq.is_sink else memo[top.eq]
-            d = true if top.neq.is_sink else memo[top.neq]
-            if top.neq_attr:
-                d = ~d
-            memo[top] = var_fn(top.pv).xnor(var_fn(top.sv)).ite(e, d)
-        else:
-            t = true if top.then.is_sink else memo[top.then]
-            e = true if top.else_.is_sink else memo[top.else_]
-            if top.else_attr:
-                e = ~e
-            memo[top] = var_fn(top.var).ite(t, e)
-    return memo[root]
+    from repro.io.migrate import export_rows
+
+    levels, ((_name, root),) = export_rows(manager, {"f": edge})
+    order = manager.order.order
+    built = [manager.true()]
+    tests: Dict[tuple, "FunctionBase"] = {}
+    for _position, rows in levels:
+        for position, sv_position, t_ref, f_ref in rows:
+            test = tests.get((position, sv_position))
+            if test is None:
+                test = var_fn(order[position])
+                if sv_position is not None:
+                    test = test ^ var_fn(order[sv_position])
+                tests[position, sv_position] = test
+            t = built[t_ref >> 1]
+            f = built[f_ref >> 1]
+            built.append(test.ite(~t if t_ref & 1 else t, ~f if f_ref & 1 else f))
+    result = built[root >> 1]
+    return ~result if root & 1 else result
 
 
-def _rebuild_via_protocol(manager, root, var_fn, target, memo):
-    """Backend-agnostic :func:`rebuild_function` core.
+def own_edge(manager, f):
+    """The bare edge of ``f``, a handle of ``manager`` or a bare edge.
 
-    Decomposes through the edge protocol only (``root_var`` +
-    ``restrict_edge``), memoized on ``(uid, attr)`` edge keys — the
-    cofactors of ``f = ite(v, f|v=1, f|v=0)`` never mention ``v``, so
-    mapping ``v`` through ``var_fn`` at every level is a simultaneous
-    substitution.  Bare cofactor edges are parked across the walk, so
-    GC stays deferred for its duration.
+    A handle of any other manager raises :class:`ForeignManagerError`:
+    its edge would name nodes of the wrong store.
     """
-    true = target.true()
-    false = ~true
-    edge_uid = manager.edge_uid
-    pending: Dict[tuple, tuple] = {}
-    with manager.defer_gc():
-        root_edge = manager.node_edge(root)
-        stack = [root_edge]
-        while stack:
-            edge = stack[-1]
-            key = edge_uid(edge)
-            if key in memo:
-                stack.pop()
-                continue
-            if manager.edge_is_sink(edge):
-                memo[key] = false if manager.edge_attr(edge) else true
-                stack.pop()
-                continue
-            entry = pending.get(key)
-            if entry is None:
-                var = manager.root_var(edge)
-                high = manager.restrict_edge(edge, var, True)
-                low = manager.restrict_edge(edge, var, False)
-                pending[key] = (var, high, low)
-                stack.append(low)
-                stack.append(high)
-                continue
-            var, high, low = entry
-            t = memo[edge_uid(high)]
-            e = memo[edge_uid(low)]
-            memo[key] = var_fn(var).ite(t, e)
-            stack.pop()
-    return memo[edge_uid(root_edge)]
+    if isinstance(f, FunctionBase):
+        if f.manager is not manager:
+            raise ForeignManagerError("function belongs to a different manager")
+        return f.edge
+    return f
 
 
 def install_function_helpers(manager_cls, function_cls) -> None:
@@ -623,8 +536,7 @@ def install_function_helpers(manager_cls, function_cls) -> None:
         return function_cls(self, edge)
 
     def node_count(self, functions):
-        edges = [f.edge if isinstance(f, FunctionBase) else f for f in functions]
-        return self.count_nodes(edges)
+        return self.count_nodes([own_edge(self, f) for f in functions])
 
     manager_cls.var = var
     manager_cls.nvar = nvar
@@ -852,8 +764,8 @@ class FunctionBase:
         worker pool of :mod:`repro.par`: the forest is frozen into
         shared memory and the batch's lane chunks are swept by ``N``
         processes in parallel — worthwhile for large batches on large
-        diagrams.  Backends without a freeze export silently use the
-        sequential path.
+        diagrams.  Where ``multiprocessing.shared_memory`` is missing
+        the sequential path answers instead.
         """
         if workers:
             from repro.par import parallel_evaluate_batch
@@ -1003,10 +915,11 @@ class FunctionBase:
         All substitutions happen simultaneously: ``f.let({'x': 'y',
         'y': 'x'})`` swaps the two variables, unlike a chain of
         one-at-a-time ``compose`` calls.  Internally the function's
-        diagram is rebuilt bottom-up with every variable mapped through
-        the substitution (a vector compose), so values may freely
-        mention the substituted variables, and the cost is linear in
-        the diagram size — bulk renames of many variables are cheap.
+        rows (:func:`repro.io.migrate.export_rows`) are replayed deepest
+        level first with every variable mapped through the substitution
+        (a vector compose, :func:`rebuild_function`), so values may
+        freely mention the substituted variables, and the cost is one
+        ``ite`` per node — bulk renames of many variables are cheap.
         A rename that the backend can do structurally
         (:meth:`DDManager.relabel_edge`: on ``bbdd``, an injective
         rename keeping the relative order of the support, such as the
@@ -1054,10 +967,6 @@ class FunctionBase:
         )
         if renamed is not None:
             return self._wrap(renamed)
-        # Simultaneous general substitution: rebuild f's diagram with
-        # every variable mapped through the substitution (vector
-        # compose).  Values are resolved against the *original* f, so
-        # they are never re-substituted — simultaneity by construction.
         values: Dict[int, "FunctionBase"] = dict(funcs)
 
         def var_fn(index: int) -> "FunctionBase":
@@ -1067,8 +976,7 @@ class FunctionBase:
                 values[index] = value
             return value
 
-        result = rebuild_function(manager, f.node, var_fn, manager)
-        return ~result if f.attr else result
+        return rebuild_function(manager, f.edge, var_fn)
 
     # -- expression export --------------------------------------------------
 

@@ -259,12 +259,6 @@ class BBDDManager(DDManager):
             out.append((self._names[pv], "1" if sv == SV_ONE else self._names[sv]))
         return out
 
-    def _root_position(self, node: int) -> int:
-        """Position of a node's root couple; the sink sorts below everything."""
-        if node == SINK:
-            return len(self._names)
-        return self._order.position(self._pv[node])
-
     # ------------------------------------------------------------------
     # node views and field access
     # ------------------------------------------------------------------
@@ -1340,14 +1334,6 @@ class BBDDManager(DDManager):
                     stack.append(-d if d < 0 else d)
                     stack.append(eql[n])
 
-    # Back-compat node-handle hooks: accept an index or a BBDDNode view.
-
-    def _ref_node(self, node) -> None:
-        self._ref_index(node if isinstance(node, int) else node.index)
-
-    def _deref_node(self, node) -> None:
-        self._deref_index(node if isinstance(node, int) else node.index)
-
     def inc_ref(self, edge: Edge) -> None:
         self._ref_index(-edge if edge < 0 else edge)
 
@@ -1707,10 +1693,6 @@ class BBDDManager(DDManager):
     def nodes_with_sv(self, var: int) -> set:
         """Chain node indices whose secondary variable is ``var``."""
         return self._by_sv[var]
-
-    def iter_nodes(self) -> Iterable[BBDDNode]:
-        """Views of every stored node (chain + literal, sink excluded)."""
-        return (self.node_view(i) for i in list(self._uniq_raw.values()))
 
     def check_invariants(self) -> None:
         """Validate the canonical-form invariants; raise on violation.

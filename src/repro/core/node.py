@@ -198,8 +198,3 @@ class BBDDNode:
 def negate(edge: Edge) -> Edge:
     """Complement an edge — unary minus in the signed-int coding."""
     return -edge
-
-
-def edge_key(edge: Edge) -> Edge:
-    """Hashable identity of an edge — the signed int itself."""
-    return edge

@@ -178,14 +178,6 @@ def diagonal(op: int) -> str:
     return _UNARY[(op & 1, (op >> 3) & 1)]
 
 
-def absorbs_equal_cofactors(op: int) -> bool:
-    """True when ``op`` depends on both operands somewhere (needs recursion).
-
-    Purely informational; Algorithm 1 handles every operator uniformly.
-    """
-    return restrict_a(op, 0) != restrict_a(op, 1) or restrict_b(op, 0) != restrict_b(op, 1)
-
-
 ALL_OPS = tuple(range(16))
 # Operators that actually require recursion (both operands matter); the
 # remaining tables short-circuit at the first apply call.

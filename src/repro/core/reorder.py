@@ -709,7 +709,7 @@ def from_truth_table(manager, mask: int, num_vars: Optional[int] = None) -> Edge
 
     Bit ``i`` of ``mask`` is the value of the assignment whose ``j``-th
     *variable-index* bit is bit ``j`` of ``i``.  Exponential in the
-    variable count; used by tests, the rebuild oracle and small examples.
+    variable count; used by tests and small examples.
     """
     from repro.core.truthtable import TruthTable
 
@@ -737,25 +737,3 @@ def from_truth_table(manager, mask: int, num_vars: Optional[int] = None) -> Edge
 
     return build(TruthTable(n, mask))
 
-
-def rebuild_reordered(manager, edges: Sequence[Edge], new_order: Sequence):
-    """Oracle: rebuild ``edges`` from scratch in a new manager with
-    ``new_order`` (names or indices of the same variables).
-
-    Returns ``(new_manager, new_edges)``.  Exponential (truth tables);
-    tests compare the in-place swap result against this ground truth.
-    """
-    from repro.core.manager import BBDDManager
-    from repro.core.traversal import truth_table_mask
-
-    names = [manager.var_name(manager.var_index(v)) for v in new_order]
-    if sorted(names) != sorted(manager.var_names):
-        raise OrderError("new order must cover exactly the manager variables")
-    new_manager = BBDDManager(list(manager.var_names))
-    new_manager.order.set_order([new_manager.var_index(nm) for nm in names])
-    new_edges = []
-    all_vars = list(range(manager.num_vars))
-    for edge in edges:
-        mask = truth_table_mask(manager, edge, all_vars)
-        new_edges.append(from_truth_table(new_manager, mask))
-    return new_manager, new_edges

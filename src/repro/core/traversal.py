@@ -9,7 +9,7 @@ positions ``p+1 .. q-1`` unconstrained.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.node import SINK, SV_ONE, Edge
 
@@ -75,52 +75,6 @@ def count_nodes(manager, edges: Iterable[Edge]) -> int:
     return len(reachable_nodes(manager, edges))
 
 
-def iter_paths(
-    manager, edge: Edge
-) -> Iterator[Tuple[Dict[int, Tuple[str, Optional[int]]], bool]]:
-    """Yield ``(constraints, value)`` for every root-to-sink path.
-
-    ``constraints`` maps each couple's PV to ``(rel, sv)``: ``rel`` is
-    ``"=="``/``"!="`` for chain nodes (with ``sv`` the couple partner
-    *actually on the path* — under the support-chained CVO this is the
-    function's next support variable, not necessarily the global order's
-    neighbour) or ``"1"``/``"0"`` for literal nodes (``sv`` is None).
-    ``value`` is the sink value after complement attributes.  Iterative
-    (explicit DFS stack), so arbitrarily deep chains enumerate without
-    touching the Python recursion limit.
-    """
-    pvl = manager._pv
-    svl = manager._sv
-    neql = manager._neq
-    eql = manager._eq
-    stack: List[Tuple[int, bool, dict]] = [(-edge if edge < 0 else edge, edge < 0, {})]
-    while stack:
-        node, attr, constraints = stack.pop()
-        if node == SINK:
-            yield constraints, not attr
-            continue
-        d = neql[node]
-        dn = -d if d < 0 else d
-        sv = svl[node]
-        if sv == SV_ONE:
-            branches = (
-                (dn, attr ^ (d < 0), ("0", None)),
-                (eql[node], attr, ("1", None)),
-            )
-        else:
-            branches = (
-                (dn, attr ^ (d < 0), ("!=", sv)),
-                (eql[node], attr, ("==", sv)),
-            )
-        # Push the =-branch first so the !=-branch is explored first,
-        # matching the historical (recursive) enumeration order.
-        pv = pvl[node]
-        for child, child_attr, label in reversed(branches):
-            extended = dict(constraints)
-            extended[pv] = label
-            stack.append((child, child_attr, extended))
-
-
 def find_sat_path(manager, edge: Edge, want: bool = True) -> Optional[List[tuple]]:
     """One root-to-sink path on which the function evaluates to ``want``.
 
@@ -172,24 +126,6 @@ def find_sat_path(manager, edge: Edge, want: bool = True) -> Optional[List[tuple
         node = child
 
 
-def truth_table_mask(manager, edge: Edge, variables: Sequence[int]) -> int:
-    """Bitmask truth table of ``edge`` over ``variables``.
-
-    Bit ``i`` of the result is the function value where variable
-    ``variables[j]`` takes bit ``j`` of ``i``.  Exponential; intended for
-    testing and small-function reporting.
-    """
-    n = len(variables)
-    mask = 0
-    values: Dict[int, bool] = {v: False for v in range(manager.num_vars)}
-    for i in range(1 << n):
-        for j, var in enumerate(variables):
-            values[var] = bool((i >> j) & 1)
-        if evaluate(manager, edge, values):
-            mask |= 1 << i
-    return mask
-
-
 def levelize(manager, edges: Iterable[Edge]) -> List[Tuple[int, List[int]]]:
     """Group a forest's node indices by CVO level, deepest level first.
 
@@ -211,19 +147,3 @@ def levelize(manager, edges: Iterable[Edge]) -> List[Tuple[int, List[int]]]:
         for pos in range(len(order) - 1, -1, -1)
         if buckets[pos]
     ]
-
-
-def structural_profile(manager, edges: Iterable[Edge]) -> Dict[str, int]:
-    """Summary statistics of a forest (used by reports and examples)."""
-    svl = manager._sv
-    neql = manager._neq
-    nodes = reachable_nodes(manager, edges)
-    chain = sum(1 for n in nodes if svl[n] != SV_ONE)
-    literal = len(nodes) - chain
-    complemented = sum(1 for n in nodes if svl[n] != SV_ONE and neql[n] < 0)
-    return {
-        "nodes": len(nodes),
-        "chain_nodes": chain,
-        "literal_nodes": literal,
-        "complemented_neq_edges": complemented,
-    }

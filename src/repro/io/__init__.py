@@ -14,14 +14,13 @@ backend rebuilds from:
 * :mod:`repro.io.jsondump` — JSON/dict interchange for debugging;
 * :mod:`repro.io.migrate` — the row export, the row replay
   (:class:`~repro.io.migrate.ForestRebuilder`) and cross-manager copy
-  with variable remapping (:func:`~repro.io.migrate.migrate_forest`,
-  :class:`~repro.io.migrate.ProtocolMigrator`);
+  with variable remapping (:func:`~repro.io.migrate.migrate_forest`);
 * :mod:`repro.io.checkpoint` — harness checkpoint store (``--checkpoint``).
 
 Note: the convenience function is exported as :func:`migrate_forest`.
 The historical name ``migrate`` is *not* re-bound here — doing so used
 to shadow the :mod:`repro.io.migrate` submodule, so
-``repro.io.migrate.ProtocolMigrator`` raised ``AttributeError``.
+``repro.io.migrate.ForestRebuilder`` raised ``AttributeError``.
 ``repro.io.migrate`` is the module again.
 """
 
@@ -29,7 +28,7 @@ from repro.io.binary import dump, dumps, load, loads
 from repro.io.checkpoint import CheckpointStore
 from repro.io.format import FormatError
 from repro.io.jsondump import dump_json, from_dict, load_json, to_dict
-from repro.io.migrate import ForestRebuilder, ProtocolMigrator, migrate_forest
+from repro.io.migrate import ForestRebuilder, migrate_forest
 from repro.io.stream import FileInfo, LevelStreamReader, scan
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "to_dict",
     "from_dict",
     "migrate_forest",
-    "ProtocolMigrator",
     "ForestRebuilder",
     "scan",
     "FileInfo",

@@ -78,17 +78,11 @@ def dump(manager, functions, target, compress: bool = False) -> None:
 
     ``functions``: a function, an edge, a sequence of either, or a
     ``{name: function}`` mapping (names are stored and restored), of
-    any backend with a ``freeze_export``.  ``compress=True`` writes a
-    v2 ``FLAG_COMPRESSED`` container (delta-coded refs + shared
-    deflate stream).
+    ``manager``.  ``compress=True`` writes a v2 ``FLAG_COMPRESSED``
+    container (delta-coded refs + shared deflate stream).
     """
     check_dump_args(functions, target)
     exported = export_rows(manager, functions)
-    if exported is None:
-        raise BBDDError(
-            f"the {manager.backend!r} backend has no freeze_export, so its "
-            f"forests cannot be dumped"
-        )
     if hasattr(target, "write"):
         _dump_file(manager, exported, target, compress)
         return

@@ -169,11 +169,6 @@ def decode_name(raw: bytes) -> str:
         raise FormatError(f"stored name is not valid UTF-8: {exc}") from None
 
 
-def pack_ref(node_id: int, attr: bool) -> int:
-    """Pack a node id and complement attribute into an edge ref."""
-    return (node_id << 1) | bool(attr)
-
-
 def unpack_ref(ref: int) -> Tuple[int, bool]:
     """Split an edge ref back into ``(node id, complement attribute)``."""
     return ref >> 1, bool(ref & 1)

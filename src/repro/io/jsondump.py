@@ -48,13 +48,7 @@ def _ref(ref: int) -> list:
 
 def to_dict(manager, functions) -> dict:
     """Encode a forest as the documented dict form."""
-    exported = export_rows(manager, functions)
-    if exported is None:
-        raise BBDDError(
-            f"the {manager.backend!r} backend has no freeze_export, so its "
-            f"forests cannot be exported"
-        )
-    levels, roots = exported
+    levels, roots = export_rows(manager, functions)
     ordered = list(manager.current_order())
     nodes = []
     for _position, rows in levels:

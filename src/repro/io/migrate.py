@@ -24,9 +24,10 @@ any manager.
   `Rebuild semantics` below); the codecs (:mod:`repro.io.binary`,
   :mod:`repro.io.jsondump`) and :func:`migrate_forest` all use it.
 * :func:`migrate_forest` copies live functions into another manager —
-  export and replay with no bytes in between.  A source without
-  ``freeze_export`` goes through :class:`ProtocolMigrator`, which
-  rebuilds node by node through the target's protocol operations.
+  export and replay with no bytes in between.
+* :meth:`FunctionBase.let <repro.api.base.FunctionBase.let>` replays a
+  function's rows into its own manager with every variable substituted
+  (:func:`repro.api.base.rebuild_function`).
 
 Rebuild semantics
 -----------------
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.base import FunctionBase, rebuild_function
+from repro.api.base import FunctionBase, own_edge
 from repro.core.exceptions import BBDDError, VariableError
 from repro.core.operations import OP_XOR
 
@@ -64,15 +65,17 @@ def _resolve_rename(rename: Rename) -> Callable[[str], str]:
     return lambda name: mapping.get(name, name)
 
 
-def named_edges(functions) -> List[Tuple[object, object]]:
-    """Normalize the accepted forest shapes to ``[(name, edge)]``.
+def named_edges(manager, functions) -> List[Tuple[object, object]]:
+    """Normalize the accepted forest shapes of ``manager`` to ``[(name, edge)]``.
 
     Accepts a function handle or a bare edge (a flat-store signed int
     or an ``(node, attr)`` pair), a sequence of either, or a name-keyed
-    mapping; anonymous roots are named ``f0``, ``f1``, ...
+    mapping; anonymous roots are named ``f0``, ``f1``, ...  A handle of
+    another manager raises
+    :class:`~repro.core.exceptions.ForeignManagerError`.
     """
     if isinstance(functions, FunctionBase):
-        return [("f0", functions.edge)]
+        return [("f0", own_edge(manager, functions))]
     if isinstance(functions, int) or (
         isinstance(functions, tuple)
         and len(functions) == 2
@@ -83,24 +86,18 @@ def named_edges(functions) -> List[Tuple[object, object]]:
         items = functions.items()
     else:
         items = ((f"f{i}", f) for i, f in enumerate(functions))
-    return [
-        (name, f.edge if isinstance(f, FunctionBase) else f) for name, f in items
-    ]
+    return [(name, own_edge(manager, f)) for name, f in items]
 
 
 def export_rows(manager, functions):
-    """A forest as ``(levels, roots)`` rows, or None without a producer.
+    """A forest of ``manager`` as ``(levels, roots)`` rows.
 
     ``levels`` lists ``(position, rows)`` deepest level first, rows in
     slot order within a level, and ``roots`` the ``(name, ref)`` pairs
     in the forest's order.  Equal rows of a level merge into one, so
-    ids stay dense and shared.  None means the manager has no
-    ``freeze_export`` (a third-party backend).
+    ids stay dense and shared.
     """
-    columns = manager.freeze_export(named_edges(functions))
-    if columns is None:
-        return None
-    columns = columns.joined()
+    columns = manager.freeze_export(named_edges(manager, functions)).joined()
     ((_base, pv, sv, t, f),) = columns.blocks
     position = columns.positions()
     by_level: Dict[int, List[int]] = {}
@@ -279,51 +276,6 @@ class ForestRebuilder:
         }
 
 
-class ProtocolMigrator:
-    """Copies live functions between any two protocol backends.
-
-    Works node by node through the target's :class:`repro.api.base.DDManager`
-    protocol operations, so the source and target representations may
-    differ: each Shannon node is rebuilt as ``ite(v, then, else)``, each
-    biconditional couple as ``ite(v <-> w, eq, neq)`` and each literal
-    as the target's projection function.  Copies are memoized per source
-    node (complements ride on the handles), and the walk is iterative —
-    deep diagrams migrate without touching the recursion limit.
-    :func:`migrate_forest` uses it for sources without ``freeze_export``.
-    """
-
-    def __init__(self, src, dst, rename: Rename = None) -> None:
-        if src is dst:
-            raise BBDDError("source and target managers must differ")
-        self.src = src
-        self.dst = dst
-        self._rename = _resolve_rename(rename)
-        self._memo: Dict[object, FunctionBase] = {}
-        self._vars: Dict[int, FunctionBase] = {}
-
-    def _dst_var(self, index: int) -> FunctionBase:
-        f = self._vars.get(index)
-        if f is None:
-            name = self._rename(self.src.var_name(index))
-            try:
-                f = self.dst.function(self.dst.literal_edge(name))
-            except VariableError:
-                raise VariableError(
-                    f"source variable missing from target manager: {name!r}"
-                ) from None
-            self._vars[index] = f
-        return f
-
-    def function(self, f: FunctionBase) -> FunctionBase:
-        """Rebuild a source function in the target through the protocol."""
-        if f.manager is not self.src:
-            raise BBDDError("function does not belong to the source manager")
-        copied = rebuild_function(
-            self.src, f.node, self._dst_var, self.dst, memo=self._memo
-        )
-        return ~copied if f.attr else copied
-
-
 def migrate_forest(functions, dst, rename: Rename = None):
     """Copy functions into the manager ``dst``, remapping variables by name.
 
@@ -345,21 +297,14 @@ def migrate_forest(functions, dst, rename: Rename = None):
         src = next(iter(items.values())).manager
         if src is dst:
             raise BBDDError("source and target managers must differ")
-        if any(f.manager is not src for f in items.values()):
-            raise BBDDError("function does not belong to the source manager")
-        exported = export_rows(src, items)
-        if exported is None:
-            migrator = ProtocolMigrator(src, dst, rename=rename)
-            moved = {name: migrator.function(f) for name, f in items.items()}
-        else:
-            levels, roots = exported
-            rebuilder = ForestRebuilder(
-                dst, [src.var_name(v) for v in src.order.order], rename=rename
-            )
-            with dst.defer_gc():
-                for _position, rows in levels:
-                    rebuilder.add_rows(rows)
-                moved = rebuilder.functions(roots)
+        levels, roots = export_rows(src, items)
+        rebuilder = ForestRebuilder(
+            dst, [src.var_name(v) for v in src.order.order], rename=rename
+        )
+        with dst.defer_gc():
+            for _position, rows in levels:
+                rebuilder.add_rows(rows)
+            moved = rebuilder.functions(roots)
     if isinstance(functions, Mapping):
         return moved
     return list(moved.values())

@@ -22,9 +22,9 @@ The one-call surface (used by
 >>> parallel_evaluate_batch(f, queries, workers=2)
 [True, False]
 
-Backends without a column producer (third-party managers whose
-``freeze_export`` returns None) fall back to the sequential in-process
-path automatically — same results, no shared memory.
+Where ``multiprocessing.shared_memory`` is missing, the one-call
+helpers take the sequential in-process path automatically — same
+results, no shared memory.
 """
 
 from __future__ import annotations
@@ -77,18 +77,14 @@ def freeze(manager, functions, **kwargs) -> ShmForest:
 
 
 def try_freeze(manager, functions, **kwargs) -> Optional[ShmForest]:
-    """Like :func:`freeze`, but ``None`` where freezing cannot work.
+    """:func:`freeze`, or ``None`` where shared memory is missing.
 
-    Covers both the platform axis (no ``multiprocessing.shared_memory``)
-    and the backend axis (no structural freeze export) — the callers'
-    signal to take the sequential in-process path.
+    A platform without ``multiprocessing.shared_memory`` is the
+    callers' signal to take the sequential in-process path.
     """
     if not shm_available():
         return None
-    try:
-        return ShmForest.freeze(manager, functions, **kwargs)
-    except ParError:
-        return None
+    return ShmForest.freeze(manager, functions, **kwargs)
 
 
 def default_pool(workers: Optional[int] = None) -> ParallelPool:
@@ -147,7 +143,7 @@ def parallel_evaluate_batch(f, assignments, workers: Optional[int] = None) -> Li
     batch across :func:`default_pool`, unlinks the segment.  Callers
     issuing many batches against the same forest should
     :func:`freeze` once and keep a :class:`ParallelPool` instead.
-    Backends without a freeze export fall back to the sequential
+    Without shared memory this is the sequential
     :meth:`~repro.api.base.FunctionBase.evaluate_batch`.
     """
     return _with_frozen(
@@ -180,9 +176,8 @@ def parallel_sat_count(
 
     ``functions`` is a ``{name: function}`` mapping over one manager;
     the forest is frozen once and the names counted concurrently across
-    the pool.  Falls back to per-function
-    :meth:`~repro.api.base.FunctionBase.sat_count` without a freeze
-    export.
+    the pool.  Without shared memory this is the per-function
+    :meth:`~repro.api.base.FunctionBase.sat_count`.
     """
     if not functions:
         return {}

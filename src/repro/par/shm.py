@@ -261,10 +261,11 @@ class ShmForest:
         ``{name: function}`` mapping (names key the query surface).
         ``generation`` is stored verbatim — the hot-reload protocol of
         :class:`repro.serve.pool.ForestPool` bumps it per re-freeze so
-        workers can tell segments of the same dump apart.  Backends
-        without a :meth:`~repro.api.base.DDManager.freeze_export`
-        producer raise :class:`ParError` — callers fall back to the
-        sequential in-process path.
+        workers can tell segments of the same dump apart.  The columns
+        come from the manager's
+        :meth:`~repro.api.base.DDManager.freeze_export`.  Without
+        ``multiprocessing.shared_memory`` this raises :class:`ParError`;
+        callers then take the sequential in-process path.
         """
         if _shared_memory is None:
             raise ParError(
@@ -273,11 +274,6 @@ class ShmForest:
             )
         named = _named_functions(manager, functions)
         export = manager.freeze_export(named)
-        if export is None:
-            raise ParError(
-                f"backend {manager.backend!r} has no structural freeze "
-                "export; use the sequential in-process batch path instead"
-            )
         supports = {
             fname: sorted(manager.support_edge(edge)) for fname, edge in named
         }

@@ -34,8 +34,7 @@ mapped arrays.  The child's primary variable (``pv_of``) is what lets
 the *cube* sweep (:func:`satisfiable_batch`) carry relational state
 across consecutive couples: taking a branch at a chain node
 ``(pv, sv)`` pins the value of ``sv``, which is tested next exactly
-when the child's PV is ``sv``.  Backends without a producer fall back to the
-per-query loop in :class:`~repro.api.base.DDManager`.
+when the child's PV is ``sv``.
 """
 
 from __future__ import annotations
@@ -149,7 +148,7 @@ class EncodedBatch:
         return list(map("1".__eq__, digits[::-1]))
 
     def iter_value_dicts(self, num_vars: int) -> Iterator[Dict[int, bool]]:
-        """Per-query complete ``{index: bool}`` dicts (the loop fallback)."""
+        """Per-query complete ``{index: bool}`` dicts (a looped oracle)."""
         items = list(self.var_bits.items())
         for i in range(self.count):
             lane = 1 << i
@@ -158,17 +157,6 @@ class EncodedBatch:
                 if bits & lane:
                     values[var] = True
             yield values
-
-    def iter_known_dicts(self) -> Iterator[Dict[int, bool]]:
-        """Per-query partial ``{index: bool}`` dicts of the known bits."""
-        known = self.known_bits or {}
-        for i in range(self.count):
-            lane = 1 << i
-            yield {
-                var: bool(self.var_bits.get(var, 0) & lane)
-                for var, bits in known.items()
-                if bits & lane
-            }
 
 
 # ----------------------------------------------------------------------

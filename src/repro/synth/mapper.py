@@ -106,20 +106,6 @@ def _cone_truth(network: LogicNetwork, root: str, leaves: List[str]) -> Optional
     return eval_signal(root)
 
 
-def _ordered_tt(tt: int, n: int, order: Tuple[int, ...]) -> int:
-    """Re-index a truth table's variables by ``order`` (new j = old order[j])."""
-    width = 1 << n
-    out = 0
-    for i in range(width):
-        j = 0
-        for new_bit in range(n):
-            if (i >> new_bit) & 1:
-                j |= 1 << order[new_bit]
-        if (tt >> j) & 1:
-            out |= 1 << i
-    return out
-
-
 def map_generic(
     network: LogicNetwork,
     library: CellLibrary,

@@ -1,4 +1,4 @@
-"""The counting kernels over compiled columns and their protocol fallback.
+"""The counting kernels over compiled columns and their protocol-level reference.
 
 Weighted model counting assigns every variable ``v`` a pair of weights
 ``(w1(v), w0(v))`` and asks for the total weight of the on-set,
@@ -50,10 +50,10 @@ probability mode they are powers of ``L``).  One division at the end,
 ``Fraction(acc, L**n)``, gives results bit-identical to summing
 :class:`fractions.Fraction` terms — the differential-oracle contract —
 at a fraction of the cost.  Float mode runs the same passes on machine
-doubles.  For backends without a column producer, :func:`shannon_count`
-computes the same quantities through the public protocol
-(``root_var`` / ``restrict_edge``) with a per-node memo in the
-caller's arithmetic — linear in the diagram, correct for any backend.
+doubles.  :func:`shannon_count` computes the same quantities through
+the public protocol (``root_var`` / ``restrict_edge``) with a per-node
+memo in the caller's arithmetic; the tests compare the column kernel
+against it.
 """
 
 from __future__ import annotations
@@ -572,10 +572,10 @@ def shannon_count(
 ):
     """Weighted count through the public protocol, one memo per node.
 
-    The per-node fallback for backends without ``freeze_export``: a
-    memoized Shannon recursion over ``root_var`` / ``restrict_edge``
-    (iterative, like :func:`repro.api.base.rebuild_function`'s
-    protocol path).  Each node computes the *normalized* mass
+    The protocol-level reference: a memoized Shannon recursion over
+    ``root_var`` / ``restrict_edge`` (iterative, like
+    :meth:`FunctionBase.to_expr <repro.api.base.FunctionBase.to_expr>`).
+    Each node computes the *normalized* mass
     ``(w1(v)·p(f|v=1) + w0(v)·p(f|v=0)) / (w1(v) + w0(v))`` so skipped
     variables need no position bookkeeping; the total weight
     ``prod(w1 + w0)`` multiplies back in at the end.  With ``joints``

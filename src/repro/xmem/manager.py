@@ -52,7 +52,7 @@ class XmemNode:
     the shared function wrapper carries.  ``uid`` is interned from the
     node's canonical signature, so two handles denote the same function
     exactly when their uids are equal — that is what keeps memoized
-    protocol walks (``to_expr``, ``rebuild_function``) linear in the
+    protocol walks (``to_expr``, ``shannon_count``) linear in the
     number of *distinct* subfunctions.
     """
 

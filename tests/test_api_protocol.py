@@ -62,7 +62,7 @@ def test_register_backend_plugs_into_factory():
 
 
 def test_third_party_backend_uses_protocol_paths():
-    """let/migrate on an unknown backend name must not sniff node layouts."""
+    """let/migrate on an unknown backend name: no rebuild sniffs the backend name."""
     from repro.io.migrate import migrate_forest
 
     class CustomManager(BBDDManager):
@@ -83,6 +83,41 @@ def test_third_party_backend_uses_protocol_paths():
         from repro.api import _BACKENDS
 
         del _BACKENDS["custom"]
+
+
+def test_backend_without_freeze_export_fails_loudly():
+    """``freeze_export`` is required: every reader of rows or columns says so."""
+    from repro import io as rio
+    from repro.api.base import DDManager
+    from repro.io.migrate import migrate_forest
+    from repro.par.shm import ShmForest, shm_available
+
+    class NoColumnsManager(BBDDManager):
+        backend = "no-columns"
+        freeze_export = DDManager.freeze_export
+
+    register_backend("no-columns", lambda v, **kw: NoColumnsManager(v, **kw))
+    try:
+        m = repro.open("no-columns", vars=["a", "b", "c"])
+        f = m.add_expr("(a & b) | c")
+        dst = repro.open("bbdd", vars=["a", "b", "c"])
+        calls = {
+            "evaluate_batch": lambda: f.evaluate_batch([{"a": 1, "b": 0, "c": 1}]),
+            "satisfiable_batch": lambda: f.satisfiable_batch([{"a": 1}]),
+            "sat_count": f.sat_count,
+            "p_one": f.p_one,
+            "dumps": lambda: rio.dumps(m, {"f": f}),
+            "migrate_forest": lambda: migrate_forest(f, dst),
+        }
+        if shm_available():
+            calls["freeze"] = lambda: ShmForest.freeze(m, {"f": f})
+        for name, call in calls.items():
+            with pytest.raises(NotImplementedError, match="'no-columns'"):
+                call()
+    finally:
+        from repro.api import _BACKENDS
+
+        del _BACKENDS["no-columns"]
 
 
 def test_manager_let_rejects_foreign_function():

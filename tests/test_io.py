@@ -13,7 +13,7 @@ from repro import io as rio
 from repro.circuits.registry import TABLE1_ROWS, TABLE2_ROWS
 from repro.core import BBDDManager, reorder
 from repro.core.dot import to_dot
-from repro.core.exceptions import BBDDError, VariableError
+from repro.core.exceptions import BBDDError, ForeignManagerError, VariableError
 from repro.core.traversal import levelize
 from repro.harness.table1 import run_table1
 from repro.io.__main__ import main as io_main
@@ -261,6 +261,23 @@ def test_migrate_same_manager_rejected():
     m, fns = _small_forest()
     with pytest.raises(BBDDError):
         rio.migrate_forest(fns, m)
+
+
+@pytest.mark.parametrize("backend", ["bbdd", "bdd", "xmem"])
+def test_foreign_handles_are_rejected(backend):
+    """A handle of another manager is never dumped or counted as this one's."""
+    m, _fns = _small_forest(backend)
+    other = repro.open(backend, vars=["x", "y", "z", "w"])
+    f = other.add_expr("(x & y) | z")
+    calls = {
+        "dumps": lambda: rio.dumps(m, {"f": f}),
+        "to_dict": lambda: rio.to_dict(m, {"f": f}),
+        "dump": lambda: m.dump({"f": f}, stdio.BytesIO()),
+        "node_count": lambda: m.node_count([f]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ForeignManagerError):
+            call()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@
   that disagrees with the header directory, fails with ``FormatError``
   into every backend.
 * The ``repro.io.migrate`` module-shadowing regression: importing the
-  submodule must yield the module (exposing ``ProtocolMigrator``), with
+  submodule must yield the module (exposing ``ForestRebuilder``), with
   the renamed :func:`~repro.io.migrate.migrate_forest` re-exported from
   ``repro.io``.
 * Swapped ``dump``/``load`` argument validation raises
@@ -368,13 +368,13 @@ def test_import_repro_io_migrate_is_a_module():
     import repro.io.migrate as migrate_module
 
     assert isinstance(migrate_module, types.ModuleType)
-    assert hasattr(migrate_module, "ProtocolMigrator")
+    assert hasattr(migrate_module, "ForestRebuilder")
     assert hasattr(migrate_module, "migrate_forest")
     # The package attribute is the module too, not the old function.
     assert rio.migrate is migrate_module
     # And the convenience function is re-exported under its new name.
     assert rio.migrate_forest is migrate_module.migrate_forest
-    assert rio.ProtocolMigrator is migrate_module.ProtocolMigrator
+    assert rio.ForestRebuilder is migrate_module.ForestRebuilder
 
 
 # ----------------------------------------------------------------------

@@ -116,14 +116,15 @@ def test_frozen_forest_equivalence_property(backend, data):
         assert forest.sat_count("f") == f.sat_count() == count
 
 
-def test_sequential_fallback_when_freeze_unavailable():
-    """A backend whose ``freeze_export`` yields no columns still answers."""
+def test_sequential_fallback_when_freeze_unavailable(monkeypatch):
+    """Without ``multiprocessing.shared_memory`` the surface still answers."""
+    from repro.par import shm
+
     manager, f = build("bbdd")
     queries = list(all_assignments(NAMES))
     want = f.evaluate_batch(queries)
-    manager.freeze_export = lambda named: None
-    manager.clear_cache()  # drop the columns the query above kept
-    with pytest.raises(ParError, match="sequential in-process batch path"):
+    monkeypatch.setattr(shm, "_shared_memory", None)
+    with pytest.raises(ParError, match="shared_memory is unavailable"):
         ShmForest.freeze(manager, {"f": f})
     # The workers= protocol surface falls back without raising.
     assert f.evaluate_batch(queries, workers=2) == want

@@ -15,7 +15,7 @@ from repro.core import BBDDManager
 from repro.core import reorder
 from repro.core.operations import ALL_OPS
 from repro.core.truthtable import TruthTable
-from repro.io.migrate import ProtocolMigrator
+from repro.io.migrate import migrate_forest
 
 # max_examples comes from the active hypothesis profile (fast/ci —
 # see tests/conftest.py); only per-test shape settings live here.
@@ -191,7 +191,7 @@ def test_backend_equivalence_round_trip_property(forest):
     """Every backend agrees with the BDD oracle through the migrator.
 
     A random expression forest is built on the flat int store, copied to
-    each registered backend with :class:`ProtocolMigrator`, and copied
+    each registered backend with :func:`migrate_forest`, and copied
     back into a fresh int store; ``evaluate_batch``/``sat_count``/
     ``to_expr`` must agree with an independently built BDD oracle at
     every hop.
@@ -211,13 +211,12 @@ def test_backend_equivalence_round_trip_property(forest):
         assert f.sat_count() == o.sat_count()
     for backend in repro.backends():
         dst = repro.open(backend=backend, vars=names)
-        out = ProtocolMigrator(src, dst)
         back_mgr = repro.open(backend="bbdd", vars=names)
         for f, o, want in zip(fs, oracles, expected):
-            copy = out.function(f)
+            copy = migrate_forest(f, dst)
             assert copy.evaluate_batch(assignments) == want
             assert copy.sat_count() == o.sat_count()
-            round_trip = ProtocolMigrator(dst, back_mgr).function(copy)
+            round_trip = migrate_forest(copy, back_mgr)
             assert round_trip.evaluate_batch(assignments) == want
             assert round_trip.sat_count() == o.sat_count()
             reparsed = back_mgr.add_expr(copy.to_expr())

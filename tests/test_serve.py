@@ -256,7 +256,7 @@ def test_column_batch_validation():
 
 
 def test_encoded_batch_fallback_loop_matches_sweep():
-    """The protocol default (no freeze_export) agrees with the sweep."""
+    """The sweep over encoded lanes agrees with a looped per-query oracle."""
     manager = open_backend("bbdd")
     f = manager.add_expr("(a ^ b) | (c & d)")
     rng = random.Random(2)

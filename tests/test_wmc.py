@@ -14,8 +14,8 @@ Every property runs on the full backend matrix (bbdd/bdd/xmem).  The
 two-pass marginals kernel is checked on the shapes that exercise each
 of its joint sites — parity towers, gap variables above the root and
 between levels, variables outside the support, zero/one weights — and
-on every query path: manager functions, frozen shared-memory forests
-and the protocol-pure fallback.
+on every query path: manager functions and frozen shared-memory
+forests, and against the protocol-level Shannon reference.
 """
 
 import math
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import repro
 from repro.api.base import ForeignManagerError
 from repro.par import ShmForest
-from repro.wmc import WmcError, p_one, resolve_weights, shannon_count
+from repro.wmc import WmcError, p_one, posterior, resolve_weights, shannon_count
 
 from test_api_protocol import ALL_BACKENDS
 
@@ -247,7 +247,7 @@ def test_constants_and_sparse_support():
 
 
 def test_shannon_count_fallback_matches_sweep():
-    """The protocol-pure recursion equals the levelized sweep."""
+    """The protocol-level Shannon reference equals the levelized sweep."""
     names = [f"v{i}" for i in range(5)]
     manager = repro.open("bbdd", vars=names)
     f = manager.add_expr("(v0 ^ v1) | (v2 & v3 & ~v4)")
@@ -479,22 +479,25 @@ def test_shm_forest_marginals_equal_manager_marginals():
 
 
 def test_protocol_fallback_marginals_match_kernel():
-    """Without a column producer the Shannon recursion answers the same."""
+    """The protocol-level Shannon reference answers what the column kernel does."""
     names = [f"v{i}" for i in range(6)]
     weights = {"v0": Fraction(1, 3), "v3": Fraction(5, 7), "v5": 0}
     for label, manager in variant_managers(names):
+        probabilities = resolve_weights(manager, weights, probabilities=True)
+        signed = resolve_weights(manager, {"v1": (2, -3)}, probabilities=False)
+        units = resolve_weights(manager, None, probabilities=False)
         for text in ("(v0 ^ v1) | (v2 & v3 & ~v4)", "v3", "TRUE"):
             f = manager.add_expr(text)
-            want = f.marginals(weights, names)
-            count = f.weighted_count({"v1": (2, -3)})
-            models = f.sat_count()
-            manager.compiled_root = lambda edge: None
-            try:
-                assert f.marginals(weights, names) == want, (label, text)
-                assert f.weighted_count({"v1": (2, -3)}) == count, (label, text)
-                assert f.sat_count() == models, (label, text)
-            finally:
-                del manager.compiled_root
+            count, joint = shannon_count(
+                manager, f.edge, *probabilities, joints=range(len(names))
+            )
+            assert posterior(count, joint, manager.var_name) == f.marginals(
+                weights, names
+            ), (label, text)
+            assert shannon_count(manager, f.edge, *signed) == f.weighted_count(
+                {"v1": (2, -3)}
+            ), (label, text)
+            assert shannon_count(manager, f.edge, *units) == f.sat_count(), (label, text)
 
 
 # ----------------------------------------------------------------------
