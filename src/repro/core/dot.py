@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
+from repro.api.base import own_edge
 from repro.core.exceptions import BBDDError
 from repro.core.traversal import reachable_nodes
 
@@ -17,9 +18,10 @@ def to_dot(manager, functions, names: Iterable[str] = ()) -> str:
 
     Works on :meth:`~repro.core.manager.BBDDManager.node_view` views over
     the flat store; node ids in the output are the store indices, emitted
-    in ascending order for determinism.
+    in ascending order for determinism.  A handle of another manager
+    raises :class:`~repro.core.exceptions.ForeignManagerError`.
     """
-    edges = [f.edge if hasattr(f, "edge") else f for f in functions]
+    edges = [own_edge(manager, f) for f in functions]
     labels = list(names)
     if labels and len(labels) != len(edges):
         raise BBDDError(

@@ -5,21 +5,32 @@ the order.  Under the support-chained CVO (rule R3), a function's couples
 pair *consecutive support variables*, so the swap concerns exactly the
 functions that depend on **both** ``x`` and ``y`` — their chains contain
 ``(a, x) (x, y) (y, z)`` fragments that become ``(a, y) (y, x) (x, z)``.
-Concretely the affected nodes are:
+Three kinds of node take part:
 
-* ``B`` — chain nodes with couple ``(x, y)``: overwritten in place at
-  couple ``(y, x)`` with children rebuilt below;
-* ``A`` — chain nodes with SV ``x`` whose support contains ``y``:
-  overwritten in place at couple ``(pv, y)``.
+* ``A`` — chain nodes with SV ``x`` whose support contains ``y``: each is
+  rewritten in place at couple ``(pv, y)`` over ``(y, x)`` children.
+* ``B`` — chain nodes with couple ``(x, y)``.  Most are referenced only
+  by A-nodes, so they die when their parents are rewritten: the swap
+  reclaims them up front, and their slots take the nodes it builds.  The
+  others (held by a function handle or by an untouched parent) are
+  rewritten in place at couple ``(y, x)`` over ``(x, z)`` children.
+* ``y``-children of B-nodes (couple ``(y, z)``).  One that only B-nodes
+  reference loses every reference in the swap, and the ``(x, z)`` nodes
+  the swap needs reuse its two children.  The first such node built from
+  it takes its slot in place (``pv`` becomes ``x``, its children kept or
+  exchanged), so neither child's count moves.
 
-Every other node (including all ``(y, .)``-rooted nodes and any node whose
-function involves only one of the two variables) is untouched — the
-locality property the paper claims for its pointer-stable swap.  In the
-flat store the overwrite is literally index-stable: an affected node
-keeps its array slot (so every edge into it — and every interned view of
-it — stays valid) and only its field slots are rewritten.  The children
-remapping follows Fig. 2 / Eq. 5: with comparison outcomes
-``a = [w != x]``, ``b = [x != y]``, ``c = [y != z]`` (True = "!="),
+A census before any rewrite decides these cases: it compares each
+B-node's count with its references from A-nodes and each ``y``-child's
+count with its references from B-nodes.  Every other node (including all
+other ``(y, .)``-rooted nodes and any node whose function involves only
+one of the two variables) is untouched — the locality property the paper
+claims for its pointer-stable swap.  In the flat store the overwrite is
+literally index-stable: a rewritten node keeps its array slot (so every
+edge into it — and every interned view of it — stays valid) and only its
+field slots change.  The children remapping follows Fig. 2 / Eq. 5: with
+comparison outcomes ``a = [w != x]``, ``b = [x != y]``, ``c = [y != z]``
+(True = "!="),
 
     new(a', b', c') = old(a' ^ b', b', b' ^ c')
 
@@ -28,6 +39,11 @@ applied per root-to-leaf path (each path carries its own deeper partner
 normalization: the canonical attribute of a function equals
 ``not f(1, 1, .., 1)``, which is order-independent, so a
 function-preserving rewrite never flips a node's polarity.
+
+A swap returns no garbage of its own: the nodes it orphans are reclaimed
+in one walk, and the nodes it built or moved that nothing acquired are
+swept before it returns.  After a collection, ``size()`` is therefore the
+live node count, which is what sifting compares.
 
 The module also provides Rudell-style sifting extended to BBDDs and a
 rebuild-based reordering used as a test oracle.
@@ -60,26 +76,6 @@ class SwapStats:
             "nodes_created": self.nodes_created,
             "nodes_swept": self.nodes_swept,
         }
-
-
-def _split(manager, edge: Edge, var: int):
-    """Split ``edge`` on its root couple when rooted at ``var``.
-
-    Returns ``(partner, neq_edge, eq_edge)``; ``partner`` is ``None`` when
-    the edge does not branch on ``var`` (both cofactors equal the edge),
-    and ``SV_ONE`` for the literal of ``var``.
-    """
-    node = -edge if edge < 0 else edge
-    if node == SINK or manager._pv[node] != var:
-        return None, edge, edge
-    if manager._sv[node] == SV_ONE:
-        s = 1 if edge > 0 else -1  # literal children are the sink
-        return SV_ONE, -s, s
-    d = manager._neq[node]
-    e = manager._eq[node]
-    if edge < 0:
-        return manager._sv[node], -d, -e
-    return manager._sv[node], d, e
 
 
 def swap_adjacent(manager, k: int, stats: Optional[SwapStats] = None) -> None:
@@ -118,6 +114,7 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
     # planned nor rewritten.  (Batched: a single cascade walk per level
     # set; roots reclaimed by an earlier cascade are skipped inside.)
     sweep_many = manager._sweep_many
+    swept = 0
     # Once-live dead nodes must go first, and *globally*: they sit in
     # the unique table under keys naming child slots whose counts they
     # already dropped, so the level sweeps below could free and recycle
@@ -125,22 +122,22 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
     # node's legitimate key (the flat store's ABA hazard).  Floats are
     # immune (their birth counts pin their children) and stay for
     # revival; this pass is a pure table/slot removal with no cascade.
+    # The level scans are skipped when the store holds no garbage at all,
+    # as between the swaps of a sift.
     fl = manager._float
-    stale = [nd for nd in manager._dead_set if not fl[nd]]
-    if stale:
-        swept = sweep_many(stale)
-        if stats:
-            stats.nodes_swept += swept
-    dead_roots = [nd for nd in manager.nodes_with_pv(x) if refl[nd] == 0]
-    if dead_roots:
-        swept = sweep_many(dead_roots)
-        if stats:
-            stats.nodes_swept += swept
-    dead_roots = [nd for nd in manager.nodes_with_sv(x) if refl[nd] == 0]
-    if dead_roots:
-        swept = sweep_many(dead_roots)
-        if stats:
-            stats.nodes_swept += swept
+    dead_set = manager._dead_set
+    if dead_set:
+        stale = [nd for nd in dead_set if not fl[nd]]
+        if stale:
+            swept += sweep_many(stale)
+        dead_roots = [nd for nd in manager.nodes_with_pv(x) if refl[nd] == 0]
+        if dead_roots:
+            swept += sweep_many(dead_roots)
+        dead_roots = [nd for nd in manager.nodes_with_sv(x) if refl[nd] == 0]
+        if dead_roots:
+            swept += sweep_many(dead_roots)
+    # From here on every node at the x level and every node with SV x is
+    # live, and so is every child of one.
 
     b_nodes = [nd for nd in manager.nodes_with_pv(x) if svl[nd] == y]
     a_nodes = [nd for nd in manager.nodes_with_sv(x) if suppl[nd] & y_bit]
@@ -149,11 +146,49 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
         order.swap_positions(k)
         if stats:
             stats.swaps += 1
+            stats.nodes_swept += swept
         return
 
+    # ---- Phase 0: reference census --------------------------------------
+    # A B-node whose count equals its references from A-nodes dies when
+    # those parents are rewritten ("dropped"); a y-child whose count
+    # equals its references from B-nodes dies when they are ("movable").
+    # Both are settled here, once: a dropped B-node's count and a movable
+    # y-child's count go to zero, and the releases their parents would
+    # make are skipped below (a zero count marks them).  A movable y-child
+    # keeps its child counts, so it is a float from now on — exactly what
+    # `_make` would return for a fresh node over the same children.
+    a_refs: dict = {}
+    for node in a_nodes:
+        child = neql[node]
+        if child < 0:
+            child = -child
+        if pvl[child] == x:
+            a_refs[child] = a_refs.get(child, 0) + 1
+        child = eql[node]
+        if pvl[child] == x:
+            a_refs[child] = a_refs.get(child, 0) + 1
+    y_refs: dict = {}
+    for node in b_nodes:
+        child = neql[node]
+        if child < 0:
+            child = -child
+        if pvl[child] == y:
+            y_refs[child] = y_refs.get(child, 0) + 1
+        child = eql[node]
+        if pvl[child] == y:
+            y_refs[child] = y_refs.get(child, 0) + 1
+    kept = [nd for nd in b_nodes if refl[nd] != a_refs.get(nd, 0)]
+    dropped = [nd for nd in b_nodes if refl[nd] == a_refs.get(nd, 0)]
+    movable = [
+        nd
+        for nd, count in y_refs.items()
+        if refl[nd] == count and svl[nd] != SV_ONE
+    ]
+
     # Per-swap memo tables.  The planned/rebuilt subtrees repeat heavily
-    # across the nodes of one swap (~70% of `_make` arguments recur), so
-    # each derived quantity is computed once per distinct input.  All
+    # across the nodes of one swap (~70% of the branch arguments recur),
+    # so each derived quantity is computed once per distinct input.  All
     # caches die with the swap: plan caches are only valid against the
     # pristine phase-0 structure, build caches only while sweeps are
     # deferred (phase 4 is the first reclamation point).
@@ -161,30 +196,34 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
     cof_cache: dict = {}
 
     def split_y(edge: Edge):
-        # `_split(manager, edge, y)` with the body inlined on the cache
-        # miss path (this is called for every planned child edge).
+        """Split ``edge`` on its root couple when rooted at ``y``.
+
+        Returns ``(partner, neq_edge, eq_edge, source)``: ``partner`` is
+        ``None`` when the edge does not branch on ``y`` (both cofactors
+        equal the edge) and ``SV_ONE`` for the literal of ``y``;
+        ``source`` is the split chain node, else 0.
+        """
         r = split_cache.get(edge)
         if r is None:
             node = -edge if edge < 0 else edge
             if node == SINK or pvl[node] != y:
-                r = (None, edge, edge)
+                r = (None, edge, edge, 0)
             elif svl[node] == SV_ONE:
                 s = 1 if edge > 0 else -1  # literal children are the sink
-                r = (SV_ONE, -s, s)
+                r = (SV_ONE, -s, s, 0)
             elif edge < 0:
-                r = (svl[node], -neql[node], -eql[node])
+                r = (svl[node], -neql[node], -eql[node], node)
             else:
-                r = (svl[node], neql[node], eql[node])
+                r = (svl[node], neql[node], eql[node], node)
             split_cache[edge] = r
         return r
 
     def split_of_make(s: int, d: Edge, e: Edge):
-        """Split triple of the would-be ``_make(y, s, d, e)`` result.
+        """Split of the would-be ``_make(y, s, d, e)`` result.
 
         Computed symbolically — the swap only ever needs the split, so
-        the ``(y, .)`` helper node ``_cofactors`` would intern (and the
-        next pre-sweep would reclaim) is never allocated.  Mirrors the
-        reduction loop of ``_make``.
+        the ``(y, .)`` helper node a cofactoring would intern is never
+        allocated.  Mirrors the reduction loop of ``_make``.
         """
         attr = False
         while True:
@@ -200,7 +239,7 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
                 if sd == svl[e]:
                     if sd == SV_ONE:  # R4: collapses to the literal of y
                         sgn = -1 if attr else 1
-                        return (SV_ONE, -sgn, sgn)
+                        return (SV_ONE, -sgn, sgn, 0)
                     if d < 0:
                         dneq = -neql[dn]
                         deq = -eql[dn]
@@ -214,8 +253,12 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
                         continue
             break
         if attr:
-            return (s, -d, -e)
-        return (s, d, e)
+            return (s, -d, -e, 0)
+        return (s, d, e, 0)
+
+    #: Splits of the biconditional cofactors of the literal of x with
+    #: respect to (x, y): ``~lit(y)`` and ``lit(y)``.
+    lit_splits = ((SV_ONE, 1, -1, 0), (SV_ONE, -1, 1, 0))
 
     def child_splits(child: Edge):
         """Gamma splits of both biconditional cofactors of an alpha child."""
@@ -228,17 +271,14 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
                 r = (sp, sp)
             else:
                 sv_c = svl[node_c]
-                if sv_c == y or sv_c == SV_ONE:
-                    if sv_c == y:
-                        # (x, y)-couple child: its stored fields.
-                        cof_neq = neql[node_c]
-                        cof_eq = eql[node_c]
-                    else:
-                        cof_neq, cof_eq = manager._cofactors(node_c, x, y)
+                if sv_c == y:
+                    # (x, y)-couple child: its stored fields.
                     if child < 0:
-                        cof_neq = -cof_neq
-                        cof_eq = -cof_eq
-                    r = (split_y(cof_neq), split_y(cof_eq))
+                        r = (split_y(-neql[node_c]), split_y(-eql[node_c]))
+                    else:
+                        r = (split_y(neql[node_c]), split_y(eql[node_c]))
+                elif sv_c == SV_ONE:
+                    r = lit_splits if child > 0 else lit_splits[::-1]
                 else:
                     # (x, t != y) chain child: the substitution re-roots
                     # at (y, t) — compute both splits without interning
@@ -248,299 +288,244 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
                     sp_neq = split_of_make(sv_c, e_edge, d_edge)
                     sp_eq = split_of_make(sv_c, d_edge, e_edge)
                     if child < 0:
-                        sp_neq = (sp_neq[0], -sp_neq[1], -sp_neq[2])
-                        sp_eq = (sp_eq[0], -sp_eq[1], -sp_eq[2])
+                        sp_neq = (sp_neq[0], -sp_neq[1], -sp_neq[2], sp_neq[3])
+                        sp_eq = (sp_eq[0], -sp_eq[1], -sp_eq[2], sp_eq[3])
                     r = (sp_neq, sp_eq)
             cof_cache[child] = r
         return r
 
-    # ---- Phase 0: plan extraction against the pristine old structure ----
-    # B-plan per node: for each old (x ? y) branch b, the child's gamma
-    # split (partner z_b, leaf at gamma=1, leaf at gamma=0).
-    b_plans = [(node, split_y(neql[node]), split_y(eql[node])) for node in b_nodes]
-
-    # A-plan per node: alpha branch -> beta branch -> gamma split triple.
-    # The beta split is the biconditional cofactoring of the alpha-child
-    # w.r.t. the couple (x, y); when the child's own couple is (x, t != y)
-    # the manager's cofactoring re-roots the substitution at (y, t) —
-    # creating only (y, .)-couple helper nodes, which the swap never
-    # touches.
+    # Plans, against the pristine old structure.  B-plan per kept node:
+    # for each old (x ? y) branch b, the child's gamma split (partner
+    # z_b, leaf at gamma=1, leaf at gamma=0, source).  A-plan per node:
+    # alpha branch -> beta branch -> gamma split.  The beta split is the
+    # biconditional cofactoring of the alpha-child w.r.t. the couple
+    # (x, y).
+    b_plans = [(node, split_y(neql[node]), split_y(eql[node])) for node in kept]
     a_plans = [
         (node, child_splits(neql[node]), child_splits(eql[node]))
         for node in a_nodes
     ]
 
-    # ---- Phase 1: clear stale keys, then commit the new order -----------
+    for node in dropped:
+        refl[node] = 0
+    for node in movable:
+        refl[node] = 0
+        fl[node] = 1
+        dead_set.add(node)
+
+    # ---- Phase 1: clear stale keys, release old children, reclaim -------
     # B- and A-nodes are all chain nodes, so their keys are the raw field
-    # tuples (no literal special case).
-    for node in b_nodes:
-        del raw[(pvl[node], svl[node], neql[node], eql[node])]
-    for node in a_nodes:
-        del raw[(pvl[node], svl[node], neql[node], eql[node])]
+    # tuples (no literal special case).  A count hitting zero is *not*
+    # applied here: the node goes on the kill list with the final
+    # decrement deferred to the phase-4 walk, so a node re-acquired by a
+    # later rebuild simply survives it.  Children whose count the census
+    # zeroed are skipped.
+    dead_candidates: List[int] = []
+    dead_append = dead_candidates.append
+    for group in (b_nodes, a_nodes):
+        for node in group:
+            d = neql[node]
+            e = eql[node]
+            del raw[(pvl[node], svl[node], d, e)]
+            dn = -d if d < 0 else d
+            r = refl[dn]
+            if r > 1 or dn == SINK:
+                refl[dn] = r - 1
+            elif r:
+                dead_append(dn)
+            r = refl[e]
+            if r > 1 or e == SINK:
+                refl[e] = r - 1
+            elif r:
+                dead_append(e)
+    # Dropped B-nodes are gone.  Their slots go on top of the free list,
+    # where the nodes built below take them first.
+    views_pop = manager._views.pop
+    by_pv_x = manager._by_pv[x]
+    by_pv_y = manager._by_pv[y]
+    by_sv_x = manager._by_sv[x]
+    by_sv_y = manager._by_sv[y]
+    for node in dropped:
+        by_pv_x.discard(node)
+        by_sv_y.discard(node)
+        views_pop(node, None)
+        refl[node] = -1  # tombstone until the slot is reused
+    manager._free_nodes.extend(dropped)
+    manager._node_count -= len(dropped)
+    swept += len(dropped)
     order.swap_positions(k)
 
-    dead_candidates: List[int] = []
-    by_sv = manager._by_sv
     bits = manager._var_bits
-    ref_index = manager._ref_index
-    make = manager._make
-    # Overwrite hoists: B-nodes always move couple (x, y) -> (y, x) and
-    # A-nodes (pv, x) -> (pv, y), so the secondary-index sets and the
-    # couple's support bits are per-phase constants.  The in-place
-    # overwrite itself is inlined in both phase loops below: it is
-    # index-stable (incoming edges and interned views keep working), and
-    # under cascading reference counts only a *live* node holds counts on
-    # its children, so the child hand-over goes through the manager's
-    # ref/deref hooks (reviving freshly built subtrees and cascading
-    # releases into the orphaned old structure) with the already-live /
-    # stays-live cases inlined.
-    by_sv_x = by_sv[x]
-    by_sv_y = by_sv[y]
     bits_xy = bits[x] | bits[y]
+    bit_x = bits[x]
     bit_y = bits[y]
-    dead_append = dead_candidates.append
-    dead_discard = manager._dead_set.discard
-
-    # Rebuild caches: (z, hi, lo) -> edge of the (x, z) branch node, and
-    # (hi, lo) -> edge of a rebuilt (y, x) child.  The cache probes are
-    # inlined in the loops below — at ~800k probes per sift these are the
-    # hottest lines of the whole reordering pass.  A cache miss first
-    # probes the unique table directly with the normalized key (hits skip
-    # `_make` entirely); only true allocations/reductions call `_make`.
-    branch_cache: dict = {}
-    bc_get = branch_cache.get
-    yx_cache: dict = {}
-    yx_get = yx_cache.get
+    ref_index = manager._ref_index
+    dead_discard = dead_set.discard
+    make = manager._make
     raw_get = raw.get
 
-    # ---- Phase 2: B-nodes become (y, x) nodes ---------------------------
+    # Build cache: (pv, sv, d, e) as asked -> edge of the node.  The call
+    # sites probe it inline (most of the ~860k lookups of a sift hit) and
+    # call `build` on a miss, which probes the unique table directly with
+    # the normalized key; hits skip `_make` entirely.
+    built: dict = {}
+    built_get = built.get
+    #: Nodes `build` moved or made: floats until acquired.
+    made: List[int] = []
+
+    def build(pv: int, sv, d: Edge, e: Edge, src: int) -> Edge:
+        """Edge of the node ``(pv, sv, d, e)`` under the new order.
+
+        ``sv`` is ``None`` for a y-independent leg (``d == e`` is the
+        result).  On a miss, the dying y-child ``src`` moves into place
+        if it still can; everything else goes through `_make`, which
+        applies the reductions and takes a free slot first.
+        """
+        key = (pv, sv, d, e)
+        if sv is None:
+            built[key] = d
+            return d
+        if e < 0:
+            d = -d
+            e = -e
+            neg = True
+            unique_key = (pv, sv, d, e)
+        else:
+            neg = False
+            unique_key = key
+        # A literal's key is its own (pv, SV_ONE).
+        r = raw_get(unique_key if sv != SV_ONE else (pv, sv))
+        if r is None:
+            if src and fl[src] and pvl[src] == y:
+                # Move: the (y, z) node becomes (x, z) over the same two
+                # children, whose counts therefore stay as they are.
+                del raw[(y, sv, neql[src], eql[src])]
+                pvl[src] = x
+                neql[src] = d
+                eql[src] = e
+                raw[unique_key] = src
+                by_pv_y.discard(src)
+                by_pv_x.add(src)
+                suppl[src] = (suppl[src] ^ bit_y) | bit_x
+                views_pop(src, None)
+                r = src
+            else:
+                r = make(pv, sv, d, e, True)
+            made.append(-r if r < 0 else r)
+        if neg:
+            r = -r
+        built[key] = r
+        return r
+
+    # ---- Phase 2: kept B-nodes become (y, x) nodes ----------------------
     # new(b', c') = old(b', b' ^ c'): the new beta'-child reshuffles the
     # same old branch's leaves; for b' = True the gamma leaves swap
     # (gamma' = not gamma), so the T-leg rebuilds with inverted leaves.
-    by_pv_x = manager._by_pv[x]
-    by_pv_y = manager._by_pv[y]
-    for node, sp_t, sp_f in b_plans:
-        z, hi, lo = sp_t
-        if z is None:
-            d_child = hi  # no gamma split: the child is y-independent
-        else:
-            bkey = (z, lo, hi)
-            d_child = bc_get(bkey)
-            if d_child is None:
-                r = raw_get((x, z, lo, hi)) if hi > 0 else raw_get((x, z, -lo, -hi))
-                if r is None:
-                    d_child = make(x, z, lo, hi, True)
-                else:
-                    d_child = r if hi > 0 else -r
-                branch_cache[bkey] = d_child
-        z, hi, lo = sp_f
-        if z is None:
-            e_child = hi
-        else:
-            bkey = (z, hi, lo)
-            e_child = bc_get(bkey)
-            if e_child is None:
-                r = raw_get((x, z, hi, lo)) if lo > 0 else raw_get((x, z, -hi, -lo))
-                if r is None:
-                    e_child = make(x, z, hi, lo, True)
-                else:
-                    e_child = r if lo > 0 else -r
-                branch_cache[bkey] = e_child
-        by_pv_x.discard(node)
-        pvl[node] = y
-        by_pv_y.add(node)
-        # Inlined overwrite: (x, y) couple becomes (y, x).
+    # The in-place overwrite is inlined in both phase loops: it is
+    # index-stable (incoming edges and interned views keep working), and
+    # under cascading reference counts the live node acquires its new
+    # children (reviving freshly built ones) with the already-live case
+    # inlined.
+    for node, (z, hi, lo, src), (zf, hif, lof, srcf) in b_plans:
+        d_child = built_get((x, z, lo, hi)) or build(x, z, lo, hi, src)
+        e_child = built_get((x, zf, hif, lof)) or build(x, zf, hif, lof, srcf)
         if e_child < 0:
             raise BBDDError("CVO swap produced a complemented =-edge at a root")
         if d_child == e_child:
             raise BBDDError("CVO swap collapsed a chain node (R2)")
-        was_live = refl[node] > 0
-        old_d = neql[node]
-        old_dn = -old_d if old_d < 0 else old_d
-        old_e = eql[node]
+        by_pv_x.discard(node)
+        by_pv_y.add(node)
         by_sv_y.discard(node)
+        by_sv_x.add(node)
+        pvl[node] = y
         svl[node] = x
         neql[node] = d_child
         eql[node] = e_child
         dn = -d_child if d_child < 0 else d_child
         suppl[node] = bits_xy | suppl[dn] | suppl[e_child]
-        if was_live:
-            r = refl[dn]
-            if r > 0:
-                refl[dn] = r + 1
-            elif fl[dn]:
-                fl[dn] = 0
-                refl[dn] = 1
-                dead_discard(dn)
-            else:
-                ref_index(dn)
-            r = refl[e_child]
-            if r > 0:
-                refl[e_child] = r + 1
-            elif fl[e_child]:
-                fl[e_child] = 0
-                refl[e_child] = 1
-                dead_discard(e_child)
-            else:
-                ref_index(e_child)
-        by_sv_x.add(node)
+        r = refl[dn]
+        if r > 0:
+            refl[dn] = r + 1
+        elif fl[dn]:
+            fl[dn] = 0
+            refl[dn] = 1
+            dead_discard(dn)
+        else:
+            ref_index(dn)
+        r = refl[e_child]
+        if r > 0:
+            refl[e_child] = r + 1
+        elif fl[e_child]:
+            fl[e_child] = 0
+            refl[e_child] = 1
+            dead_discard(e_child)
+        else:
+            ref_index(e_child)
         raw[(y, x, d_child, e_child)] = node
-        if was_live:
-            # Release the old children.  A count hitting zero is *not*
-            # applied here: the node goes on the kill list with the
-            # final decrement deferred to the phase-4 walk, so a node
-            # re-acquired by a later rebuild simply survives it.
-            r = refl[old_dn]
-            if r > 1 or old_dn == SINK:
-                refl[old_dn] = r - 1
-            else:
-                dead_append(old_dn)
-            r = refl[old_e]
-            if r > 1 or old_e == SINK:
-                refl[old_e] = r - 1
-            else:
-                dead_append(old_e)
 
     # ---- Phase 3: A-nodes re-chain to (pv, y) ----------------------------
     # new(a', b', c') = old(a' ^ b', b', b' ^ c'); each plan entry holds
     # the (neq-cofactor, eq-cofactor) splits for one alpha branch, and the
     # b' = True legs rebuild with inverted gamma leaves as in phase 2.
-    for node, sp_a_t, sp_a_f in a_plans:
-        z, hi, lo = sp_a_f[0]  # a'=T, b'=T: old alpha = F
-        if z is None:
-            sub_tt = hi
-        else:
-            bkey = (z, lo, hi)
-            sub_tt = bc_get(bkey)
-            if sub_tt is None:
-                r = raw_get((x, z, lo, hi)) if hi > 0 else raw_get((x, z, -lo, -hi))
-                if r is None:
-                    sub_tt = make(x, z, lo, hi, True)
-                else:
-                    sub_tt = r if hi > 0 else -r
-                branch_cache[bkey] = sub_tt
-        z, hi, lo = sp_a_t[1]  # a'=T, b'=F: old alpha = T
-        if z is None:
-            sub_tf = hi
-        else:
-            bkey = (z, hi, lo)
-            sub_tf = bc_get(bkey)
-            if sub_tf is None:
-                r = raw_get((x, z, hi, lo)) if lo > 0 else raw_get((x, z, -hi, -lo))
-                if r is None:
-                    sub_tf = make(x, z, hi, lo, True)
-                else:
-                    sub_tf = r if lo > 0 else -r
-                branch_cache[bkey] = sub_tf
-        z, hi, lo = sp_a_t[0]  # a'=F, b'=T: old alpha = T
-        if z is None:
-            sub_ft = hi
-        else:
-            bkey = (z, lo, hi)
-            sub_ft = bc_get(bkey)
-            if sub_ft is None:
-                r = raw_get((x, z, lo, hi)) if hi > 0 else raw_get((x, z, -lo, -hi))
-                if r is None:
-                    sub_ft = make(x, z, lo, hi, True)
-                else:
-                    sub_ft = r if hi > 0 else -r
-                branch_cache[bkey] = sub_ft
-        z, hi, lo = sp_a_f[1]  # a'=F, b'=F: old alpha = F
-        if z is None:
-            sub_ff = hi
-        else:
-            bkey = (z, hi, lo)
-            sub_ff = bc_get(bkey)
-            if sub_ff is None:
-                r = raw_get((x, z, hi, lo)) if lo > 0 else raw_get((x, z, -hi, -lo))
-                if r is None:
-                    sub_ff = make(x, z, hi, lo, True)
-                else:
-                    sub_ff = r if lo > 0 else -r
-                branch_cache[bkey] = sub_ff
-        ykey = (sub_tt, sub_tf)
-        d_child = yx_get(ykey)
-        if d_child is None:
-            if sub_tf > 0:
-                r = raw_get((y, x, sub_tt, sub_tf))
-            else:
-                r = raw_get((y, x, -sub_tt, -sub_tf))
-            if r is None:
-                d_child = make(y, x, sub_tt, sub_tf, True)
-            else:
-                d_child = r if sub_tf > 0 else -r
-            yx_cache[ykey] = d_child
-        ykey = (sub_ft, sub_ff)
-        e_child = yx_get(ykey)
-        if e_child is None:
-            if sub_ff > 0:
-                r = raw_get((y, x, sub_ft, sub_ff))
-            else:
-                r = raw_get((y, x, -sub_ft, -sub_ff))
-            if r is None:
-                e_child = make(y, x, sub_ft, sub_ff, True)
-            else:
-                e_child = r if sub_ff > 0 else -r
-            yx_cache[ykey] = e_child
-        # Inlined overwrite: (pv, x) couple re-chains to (pv, y).
+    for node, (t_neq, t_eq), (f_neq, f_eq) in a_plans:
+        z, hi, lo, src = f_neq  # a'=T, b'=T: old alpha = F
+        sub_tt = built_get((x, z, lo, hi)) or build(x, z, lo, hi, src)
+        z, hi, lo, src = t_eq  # a'=T, b'=F: old alpha = T
+        sub_tf = built_get((x, z, hi, lo)) or build(x, z, hi, lo, src)
+        z, hi, lo, src = t_neq  # a'=F, b'=T: old alpha = T
+        sub_ft = built_get((x, z, lo, hi)) or build(x, z, lo, hi, src)
+        z, hi, lo, src = f_eq  # a'=F, b'=F: old alpha = F
+        sub_ff = built_get((x, z, hi, lo)) or build(x, z, hi, lo, src)
+        d_child = built_get((y, x, sub_tt, sub_tf)) or build(y, x, sub_tt, sub_tf, 0)
+        e_child = built_get((y, x, sub_ft, sub_ff)) or build(y, x, sub_ft, sub_ff, 0)
         if e_child < 0:
             raise BBDDError("CVO swap produced a complemented =-edge at a root")
         if d_child == e_child:
             raise BBDDError("CVO swap collapsed a chain node (R2)")
-        was_live = refl[node] > 0
-        old_d = neql[node]
-        old_dn = -old_d if old_d < 0 else old_d
-        old_e = eql[node]
+        pv = pvl[node]
         by_sv_x.discard(node)
+        by_sv_y.add(node)
         svl[node] = y
         neql[node] = d_child
         eql[node] = e_child
         dn = -d_child if d_child < 0 else d_child
-        suppl[node] = bits[pvl[node]] | bit_y | suppl[dn] | suppl[e_child]
-        if was_live:
-            r = refl[dn]
-            if r > 0:
-                refl[dn] = r + 1
-            elif fl[dn]:
-                fl[dn] = 0
-                refl[dn] = 1
-                dead_discard(dn)
-            else:
-                ref_index(dn)
-            r = refl[e_child]
-            if r > 0:
-                refl[e_child] = r + 1
-            elif fl[e_child]:
-                fl[e_child] = 0
-                refl[e_child] = 1
-                dead_discard(e_child)
-            else:
-                ref_index(e_child)
-        by_sv_y.add(node)
-        raw[(pvl[node], y, d_child, e_child)] = node
-        if was_live:
-            # Deferred final release — see the phase-2 comment.
-            r = refl[old_dn]
-            if r > 1 or old_dn == SINK:
-                refl[old_dn] = r - 1
-            else:
-                dead_append(old_dn)
-            r = refl[old_e]
-            if r > 1 or old_e == SINK:
-                refl[old_e] = r - 1
-            else:
-                dead_append(old_e)
+        suppl[node] = bits[pv] | bit_y | suppl[dn] | suppl[e_child]
+        r = refl[dn]
+        if r > 0:
+            refl[dn] = r + 1
+        elif fl[dn]:
+            fl[dn] = 0
+            refl[dn] = 1
+            dead_discard(dn)
+        else:
+            ref_index(dn)
+        r = refl[e_child]
+        if r > 0:
+            refl[e_child] = r + 1
+        elif fl[e_child]:
+            fl[e_child] = 0
+            refl[e_child] = 1
+            dead_discard(e_child)
+        else:
+            ref_index(e_child)
+        raw[(pv, y, d_child, e_child)] = node
 
-    # ---- Phase 4: reclaim subgraphs orphaned by the rewiring --------------
+    # ---- Phase 4: reclaim what the swap orphaned or left unacquired -----
     # Single release-and-reclaim walk: each kill-list entry carries one
     # deferred decrement; nodes that died are reclaimed on the spot.
     if dead_candidates:
-        swept = manager._kill_many(dead_candidates)
-        if stats:
-            stats.nodes_swept += swept
+        swept += manager._kill_many(dead_candidates)
+    # Then the floats: built nodes nothing acquired (the (x, z) legs of a
+    # (y, x) node that reduced) and movable y-children that nothing moved
+    # or revived.
+    floats = [nd for nd in made if fl[nd]]
+    floats.extend(nd for nd in movable if fl[nd])
+    if floats:
+        swept += sweep_many(floats)
 
     if stats:
         stats.nodes_rewritten += len(b_plans) + len(a_plans)
+        stats.nodes_swept += swept
         stats.swaps += 1
 
 

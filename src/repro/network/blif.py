@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.network.network import LogicNetwork
+from repro.network.network import LogicNetwork, definition_order
 
 
 def _logical_lines(text: str) -> List[str]:
@@ -89,30 +89,23 @@ def parse_blif(text: str) -> LogicNetwork:
     for signals, _rows in names_blocks:
         net.reserve_names(signals)
 
-    # .names blocks may reference each other in any order; define topologically
-    # by deferring until fanins exist.
-    pending = list(names_blocks)
+    # .names blocks may reference each other in any order: define each
+    # after its fanins, in one pass.
     defined = set(inputs) | {state for _data, state, _init in latches}
-    guard = 0
-    while pending:
-        progressed = False
-        remaining = []
-        for block in pending:
-            signals, rows = block
-            *fanins, target = signals
-            if all(f in defined for f in fanins):
-                _expand_cover(net, target, fanins, rows)
-                defined.add(target)
-                progressed = True
-            else:
-                remaining.append(block)
-        pending = remaining
-        guard += 1
-        if not progressed and pending:
-            missing = {f for sigs, _r in pending for f in sigs[:-1] if f not in defined}
-            raise ValueError(f"BLIF references undefined signals: {sorted(missing)}")
-        if guard > len(names_blocks) + 2:
-            raise ValueError("BLIF dependency resolution did not converge")
+    order, unresolved = definition_order(
+        [signals[-1] for signals, _rows in names_blocks],
+        [signals[:-1] for signals, _rows in names_blocks],
+        defined,
+    )
+    for i in order:
+        signals, rows = names_blocks[i]
+        _expand_cover(net, signals[-1], signals[:-1], rows)
+        defined.add(signals[-1])
+    if unresolved:
+        missing = {
+            f for i in unresolved for f in names_blocks[i][0][:-1] if f not in defined
+        }
+        raise ValueError(f"BLIF references undefined signals: {sorted(missing)}")
 
     for out in outputs:
         if out not in defined:

@@ -100,6 +100,53 @@ def gate_eval(op: str, values: Sequence[int], width_mask: int) -> int:
     raise ValueError(f"unsupported gate op {op!r}")
 
 
+def definition_order(
+    targets: Sequence[str], fanins: Sequence[Iterable[str]], known: Iterable[str]
+) -> Tuple[List[int], List[int]]:
+    """Order netlist definitions so that each follows its fanins.
+
+    Definition ``i`` drives ``targets[i]`` and reads ``fanins[i]``;
+    ``known`` are the signals defined up front (inputs, latch states).
+    One pass over the fanin counts (Kahn's algorithm): a definition keeps
+    its listed place when its fanins are already defined there, and one
+    listed before a fanin follows right after the definition that
+    completes it.  So a file in order reads in order, and a file in any
+    other order costs no more.  Returns ``(order, unresolved)``, the
+    indices to define in that order and, in listed order, those that
+    read an undefined signal or sit on a cycle.
+    """
+    defined = set(known)
+    waiting: Dict[str, List[int]] = {}
+    missing: List[int] = []
+    for i, signals in enumerate(fanins):
+        count = 0
+        for signal in set(signals):
+            if signal not in defined:
+                waiting.setdefault(signal, []).append(i)
+                count += 1
+        missing.append(count)
+    order: List[int] = []
+    ready: List[int] = []
+    for scan in range(len(targets)):
+        if missing[scan]:
+            continue
+        ready.append(scan)
+        while ready:
+            i = ready.pop()
+            order.append(i)
+            target = targets[i]
+            if target in defined:
+                continue
+            defined.add(target)
+            for j in waiting.pop(target, ()):
+                missing[j] -= 1
+                if not missing[j] and j < scan:
+                    # Passed over by the scan: define it now.
+                    ready.append(j)
+    unresolved = [i for i, count in enumerate(missing) if count]
+    return order, unresolved
+
+
 class LogicNetwork:
     """A named combinational network over primitive gates."""
 

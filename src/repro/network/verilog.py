@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.network.network import LogicNetwork
+from repro.network.network import LogicNetwork, definition_order
 
 _GATE_KEYWORDS = {
     "and": "AND",
@@ -26,6 +26,9 @@ _GATE_KEYWORDS = {
     "not": "INV",
     "buf": "BUF",
 }
+
+#: Expression tokens that are not signal names.
+_EXPR_SYMBOLS = frozenset(("~", "&", "|", "^", "~^", "^~", "(", ")", "1'b0", "1'b1"))
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<id>[A-Za-z_\\][A-Za-z0-9_$\[\]\.]*)|(?P<const>1'b[01])"
@@ -183,39 +186,32 @@ def parse_verilog(text: str) -> LogicNetwork:
     net.reserve_names(ports[0] for _kw, ports in instances)
     defined = set(inputs)
 
-    # Gate instances and assigns may be listed in any order: iterate to a
-    # fixed point (netlists are DAGs, so this converges).
-    pending_assigns = list(assigns)
-    pending_instances = list(instances)
-    while pending_assigns or pending_instances:
-        progressed = False
-        next_assigns = []
-        for lhs, rhs in pending_assigns:
-            tokens = _tokenize_expr(rhs)
-            refs = [t for t in tokens if t not in ("~", "&", "|", "^", "~^", "^~", "(", ")", "1'b0", "1'b1")]
-            if all(r in defined for r in refs):
-                parser = _ExprParser(tokens, net, defined)
-                result = parser.parse()
-                net.add_gate("BUF", [result], name=lhs)
-                defined.add(lhs)
-                progressed = True
-            else:
-                next_assigns.append((lhs, rhs))
-        pending_assigns = next_assigns
-
-        next_instances = []
-        for keyword, ports in pending_instances:
-            target, fanins = _instance_ports(keyword, ports)
-            if all(f in defined for f in fanins):
-                net.add_gate(_GATE_KEYWORDS[keyword], fanins, name=target)
-                defined.add(target)
-                progressed = True
-            else:
-                next_instances.append((keyword, ports))
-        pending_instances = next_instances
-
-        if not progressed:
-            raise ValueError("could not resolve all Verilog statements (cycle or undefined signal)")
+    # Gate instances and assigns may be listed in any order: define each
+    # after its fanins, in one pass (assigns first, as listed, then
+    # instances).
+    targets: List[str] = []
+    reads: List[List[str]] = []
+    expressions: List[List[str]] = []
+    for lhs, rhs in assigns:
+        tokens = _tokenize_expr(rhs)
+        expressions.append(tokens)
+        targets.append(lhs)
+        reads.append([t for t in tokens if t not in _EXPR_SYMBOLS])
+    for keyword, ports in instances:
+        target, fanins = _instance_ports(keyword, ports)
+        targets.append(target)
+        reads.append(fanins)
+    order, unresolved = definition_order(targets, reads, defined)
+    for i in order:
+        if i < len(assigns):
+            result = _ExprParser(expressions[i], net, defined).parse()
+            net.add_gate("BUF", [result], name=targets[i])
+        else:
+            keyword, _ports = instances[i - len(assigns)]
+            net.add_gate(_GATE_KEYWORDS[keyword], reads[i], name=targets[i])
+        defined.add(targets[i])
+    if unresolved:
+        raise ValueError("could not resolve all Verilog statements (cycle or undefined signal)")
 
     for out in outputs:
         if out not in defined:

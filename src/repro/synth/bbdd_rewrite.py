@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.api.base import own_edge
 from repro.core.node import SV_ONE, BBDDNode
 from repro.network.network import LogicNetwork
 
@@ -159,13 +160,14 @@ def rewrite_functions(manager, functions: Dict[str, object]) -> LogicNetwork:
 
     Input names follow the manager's variable names; the resulting network
     is functionally equivalent to the BBDD forest (asserted by the flow).
+    A handle of another manager raises
+    :class:`~repro.core.exceptions.ForeignManagerError`.
     """
     net = LogicNetwork("bbdd_rewrite")
     net.add_inputs(list(manager.var_names))
     rewriter = BBDDRewriter(manager, net)
     for name, fn in functions.items():
-        edge = fn.edge if hasattr(fn, "edge") else fn
-        signal = rewriter.signal_of_edge(edge)
+        signal = rewriter.signal_of_edge(own_edge(manager, fn))
         if net.is_input(signal):
             signal = net.add_gate("BUF", [signal])
         net.set_output(name, signal)

@@ -5,6 +5,7 @@ import pytest
 from repro.circuits.registry import TABLE1_ROWS, TABLE2_ROWS
 from repro.core import BBDDManager
 from repro.core.dot import to_dot
+from repro.core.exceptions import ForeignManagerError
 from repro.core.verilog_out import bbdd_to_verilog
 from repro.harness.bulkeval import render_bulkeval, run_bulkeval
 from repro.harness.report import format_table
@@ -110,3 +111,26 @@ def test_bbdd_to_verilog_round_trips():
     order = net.inputs
     assert masks["f"] == f.truth_mask(order)
     assert masks["g"] == g.truth_mask(order)
+
+
+def test_exporters_reject_foreign_handles():
+    """A handle's edge names nodes of its own store only.
+
+    Another manager's ``(x & y) | z`` must not be drawn or written as
+    this manager's nodes, and a smaller manager must not fail with a
+    bare ``IndexError``: both exporters raise ``ForeignManagerError``.
+    """
+    a = BBDDManager(["a", "b", "c"])
+    mine = (a.var("a") ^ a.var("b")) | a.var("c")
+    other = BBDDManager(["a", "b", "c"])
+    foreign = (other.var("a") & other.var("b")) | other.var("c")
+    small = BBDDManager(["a"])
+    for manager in (a, small):
+        with pytest.raises(ForeignManagerError):
+            to_dot(manager, [foreign])
+        with pytest.raises(ForeignManagerError):
+            bbdd_to_verilog(manager, {"f": foreign})
+    # Own handles and bare edges still export.
+    assert "digraph" in to_dot(a, [mine, mine.edge])
+    assert "module bbdd" in bbdd_to_verilog(a, {"f": mine, "g": mine.edge})
+

@@ -1,5 +1,7 @@
 """Logic network IR, BLIF/Verilog frontends, simulation, builders."""
 
+import time
+
 import pytest
 
 from repro.core.truthtable import TruthTable
@@ -125,6 +127,70 @@ endmodule
 def test_verilog_rejects_vectors():
     with pytest.raises(ValueError):
         parse_verilog("module m (a); input [3:0] a; endmodule")
+
+
+def _reversed_chain(fmt, length):
+    """A buffer chain ``s1 = a``, ``s{i} = s{i-1}``, listed output first."""
+    sources = ["a"] + [f"s{i}" for i in range(1, length)]
+    links = [(sources[i - 1], f"s{i}") for i in range(length, 0, -1)]
+    if fmt == "blif":
+        lines = [".model chain", ".inputs a", f".outputs s{length}"]
+        for src, dst in links:
+            lines += [f".names {src} {dst}", "1 1"]
+        return "\n".join(lines + [".end"])
+    body = "".join(f"  assign {dst} = {src};\n" for src, dst in links)
+    return (
+        f"module chain (a, s{length});\n  input a;\n  output s{length};\n"
+        f"{body}endmodule\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["blif", "verilog"])
+def test_reversed_netlist_parses_in_one_pass(fmt):
+    """Definitions listed after their readers cost one pass, not one
+    re-scan of the pending blocks per definition (O(n^2): 4,000 reversed
+    blocks took 8 s as BLIF and 38 s as Verilog)."""
+    length = 4000
+    text = _reversed_chain(fmt, length)
+    parse = parse_blif if fmt == "blif" else parse_verilog
+    start = time.perf_counter()
+    net = parse(text)
+    assert time.perf_counter() - start < 2.0
+    assert net.inputs == ["a"]
+    assert output_truth_masks(net)[f"s{length}"] == TruthTable.var(1, 0).mask
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_blif,
+            ".model m\n.inputs a\n.outputs y\n.names a q y\n11 1\n.end",
+            r"undefined signals: \['q'\]",
+        ),
+        (
+            parse_blif,
+            ".model m\n.inputs a\n.outputs y\n.names a u y\n11 1\n"
+            ".names v u\n1 1\n.names u v\n1 1\n.end",
+            r"undefined signals: \['u', 'v'\]",
+        ),
+        (
+            parse_verilog,
+            "module m (a, y); input a; output y; assign y = a & q; endmodule",
+            "could not resolve",
+        ),
+        (
+            parse_verilog,
+            "module m (a, y); input a; output y; wire u, v;\n"
+            "assign y = a & u; assign u = v; and g (v, u, a); endmodule",
+            "could not resolve",
+        ),
+    ],
+    ids=["blif-undefined", "blif-cycle", "verilog-undefined", "verilog-cycle"],
+)
+def test_netlist_readers_reject_undefined_and_cyclic_signals(parse, text, message):
+    with pytest.raises(ValueError, match=message):
+        parse(text)
 
 
 def test_builders_match_simulation():

@@ -9,9 +9,11 @@ import random
 
 import pytest
 
+from repro.circuits.registry import TABLE1_ROWS
 from repro.core import BBDDManager
 from repro.core import reorder
-from repro.core.traversal import count_nodes
+from repro.core.traversal import count_nodes, reachable_nodes
+from repro.network.build import build
 
 
 def _random_forest(rng, n, count):
@@ -120,10 +122,11 @@ def test_sift_preserves_random_forests(seed):
     rng = random.Random(200 + seed)
     n = rng.randint(3, 7)
     m, masks, funcs = _random_forest(rng, n, 2)
-    reorder.sift(m)
+    result = reorder.sift(m)
     m.check_invariants()
     for f, mask in zip(funcs, masks):
         assert f.truth_mask(range(n)) == mask
+    _assert_sizes_are_live(m, result, funcs)
 
 
 def test_reorder_to_target():
@@ -155,3 +158,95 @@ def test_from_truth_table_builds_canonically():
     mask = f_apply.truth_mask(range(3))
     f_tt = m.function(reorder.from_truth_table(m, mask))
     assert f_apply == f_tt
+
+
+# ----------------------------------------------------------------------
+# sift sizes and the paths of the swap
+# ----------------------------------------------------------------------
+
+
+def _assert_sizes_are_live(m, result, handles):
+    """``final_size``, ``size()`` and the live count agree, and
+    ``handles`` are exactly the live handles."""
+    edges = [f.edge for f in handles]
+    m.check_ref_counts(roots=edges)
+    assert result.final_size == m.size() == count_nodes(m, edges)
+
+
+@pytest.mark.parametrize("name", ["alu4", "C17", "my_adder"])
+def test_sift_sizes_count_live_nodes_on_table1_rows(name):
+    """A swap leaves nothing unacquired behind, so the sizes sifting
+    compares (and reports) are live node counts."""
+    row = next(r for r in TABLE1_ROWS if r.name == name)
+    m, functions = build(row.build(full=False), backend="bbdd")
+    _assert_sizes_are_live(m, m.sift(), list(functions.values()))
+
+
+def _free_of(mask, n, var):
+    """``mask`` with its ``var = 1`` half replaced by its ``var = 0`` half."""
+    low = ~(1 << var)
+    return sum(1 << i for i in range(1 << n) if (mask >> (i & low)) & 1)
+
+
+def _held_forest(rng, n):
+    """Random functions plus handles on sub-functions.
+
+    Handles on internal nodes keep some B-nodes (couple ``(x, y)``) alive
+    through a swap and pin some y-children, which then cannot move.
+    ``ite(w <-> v, g, h)`` with ``g`` held gives A-nodes whose rewritten
+    child is an existing (y, x) node.
+    """
+    m = BBDDManager(n)
+    funcs = [
+        m.function(reorder.from_truth_table(m, rng.getrandbits(1 << n)))
+        for _ in range(rng.randint(2, 3))
+    ]
+    nodes = sorted(reachable_nodes(m, [f.edge for f in funcs]))
+    for node in rng.sample(nodes, min(len(nodes), rng.randint(1, 6))):
+        funcs.append(m.function(node if rng.random() < 0.5 else -node))
+    w, v = rng.sample(range(n), 2)
+    g, h = (
+        m.function(reorder.from_truth_table(m, _free_of(rng.getrandbits(1 << n), n, w)))
+        for _ in range(2)
+    )
+    funcs += [g, m.var(w).xnor(m.var(v)).ite(g, h)]
+    return m, funcs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_swap_paths_on_held_forests(seed):
+    """Random swaps with apply and gc between them, then a converging
+    sift, on forests whose sub-functions are held: after every swap the
+    store is canonical, every count is exact and every function holds."""
+    rng = random.Random(400 + seed)
+    n = rng.randint(4, 8)
+    m, funcs = _held_forest(rng, n)
+    masks = [f.truth_mask(range(n)) for f in funcs]
+    full = (1 << (1 << n)) - 1
+
+    def check():
+        m.check_invariants()
+        m.check_ref_counts(roots=[f.edge for f in funcs])
+        assert [f.truth_mask(range(n)) for f in funcs] == masks
+
+    for _ in range(rng.randint(12, 24)):
+        step = rng.random()
+        if step < 0.7:
+            reorder.swap_adjacent(m, rng.randrange(n - 1))
+            check()
+        elif step < 0.9:
+            i, j, k = (rng.randrange(len(funcs)) for _ in range(3))
+            if rng.random() < 0.5:
+                funcs[k], masks[k] = funcs[i] & funcs[j], masks[i] & masks[j]
+            else:
+                funcs[k], masks[k] = funcs[i] ^ ~funcs[j], masks[i] ^ (full & ~masks[j])
+        else:
+            m.gc()
+    result = reorder.sift(m, converge=True)
+    check()
+    _assert_sizes_are_live(m, result, funcs)
+    rebuilt = BBDDManager(n)
+    rebuilt.order.set_order(m.order.order)
+    edges = [reorder.from_truth_table(rebuilt, mask) for mask in masks]
+    assert m.size() == count_nodes(rebuilt, edges)
+
