@@ -8,27 +8,39 @@ parity-4000 did not finish in 100 s).  The iterative engine with
 automatic garbage collection must complete parity-4000 in seconds with
 bounded peak memory.
 
-Gates asserted here (the PR-2 acceptance contract):
+Gates asserted here:
 
 * parity-4000 builds in < 10 s;
 * peak stored manager nodes stay < 5x the final BBDD size;
 * the chain builds correctly under a recursion limit of 5,000 (the
-  engine never recurses on operand depth).
+  engine never recurses on operand depth);
+* a stored node of the full-profile misex3 build costs fewer than
+  ``STORE_BYTES_PER_NODE`` traced bytes.
 """
 
+import gc
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from _metrics import record_metric
+from repro.circuits.registry import TABLE1_ROWS
 from repro.core import BBDDManager
+from repro.network.build import build
 
 #: (variables, build-time gate in seconds).  The 4000-variable chain is
 #: the acceptance gate; the smaller sizes chart the scaling curve.
 _SIZES = [(500, 2.0), (1000, 3.0), (2000, 5.0), (4000, 10.0)]
 
 PEAK_FACTOR = 5.0
+
+#: Traced bytes per stored node that the full-profile misex3 build leaves
+#: allocated: node columns, unique table, computed table and handles.
+#: With per-variable node sets kept beside the store it read 478-489
+#: (Python 3.9-3.13); with the sets built only while reordering, 354-365.
+STORE_BYTES_PER_NODE = 430
 
 
 def _build_chain(n):
@@ -95,3 +107,26 @@ def test_chain_summary(capsys):
         print(f"{'n':>6} {'seconds':>8} {'final':>7} {'peak':>7} {'gc runs':>8}")
         for n, dt, final, peak, runs in rows:
             print(f"{n:>6} {dt:>8} {final:>7} {peak:>7} {runs:>8}")
+
+
+def test_store_bytes_per_node():
+    """Gate the store's memory: traced bytes per stored node of a build."""
+    row = next(r for r in TABLE1_ROWS if r.name == "misex3")
+    network = row.build(full=True)
+    build(row.build(full=False), backend="bbdd")  # load what a build imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        manager, functions = build(network, backend="bbdd")
+        gc.collect()
+        traced, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = manager.size()
+    per_node = traced / stored
+    record_metric("apply_depth", "store_bytes_per_node", round(per_node, 1), "B/node")
+    record_metric("apply_depth", "store_stored_nodes", stored, "nodes")
+    assert per_node < STORE_BYTES_PER_NODE, (
+        f"a stored node costs {per_node:.0f} traced bytes over {stored} nodes "
+        f"(gate {STORE_BYTES_PER_NODE})"
+    )

@@ -17,7 +17,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.api.base import Columns, DDManager
 from repro.bdd.node import BDDEdge, BDDNode, make_bdd_sink
 from repro.core.computed_table import make_computed_table
-from repro.core.exceptions import VariableError
+from repro.core.exceptions import BBDDError, VariableError
+from repro.core.manager import _LevelIndex
 from repro.core.operations import (
     OP_AND,
     OP_OR,
@@ -66,7 +67,10 @@ class BDDManager(DDManager):
         self.sink = make_bdd_sink(self._next_uid())
         self._unique = UniqueTable()
         self._cache = make_computed_table(computed_backend)
-        self._by_var: Dict[int, set] = {i: set() for i in range(len(names))}
+        #: Nodes per variable, held only inside :meth:`_level_index`
+        #: (reordering); ``None`` everywhere else.
+        self._by_var: Optional[Dict[int, set]] = None
+        self._level_depth = 0
         self._node_count = 0
         self.peak_nodes = 0
         self.gc_count = 0
@@ -157,7 +161,8 @@ class BDDManager(DDManager):
             self._unique.insert(key, node)
             tn.ref += 1
             en.ref += 1
-            self._by_var[var].add(node)
+            if self._by_var is not None:
+                self._by_var[var].add(node)
             self._node_count += 1
             if self._node_count > self.peak_nodes:
                 self.peak_nodes = self._node_count
@@ -475,7 +480,8 @@ class BDDManager(DDManager):
             n.ref = -1
             self._unique.delete(n.key())
             self._node_count -= 1
-            self._by_var[n.var].discard(n)
+            if self._by_var is not None:
+                self._by_var[n.var].discard(n)
             for child in (n.then, n.else_):
                 child.ref -= 1
                 if child.ref == 0:
@@ -498,9 +504,37 @@ class BDDManager(DDManager):
 
         return contextlib.nullcontext(self)
 
+    def _level_index(self) -> _LevelIndex:
+        """Hold the per-variable node sets for a block (re-entrant).
+
+        As on the BBDD manager: reordering builds them in one pass over
+        the unique table when it starts, and the store keeps none
+        outside it.
+        """
+        return _LevelIndex(self)
+
+    def _scan_levels(self) -> Dict[int, set]:
+        """The per-variable node sets from one pass over the unique table."""
+        by_var: Dict[int, set] = {v: set() for v in range(len(self._names))}
+        for node in self._unique.values():
+            by_var[node.var].add(node)
+        return by_var
+
+    def _index_levels(self) -> None:
+        self._by_var = self._scan_levels()
+
+    def _drop_levels(self) -> None:
+        self._by_var = None
+
     def nodes_with_pv(self, var: int) -> set:
         """Nodes labelled ``var`` (name kept parallel to the BBDD manager
-        so the shared sifting driver works on both packages)."""
+        so the shared sifting driver works on both packages).
+
+        Only inside :meth:`_level_index`, where reordering builds the
+        sets; raises :class:`BBDDError` elsewhere.
+        """
+        if self._by_var is None:
+            raise BBDDError("level sets exist only inside _level_index()")
         return self._by_var[var]
 
     def table_stats(self) -> dict:
@@ -579,6 +613,17 @@ class BDDManager(DDManager):
             for child in (node.then, node.else_):
                 if not child.is_sink and order.position(child.var) <= pos:
                     raise InvariantViolation(f"order violation {node!r} -> {child!r}")
+        if self._by_var is not None:
+            want = self._scan_levels()
+            for var in self._by_var.keys() | want.keys():
+                have = self._by_var.get(var, set())
+                nodes = want.get(var, set())
+                if have != nodes:
+                    raise InvariantViolation(
+                        f"node set of variable {var}: stale "
+                        f"{sorted(n.uid for n in have - nodes)}, missing "
+                        f"{sorted(n.uid for n in nodes - have)}"
+                    )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BDDManager vars={len(self._names)} nodes={self._node_count}>"

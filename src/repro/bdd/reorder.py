@@ -29,7 +29,16 @@ def _cofactor_on(edge: BDDEdge, var: int) -> tuple:
 
 
 def swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats] = None) -> None:
-    """Swap the variables at order positions ``k`` and ``k + 1`` in place."""
+    """Swap the variables at order positions ``k`` and ``k + 1`` in place.
+
+    Runs inside the manager's level index (built here unless a caller
+    such as the sifting driver already holds it).
+    """
+    with manager._level_index():
+        _swap_adjacent_bdd(manager, k, stats)
+
+
+def _swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats]) -> None:
     order = manager.order
     n = manager.num_vars
     if not 0 <= k < n - 1:
@@ -65,6 +74,9 @@ def swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats] = None) -> Non
         manager._unique.delete(node.key())
     order.swap_positions(k)
 
+    # The rewrites reclaim nothing, so the growth of the node count over
+    # them is what `_make` allocated.
+    count_before = manager._node_count
     dead: List[BDDNode] = []
     for node, t1, t0, e1, e0 in rewrites:
         # f = y (x t1 + x' e1) + y' (x t0 + x' e0)
@@ -94,6 +106,8 @@ def swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats] = None) -> Non
                 dead.append(child)
         if stats:
             stats.nodes_rewritten += 1
+    if stats:
+        stats.nodes_created += manager._node_count - count_before
 
     for node in dead:
         if node.ref == 0:
@@ -128,9 +142,10 @@ def reorder_to_bdd(manager, target_order, stats: Optional[SwapStats] = None) -> 
     target = [manager.var_index(v) for v in target_order]
     if sorted(target) != sorted(range(manager.num_vars)):
         raise OrderError("target order must be a permutation of all variables")
-    for pos in range(manager.num_vars):
-        want = target[pos]
-        current = manager.order.position(want)
-        while current > pos:
-            swap_adjacent_bdd(manager, current - 1, stats)
-            current -= 1
+    with manager._level_index():
+        for pos in range(manager.num_vars):
+            want = target[pos]
+            current = manager.order.position(want)
+            while current > pos:
+                swap_adjacent_bdd(manager, current - 1, stats)
+                current -= 1

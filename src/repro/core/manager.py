@@ -84,6 +84,13 @@ _RB0 = tuple(_OUTCOME_CODE[restrict_b(op, 0)] for op in range(16))
 _DIAG = tuple(_OUTCOME_CODE[diagonal(op)] for op in range(16))
 
 
+def _copy_levels(sets: Optional[Dict[int, set]]) -> Optional[Dict[int, set]]:
+    """A deep copy of one level-set map (``None`` when none is held)."""
+    if sets is None:
+        return None
+    return {v: set(s) for v, s in sets.items()}
+
+
 class _GCDeferral:
     """Context manager suspending automatic GC (re-entrant).
 
@@ -108,6 +115,38 @@ class _GCDeferral:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._manager._in_op -= 1
+        return False
+
+
+class _LevelIndex:
+    """Context manager holding the per-variable node sets (re-entrant).
+
+    Only reordering has to find the nodes of one variable, so a manager
+    keeps no such sets outside this context.  The outermost entry builds
+    them in one pass over the unique table (``_index_levels``); the
+    matching exit, exceptions included, drops whatever sets the manager
+    then holds (``_drop_levels``) — a ``_restore`` inside may have
+    replaced the ones built on entry.  Shared by both table-backed
+    managers.
+    """
+
+    __slots__ = ("_manager",)
+
+    def __init__(self, manager) -> None:
+        self._manager = manager
+
+    def __enter__(self):
+        manager = self._manager
+        if not manager._level_depth:
+            manager._index_levels()
+        manager._level_depth += 1
+        return manager
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        manager = self._manager
+        manager._level_depth -= 1
+        if not manager._level_depth:
+            manager._drop_levels()
         return False
 
 
@@ -174,8 +213,11 @@ class BBDDManager(DDManager):
         self._uniq_raw: dict = self._unique._table
         self._cache = make_computed_table(computed_backend)
         self._literals: Dict[int, int] = {}
-        self._by_pv: Dict[int, set] = {i: set() for i in range(len(names))}
-        self._by_sv: Dict[int, set] = {i: set() for i in range(len(names))}
+        #: Chain nodes per primary / secondary variable, held only inside
+        #: :meth:`_level_index` (reordering); ``None`` everywhere else.
+        self._by_pv: Optional[Dict[int, set]] = None
+        self._by_sv: Optional[Dict[int, set]] = None
+        self._level_depth = 0
         self._node_count = 0
         self.peak_nodes = 0
         self.gc_count = 0
@@ -235,8 +277,9 @@ class BBDDManager(DDManager):
         self._names.append(name)
         self._index[name] = index
         self._var_bits.append(1 << index)
-        self._by_pv[index] = set()
-        self._by_sv[index] = set()
+        if self._by_pv is not None:
+            self._by_pv[index] = set()
+            self._by_sv[index] = set()
         self._order.append(index)
         return index
 
@@ -418,7 +461,7 @@ class BBDDManager(DDManager):
         attribute load plus a tuple unpack replaces ~15 separate
         ``self._X`` loads per call.  The referenced containers are only
         ever mutated in place — rebinding happens solely here (from
-        ``__init__`` and ``_restore``).
+        ``__init__``, ``_restore`` and the level index's entry and exit).
         """
         self._hot = (
             self._pv,
@@ -577,8 +620,9 @@ class BBDDManager(DDManager):
             dead_set.discard(e)
         else:
             self._ref_index(e)
-        by_pv[pv].add(node)
-        by_sv[sv].add(node)
+        if by_pv is not None:
+            by_pv[pv].add(node)
+            by_sv[sv].add(node)
         self._node_count += 1
         dead_set.add(node)
         if self._node_count > self.peak_nodes:
@@ -984,8 +1028,9 @@ class BBDDManager(DDManager):
                         else:
                             self._ref_index(en)
                             refl[en] += 1
-                        by_pv[pv].add(new)
-                        by_sv[sv].add(new)
+                        if by_pv is not None:
+                            by_pv[pv].add(new)
+                            by_sv[sv].add(new)
                         nc = self._node_count + 1
                         self._node_count = nc
                         dead_add(new)
@@ -1397,16 +1442,52 @@ class BBDDManager(DDManager):
                 self._float[node] = 1
                 self._dead_set.add(node)
 
+    def _level_index(self) -> _LevelIndex:
+        """Hold the per-variable node sets for a block (re-entrant).
+
+        Reordering is the only reader of :meth:`nodes_with_pv` and
+        :meth:`nodes_with_sv`; the sifting driver, ``reorder_to`` and
+        ``swap_adjacent`` run inside this context, so a sift builds the
+        sets once.  Outside it the store keeps none, and allocation and
+        reclamation skip them.
+        """
+        return _LevelIndex(self)
+
+    def _scan_levels(self):
+        """``(by_pv, by_sv)`` from one pass over the unique table."""
+        pvl = self._pv
+        svl = self._sv
+        by_pv: Dict[int, set] = {v: set() for v in range(len(self._names))}
+        by_sv: Dict[int, set] = {v: set() for v in range(len(self._names))}
+        for node in self._uniq_raw.values():
+            sv = svl[node]
+            if sv != SV_ONE:
+                by_pv[pvl[node]].add(node)
+                by_sv[sv].add(node)
+        return by_pv, by_sv
+
+    def _index_levels(self) -> None:
+        self._by_pv, self._by_sv = self._scan_levels()
+        self._bind_hot()
+
+    def _drop_levels(self) -> None:
+        self._by_pv = None
+        self._by_sv = None
+        self._bind_hot()
+
     def _checkpoint(self):
         """Snapshot the complete node-store state (O(stored nodes)).
 
         Everything a CVO swap mutates is captured: the parallel field
-        arrays, the unique table, the per-variable indexes, the free
-        list, the dead set and the variable order.  Monotone counters
-        (peak, gc/apply statistics) and the computed table (cleared on
-        every swap anyway) are deliberately left out.  Used by the
-        sifting driver to rewind excursions instead of retracing them
-        swap by swap; a state may be restored more than once.
+        arrays, the unique table, the level sets, the free list, the dead
+        set and the variable order.  The level sets exist only inside
+        :meth:`_level_index`, where the sifting driver takes and restores
+        its snapshots; outside it the snapshot holds ``None`` for them.
+        Monotone counters (peak, gc/apply statistics) and the computed
+        table (cleared on every swap anyway) are deliberately left out.
+        Used by the sifting driver to rewind excursions instead of
+        retracing them swap by swap; a state may be restored more than
+        once.
         """
         return (
             self._pv[:],
@@ -1417,8 +1498,8 @@ class BBDDManager(DDManager):
             self._supp[:],
             bytes(self._float),
             dict(self._uniq_raw),
-            {v: set(s) for v, s in self._by_pv.items()},
-            {v: set(s) for v, s in self._by_sv.items()},
+            _copy_levels(self._by_pv),
+            _copy_levels(self._by_sv),
             dict(self._literals),
             list(self._free_nodes),
             set(self._dead_set),
@@ -1441,8 +1522,8 @@ class BBDDManager(DDManager):
         # in place so ``self._uniq_raw is self._unique._table`` holds.
         self._uniq_raw.clear()
         self._uniq_raw.update(raw)
-        self._by_pv = {v: set(s) for v, s in by_pv.items()}
-        self._by_sv = {v: set(s) for v, s in by_sv.items()}
+        self._by_pv = _copy_levels(by_pv)
+        self._by_sv = _copy_levels(by_sv)
         self._literals = dict(literals)
         self._free_nodes = list(free)
         self._dead_set = set(dead)
@@ -1477,6 +1558,8 @@ class BBDDManager(DDManager):
         fl = self._float
         pool = self._free_nodes.append
         views = self._views
+        by_pv = self._by_pv
+        by_sv = self._by_sv
         reclaimed = 0
         while dead:
             node = dead.pop()
@@ -1492,8 +1575,9 @@ class BBDDManager(DDManager):
                 fl[node] = 0
                 continue
             del raw[(pvl[node], svl[node], neql[node], eql[node])]
-            self._by_pv[pvl[node]].discard(node)
-            self._by_sv[svl[node]].discard(node)
+            if by_pv is not None:
+                by_pv[pvl[node]].discard(node)
+                by_sv[svl[node]].discard(node)
             if fl[node]:
                 # Unacquired garbage still holds its birth counts on the
                 # children — release them; newly dead children join the
@@ -1555,8 +1639,9 @@ class BBDDManager(DDManager):
                 fl[n] = 0
             else:
                 del raw[(pvl[n], svl[n], neql[n], eql[n])]
-                by_pv[pvl[n]].discard(n)
-                by_sv[svl[n]].discard(n)
+                if by_pv is not None:
+                    by_pv[pvl[n]].discard(n)
+                    by_sv[svl[n]].discard(n)
                 d = neql[n]
                 dn = -d if d < 0 else d
                 if fl[n]:
@@ -1611,8 +1696,9 @@ class BBDDManager(DDManager):
                 refl[SINK] -= 2  # the fixed sink children
             else:
                 del raw[(pvl[n], svl[n], neql[n], eql[n])]
-                by_pv[pvl[n]].discard(n)
-                by_sv[svl[n]].discard(n)
+                if by_pv is not None:
+                    by_pv[pvl[n]].discard(n)
+                    by_sv[svl[n]].discard(n)
                 d = neql[n]
                 stack.append(-d if d < 0 else d)
                 stack.append(eql[n])
@@ -1687,11 +1773,24 @@ class BBDDManager(DDManager):
     # ------------------------------------------------------------------
 
     def nodes_with_pv(self, var: int) -> set:
-        """Chain node indices whose primary variable is ``var`` (live or dead)."""
+        """Chain node indices whose primary variable is ``var`` (live or dead).
+
+        Only inside :meth:`_level_index`: reordering builds the level
+        sets when it starts and drops them when it ends, so the store
+        pays for them only while it reorders.  Raises
+        :class:`BBDDError` elsewhere.
+        """
+        if self._by_pv is None:
+            raise BBDDError("level sets exist only inside _level_index()")
         return self._by_pv[var]
 
     def nodes_with_sv(self, var: int) -> set:
-        """Chain node indices whose secondary variable is ``var``."""
+        """Chain node indices whose secondary variable is ``var``.
+
+        Only inside :meth:`_level_index`, as :meth:`nodes_with_pv`.
+        """
+        if self._by_sv is None:
+            raise BBDDError("level sets exist only inside _level_index()")
         return self._by_sv[var]
 
     def check_invariants(self) -> None:
@@ -1703,8 +1802,10 @@ class BBDDManager(DDManager):
         by construction, re-checked via key shape), CVO couple consistency,
         strictly increasing child positions, literal node shape,
         non-negative reference counts, cascading-count consistency (a live
-        node's children are live), no dangling child indices and the
-        exactness of the incremental dead count.
+        node's children are live), no dangling child indices, the
+        exactness of the incremental dead count and, while
+        :meth:`_level_index` holds them, the level sets (each holds
+        exactly the stored chain nodes with that PV or SV).
         """
         from repro.core.exceptions import InvariantViolation
 
@@ -1805,6 +1906,21 @@ class BBDDManager(DDManager):
                 raise InvariantViolation(
                     f"floating node with refs: {self.node_view(node)!r}"
                 )
+        if self._by_pv is not None:
+            want_pv, want_sv = self._scan_levels()
+            for label, held, want in (
+                ("PV", self._by_pv, want_pv),
+                ("SV", self._by_sv, want_sv),
+            ):
+                for var in held.keys() | want.keys():
+                    have = held.get(var, set())
+                    nodes = want.get(var, set())
+                    if have != nodes:
+                        raise InvariantViolation(
+                            f"{label} set of variable {var}: stale "
+                            f"{sorted(have - nodes)}, missing "
+                            f"{sorted(nodes - have)}"
+                        )
 
     def check_ref_counts(self, roots=None) -> None:
         """Validate the reference counters against a full parent scan.

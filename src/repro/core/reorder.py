@@ -46,7 +46,11 @@ swept before it returns.  After a collection, ``size()`` is therefore the
 live node count, which is what sifting compares.
 
 The module also provides Rudell-style sifting extended to BBDDs and a
-rebuild-based reordering used as a test oracle.
+rebuild-based reordering used as a test oracle.  A swap finds its A- and
+B-nodes through the manager's per-variable node sets, which exist only
+inside ``manager._level_index()``: :func:`sift`, :func:`reorder_to` and
+:func:`swap_adjacent` enter it, so a sift builds the sets once, when it
+starts, and the store keeps none outside reordering.
 """
 
 from __future__ import annotations
@@ -83,8 +87,10 @@ def swap_adjacent(manager, k: int, stats: Optional[SwapStats] = None) -> None:
 
     The whole surgery runs with automatic GC deferred: plans hold bare
     edges into the old structure, which a collection would invalidate.
+    It also runs inside the manager's level index (built here unless a
+    caller such as :func:`sift` already holds it).
     """
-    with manager.defer_gc():
+    with manager.defer_gc(), manager._level_index():
         _swap_adjacent(manager, k, stats)
 
 
@@ -363,6 +369,10 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
     dead_discard = dead_set.discard
     make = manager._make
     raw_get = raw.get
+    # Phases 2 and 3 reclaim nothing, so the growth of the node count
+    # over them is what `_make` allocated (literals included; a move
+    # keeps its slot).
+    count_before = manager._node_count
 
     # Build cache: (pv, sv, d, e) as asked -> edge of the node.  The call
     # sites probe it inline (most of the ~860k lookups of a sift hit) and
@@ -510,6 +520,8 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
             ref_index(e_child)
         raw[(pv, y, d_child, e_child)] = node
 
+    created = manager._node_count - count_before
+
     # ---- Phase 4: reclaim what the swap orphaned or left unacquired -----
     # Single release-and-reclaim walk: each kill-list entry carries one
     # deferred decrement; nodes that died are reclaimed on the spot.
@@ -525,6 +537,7 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
 
     if stats:
         stats.nodes_rewritten += len(b_plans) + len(a_plans)
+        stats.nodes_created += created
         stats.nodes_swept += swept
         stats.swaps += 1
 
@@ -535,12 +548,13 @@ def reorder_to(manager, target_order: Sequence, stats: Optional[SwapStats] = Non
     if sorted(target) != sorted(range(manager.num_vars)):
         raise OrderError("target order must be a permutation of all variables")
     # Selection-sort with adjacent transpositions: O(n^2) swaps worst case.
-    for pos in range(manager.num_vars):
-        want = target[pos]
-        current = manager.order.position(want)
-        while current > pos:
-            swap_adjacent(manager, current - 1, stats)
-            current -= 1
+    with manager._level_index():
+        for pos in range(manager.num_vars):
+            want = target[pos]
+            current = manager.order.position(want)
+            while current > pos:
+                swap_adjacent(manager, current - 1, stats)
+                current -= 1
 
 
 class SiftResult:
@@ -606,34 +620,56 @@ def sift(
     def budget_left() -> bool:
         return max_swaps is None or stats.swaps < max_swaps
 
-    improved = True
-    while improved and rounds < (max_rounds if converge else 1) and budget_left():
-        improved = False
-        rounds += 1
-        round_start = manager.size()
-        by_level_size = sorted(
-            range(n), key=lambda v: -len(manager.nodes_with_pv(v))
-        )
-        for var in by_level_size:
-            if not budget_left():
-                break
-            best_size = manager.size()
-            pos = manager.order.position(var)
-            best_pos = pos
-            # Excursion towards the closer end first, then the other end.
-            down_first = (n - 1 - pos) <= pos
-            legs = [(1, n - 1), (-1, 0)] if down_first else [(-1, 0), (1, n - 1)]
-            if checkpoint is not None:
-                # Checkpointing manager: both legs probe from the start
-                # state and the excursion ends with a rewind to the best
-                # state, skipping every already-measured retrace swap
-                # (roughly half of a plain excursion's swaps).  Sizes and
-                # final structure are exactly those of the retraced walk —
-                # the store is canonical per order, so revisiting a
-                # position reproduces the measured size.
-                start_pos = pos
-                start_state = manager._checkpoint()
-                best_state = start_state
+    # The level sets are built once here, after the collection above, and
+    # every swap and rewind below reuses them.
+    with manager._level_index():
+        improved = True
+        while improved and rounds < (max_rounds if converge else 1) and budget_left():
+            improved = False
+            rounds += 1
+            round_start = manager.size()
+            by_level_size = sorted(
+                range(n), key=lambda v: -len(manager.nodes_with_pv(v))
+            )
+            for var in by_level_size:
+                if not budget_left():
+                    break
+                best_size = manager.size()
+                pos = manager.order.position(var)
+                best_pos = pos
+                # Excursion towards the closer end first, then the other end.
+                down_first = (n - 1 - pos) <= pos
+                legs = [(1, n - 1), (-1, 0)] if down_first else [(-1, 0), (1, n - 1)]
+                if checkpoint is not None:
+                    # Checkpointing manager: both legs probe from the start
+                    # state and the excursion ends with a rewind to the best
+                    # state, skipping every already-measured retrace swap
+                    # (roughly half of a plain excursion's swaps).  Sizes and
+                    # final structure are exactly those of the retraced walk —
+                    # the store is canonical per order, so revisiting a
+                    # position reproduces the measured size.
+                    start_pos = pos
+                    start_state = manager._checkpoint()
+                    best_state = start_state
+                    for direction, limit in legs:
+                        while pos != limit and budget_left():
+                            if direction > 0:
+                                swap_fn(manager, pos, stats)
+                                pos += 1
+                            else:
+                                swap_fn(manager, pos - 1, stats)
+                                pos -= 1
+                            size = manager.size()
+                            if size < best_size:
+                                best_size, best_pos = size, pos
+                                best_state = manager._checkpoint()
+                            elif size > best_size * max_growth:
+                                break
+                        if (direction, limit) != legs[-1]:
+                            manager._restore(start_state)
+                            pos = start_pos
+                    manager._restore(best_state)
+                    continue
                 for direction, limit in legs:
                     while pos != limit and budget_left():
                         if direction > 0:
@@ -645,35 +681,16 @@ def sift(
                         size = manager.size()
                         if size < best_size:
                             best_size, best_pos = size, pos
-                            best_state = manager._checkpoint()
                         elif size > best_size * max_growth:
                             break
-                    if (direction, limit) != legs[-1]:
-                        manager._restore(start_state)
-                        pos = start_pos
-                manager._restore(best_state)
-                continue
-            for direction, limit in legs:
-                while pos != limit and budget_left():
-                    if direction > 0:
-                        swap_fn(manager, pos, stats)
-                        pos += 1
-                    else:
-                        swap_fn(manager, pos - 1, stats)
-                        pos -= 1
-                    size = manager.size()
-                    if size < best_size:
-                        best_size, best_pos = size, pos
-                    elif size > best_size * max_growth:
-                        break
-            while pos < best_pos:
-                swap_fn(manager, pos, stats)
-                pos += 1
-            while pos > best_pos:
-                swap_fn(manager, pos - 1, stats)
-                pos -= 1
-        if manager.size() < round_start:
-            improved = True
+                while pos < best_pos:
+                    swap_fn(manager, pos, stats)
+                    pos += 1
+                while pos > best_pos:
+                    swap_fn(manager, pos - 1, stats)
+                    pos -= 1
+            if manager.size() < round_start:
+                improved = True
 
     return SiftResult(
         initial_size=initial,

@@ -10,6 +10,7 @@ hand-corrupted arrays are caught.
 
 import pytest
 
+from repro.bdd import BDDManager
 from repro.circuits.registry import TABLE1_ROWS
 from repro.core import BBDDManager
 from repro.core.exceptions import InvariantViolation
@@ -96,6 +97,54 @@ def test_checker_detects_reduction_rule_violations():
     m._eq[literal] = -1
     with pytest.raises(InvariantViolation):
         m.check_invariants()
+
+
+def test_checker_detects_stale_level_entry():
+    """A level set holding a slot that is no longer stored is caught."""
+    m, fs = _forest()
+    m.check_invariants()  # no index held: nothing to check
+    with m._level_index():
+        m.check_invariants()
+        node = _chain_node(m)
+        pv, sv = m._pv[node], m._sv[node]
+        del fs[:]
+        m.gc()
+        assert node in m._free_nodes
+        m.check_invariants()
+        m._by_pv[pv].add(node)
+        with pytest.raises(InvariantViolation, match="stale"):
+            m.check_invariants()
+        m._by_pv[pv].discard(node)
+        m._by_sv[sv].add(node)
+        with pytest.raises(InvariantViolation, match="stale"):
+            m.check_invariants()
+
+
+def test_checker_detects_missing_level_entry():
+    m, fs = _forest()
+    with m._level_index():
+        node = _chain_node(m)
+        m._by_sv[m._sv[node]].discard(node)
+        with pytest.raises(InvariantViolation, match="missing"):
+            m.check_invariants()
+    # The damaged sets went with the context.
+    m.check_invariants()
+
+
+def test_bdd_checker_detects_stale_and_missing_level_entries():
+    m = BDDManager(4)
+    a, b, c, d = m.variables()
+    f = (a & b) | (c ^ d)
+    with m._level_index():
+        m.check_invariants()
+        node = f.node
+        m._by_var[node.var].discard(node)
+        with pytest.raises(InvariantViolation, match="missing"):
+            m.check_invariants()
+        m._by_var[node.var].add(node)
+        m._by_var[(node.var + 1) % 4].add(node)
+        with pytest.raises(InvariantViolation, match="stale"):
+            m.check_invariants()
 
 
 def test_harness_stage_hook_gated_by_env(monkeypatch):
