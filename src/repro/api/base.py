@@ -6,10 +6,10 @@ end (in the style of tulip-control/``dd``):
 * :class:`DDManager` — the **edge protocol** every decision-diagram
   backend implements.  A backend subclasses it and provides the
   primitives listed in its docstring, all operating on bare edges.
-  An edge is an opaque per-backend value: the flat-store BBDD backend
-  uses signed ints, the object backends ``(node, attr)`` tuples — the
-  ``edge_*`` accessor hooks (with tuple-edge defaults) are the only
-  way shared code inspects one.  Everything user-facing —
+  An edge is an opaque per-backend value: the flat-store backends
+  (``bbdd`` and ``bdd``) use signed ints, ``xmem`` ``(node, attr)``
+  tuples — the ``edge_*`` accessor hooks (with tuple-edge defaults)
+  are the only way shared code inspects one.  Everything user-facing —
   :meth:`DDManager.add_expr`, :meth:`DDManager.let`, the whole
   :class:`FunctionBase` surface — is written once against that protocol
   and works identically on BBDDs (:class:`repro.core.BBDDManager`) and
@@ -180,8 +180,9 @@ class DDManager:
     #
     # Shared code never destructures an edge itself; it goes through
     # these hooks.  The defaults implement the ``(node, attr)`` tuple
-    # coding used by the object backends; the flat-store BBDD backend
-    # overrides all of them with signed-int arithmetic.
+    # coding of ``xmem``; the flat store of ``bbdd`` and ``bdd``
+    # (repro.core.store) overrides all of them with signed-int
+    # arithmetic.
 
     def edge_node(self, edge):
         """The root node (handle/view object) of an edge."""

@@ -23,7 +23,7 @@ class BDDFunction(FunctionBase):
             return "<BDDFunction TRUE>"
         if self.is_false:
             return "<BDDFunction FALSE>"
-        return f"<BDDFunction root=v{self.node.var}{'~' if self.attr else ''}>"
+        return f"<BDDFunction root=v{self.node.pv}{'~' if self.attr else ''}>"
 
 
 def _install_manager_helpers() -> None:

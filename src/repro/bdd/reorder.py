@@ -1,10 +1,12 @@
 """Dynamic variable ordering for the baseline BDD package.
 
 Rudell's sifting with in-place level swaps: when positions ``k, k+1``
-(variables ``x, y``) are exchanged, only the ``x``-nodes with a ``y``
-child are rewritten — in place, so external edges stay valid (the node's
-function is preserved) — while the remaining ``x``- and ``y``-nodes simply
-change level implicitly (nodes are keyed by variable, not position).
+(variables ``x, y``) are exchanged, only the ``x``-rows with a ``y``
+child are rewritten — in place, so external edges stay valid (the row's
+function is preserved) — while the remaining ``x``- and ``y``-rows simply
+change level implicitly (rows are keyed by variable, not position).  The
+swap finds the ``x``-rows in the store's level index, which holds every
+row by its variable.
 
 The excursion driver is shared with the BBDD package
 (:func:`repro.core.reorder.sift` with ``swap_fn=swap_adjacent_bdd``).
@@ -14,27 +16,20 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.bdd.node import BDDEdge, BDDNode
 from repro.core.exceptions import BBDDError, OrderError
+from repro.core.node import SV_ONE, Edge
 from repro.core.reorder import SiftResult, SwapStats
 from repro.core.reorder import sift as _core_sift
-
-
-def _cofactor_on(edge: BDDEdge, var: int) -> tuple:
-    """Shannon cofactors (f|var=1, f|var=0) read off the old structure."""
-    node, attr = edge
-    if node.is_sink or node.var != var:
-        return edge, edge
-    return (node.then, attr), (node.else_, attr ^ node.else_attr)
 
 
 def swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats] = None) -> None:
     """Swap the variables at order positions ``k`` and ``k + 1`` in place.
 
-    Runs inside the manager's level index (built here unless a caller
+    Runs with automatic GC deferred (the rewrite plans hold bare edges)
+    and inside the manager's level index (built here unless a caller
     such as the sifting driver already holds it).
     """
-    with manager._level_index():
+    with manager.defer_gc(), manager._level_index():
         _swap_adjacent_bdd(manager, k, stats)
 
 
@@ -46,76 +41,93 @@ def _swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats]) -> None:
     x = order.var_at(k)
     y = order.var_at(k + 1)
 
+    pvl = manager._pv
+    neql = manager._neq
+    eql = manager._eq
+    refl = manager._ref
+    fl = manager._float
+    raw = manager._uniq_raw
+
     manager.clear_cache()
 
-    # Reclaim garbage at the two concerned levels first.
-    for var in (x, y):
-        for node in [nd for nd in manager.nodes_with_pv(var) if nd.ref == 0]:
-            if node.ref == 0:
-                swept = manager._sweep(node)
-                if stats:
-                    stats.nodes_swept += swept
+    # Reclaim garbage first, so none is rewritten and no dead row keeps
+    # a key that names a slot the swap reuses.  A sift leaves none
+    # between its swaps, so this is skipped there.
+    swept = 0
+    if manager._dead_set:
+        swept = manager._sweep_many(list(manager._dead_set))
 
-    # Only x-nodes with a y-child change; everything else moves implicitly.
+    def cofactors(edge: Edge):
+        """Shannon cofactors (f|y=1, f|y=0) read off the old structure."""
+        node = -edge if edge < 0 else edge
+        if pvl[node] != y:
+            return edge, edge
+        if edge < 0:
+            return -eql[node], -neql[node]
+        return eql[node], neql[node]
+
+    # Only x-rows with a y-child change; everything else moves implicitly.
     rewrites = []
-    for node in list(manager.nodes_with_pv(x)):
-        touches_y = (not node.then.is_sink and node.then.var == y) or (
-            not node.else_.is_sink and node.else_.var == y
-        )
-        if not touches_y:
+    for node in manager.nodes_with_pv(x):
+        t = eql[node]
+        e = neql[node]
+        if pvl[t] != y and pvl[-e if e < 0 else e] != y:
             continue
-        t_edge: BDDEdge = (node.then, False)
-        e_edge: BDDEdge = (node.else_, node.else_attr)
-        t1, t0 = _cofactor_on(t_edge, y)
-        e1, e0 = _cofactor_on(e_edge, y)
-        rewrites.append((node, t1, t0, e1, e0))
+        rewrites.append((node, cofactors(t), cofactors(e)))
 
-    for node, *_rest in rewrites:
-        manager._unique.delete(node.key())
+    for node, _t, _e in rewrites:
+        del raw[(x, SV_ONE, neql[node], eql[node])]
     order.swap_positions(k)
 
-    # The rewrites reclaim nothing, so the growth of the node count over
-    # them is what `_make` allocated.
+    # The rewrites reclaim nothing (old children are released after
+    # them), so the growth of the node count is what `_make` allocated.
     count_before = manager._node_count
-    dead: List[BDDNode] = []
-    for node, t1, t0, e1, e0 in rewrites:
+    make = manager._make
+    ref_index = manager._ref_index
+    dead_discard = manager._dead_set.discard
+    by_x = manager._by_pv[x]
+    by_y = manager._by_pv[y]
+    released: List[int] = []
+    for node, (t1, t0), (e1, e0) in rewrites:
         # f = y (x t1 + x' e1) + y' (x t0 + x' e0)
-        new_t = manager._make(x, t1, e1)
-        new_e = manager._make(x, t0, e0)
-        tn, ta = new_t
-        en, ea = new_e
-        if ta:
+        new_t = make(x, t1, e1)
+        new_e = make(x, t0, e0)
+        if new_t < 0:
             # A function-preserving rewrite cannot flip polarity (the
             # canonical attribute equals not f(1,..,1), order-independent).
             raise BBDDError("BDD swap produced a complemented then-edge")
-        if tn is en and ta == ea:
+        if new_t == new_e:
             raise BBDDError("BDD swap collapsed a node that depends on y")
-        old_children = (node.then, node.else_)
-        manager._by_var[node.var].discard(node)
-        node.var = y
-        manager._by_var[y].add(node)
-        node.then = tn
-        node.else_ = en
-        node.else_attr = ea
-        tn.ref += 1
-        en.ref += 1
-        manager._unique.insert(node.key(), node)
-        for child in old_children:
-            child.ref -= 1
-            if child.ref == 0 and not child.is_sink:
-                dead.append(child)
-        if stats:
-            stats.nodes_rewritten += 1
+        e = neql[node]
+        released.append(-e if e < 0 else e)
+        released.append(eql[node])
+        by_x.discard(node)
+        by_y.add(node)
+        pvl[node] = y
+        neql[node] = new_e
+        eql[node] = new_t
+        raw[(y, SV_ONE, new_e, new_t)] = node
+        for child in (new_t, -new_e if new_e < 0 else new_e):
+            r = refl[child]
+            if r > 0:
+                refl[child] = r + 1
+            elif fl[child]:
+                fl[child] = 0
+                refl[child] = 1
+                dead_discard(child)
+            else:
+                ref_index(child)
     if stats:
         stats.nodes_created += manager._node_count - count_before
+        stats.nodes_rewritten += len(rewrites)
 
-    for node in dead:
-        if node.ref == 0:
-            swept = manager._sweep(node)
-            if stats:
-                stats.nodes_swept += swept
+    # Each released child carries one deferred release: apply them in
+    # one walk that reclaims every row that dies.
+    if released:
+        swept += manager._kill_many(released)
 
     if stats:
+        stats.nodes_swept += swept
         stats.swaps += 1
 
 

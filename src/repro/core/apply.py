@@ -24,10 +24,7 @@ cache keys:
 * :func:`and_exists` — the fused relational product, on the same two
   rules;
 * :func:`relabel` — an order-preserving variable rename as one ``_make``
-  per node;
-* :func:`support` — the true functional support (note: in a BBDD the set
-  of primary variables of reachable nodes is *not* the support, because a
-  secondary variable can cancel along both branches).
+  per node.
 
 Everything here works on the flat store's signed-int edges: ``abs(edge)``
 is the node index, the sign the complement attribute, so attribute
@@ -81,6 +78,22 @@ def _memo_fns(manager):
     return cache.lookup, cache.insert
 
 
+def _guarded(manager, run, *args) -> Edge:
+    """``run(manager, *args)`` under the manager's operation guard.
+
+    Automatic GC waits while the operation holds bare intermediate
+    edges; an armed collection then runs with the result protected.
+    Both packages' derived operations run this way.
+    """
+    manager._in_op += 1
+    try:
+        result = run(manager, *args)
+    finally:
+        manager._in_op -= 1
+    manager._maybe_gc_protect(result)
+    return result
+
+
 def ite(manager, f: Edge, g: Edge, h: Edge) -> Edge:
     """If-then-else ``f ? g : h`` as a native three-operand expansion.
 
@@ -89,13 +102,7 @@ def ite(manager, f: Edge, g: Edge, h: Edge) -> Edge:
     ``f`` is normalized away by swapping the branches).  Constant and
     degenerate operands collapse to a single two-operand apply.
     """
-    manager._in_op += 1
-    try:
-        result = _ite_iter(manager, f, g, h)
-    finally:
-        manager._in_op -= 1
-    manager._maybe_gc_protect(result)
-    return result
+    return _guarded(manager, _ite_iter, f, g, h)
 
 
 def _ite_iter(manager, f: Edge, g: Edge, h: Edge) -> Edge:
@@ -212,15 +219,8 @@ def restrict(manager, edge: Edge, var, value: bool) -> Edge:
     """
     var = manager.var_index(var)
     root = -edge if edge < 0 else edge
-    manager._in_op += 1
-    try:
-        result = _restrict_iter(manager, root, var, bool(value))
-    finally:
-        manager._in_op -= 1
-    if edge < 0:
-        result = -result
-    manager._maybe_gc_protect(result)
-    return result
+    result = _guarded(manager, _restrict_iter, root, var, bool(value))
+    return -result if edge < 0 else result
 
 
 def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
@@ -298,36 +298,29 @@ def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
 
 def compose(manager, edge: Edge, var, g: Edge) -> Edge:
     """Substitute the function ``g`` for variable ``var`` in ``f``."""
-    manager._in_op += 1
-    try:
-        f1 = restrict(manager, edge, var, True)
-        f0 = restrict(manager, edge, var, False)
-        result = ite(manager, g, f1, f0)
-    finally:
-        manager._in_op -= 1
-    manager._maybe_gc_protect(result)
-    return result
+    return _guarded(manager, _compose, edge, var, g)
+
+
+def _compose(manager, edge: Edge, var, g: Edge) -> Edge:
+    f1 = restrict(manager, edge, var, True)
+    f0 = restrict(manager, edge, var, False)
+    return ite(manager, g, f1, f0)
 
 
 def exists(manager, edge: Edge, variables) -> Edge:
     """Existential quantification over ``variables``."""
-    return _quantify(manager, edge, variables, OP_OR)
+    return _guarded(manager, _quantify, edge, variables, OP_OR)
 
 
 def forall(manager, edge: Edge, variables) -> Edge:
     """Universal quantification over ``variables``."""
-    return _quantify(manager, edge, variables, OP_AND)
+    return _guarded(manager, _quantify, edge, variables, OP_AND)
 
 
 def _quantify(manager, edge: Edge, variables, op: int) -> Edge:
-    manager._in_op += 1
-    try:
-        result = edge
-        for var in _as_iterable(variables):
-            result = _quantify_iter(manager, result, manager.var_index(var), op)
-    finally:
-        manager._in_op -= 1
-    manager._maybe_gc_protect(result)
+    result = edge
+    for var in _as_iterable(variables):
+        result = _quantify_iter(manager, result, manager.var_index(var), op)
     return result
 
 
@@ -440,13 +433,7 @@ def and_exists(manager, f: Edge, g: Edge, variables) -> Edge:
     vmask = 0
     for index in indices:
         vmask |= 1 << index
-    manager._in_op += 1
-    try:
-        result = _and_exists_iter(manager, f, g, indices, vmask)
-    finally:
-        manager._in_op -= 1
-    manager._maybe_gc_protect(result)
-    return result
+    return _guarded(manager, _and_exists_iter, f, g, indices, vmask)
 
 
 def _and_exists_iter(manager, f: Edge, g: Edge, vlist, vmask: int) -> Edge:
@@ -648,15 +635,8 @@ def relabel(manager, edge: Edge, renames) -> Optional[Edge]:
             if p <= last:
                 return None
             last = p
-    manager._in_op += 1
-    try:
-        result = _relabel_iter(manager, root, renames, moved)
-    finally:
-        manager._in_op -= 1
-    if edge < 0:
-        result = -result
-    manager._maybe_gc_protect(result)
-    return result
+    result = _guarded(manager, _relabel_iter, root, renames, moved)
+    return -result if edge < 0 else result
 
 
 def _relabel_iter(manager, root: int, renames, moved: int) -> Edge:
@@ -699,24 +679,6 @@ def _relabel_iter(manager, root: int, renames, moved: int) -> Edge:
             memo[e],
         )
     return memo[root]
-
-
-def support(manager, edge: Edge) -> frozenset:
-    """Variables ``f`` truly depends on (as indices).
-
-    Under the support-chained canonical form every node carries an exact
-    support mask (couples pair consecutive support variables, so no
-    cancellation survives reduction); the mask is read off the root.
-    """
-    result = set()
-    mask = manager._supp[-edge if edge < 0 else edge]
-    var = 0
-    while mask:
-        if mask & 1:
-            result.add(var)
-        mask >>= 1
-        var += 1
-    return frozenset(result)
 
 
 def _as_iterable(variables) -> Iterable:

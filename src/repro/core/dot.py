@@ -13,8 +13,10 @@ def to_dot(manager, functions, names: Iterable[str] = ()) -> str:
     """Render a forest of :class:`~repro.core.function.Function` handles.
 
     ``!=``-edges are dashed (dot-terminated when complemented); ``=``-edges
-    solid.  Literal (R4) nodes are drawn as boxes.  ``names``, when
-    given, must match ``functions`` one-to-one.
+    solid.  Single-variable rows — literal (R4) nodes, and every node of
+    a BDD manager — are drawn as boxes, their else-edge dashed and their
+    then-edge solid.  ``names``, when given, must match ``functions``
+    one-to-one.
 
     Works on :meth:`~repro.core.manager.BBDDManager.node_view` views over
     the flat store; node ids in the output are the store indices, emitted
@@ -42,21 +44,20 @@ def to_dot(manager, functions, names: Iterable[str] = ()) -> str:
                 f"  n{node.uid} [shape=ellipse, "
                 f"label=\"{manager.var_name(node.pv)},{manager.var_name(node.sv)}\"];"
             )
-    for node in nodes:
-        if node.is_literal:
-            continue
-        neq_target = "sink" if node.neq.is_sink else f"n{node.neq.uid}"
-        eq_target = "sink" if node.eq.is_sink else f"n{node.eq.uid}"
-        arrow = "odot" if node.neq_attr else "normal"
-        lines.append(
-            f"  n{node.uid} -> {neq_target} [style=dashed, arrowhead={arrow}, label=\"!=\"];"
-        )
-        lines.append(f"  n{node.uid} -> {eq_target} [label=\"=\"];")
-        # Literal nodes point at the sink implicitly; draw for completeness.
-    for node in nodes:
-        if node.is_literal:
-            lines.append(f"  n{node.uid} -> sink [style=dashed, arrowhead=odot];")
-            lines.append(f"  n{node.uid} -> sink;")
+    # Couple edges first, then the unlabelled edges of single-variable rows.
+    for literal in (False, True):
+        for node in nodes:
+            if node.is_literal != literal:
+                continue
+            neq_target = "sink" if node.neq.is_sink else f"n{node.neq.uid}"
+            eq_target = "sink" if node.eq.is_sink else f"n{node.eq.uid}"
+            arrow = "odot" if node.neq_attr else "normal"
+            neq_label = "" if literal else ', label="!="'
+            eq_attrs = "" if literal else ' [label="="]'
+            lines.append(
+                f"  n{node.uid} -> {neq_target} [style=dashed, arrowhead={arrow}{neq_label}];"
+            )
+            lines.append(f"  n{node.uid} -> {eq_target}{eq_attrs};")
     for label, edge in zip(labels, edges):
         lines.append(f'  {label} [shape=plaintext];')
         root = manager.edge_node(edge)

@@ -1,13 +1,13 @@
-"""The BBDD manager: node construction, Boolean operations, memory management.
+"""The BBDD manager: the biconditional expansion over the shared node store.
 
-This module implements the manipulation core of Sec. IV of the paper on a
-**flat integer-coded node store** (the tulip-control/dd idiom): nodes are
-dense positive ints indexing parallel arrays (``_pv``/``_sv``/``_neq``/
-``_eq``/``_ref``/``_supp``/``_float``), and an edge is one signed int
-whose sign is the complement attribute — ``NOT`` is unary minus, and the
-operator updates of Algorithm 1 (``updateop``) are integer arithmetic.
-The sink is index 1 (edge ``+1`` = True, ``-1`` = False); index 0 is
-never allocated.
+This module implements the manipulation core of Sec. IV of the paper on
+the flat integer-coded store of :class:`repro.core.store.NodeStore`
+(nodes are dense ints indexing parallel columns, an edge is one signed
+int whose sign is the complement attribute, so ``NOT`` is unary minus
+and the operator updates of Algorithm 1 (``updateop``) are integer
+arithmetic).  The store owns the columns, reference counts, garbage
+collection, level index and the read-only queries; this module adds what
+is specific to biconditional expansions:
 
 * ``_make`` — get-or-create a node in strong canonical form, enforcing
   reduction rules R1 (unique table), R2 (identical children), R4 (literal
@@ -20,38 +20,22 @@ never allocated.
   operands.  The expansion is driven by an **explicit pending-frame
   stack**, not Python recursion, so operand depth is limited by memory
   alone;
-* reference-counting memory management with **cascading** counts held in
-  a flat array: a node whose count drops to zero immediately releases its
-  children (and a revived node re-acquires them), so the number of dead
-  nodes is known exactly at all times and :meth:`BBDDManager.dead_count`
-  is O(1).  Garbage collection triggers automatically (dd/CUDD style)
-  when the dead/total ratio crosses a configurable threshold, but only at
-  safe points — never while an operation holds intermediate edges.
-  Swept slots go on a free list and are recycled by ``_make``.
+* the derived operations (:mod:`repro.core.apply`) and CVO sifting
+  (:mod:`repro.core.reorder`) bound to the
+  :class:`~repro.api.base.DDManager` protocol.
 
-All hot-path functions work on bare signed-int edges; the user-facing
-wrapper lives in :mod:`repro.core.function`, and
-:meth:`BBDDManager.node_view` materializes read-only
-:class:`~repro.core.node.BBDDNode` views (interned per index) for
-rendering and debugging.  Code that holds bare edges across several
-manager operations must either reference them
-(:meth:`BBDDManager.inc_ref`) or suspend collection with
-:meth:`BBDDManager.defer_gc` for the duration.
+A literal is the store row ``(v, SV_ONE, -1, 1)``: ``v`` tests itself,
+with the sink on both edges.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
-from repro.api.base import Columns, DDManager
-from repro.core.computed_table import make_computed_table
-from repro.core.exceptions import BBDDError, VariableError
-from repro.core.node import SINK, SINK_VAR, SV_ONE, BBDDNode, Edge
+from repro.core.exceptions import BBDDError
+from repro.core.node import SINK, SV_ONE, Edge
 from repro.core.operations import (
-    OP_AND,
-    OP_OR,
-    OP_XOR,
     UNARY_FALSE,
     UNARY_ID,
     UNARY_NOT,
@@ -59,12 +43,10 @@ from repro.core.operations import (
     diagonal,
     flip_a,
     flip_b,
-    op_from_name,
     restrict_a,
     restrict_b,
 )
-from repro.core.order import ChainVariableOrder
-from repro.core.unique_table import UniqueTable
+from repro.core.store import NodeStore
 
 #: Pending-frame tags of the iterative apply engine.
 _CALL = 0
@@ -84,216 +66,16 @@ _RB0 = tuple(_OUTCOME_CODE[restrict_b(op, 0)] for op in range(16))
 _DIAG = tuple(_OUTCOME_CODE[diagonal(op)] for op in range(16))
 
 
-def _copy_levels(sets: Optional[Dict[int, set]]) -> Optional[Dict[int, set]]:
-    """A deep copy of one level-set map (``None`` when none is held)."""
-    if sets is None:
-        return None
-    return {v: set(s) for v, s in sets.items()}
-
-
-class _GCDeferral:
-    """Context manager suspending automatic GC (re-entrant).
-
-    Entering bumps the manager's in-operation counter, which inhibits
-    :meth:`BBDDManager._maybe_gc`.  Leaving deliberately does **not**
-    collect: code commonly returns bare (unreferenced) edges produced
-    inside the block, and ``__exit__`` runs before the caller can
-    reference them — an exit-time sweep would reclaim the very results
-    the deferral protected.  An armed collection simply happens at the
-    next organic safe point (end of an apply/derived op, or an explicit
-    ``dec_ref``), where the fresh result is protected.
-    """
-
-    __slots__ = ("_manager",)
-
-    def __init__(self, manager: "BBDDManager") -> None:
-        self._manager = manager
-
-    def __enter__(self) -> "BBDDManager":
-        self._manager._in_op += 1
-        return self._manager
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._manager._in_op -= 1
-        return False
-
-
-class _LevelIndex:
-    """Context manager holding the per-variable node sets (re-entrant).
-
-    Only reordering has to find the nodes of one variable, so a manager
-    keeps no such sets outside this context.  The outermost entry builds
-    them in one pass over the unique table (``_index_levels``); the
-    matching exit, exceptions included, drops whatever sets the manager
-    then holds (``_drop_levels``) — a ``_restore`` inside may have
-    replaced the ones built on entry.  Shared by both table-backed
-    managers.
-    """
-
-    __slots__ = ("_manager",)
-
-    def __init__(self, manager) -> None:
-        self._manager = manager
-
-    def __enter__(self):
-        manager = self._manager
-        if not manager._level_depth:
-            manager._index_levels()
-        manager._level_depth += 1
-        return manager
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        manager = self._manager
-        manager._level_depth -= 1
-        if not manager._level_depth:
-            manager._drop_levels()
-        return False
-
-
-class BBDDManager(DDManager):
+class BBDDManager(NodeStore):
     """Shared manager for a forest of BBDDs over a common variable set.
 
-    Parameters
-    ----------
-    variables:
-        Either the number of variables or a sequence of distinct names.
-    computed_backend:
-        ``"dict"`` (default) or ``"disabled"`` for ablation runs.
-    auto_gc:
-        Enable automatic garbage collection (default).  When enabled, a
-        collection runs at the next safe point after the dead/total node
-        ratio exceeds ``gc_threshold`` (and at least ``gc_min_nodes``
-        nodes are stored).
-    gc_threshold:
-        Dead/total ratio that arms the automatic collector.
-    gc_min_nodes:
-        Minimum stored-node count before automatic GC considers running
-        (keeps small working sets collection-free).
+    ``BBDDManager(variables, computed_backend="dict", auto_gc=True,
+    gc_threshold=0.5, gc_min_nodes=1024)``: see
+    :class:`~repro.core.store.NodeStore` for the parameters.
     """
 
     #: Registry name of this backend in the repro.api front end.
     backend = "bbdd"
-
-    def __init__(
-        self,
-        variables: Union[int, Sequence[str]],
-        computed_backend: str = "dict",
-        auto_gc: bool = True,
-        gc_threshold: float = 0.5,
-        gc_min_nodes: int = 1024,
-    ) -> None:
-        if isinstance(variables, int):
-            names = [f"x{i}" for i in range(variables)]
-        else:
-            names = list(variables)
-        if len(set(names)) != len(names):
-            raise VariableError("variable names must be distinct")
-        self._names: List[str] = names
-        self._index: Dict[str, int] = {n: i for i, n in enumerate(names)}
-        self._order = ChainVariableOrder(range(len(names)))
-
-        # The flat store: slot 0 is a never-allocated dummy (so edges
-        # always have an observable sign), slot 1 the immortal sink.
-        self._pv: List[int] = [0, SINK_VAR]
-        self._sv: List[int] = [0, SV_ONE]
-        self._neq: List[int] = [0, 0]
-        self._eq: List[int] = [0, 0]
-        self._ref: List[int] = [0, 1]
-        self._supp: List[int] = [0, 0]
-        self._float = bytearray((0, 0))
-        #: Swept slot indices available for recycling by ``_make``.
-        self._free_nodes: List[int] = []
-        #: Interned read-only views (index -> BBDDNode), popped on sweep.
-        self._views: Dict[int, BBDDNode] = {}
-
-        self._unique = UniqueTable()
-        # Hot-path accelerators: per-variable support bits (avoids big-int
-        # shifts per node) and the unique table's raw dict.
-        self._var_bits: List[int] = [1 << i for i in range(len(names))]
-        self._uniq_raw: dict = self._unique._table
-        self._cache = make_computed_table(computed_backend)
-        self._literals: Dict[int, int] = {}
-        #: Chain nodes per primary / secondary variable, held only inside
-        #: :meth:`_level_index` (reordering); ``None`` everywhere else.
-        self._by_pv: Optional[Dict[int, set]] = None
-        self._by_sv: Optional[Dict[int, set]] = None
-        self._level_depth = 0
-        self._node_count = 0
-        self.peak_nodes = 0
-        self.gc_count = 0
-        self.auto_gc_runs = 0
-        self.apply_calls = 0
-        self.gc_reclaimed = 0
-
-        self.auto_gc = auto_gc
-        self.gc_threshold = gc_threshold
-        self.gc_min_nodes = gc_min_nodes
-        #: The stored nodes with a zero reference count, maintained
-        #: incrementally by the ref/deref/make/sweep hooks; GC sweeps this
-        #: set directly instead of scanning the unique table.
-        self._dead_set: set = set()
-        #: Depth of in-flight operations; automatic GC only runs at zero.
-        self._in_op = 0
-        self._bind_hot()
-
-        from repro import obs  # late: repro.__init__ imports core first
-
-        self._trace_state = obs.trace.STATE
-        obs.track(self)
-
-    # ------------------------------------------------------------------
-    # identifiers and variables
-    # ------------------------------------------------------------------
-
-    @property
-    def num_vars(self) -> int:
-        return len(self._names)
-
-    @property
-    def var_names(self) -> tuple:
-        return tuple(self._names)
-
-    def var_index(self, var: Union[int, str]) -> int:
-        """Normalize a variable name or index to its index."""
-        if isinstance(var, str):
-            try:
-                return self._index[var]
-            except KeyError:
-                raise VariableError(f"unknown variable {var!r}") from None
-        if not 0 <= var < len(self._names):
-            raise VariableError(f"variable index {var} out of range")
-        return var
-
-    def var_name(self, index: int) -> str:
-        return self._names[index]
-
-    def new_var(self, name: Optional[str] = None) -> int:
-        """Append a fresh variable at the bottom of the order."""
-        index = len(self._names)
-        if name is None:
-            name = f"x{index}"
-        if name in self._index:
-            raise VariableError(f"variable {name!r} already exists")
-        self._names.append(name)
-        self._index[name] = index
-        self._var_bits.append(1 << index)
-        if self._by_pv is not None:
-            self._by_pv[index] = set()
-            self._by_sv[index] = set()
-        self._order.append(index)
-        return index
-
-    # ------------------------------------------------------------------
-    # order access
-    # ------------------------------------------------------------------
-
-    @property
-    def order(self) -> ChainVariableOrder:
-        return self._order
-
-    def current_order(self) -> tuple:
-        """Current variable order as a tuple of names (root to bottom)."""
-        return tuple(self._names[v] for v in self._order.order)
 
     def cvo_couples(self) -> list:
         """The CVO couples as name pairs, SV of the bottom couple is '1'."""
@@ -303,98 +85,19 @@ class BBDDManager(DDManager):
         return out
 
     # ------------------------------------------------------------------
-    # node views and field access
+    # literals
     # ------------------------------------------------------------------
-
-    @property
-    def sink(self) -> BBDDNode:
-        """Read-only view of the sink node (debug/render surface)."""
-        return self.node_view(SINK)
-
-    def node_view(self, index: int) -> BBDDNode:
-        """The interned read-only view of node ``index``.
-
-        Repeated calls return the same object, so identity checks on
-        ``Function.node`` handles keep working across operations (slots
-        are index-stable until swept; sweeping drops the view).
-        """
-        views = self._views
-        view = views.get(index)
-        if view is None:
-            view = views[index] = BBDDNode(self, index)
-        return view
-
-    def node_fields(self, index: int):
-        """``(pv, sv, neq_edge, eq_edge)`` of one slot (io/debug helper)."""
-        return (
-            self._pv[index],
-            self._sv[index],
-            self._neq[index],
-            self._eq[index],
-        )
-
-    def _node_key(self, index: int):
-        """The unique-table key of a stored slot (derived, not stored)."""
-        if self._sv[index] == SV_ONE:
-            return (self._pv[index], SV_ONE)
-        return (
-            self._pv[index],
-            self._sv[index],
-            self._neq[index],
-            self._eq[index],
-        )
-
-    # ------------------------------------------------------------------
-    # signed-int edge protocol (repro.api hooks)
-    # ------------------------------------------------------------------
-
-    def edge_node(self, edge: Edge) -> BBDDNode:
-        return self.node_view(-edge if edge < 0 else edge)
-
-    def edge_attr(self, edge: Edge) -> bool:
-        return edge < 0
-
-    def node_edge(self, node) -> Edge:
-        """Regular edge onto ``node`` (an index or a view)."""
-        return node if isinstance(node, int) else node.index
-
-    def negate_edge(self, edge: Edge) -> Edge:
-        return -edge
-
-    def edge_is_sink(self, edge: Edge) -> bool:
-        return edge == 1 or edge == -1
-
-    def edge_is_false(self, edge: Edge) -> bool:
-        return edge == -1
-
-    def edge_uid(self, edge: Edge) -> Edge:
-        return edge
-
-    def acquire_edge(self, edge: Edge) -> None:
-        self._ref_index(-edge if edge < 0 else edge)
-
-    def release_edge(self, edge: Edge) -> None:
-        self._deref_index(-edge if edge < 0 else edge)
-
-    # ------------------------------------------------------------------
-    # terminal edges and literals
-    # ------------------------------------------------------------------
-
-    @property
-    def true_edge(self) -> Edge:
-        return 1
-
-    @property
-    def false_edge(self) -> Edge:
-        return -1
 
     def literal_node(self, var: int) -> int:
         """The R4 literal node index for ``var`` (created on demand).
 
-        Like every node, a fresh literal is born dead (count zero, no
-        child references); acquiring it references the sink twice.
+        The row ``(var, SV_ONE, -1, 1)``.  Like every node, a fresh
+        literal is born floating: count zero, holding both (sink)
+        children.  The level index holds couples only, so a literal
+        joins no level set.
         """
-        node = self._literals.get(var)
+        key = (var, SV_ONE, -SINK, SINK)
+        node = self._uniq_raw.get(key)
         if node is None:
             free = self._free_nodes
             if free:
@@ -416,8 +119,7 @@ class BBDDManager(DDManager):
                 self._float.append(0)
             self._float[node] = 1
             self._ref[SINK] += 2  # birth holds both (sink) children
-            self._literals[var] = node
-            self._uniq_raw[(var, SV_ONE)] = node
+            self._uniq_raw[key] = node
             self._node_count += 1
             self._dead_set.add(node)
             if self._node_count > self.peak_nodes:
@@ -453,31 +155,6 @@ class BBDDManager(DDManager):
         if value == 0:
             return (self._sv[node], neq, eq)
         return (self._sv[node], eq, neq)
-
-    def _bind_hot(self) -> None:
-        """(Re)bind the allocation hot-path tuple.
-
-        ``_make`` runs hundreds of thousands of times per sift; one
-        attribute load plus a tuple unpack replaces ~15 separate
-        ``self._X`` loads per call.  The referenced containers are only
-        ever mutated in place — rebinding happens solely here (from
-        ``__init__``, ``_restore`` and the level index's entry and exit).
-        """
-        self._hot = (
-            self._pv,
-            self._sv,
-            self._neq,
-            self._eq,
-            self._ref,
-            self._float,
-            self._supp,
-            self._var_bits,
-            self._uniq_raw,
-            self._free_nodes,
-            self._dead_set,
-            self._by_pv,
-            self._by_sv,
-        )
 
     def _make(
         self, pv: int, sv: int, d: Edge, e: Edge, _probed: bool = False
@@ -696,9 +373,6 @@ class BBDDManager(DDManager):
             trace.record("apply", perf_counter() - start, backend="bbdd")
         self._maybe_gc_protect(result)
         return result
-
-    def apply_named(self, f: Edge, g: Edge, name: str) -> Edge:
-        return self.apply_edges(f, g, op_from_name(name))
 
     def _apply(self, fn: int, gn: int, op: int) -> Edge:
         """Iterative Algorithm 1 over an explicit pending-frame stack.
@@ -1109,28 +783,12 @@ class BBDDManager(DDManager):
                 tpush((_CALL, eql[node], attr))
         return results[-1]
 
-    # Convenience edge-level operations used across the package.
-
-    def and_edges(self, f: Edge, g: Edge) -> Edge:
-        return self.apply_edges(f, g, OP_AND)
-
-    def or_edges(self, f: Edge, g: Edge) -> Edge:
-        return self.apply_edges(f, g, OP_OR)
-
-    def xor_edges(self, f: Edge, g: Edge) -> Edge:
-        return self.apply_edges(f, g, OP_XOR)
-
-    @staticmethod
-    def not_edge(f: Edge) -> Edge:
-        return -f
-
     # ------------------------------------------------------------------
-    # uniform DD protocol (repro.api) — derived ops and semantics
+    # uniform DD protocol (repro.api) — derived ops
     # ------------------------------------------------------------------
     #
     # These wrappers bind the native iterative procedures of
-    # :mod:`repro.core.apply` / :mod:`repro.core.traversal` to the
-    # backend-agnostic :class:`repro.api.base.DDManager` edge protocol,
+    # :mod:`repro.core.apply` to the backend-agnostic :class:`repro.api.base.DDManager` edge protocol,
     # which is what the shared Function wrapper and every protocol
     # client (network builder, harness, io) call.
 
@@ -1156,11 +814,6 @@ class BBDDManager(DDManager):
             return _ops.forall(self, edge, variables)
         return _ops.exists(self, edge, variables)
 
-    def support_edge(self, edge: Edge) -> frozenset:
-        from repro.core import apply as _ops
-
-        return _ops.support(self, edge)
-
     def and_exists_edges(self, f: Edge, g: Edge, variables) -> Edge:
         from repro.core import apply as _ops
 
@@ -1183,54 +836,6 @@ class BBDDManager(DDManager):
             renames[var] = pvl[value]
         return _ops.relabel(self, edge, renames)
 
-    def evaluate_edge(self, edge: Edge, values: Dict[int, bool]) -> bool:
-        from repro.core import traversal as _trav
-
-        return _trav.evaluate(self, edge, values)
-
-    def freeze_export(self, named) -> Columns:
-        """The compiled query form of a named forest (one column block).
-
-        One :func:`~repro.core.traversal.levelize` over *all* roots
-        gives the parents-first slot order directly (children live at
-        strictly deeper CVO levels), so shared nodes get one slot
-        however many roots reference them.
-        """
-        from repro.core import traversal as _trav
-
-        edges = [edge for _name, edge in named if edge != 1 and edge != -1]
-        ordered = [
-            node
-            for _pos, nodes in reversed(_trav.levelize(self, edges))
-            for node in nodes
-        ]
-        slots = dict(zip(ordered, range(2, len(ordered) + 2)))
-        slots[SINK] = 1
-        pv = [0, 0]
-        sv = [-1, -1]
-        t = [0, 0]
-        f = [0, 0]
-        pvl, svl, neql, eql = self._pv, self._sv, self._neq, self._eq
-        for node in ordered:
-            d = neql[node]
-            neq_ref = slots[d] if d > 0 else -slots[-d]
-            eq_ref = slots[eql[node]]
-            s = svl[node]
-            pv.append(pvl[node])
-            # SV_ONE is -1, the column code of a single-variable test.
-            sv.append(s)
-            if s == SV_ONE:
-                # Literal (R4) node: the test is the variable itself, so
-                # the always-regular ``=``-edge (pv == 1) is the t-branch
-                # and the ``!=``-edge the f-branch.
-                t.append(eq_ref)
-                f.append(neq_ref)
-                continue
-            t.append(neq_ref)
-            f.append(eq_ref)
-        roots = {name: slots[e] if e > 0 else -slots[-e] for name, e in named}
-        return Columns(self.order.order, roots, [(0, pv, sv, t, f)], pv)
-
     def make_row(self, pv: int, sv, t: Edge, f: Edge):
         """A replayed io row as a couple or literal (None: Shannon node)."""
         if sv is not None:
@@ -1239,56 +844,6 @@ class BBDDManager(DDManager):
             return self.literal_node(pv)
         return None
 
-    def compiled_root(self, edge: Edge) -> Columns:
-        """:meth:`freeze_export` of one root, kept by the computed table.
-
-        Every table clear (GC, CVO swaps, checkpoint rewinds) drops it
-        with the apply entries.  The variable count
-        is part of the key: :meth:`new_var` changes every count without
-        clearing anything.
-        """
-        return self._cache.compiled(
-            (edge, len(self._names)), lambda: self.freeze_export([("f", edge)])
-        )
-
-    def sat_one_edge(self, edge: Edge) -> Optional[Dict[int, bool]]:
-        """One satisfying assignment ``{var index: bit}``, or None.
-
-        Constraints resolve bottom-up against the couple partner actually
-        on the witness path (*not* the global order's partner — under the
-        support-chained CVO a node's SV is its function's next *support*
-        variable, which may skip order positions).  A partner the path
-        never pins absolutely is a free variable and defaults to False.
-        """
-        from repro.core import traversal as _trav
-
-        path = _trav.find_sat_path(self, edge, want=True)
-        if path is None:
-            return None
-        values: Dict[int, bool] = {}
-        # ``path`` is root-to-sink; resolve deepest-first so each couple's
-        # partner is already fixed (or known free) when it is needed.
-        for pv, sv, rel in reversed(path):
-            if rel == "0" or rel == "1":
-                values[pv] = rel == "1"
-            else:
-                if sv not in values:
-                    values[sv] = False
-                values[pv] = (not values[sv]) if rel == "!=" else values[sv]
-        return values
-
-    def root_var(self, edge: Edge) -> int:
-        """The first support variable (in order) of ``edge``'s function.
-
-        Under the support-chained CVO this is the root couple's PV.
-        """
-        return self._pv[-edge if edge < 0 else edge]
-
-    def count_nodes(self, edges: Iterable[Edge]) -> int:
-        from repro.core import traversal as _trav
-
-        return _trav.count_nodes(self, edges)
-
     def sift(self, **kwargs):
         """Reorder variables with Rudell's sifting (see repro.core.reorder)."""
         from repro.core.reorder import sift as _sift
@@ -1296,165 +851,15 @@ class BBDDManager(DDManager):
         return _sift(self, **kwargs)
 
     # ------------------------------------------------------------------
-    # memory management (Sec. IV-A3)
+    # store hooks: level index and row rules
     # ------------------------------------------------------------------
-    #
-    # Reference counts are *cascading*: a live node holds one count on
-    # each child, a dead node holds none.  ``_ref_index`` therefore
-    # revives a dead subgraph (re-acquiring child counts) and
-    # ``_deref_index`` releases one (dropping them), keeping ``_dead``
-    # exact without any scan.
-
-    def size(self) -> int:
-        """Number of nodes currently stored (chain + literal, sink excluded)."""
-        return self._node_count
-
-    def dead_count(self) -> int:
-        """Number of stored nodes with zero references — O(1)."""
-        return len(self._dead_set)
-
-    def _scan_dead(self) -> int:
-        """O(n) recount of dead nodes (invariant checking / debugging)."""
-        refl = self._ref
-        return sum(1 for n in self._uniq_raw.values() if refl[n] == 0)
-
-    def _ref_index(self, node: int) -> None:
-        """Acquire one reference on a node index.
-
-        A floating node (fresh, still holding its birth counts on the
-        children) resolves in O(1); a node that once died released its
-        child counts, so reviving it re-acquires the subgraph (cascade).
-        """
-        refl = self._ref
-        r = refl[node]
-        if r < 0:
-            raise BBDDError(f"use after sweep: node {node}")
-        if r == 0 and node != SINK:
-            fl = self._float
-            neql = self._neq
-            eql = self._eq
-            discard = self._dead_set.discard
-            discard(node)
-            refl[node] = 1
-            if fl[node]:
-                fl[node] = 0
-                return
-            d = neql[node]
-            stack = [-d if d < 0 else d, eql[node]]
-            while stack:
-                n = stack.pop()
-                if refl[n] == 0 and n != SINK:
-                    discard(n)
-                    refl[n] = 1
-                    if fl[n]:
-                        fl[n] = 0
-                    else:
-                        d = neql[n]
-                        stack.append(-d if d < 0 else d)
-                        stack.append(eql[n])
-                else:
-                    refl[n] += 1
-        else:
-            refl[node] = r + 1
-
-    def _deref_index(self, node: int) -> None:
-        """Release one reference; a dying node releases its children."""
-        refl = self._ref
-        r = refl[node] - 1
-        refl[node] = r
-        if r == 0 and node != SINK:
-            add = self._dead_set.add
-            neql = self._neq
-            eql = self._eq
-            add(node)
-            d = neql[node]
-            stack = [-d if d < 0 else d, eql[node]]
-            while stack:
-                n = stack.pop()
-                r = refl[n] - 1
-                refl[n] = r
-                if r == 0 and n != SINK:
-                    add(n)
-                    d = neql[n]
-                    stack.append(-d if d < 0 else d)
-                    stack.append(eql[n])
-
-    def inc_ref(self, edge: Edge) -> None:
-        self._ref_index(-edge if edge < 0 else edge)
-
-    def dec_ref(self, edge: Edge) -> None:
-        self._deref_index(-edge if edge < 0 else edge)
-        self._maybe_gc()
-
-    def acquire_ref(self, node) -> None:
-        """Function-handle hook: acquire one reference on ``node``."""
-        self._ref_index(node if isinstance(node, int) else node.index)
-
-    def release_ref(self, node) -> None:
-        """Function-handle hook: drop one reference (mark-only).
-
-        Deliberately does **not** run the collector: handle releases can
-        fire at arbitrary points via Python's cyclic collector (e.g.
-        while a fresh, still-unreferenced result edge is being wrapped),
-        so ``__del__`` only accounts the garbage; the armed collection
-        runs at the next operation boundary, where results are protected.
-        """
-        self._deref_index(node if isinstance(node, int) else node.index)
-
-    def defer_gc(self) -> _GCDeferral:
-        """Suspend automatic GC for a block holding bare edges.
-
-        Re-entrant.  An armed collection does not run on exit (the block
-        may return bare edges); it happens at the next operation
-        boundary instead.  Use around any code that keeps unreferenced
-        signed-int edges live across several manager operations.
-        """
-        return _GCDeferral(self)
-
-    def _gc_armed(self) -> bool:
-        return (
-            self._node_count >= self.gc_min_nodes
-            and len(self._dead_set) >= self._node_count * self.gc_threshold
-        )
-
-    def _maybe_gc(self) -> int:
-        """Run GC if automatic collection is armed and we are at a safe point."""
-        if not self.auto_gc or self._in_op or not self._gc_armed():
-            return 0
-        self.auto_gc_runs += 1
-        return self.gc()
-
-    def _maybe_gc_protect(self, edge: Edge) -> None:
-        """Auto-GC check that keeps ``edge`` (a fresh result) alive."""
-        if not self.auto_gc or self._in_op or not self._gc_armed():
-            return
-        node = -edge if edge < 0 else edge
-        self._ref_index(node)
-        try:
-            self.auto_gc_runs += 1
-            self.gc()
-        finally:
-            # Drop the protection without a death cascade: the node still
-            # holds its child counts, i.e. it goes back to floating.
-            refl = self._ref
-            refl[node] -= 1
-            if refl[node] == 0 and node != SINK:
-                self._float[node] = 1
-                self._dead_set.add(node)
-
-    def _level_index(self) -> _LevelIndex:
-        """Hold the per-variable node sets for a block (re-entrant).
-
-        Reordering is the only reader of :meth:`nodes_with_pv` and
-        :meth:`nodes_with_sv`; the sifting driver, ``reorder_to`` and
-        ``swap_adjacent`` run inside this context, so a sift builds the
-        sets once.  Outside it the store keeps none, and allocation and
-        reclamation skip them.
-        """
-        return _LevelIndex(self)
 
     def _scan_levels(self):
-        """``(by_pv, by_sv)`` from one pass over the unique table."""
+        """``(by_pv, by_sv)`` from one pass over the unique table.
+
+        Couples only, by PV and by SV: the CVO swap finds its nodes
+        there.  Literals need no rewrite, so they join no level set.
+        """
         pvl = self._pv
         svl = self._sv
         by_pv: Dict[int, set] = {v: set() for v in range(len(self._names))}
@@ -1466,346 +871,14 @@ class BBDDManager(DDManager):
                 by_sv[sv].add(node)
         return by_pv, by_sv
 
-    def _index_levels(self) -> None:
-        self._by_pv, self._by_sv = self._scan_levels()
-        self._bind_hot()
+    def _check_row(self, node: int) -> None:
+        """The BBDD row rules (see ``NodeStore.check_invariants``).
 
-    def _drop_levels(self) -> None:
-        self._by_pv = None
-        self._by_sv = None
-        self._bind_hot()
-
-    def _checkpoint(self):
-        """Snapshot the complete node-store state (O(stored nodes)).
-
-        Everything a CVO swap mutates is captured: the parallel field
-        arrays, the unique table, the level sets, the free list, the dead
-        set and the variable order.  The level sets exist only inside
-        :meth:`_level_index`, where the sifting driver takes and restores
-        its snapshots; outside it the snapshot holds ``None`` for them.
-        Monotone counters (peak, gc/apply statistics) and the computed
-        table (cleared on every swap anyway) are deliberately left out.
-        Used by the sifting driver to rewind excursions instead of
-        retracing them swap by swap; a state may be restored more than
-        once.
-        """
-        return (
-            self._pv[:],
-            self._sv[:],
-            self._neq[:],
-            self._eq[:],
-            self._ref[:],
-            self._supp[:],
-            bytes(self._float),
-            dict(self._uniq_raw),
-            _copy_levels(self._by_pv),
-            _copy_levels(self._by_sv),
-            dict(self._literals),
-            list(self._free_nodes),
-            set(self._dead_set),
-            self._node_count,
-            self._order.order,
-        )
-
-    def _restore(self, state) -> None:
-        """Rewind the node store to a :meth:`_checkpoint` snapshot."""
-        (pv, sv, neq, eq, ref, supp, float_, raw, by_pv, by_sv,
-         literals, free, dead, node_count, order) = state
-        self._pv = list(pv)
-        self._sv = list(sv)
-        self._neq = list(neq)
-        self._eq = list(eq)
-        self._ref = list(ref)
-        self._supp = list(supp)
-        self._float = bytearray(float_)
-        # The raw dict is aliased by the unique-table wrapper: refill it
-        # in place so ``self._uniq_raw is self._unique._table`` holds.
-        self._uniq_raw.clear()
-        self._uniq_raw.update(raw)
-        self._by_pv = _copy_levels(by_pv)
-        self._by_sv = _copy_levels(by_sv)
-        self._literals = dict(literals)
-        self._free_nodes = list(free)
-        self._dead_set = set(dead)
-        self._node_count = node_count
-        self._order.set_order(order)
-        self._bind_hot()
-        # Cached results and interned views may reference slots that only
-        # exist on the abandoned timeline.
-        self._cache.clear()
-        self._views.clear()
-
-    def gc(self) -> int:
-        """Sweep dead nodes and clear the computed table.
-
-        Returns the number of reclaimed nodes.  Dead nodes hold no child
-        references and are tracked in an explicit set (cascading counts),
-        so the sweep touches only the garbage — no unique-table scan.
-        Swept slots are pooled for reuse by ``_make`` (array slots cannot
-        be returned to the interpreter individually, so the free list is
-        what keeps the arrays dense).  The computed table must be cleared
-        because its entries hold bare indices that are only valid while
-        the pointed nodes stay canonical residents of the unique table.
-        """
-        self._cache.clear()
-        dead = self._dead_set
-        raw = self._uniq_raw
-        pvl = self._pv
-        svl = self._sv
-        neql = self._neq
-        eql = self._eq
-        refl = self._ref
-        fl = self._float
-        pool = self._free_nodes.append
-        views = self._views
-        by_pv = self._by_pv
-        by_sv = self._by_sv
-        reclaimed = 0
-        while dead:
-            node = dead.pop()
-            refl[node] = -1  # tombstone: catches use-after-sweep
-            reclaimed += 1
-            pool(node)
-            views.pop(node, None)
-            if svl[node] == SV_ONE:
-                del raw[(pvl[node], SV_ONE)]
-                del self._literals[pvl[node]]
-                if fl[node]:
-                    refl[SINK] -= 2
-                fl[node] = 0
-                continue
-            del raw[(pvl[node], svl[node], neql[node], eql[node])]
-            if by_pv is not None:
-                by_pv[pvl[node]].discard(node)
-                by_sv[svl[node]].discard(node)
-            if fl[node]:
-                # Unacquired garbage still holds its birth counts on the
-                # children — release them; newly dead children join the
-                # set and are reclaimed by this same loop.
-                fl[node] = 0
-                d = neql[node]
-                self._deref_index(-d if d < 0 else d)
-                self._deref_index(eql[node])
-        self._node_count -= reclaimed
-        self.gc_count += 1
-        self.gc_reclaimed += reclaimed
-        return reclaimed
-
-    def _sweep(self, node: int) -> int:
-        """Reclaim the dead subgraph rooted at ``node`` (ref == 0).
-
-        Child references were already dropped when the nodes died, so
-        sweeping only removes the dead nodes from the tables (cascading
-        into dead children to reclaim whole subgraphs eagerly, which the
-        reordering surgery relies on).
-        """
-        return self._sweep_many((node,))
-
-    def _sweep_many(self, nodes) -> int:
-        """Reclaim the dead subgraphs rooted at each of ``nodes``.
-
-        Batch form of :meth:`_sweep` (one call per reordering phase
-        instead of one per dead root); entries that were already
-        reclaimed by an earlier cascade are skipped.
-        """
-        pvl = self._pv
-        svl = self._sv
-        neql = self._neq
-        eql = self._eq
-        refl = self._ref
-        fl = self._float
-        raw = self._uniq_raw
-        pool = self._free_nodes.append
-        views_pop = self._views.pop
-        dead_discard = self._dead_set.discard
-        by_pv = self._by_pv
-        by_sv = self._by_sv
-        deref = self._deref_index
-        reclaimed = 0
-        stack = list(nodes)
-        while stack:
-            n = stack.pop()
-            if n == SINK or refl[n] != 0:
-                continue
-            refl[n] = -1  # tombstone: prevents double sweep
-            dead_discard(n)
-            pool(n)
-            views_pop(n, None)
-            if svl[n] == SV_ONE:
-                del raw[(pvl[n], SV_ONE)]
-                del self._literals[pvl[n]]
-                if fl[n]:
-                    refl[SINK] -= 2
-                fl[n] = 0
-            else:
-                del raw[(pvl[n], svl[n], neql[n], eql[n])]
-                if by_pv is not None:
-                    by_pv[pvl[n]].discard(n)
-                    by_sv[svl[n]].discard(n)
-                d = neql[n]
-                dn = -d if d < 0 else d
-                if fl[n]:
-                    # Unacquired garbage: release the birth counts first.
-                    fl[n] = 0
-                    deref(dn)
-                    deref(eql[n])
-                stack.append(dn)
-                stack.append(eql[n])
-            reclaimed += 1
-        self._node_count -= reclaimed
-        return reclaimed
-
-    def _kill_many(self, nodes) -> int:
-        """Release-and-reclaim once-live subgraphs in one walk.
-
-        Reordering-phase fast path: each entry carries one *deferred*
-        final release (the caller saw its count at 1 and did not
-        decrement).  The walk applies the decrement and, when a node
-        dies, reclaims its slot immediately and defers one release to
-        each child — fusing the :meth:`_deref_index` cascade and the
-        :meth:`_sweep_many` reclamation into a single pass with no
-        dead-set traffic.  Only valid while collection is deferred and
-        every entry is a once-live node (``ref >= 1``, float flag
-        clear): nodes re-acquired between the deferral and this walk
-        simply survive with the extra count.
-        """
-        pvl = self._pv
-        svl = self._sv
-        neql = self._neq
-        eql = self._eq
-        refl = self._ref
-        raw = self._uniq_raw
-        pool = self._free_nodes.append
-        views_pop = self._views.pop
-        by_pv = self._by_pv
-        by_sv = self._by_sv
-        reclaimed = 0
-        stack = list(nodes)
-        while stack:
-            n = stack.pop()
-            r = refl[n] - 1
-            if r > 0 or n == SINK:
-                refl[n] = r
-                continue
-            refl[n] = -1  # tombstone: the slot is gone
-            pool(n)
-            views_pop(n, None)
-            if svl[n] == SV_ONE:
-                del raw[(pvl[n], SV_ONE)]
-                del self._literals[pvl[n]]
-                refl[SINK] -= 2  # the fixed sink children
-            else:
-                del raw[(pvl[n], svl[n], neql[n], eql[n])]
-                if by_pv is not None:
-                    by_pv[pvl[n]].discard(n)
-                    by_sv[svl[n]].discard(n)
-                d = neql[n]
-                stack.append(-d if d < 0 else d)
-                stack.append(eql[n])
-            reclaimed += 1
-        self._node_count -= reclaimed
-        return reclaimed
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
-    def table_stats(self) -> dict:
-        return {
-            "unique": self._unique.stats(),
-            "computed": self._cache.stats(),
-            "nodes": self._node_count,
-            "peak_nodes": self.peak_nodes,
-            "dead": len(self._dead_set),
-            "apply_calls": self.apply_calls,
-            "gc_runs": self.gc_count,
-            "gc_reclaimed": self.gc_reclaimed,
-            "auto_gc_runs": self.auto_gc_runs,
-            "auto_gc": self.auto_gc,
-            "gc_threshold": self.gc_threshold,
-            "gc_min_nodes": self.gc_min_nodes,
-        }
-
-    def collect_metrics(self, registry) -> None:
-        """Sample this manager's counters into an obs registry.
-
-        Pull-based observability hook (see :mod:`repro.obs`): the hot
-        paths keep their native counters and this maps them onto the
-        catalogued metric families, labeled ``backend="bbdd"``.
-        """
-        from repro.obs.catalog import family
-
-        unique = self._unique.stats()
-        computed = self._cache.stats()
-        label = {"backend": "bbdd"}
-        family(registry, "repro_manager_unique_lookups_total").labels(
-            **label
-        ).inc(unique.get("lookups", 0))
-        family(registry, "repro_manager_unique_hits_total").labels(
-            **label
-        ).inc(unique.get("hits", 0))
-        family(registry, "repro_manager_computed_lookups_total").labels(
-            **label
-        ).inc(computed.get("lookups", 0))
-        family(registry, "repro_manager_computed_hits_total").labels(
-            **label
-        ).inc(computed.get("hits", 0))
-        family(registry, "repro_manager_apply_total").labels(**label).inc(
-            self.apply_calls
-        )
-        family(registry, "repro_manager_gc_runs_total").labels(**label).inc(
-            self.gc_count
-        )
-        family(registry, "repro_manager_gc_reclaimed_total").labels(
-            **label
-        ).inc(self.gc_reclaimed)
-        family(registry, "repro_manager_nodes").labels(**label).inc(
-            self._node_count
-        )
-        family(registry, "repro_manager_peak_nodes").labels(**label).inc(
-            self.peak_nodes
-        )
-        family(registry, "repro_manager_dead_nodes").labels(**label).inc(
-            len(self._dead_set)
-        )
-
-    # ------------------------------------------------------------------
-    # introspection / debugging
-    # ------------------------------------------------------------------
-
-    def nodes_with_pv(self, var: int) -> set:
-        """Chain node indices whose primary variable is ``var`` (live or dead).
-
-        Only inside :meth:`_level_index`: reordering builds the level
-        sets when it starts and drops them when it ends, so the store
-        pays for them only while it reorders.  Raises
-        :class:`BBDDError` elsewhere.
-        """
-        if self._by_pv is None:
-            raise BBDDError("level sets exist only inside _level_index()")
-        return self._by_pv[var]
-
-    def nodes_with_sv(self, var: int) -> set:
-        """Chain node indices whose secondary variable is ``var``.
-
-        Only inside :meth:`_level_index`, as :meth:`nodes_with_pv`.
-        """
-        if self._by_sv is None:
-            raise BBDDError("level sets exist only inside _level_index()")
-        return self._by_sv[var]
-
-    def check_invariants(self) -> None:
-        """Validate the canonical-form invariants; raise on violation.
-
-        Used by the test-suite after every structural operation.  Checks:
-        unique-table key consistency, R2 (no identical children), R4 (no
-        chain node denoting a literal), ``=``-edge regularity (structural
-        by construction, re-checked via key shape), CVO couple consistency,
-        strictly increasing child positions, literal node shape,
-        non-negative reference counts, cascading-count consistency (a live
-        node's children are live), no dangling child indices, the
-        exactness of the incremental dead count and, while
-        :meth:`_level_index` holds them, the level sets (each holds
-        exactly the stored chain nodes with that PV or SV).
+        A literal must be exactly ``(pv, SV_ONE, -1, 1)``.  A couple
+        must be consistent with the CVO (SV after PV), keep its
+        ``=``-edge regular, obey R2 (no identical children) and R3/R4
+        (no couple whose function does not depend on its SV), root its
+        children no higher than its SV and carry its exact support mask.
         """
         from repro.core.exceptions import InvariantViolation
 
@@ -1814,158 +887,57 @@ class BBDDManager(DDManager):
         svl = self._sv
         neql = self._neq
         eql = self._eq
-        refl = self._ref
-        fl = self._float
         suppl = self._supp
-        raw = self._uniq_raw
-        for key, node in list(raw.items()):
-            if self._node_key(node) != key:
+        if svl[node] == SV_ONE:
+            if not (neql[node] == -SINK and eql[node] == SINK):
                 raise InvariantViolation(
-                    f"key {key} does not map back to node {node}"
+                    f"malformed literal node {self.node_view(node)!r}"
                 )
-            if refl[node] < 0:
-                raise InvariantViolation(f"swept node still in table: {node}")
-            if svl[node] == SV_ONE:
-                if not (neql[node] == -SINK and eql[node] == SINK):
-                    raise InvariantViolation(
-                        f"malformed literal node {self.node_view(node)!r}"
-                    )
-                continue
-            pos = order.position(pvl[node])
-            sv_pos = order.position(svl[node])
-            if sv_pos <= pos:
-                raise InvariantViolation(
-                    f"couple of {self.node_view(node)!r} inconsistent with "
-                    f"order {order!r}"
-                )
-            d = neql[node]
-            e = eql[node]
-            if e < 0:
-                raise InvariantViolation(
-                    f"irregular =-edge on {self.node_view(node)!r}"
-                )
-            if d == e:
-                raise InvariantViolation(
-                    f"R2 violation (identical children): {self.node_view(node)!r}"
-                )
-            dn = -d if d < 0 else d
-            for child in (dn, e):
-                if refl[child] < 0 or (child != SINK and child not in (
-                    raw.get(self._node_key(child)),
-                )):
-                    raise InvariantViolation(
-                        f"dangling child index: {node} -> {child}"
-                    )
-                if child != SINK and order.position(pvl[child]) < sv_pos:
-                    raise InvariantViolation(
-                        f"child order violation: {self.node_view(node)!r} -> "
-                        f"{self.node_view(child)!r}"
-                    )
-                if (
-                    (refl[node] > 0 or fl[node])
-                    and child != SINK
-                    and refl[child] <= 0
-                ):
-                    raise InvariantViolation(
-                        f"held node with dead child: {self.node_view(node)!r} "
-                        f"-> {self.node_view(child)!r}"
-                    )
-            if (
-                dn != SINK
-                and e != SINK
-                and pvl[dn] == svl[node]
-                and pvl[e] == svl[node]
-            ):
-                if self._shannon_view(d, svl[node], 0) == self._shannon_view(
-                    e, svl[node], 1
-                ) and self._shannon_view(e, svl[node], 0) == self._shannon_view(
-                    d, svl[node], 1
-                ):
-                    raise InvariantViolation(
-                        f"R3/R4 violation (SV-independent chain node): "
-                        f"{self.node_view(node)!r}"
-                    )
-            expected_supp = (
-                (1 << pvl[node]) | (1 << svl[node]) | suppl[dn] | suppl[e]
-            )
-            if suppl[node] != expected_supp:
-                raise InvariantViolation(
-                    f"support mask mismatch: {self.node_view(node)!r}"
-                )
-        scanned_dead = self._scan_dead()
-        if scanned_dead != len(self._dead_set):
+            return
+        pos = order.position(pvl[node])
+        sv_pos = order.position(svl[node])
+        if sv_pos <= pos:
             raise InvariantViolation(
-                f"incremental dead count {len(self._dead_set)} != scan "
-                f"{scanned_dead}"
+                f"couple of {self.node_view(node)!r} inconsistent with "
+                f"order {order!r}"
             )
-        for node in self._dead_set:
-            if refl[node] != 0:
-                raise InvariantViolation(f"non-dead node in dead set: {node}")
-        for node in raw.values():
-            if fl[node] and refl[node] != 0:
+        d = neql[node]
+        e = eql[node]
+        if e < 0:
+            raise InvariantViolation(
+                f"irregular =-edge on {self.node_view(node)!r}"
+            )
+        if d == e:
+            raise InvariantViolation(
+                f"R2 violation (identical children): {self.node_view(node)!r}"
+            )
+        dn = -d if d < 0 else d
+        for child in (dn, e):
+            if child != SINK and order.position(pvl[child]) < sv_pos:
                 raise InvariantViolation(
-                    f"floating node with refs: {self.node_view(node)!r}"
+                    f"child order violation: {self.node_view(node)!r} -> "
+                    f"{self.node_view(child)!r}"
                 )
-        if self._by_pv is not None:
-            want_pv, want_sv = self._scan_levels()
-            for label, held, want in (
-                ("PV", self._by_pv, want_pv),
-                ("SV", self._by_sv, want_sv),
+        if (
+            dn != SINK
+            and e != SINK
+            and pvl[dn] == svl[node]
+            and pvl[e] == svl[node]
+        ):
+            if self._shannon_view(d, svl[node], 0) == self._shannon_view(
+                e, svl[node], 1
+            ) and self._shannon_view(e, svl[node], 0) == self._shannon_view(
+                d, svl[node], 1
             ):
-                for var in held.keys() | want.keys():
-                    have = held.get(var, set())
-                    nodes = want.get(var, set())
-                    if have != nodes:
-                        raise InvariantViolation(
-                            f"{label} set of variable {var}: stale "
-                            f"{sorted(have - nodes)}, missing "
-                            f"{sorted(nodes - have)}"
-                        )
-
-    def check_ref_counts(self, roots=None) -> None:
-        """Validate the reference counters against a full parent scan.
-
-        Every stored *held* chain node (positive count, or a floating
-        birth hold) contributes one reference per child occurrence; each
-        edge in ``roots`` — the caller's live function handles —
-        contributes one reference to its root node.  With ``roots``
-        given, the scan must reproduce every stored count exactly;
-        without it the scan is a lower bound (the slack is the caller's
-        handle count, unknown here).  The sink's count aggregates
-        literal birth holds and constant handles and is skipped.
-        """
-        from repro.core.exceptions import InvariantViolation
-
-        refl = self._ref
-        fl = self._float
-        svl = self._sv
-        neql = self._neq
-        eql = self._eq
-        holds = [0] * len(refl)
-        for node in self._uniq_raw.values():
-            if svl[node] == SV_ONE:
-                continue  # literal children are sink edges
-            if refl[node] > 0 or fl[node]:
-                d = neql[node]
-                holds[-d if d < 0 else d] += 1
-                holds[eql[node]] += 1
-        exact = roots is not None
-        if exact:
-            for edge in roots:
-                holds[-edge if edge < 0 else edge] += 1
-        for node in self._uniq_raw.values():
-            if node == SINK:
-                continue
-            have = refl[node]
-            if have < 0:
-                raise InvariantViolation(f"swept node still stored: {node}")
-            expected = holds[node]
-            if have < expected or (exact and have != expected):
                 raise InvariantViolation(
-                    f"ref count mismatch on {self.node_view(node)!r}: "
-                    f"stored {have}, parent scan "
-                    f"{'==' if exact else '>='} {expected}"
+                    f"R3/R4 violation (SV-independent chain node): "
+                    f"{self.node_view(node)!r}"
                 )
+        expected_supp = (1 << pvl[node]) | (1 << svl[node]) | suppl[dn] | suppl[e]
+        if suppl[node] != expected_supp:
+            raise InvariantViolation(
+                f"support mask mismatch: {self.node_view(node)!r}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,7 +1,7 @@
-"""Edge coding and node views for the flat integer-coded BBDD store.
+"""Edge coding and row views for the flat integer-coded node store.
 
 The core stores nodes as **dense positive integers** indexing parallel
-arrays owned by :class:`repro.core.manager.BBDDManager` (the
+arrays owned by :class:`repro.core.store.NodeStore` (the
 tulip-control/dd idiom): slot ``i`` of the ``_pv``/``_sv``/``_neq``/
 ``_eq``/``_ref``/``_supp`` arrays holds node ``i``'s fields.  An *edge*
 is a single signed int whose sign carries the complement attribute —
@@ -25,6 +25,11 @@ Canonical-form conventions (Sec. III-D) carried over into the coding:
 * single-variable functions degenerate to *literal nodes* — rule R4's
   "BDD node" with ``SV = 1`` — whose children are fixed: ``neq = -1``
   (value 0) and ``eq = +1``.
+
+A row with ``SV = 1`` tests its primary variable alone, ``eq`` where it
+is 1 and ``neq`` where it is 0.  That is also the shape of a Shannon
+node, so the baseline BDD package keeps its nodes in the same store as
+rows ``(var, SV_ONE, else, then)``, then-edges regular.
 
 :class:`BBDDNode` survives only as a **lazy read-only view** over one
 slot, interned per manager (``manager.node_view(i)`` returns the same
@@ -54,7 +59,11 @@ Edge = int
 
 
 class BBDDNode:
-    """Read-only view of one node slot (render/debug surface).
+    """Read-only view of one row of the store (render/debug surface).
+
+    The view of both backends' nodes: on a BDD manager ``pv`` is the
+    node's variable, ``eq_edge`` its then-edge and ``neq_edge`` its
+    signed else-edge.
 
     Exposes the object-style field surface (``pv``, ``sv``, ``neq``,
     ``neq_attr``, ``eq``, ``ref``, ``supp``, ``uid``, ...) on top of
@@ -141,7 +150,8 @@ class BBDDNode:
 
     @property
     def is_literal(self) -> bool:
-        """True for R4 "BDD" nodes (``SV = 1``)."""
+        """True for single-variable rows (``SV = 1``): R4 literals, and
+        every node of a BDD manager."""
         return self.index != SINK and self.manager._sv[self.index] == SV_ONE
 
     @property
@@ -152,16 +162,13 @@ class BBDDNode:
     def key(self) -> tuple:
         """The unique-table key of this node's slot.
 
-        Chain nodes are keyed by ``(pv, sv, neq_edge, eq_edge)``; under
-        a CVO the pair ``(pv, sv)`` is equivalent to the paper's
-        ``CVO-level`` field, and keying by the variable pair keeps
-        unaffected nodes stable across re-ordering.  Literal nodes are
-        keyed by ``(pv, SV_ONE)`` alone (their children are fixed).
+        Every row is keyed by ``(pv, sv, neq_edge, eq_edge)``, a literal
+        by ``(pv, SV_ONE, -1, 1)``.  Under a CVO the pair ``(pv, sv)`` is
+        equivalent to the paper's ``CVO-level`` field, and keying by the
+        variable pair keeps unaffected nodes stable across re-ordering.
         """
         manager = self.manager
         index = self.index
-        if manager._sv[index] == SV_ONE:
-            return (manager._pv[index], SV_ONE)
         return (
             manager._pv[index],
             manager._sv[index],

@@ -403,8 +403,7 @@ def _swap_adjacent(manager, k: int, stats: Optional[SwapStats]) -> None:
         else:
             neg = False
             unique_key = key
-        # A literal's key is its own (pv, SV_ONE).
-        r = raw_get(unique_key if sv != SV_ONE else (pv, sv))
+        r = raw_get(unique_key)
         if r is None:
             if src and fl[src] and pvl[src] == y:
                 # Move: the (y, z) node becomes (x, z) over the same two
@@ -603,14 +602,11 @@ def sift(
     manager.gc()  # sizes must reflect live nodes only
     if swap_fn is None:
         swap_fn = swap_adjacent
-    # Managers exposing state snapshots let the driver rewind excursions
-    # instead of retracing them (custom swap_fn implies custom state the
-    # snapshot may not cover, so only the default swap uses them).
-    checkpoint = (
-        getattr(manager, "_checkpoint", None)
-        if swap_fn is swap_adjacent
-        else None
-    )
+    # With the CVO swap the driver rewinds excursions to store
+    # checkpoints instead of retracing them.  Another swap_fn (the
+    # baseline package's level swap) retraces: rewinds would change the
+    # number of swaps that the Table I baseline makes and reports.
+    rewind = swap_fn is swap_adjacent
     stats = SwapStats()
     t0 = time.perf_counter()
     initial = manager.size()
@@ -640,7 +636,7 @@ def sift(
                 # Excursion towards the closer end first, then the other end.
                 down_first = (n - 1 - pos) <= pos
                 legs = [(1, n - 1), (-1, 0)] if down_first else [(-1, 0), (1, n - 1)]
-                if checkpoint is not None:
+                if rewind:
                     # Checkpointing manager: both legs probe from the start
                     # state and the excursion ends with a rewind to the best
                     # state, skipping every already-measured retrace swap

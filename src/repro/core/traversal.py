@@ -1,10 +1,11 @@
-"""Traversals over BBDD forests: evaluation, counting, paths, levels.
+"""Traversals over the rows of the node store: evaluation, counting, paths, levels.
 
 All functions operate on the owning manager plus bare signed-int edges
 of the flat store (``abs(edge)`` = node index, sign = complement
-attribute).  Level skipping is handled everywhere: an edge from position
-``p`` to a node rooted at position ``q`` leaves the variables at
-positions ``p+1 .. q-1`` unconstrained.
+attribute), for BBDD couples and single-variable rows (BBDD literals
+and Shannon nodes) alike.  Level skipping is handled everywhere: an edge
+from position ``p`` to a node rooted at position ``q`` leaves the
+variables at positions ``p+1 .. q-1`` unconstrained.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ def evaluate(manager, edge: Edge, values: Mapping[int, bool]) -> bool:
     """Evaluate the function at a complete assignment ``{var index: bit}``.
 
     Follows one root-to-sink path: at a chain node take the ``!=``-edge
-    when ``values[pv] != values[sv]``; at a literal node the ``=``-edge
-    corresponds to ``pv == 1`` (the paper's fictitious SV).  Complement
+    when ``values[pv] != values[sv]``; at a single-variable row (a literal
+    or a Shannon node) the ``=``-edge corresponds to ``pv == 1`` (the
+    paper's fictitious SV).  Complement
     attributes along the path toggle the result.
     """
     pvl = manager._pv
@@ -47,8 +49,7 @@ def evaluate(manager, edge: Edge, values: Mapping[int, bool]) -> bool:
 
 
 def reachable_nodes(manager, edges: Iterable[Edge]) -> Set[int]:
-    """All internal node indices (chain + literal) reachable from ``edges``."""
-    svl = manager._sv
+    """All row indices (sink excluded) reachable from ``edges``."""
     neql = manager._neq
     eql = manager._eq
     seen: Set[int] = set()
@@ -60,8 +61,6 @@ def reachable_nodes(manager, edges: Iterable[Edge]) -> Set[int]:
             stack.append(node)
     while stack:
         node = stack.pop()
-        if svl[node] == SV_ONE:
-            continue
         d = neql[node]
         for child in (-d if d < 0 else d, eql[node]):
             if child != SINK and child not in seen:

@@ -1,11 +1,12 @@
 """The unique table: strong canonical form storage (Sec. IV-A1).
 
-Every BBDD node has a distinct entry keyed by its strong-canonical
-tuple — ``(pv, sv, neq_edge, eq_edge)`` for chain nodes (the children
+Every row of the node store has a distinct entry keyed by its
+strong-canonical tuple ``(pv, sv, neq_edge, eq_edge)``: the children
 are signed int edges of the flat store, so the ``!=``-attr rides on
-the sign) and ``(pv, SV_ONE)`` for literal nodes.  A lookup before
-each insertion guarantees that structurally equal nodes get the *same
-index*, reducing equivalence tests to integer comparisons.
+the sign.  A BBDD literal is keyed ``(pv, SV_ONE, -1, 1)`` and a BDD
+node ``(var, SV_ONE, else, then)``.  A lookup before each insertion
+guarantees that structurally equal nodes get the *same index*,
+reducing equivalence tests to integer comparisons.
 
 :class:`UniqueTable` is a thin stats-keeping shell around the built-in
 dict.  The paper's bucket array (nested Cantor pairings + adaptive
@@ -14,8 +15,8 @@ keys hash natively faster than any pure-Python bucket scheme.
 
 The protocol: ``lookup``, ``insert``, ``delete``,
 ``__len__``, ``__contains__``, ``values``, ``clear`` and ``stats``.
-Hot paths (``BBDDManager._make``) bypass the method layer and work on
-the raw ``_table`` dict directly, settling the ``_lookups``/``_hits``
+Hot paths (both managers' ``_make``) bypass the method layer and work
+on the raw ``_table`` dict directly, settling the ``_lookups``/``_hits``
 counters themselves.
 """
 

@@ -69,7 +69,7 @@ def named_edges(manager, functions) -> List[Tuple[object, object]]:
     """Normalize the accepted forest shapes of ``manager`` to ``[(name, edge)]``.
 
     Accepts a function handle or a bare edge (a flat-store signed int
-    or an ``(node, attr)`` pair), a sequence of either, or a name-keyed
+    or an xmem ``(node, attr)`` pair), a sequence of either, or a name-keyed
     mapping; anonymous roots are named ``f0``, ``f1``, ...  A handle of
     another manager raises
     :class:`~repro.core.exceptions.ForeignManagerError`.

@@ -294,6 +294,12 @@ def test_bdd_restrict_compose_quantify_against_bbdd():
         expr = " | ".join(terms)
         mb = repro.open("bbdd", vars=names)
         md = repro.open("bdd", vars=names)
+        # Collect at every safe point: the ops hold bare edges across
+        # applies, so a missing operation guard shows up as a wrong
+        # answer or a use-after-sweep.
+        for m in (mb, md):
+            m.gc_min_nodes = 1
+            m.gc_threshold = 0.05
         fb, fd = mb.add_expr(expr), md.add_expr(expr)
         var = rng.choice(names)
         value = bool(rng.getrandbits(1))
@@ -306,8 +312,16 @@ def test_bdd_restrict_compose_quantify_against_bbdd():
         assert fb.compose(var, mb.add_expr(g_expr)).truth_mask(names) == fd.compose(
             var, md.add_expr(g_expr)
         ).truth_mask(names)
+        h_expr = "(a | ~c) & (b ^ d)"
+        others = [n for n in names if n != var][: rng.randint(0, 2)]
+        assert fb.and_exists(mb.add_expr(h_expr), [var] + others).truth_mask(
+            names
+        ) == fd.and_exists(md.add_expr(h_expr), [var] + others).truth_mask(names)
         assert fb.support() == fd.support()
         assert fb.sat_count() == fd.sat_count()
+        md.check_invariants()
+        md.check_ref_counts([fd.edge])
+    assert md.auto_gc_runs > 0
 
 
 def test_bdd_quantify_restrict_laws():

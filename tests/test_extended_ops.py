@@ -313,18 +313,18 @@ def test_let_rebuild_matches_truth_table(backend, low_recursion_limit):
     every pair swapped checks that the rebuild does not recurse.
     """
     rng = random.Random(20)
-    kwargs = {"gc_min_nodes": 64} if backend == "bbdd" else {}
-    m = repro.open(backend, vars=[f"x{i}" for i in range(REBUILD_VARS)], **kwargs)
+    m = repro.open(backend, vars=[f"x{i}" for i in range(REBUILD_VARS)])
+    if backend == "xmem":
+        for _round in range(3):
+            _check_rebuild_round(m, rng)
+        return
+    m.gc_min_nodes = 64
     live = []
     for _round in range(3):
         live += _check_rebuild_round(m, rng)
-        if backend != "xmem":
-            m.gc()
-        if backend == "bbdd":
-            m.check_invariants()
-            m.check_ref_counts([h.edge for h in live])
-    if backend == "xmem":
-        return
+        m.gc()
+        m.check_invariants()
+        m.check_ref_counts([h.edge for h in live])
     pairs = 750
     deep = repro.open(backend, vars=[f"y{i}" for i in range(2 * pairs)])
     chain = _pair_swap_chain(deep, pairs, swapped=False)

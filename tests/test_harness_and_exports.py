@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bdd import BDDManager
 from repro.circuits.registry import TABLE1_ROWS, TABLE2_ROWS
 from repro.core import BBDDManager
 from repro.core.dot import to_dot
@@ -62,6 +63,18 @@ def test_dot_export_contains_structure():
     dot = to_dot(m, [f], names=["f"])
     assert dot.startswith("digraph")
     assert "a,b" in dot and "sink" in dot
+
+
+def test_dot_export_draws_bdd_rows():
+    """A BDD node is a single-variable row of the store: a box whose
+    dashed edge goes to its else-child and solid edge to its then-child."""
+    m = BDDManager(["a", "b", "c"])
+    f = (m.var("a") & m.var("b")) | m.var("c")
+    dot = to_dot(m, [f], names=["f"])
+    root = f.node
+    assert f'n{root.uid} [shape=box, label="a"]' in dot
+    assert f"n{root.uid} -> n{root.eq.uid};" in dot
+    assert f"n{root.uid} -> n{root.neq.uid} [style=dashed" in dot
 
 
 def test_exports_render_literal_chain_and_complement():

@@ -49,7 +49,7 @@ def _random_forest(backend, rng, n):
 
 
 def _level_sets(m):
-    return (m._by_pv, m._by_sv) if isinstance(m, BBDDManager) else (m._by_var,)
+    return (m._by_pv, m._by_sv)
 
 
 def _assert_no_level_sets(m):

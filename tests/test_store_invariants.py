@@ -19,8 +19,8 @@ from repro.harness.table1 import run_benchmark
 _ROWS = {row.name: row for row in TABLE1_ROWS}
 
 
-def _forest(n=4):
-    m = BBDDManager(n)
+def _forest(n=4, backend="bbdd"):
+    m = BBDDManager(n) if backend == "bbdd" else BDDManager(n)
     fs = [
         (m.var(0) ^ m.var(1)) & m.var(2),
         m.var(1).xnor(m.var(3)) | m.var(0),
@@ -37,26 +37,38 @@ def _chain_node(m):
     raise AssertionError("no chain node in forest")
 
 
+def _held_child(m):
+    """A stored row that another stored row holds (a positive parent scan)."""
+    for node in m._uniq_raw.values():
+        for child in (abs(m._neq[node]), m._eq[node]):
+            if child != 1:  # the sink
+                return child
+    raise AssertionError("no shared row in forest")
+
+
 def test_ref_count_scan_passes_on_live_forest():
-    m, fs = _forest()
-    m.check_ref_counts()  # lower-bound mode: handles unknown
-    m.check_ref_counts([f.edge for f in fs])  # exact mode
-    del fs[1]
-    m.check_ref_counts([f.edge for f in fs])  # dead nodes scan to zero
-    m.gc()
-    m.check_ref_counts([f.edge for f in fs])
+    # Both expansions keep their rows in one store, so both scan exactly.
+    for backend in ("bbdd", "bdd"):
+        m, fs = _forest(backend=backend)
+        m.check_ref_counts()  # lower-bound mode: handles unknown
+        m.check_ref_counts([f.edge for f in fs])  # exact mode
+        del fs[1]
+        m.check_ref_counts([f.edge for f in fs])  # dead nodes scan to zero
+        m.gc()
+        m.check_ref_counts([f.edge for f in fs])
 
 
 def test_ref_count_scan_detects_drift():
-    m, fs = _forest()
-    node = _chain_node(m)
-    m._ref[node] += 1  # leaked acquire
-    with pytest.raises(InvariantViolation):
-        m.check_ref_counts([f.edge for f in fs])
-    m._ref[node] -= 2  # lost reference: below the parent-scan floor
-    with pytest.raises(InvariantViolation):
-        m.check_ref_counts()
-    m._ref[node] += 1
+    for backend in ("bbdd", "bdd"):
+        m, fs = _forest(backend=backend)
+        node = _held_child(m)
+        m._ref[node] += 1  # leaked acquire
+        with pytest.raises(InvariantViolation):
+            m.check_ref_counts([f.edge for f in fs])
+        m._ref[node] -= 2  # lost reference: below the parent-scan floor
+        with pytest.raises(InvariantViolation):
+            m.check_ref_counts()
+        m._ref[node] += 1
 
 
 def test_checker_detects_dangling_child():
@@ -137,12 +149,13 @@ def test_bdd_checker_detects_stale_and_missing_level_entries():
     f = (a & b) | (c ^ d)
     with m._level_index():
         m.check_invariants()
-        node = f.node
-        m._by_var[node.var].discard(node)
+        node = f.node.index
+        var = m._pv[node]
+        m._by_pv[var].discard(node)
         with pytest.raises(InvariantViolation, match="missing"):
             m.check_invariants()
-        m._by_var[node.var].add(node)
-        m._by_var[(node.var + 1) % 4].add(node)
+        m._by_pv[var].add(node)
+        m._by_pv[(var + 1) % 4].add(node)
         with pytest.raises(InvariantViolation, match="stale"):
             m.check_invariants()
 

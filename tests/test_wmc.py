@@ -538,8 +538,6 @@ def _check_queries(f):
 def _scenarios():
     for backend in KEEPING:
         for scenario in ("sift", "gc", "auto_gc", "new_var"):
-            if backend == "bdd" and scenario in ("auto_gc", "new_var"):
-                continue  # no auto-GC or new_var there
             yield pytest.param(backend, scenario, id=f"{backend}-{scenario}")
 
 
@@ -571,8 +569,7 @@ def test_compiled_columns_live_as_long_as_computed_table(backend, scenario):
         del small
         manager.gc()
         g = manager.add_expr("v2 & v3")
-        if backend == "bbdd":
-            assert g.edge == freed  # the slot reuse this scenario needs
+        assert g.edge == freed  # the slot reuse this scenario needs
         _check_queries(g)
     elif scenario == "auto_gc":
         manager.gc()
