@@ -9,10 +9,25 @@
   query throughput on a Table I circuit, any backend.
 * :mod:`repro.harness.report` — plain-text table rendering with
   paper-vs-measured columns.
+
+``run_table1``, ``run_table2`` and ``run_bulkeval`` are imported on
+first use, so ``python -m repro.harness.table1`` (or ``table2``,
+``bulkeval``) runs its module once, as ``__main__``, instead of also
+importing it with the package.
 """
 
-from repro.harness.bulkeval import run_bulkeval
-from repro.harness.table1 import run_table1
-from repro.harness.table2 import run_table2
+from importlib import import_module
 
-__all__ = ["run_table1", "run_table2", "run_bulkeval"]
+_RUNNERS = {
+    "run_table1": "repro.harness.table1",
+    "run_table2": "repro.harness.table2",
+    "run_bulkeval": "repro.harness.bulkeval",
+}
+
+__all__ = list(_RUNNERS)
+
+
+def __getattr__(name: str):
+    if name in _RUNNERS:
+        return getattr(import_module(_RUNNERS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,83 +42,88 @@ def _strip_comments(text: str) -> str:
     return text
 
 
-class _ExprParser:
-    """Recursive-descent parser for assign right-hand sides.
+#: Binary operators of an assign, by level: 0 ``&``, 1 ``^``/``~^``/``^~``,
+#: 2 ``|`` (lower levels bind tighter; ``~`` binds tightest of all).
+_LEVEL = {"&": 0, "^": 1, "~^": 1, "^~": 1, "|": 2}
 
-    Precedence (tightest first): ``~``, ``&``, ``^``/``~^``, ``|``.
+_END = "unexpected end of expression"
+
+
+def _parse_expr(tokens: List[str], net: LogicNetwork, defined: set) -> str:
+    """Parse one assign right-hand side into gates; returns its signal.
+
+    Precedence (tightest first): ``~``, ``&``, ``^``/``~^``/``^~``,
+    ``|``.  An operator-precedence loop with an explicit stack of open
+    parentheses, so nesting depth is bounded by memory, not by the
+    Python stack.  Each open group keeps its pending ``~`` count and one
+    term list per level: ``&`` and ``|`` make one n-ary gate per run,
+    ``^`` and its negations fold left to right.  Gates are made in the
+    order a recursive descent over the same grammar makes them.
     """
-
-    def __init__(self, tokens: List[str], net: LogicNetwork, defined: set) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.net = net
-        self.defined = defined
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, token: str) -> None:
-        got = self.take()
-        if got != token:
-            raise ValueError(f"expected {token!r}, got {got!r}")
-
-    def parse(self) -> str:
-        result = self.parse_or()
-        if self.peek() is not None:
-            raise ValueError(f"trailing tokens: {self.tokens[self.pos:]}")
-        return result
-
-    def parse_or(self) -> str:
-        terms = [self.parse_xor()]
-        while self.peek() == "|":
-            self.take()
-            terms.append(self.parse_xor())
-        return terms[0] if len(terms) == 1 else self.net.or_(*terms)
-
-    def parse_xor(self) -> str:
-        terms = [self.parse_and()]
-        ops: List[str] = []
-        while self.peek() in ("^", "~^", "^~"):
-            ops.append(self.take())
-            terms.append(self.parse_and())
-        result = terms[0]
-        for op, term in zip(ops, terms[1:]):
-            if op == "^":
-                result = self.net.xor(result, term)
-            else:
-                result = self.net.xnor(result, term)
-        return result
-
-    def parse_and(self) -> str:
-        terms = [self.parse_unary()]
-        while self.peek() == "&":
-            self.take()
-            terms.append(self.parse_unary())
-        return terms[0] if len(terms) == 1 else self.net.and_(*terms)
-
-    def parse_unary(self) -> str:
-        token = self.peek()
-        if token == "~":
-            self.take()
-            return self.net.inv(self.parse_unary())
+    # A group: [pending ~ count, & terms, ^ terms, ^ operators, | terms].
+    groups = [[0, [], [], [], []]]
+    pos = 0
+    count = len(tokens)
+    while True:
+        # Operand position: prefix ``~``s, then ``(`` or one atom.
+        nots = 0
+        while pos < count and tokens[pos] == "~":
+            nots += 1
+            pos += 1
+        if pos == count:
+            raise ValueError(_END)
+        token = tokens[pos]
+        pos += 1
         if token == "(":
-            self.take()
-            inner = self.parse_or()
-            self.expect(")")
-            return inner
-        token = self.take()
+            groups.append([nots, [], [], [], []])
+            continue
         if token in ("1'b0", "1'b1"):
-            return self.net.const(token == "1'b1")
-        if token is None:
-            raise ValueError("unexpected end of expression")
-        if token not in self.defined:
+            value = net.const(token == "1'b1")
+        elif token in defined:
+            value = token
+        else:
             raise ValueError(f"expression references undefined signal {token!r}")
-        return token
+        # Operator position: close levels (and groups) until an operator
+        # asks for the next operand.
+        while True:
+            for _ in range(nots):
+                value = net.inv(value)
+            _nots, ands, xors, xor_ops, ors = groups[-1]
+            token = tokens[pos] if pos < count else None
+            level = _LEVEL.get(token)
+            ands.append(value)
+            if level == 0:
+                pos += 1
+                break
+            value = ands[0] if len(ands) == 1 else net.and_(*ands)
+            ands.clear()
+            xors.append(value)
+            if level == 1:
+                xor_ops.append(token)
+                pos += 1
+                break
+            value = xors[0]
+            for op, term in zip(xor_ops, xors[1:]):
+                value = net.xor(value, term) if op == "^" else net.xnor(value, term)
+            xors.clear()
+            xor_ops.clear()
+            ors.append(value)
+            if level == 2:
+                pos += 1
+                break
+            value = ors[0] if len(ors) == 1 else net.or_(*ors)
+            ors.clear()
+            # The innermost group is complete.
+            if len(groups) == 1:
+                if token is not None:
+                    raise ValueError(f"trailing tokens: {tokens[pos:]}")
+                return value
+            if token is None:
+                raise ValueError(_END)
+            if token != ")":
+                raise ValueError(f"expected ')', got {token!r}")
+            pos += 1
+            nots = groups.pop()[0]
 
 
 def _tokenize_expr(text: str) -> List[str]:
@@ -204,7 +209,7 @@ def parse_verilog(text: str) -> LogicNetwork:
     order, unresolved = definition_order(targets, reads, defined)
     for i in order:
         if i < len(assigns):
-            result = _ExprParser(expressions[i], net, defined).parse()
+            result = _parse_expr(expressions[i], net, defined)
             net.add_gate("BUF", [result], name=targets[i])
         else:
             keyword, _ports = instances[i - len(assigns)]

@@ -5,10 +5,18 @@ The looped alternative — one root-to-sink walk per assignment — costs
 batch through the diagram **top-down, one level at a time**: every node
 carries a *cohort*, a pair of big-integer bitsets recording which
 queries currently sit on that node with even/odd complement parity.
-One node is then processed exactly once per batch — its branching
-condition is computed for **all** queries at once with a couple of
-word-parallel integer operations — so bulk evaluation is
-``O(nodes + queries)`` instead of ``O(nodes × queries)``.
+One node is then processed exactly once per batch, for **all** queries
+at once, so bulk evaluation is ``O(nodes + queries)`` instead of
+``O(nodes × queries)``.
+
+A node's branching condition depends only on its couple (its PV and
+SV), never on the node, so a sweep derives each couple's lane masks
+once — :func:`cohort_sweep` per run of rows sharing a PV,
+:func:`cube_sweep` per variable of the batch — and a node then splits
+its cohort with a few word-parallel ANDs (and XORs).  The masks a
+sweep keeps take at most a small constant multiple of the batch's own
+columns (one per variable, three per cube-constrained variable),
+however many couples the forest holds.
 
 Two input forms are supported, and both end in the same lane layout —
 one bit per query, bit ``i`` = query ``i``:
@@ -163,9 +171,6 @@ class EncodedBatch:
 # the sweeps
 # ----------------------------------------------------------------------
 
-#: Empty cube-sweep state: {pin-0, pin-1, floating} × {even, odd parity}.
-_ZERO6 = (0, 0, 0, 0, 0, 0)
-
 
 def cohort_sweep(columns, root: int, var_bits: Dict[int, int], full: int) -> int:
     """Push complete-assignment query cohorts through compiled columns.
@@ -175,6 +180,15 @@ def cohort_sweep(columns, root: int, var_bits: Dict[int, int], full: int) -> int
     result bitset: the lanes that reach the 1-sink with even
     accumulated complement parity.  Every lane follows exactly one
     root-to-sink path.
+
+    A row's branch mask (the lanes taking its t-branch) depends only on
+    its couple.  It is derived once per run of rows sharing a PV (keyed
+    by SV, dropped when the PV changes), so a node splits its cohort
+    with two ANDs and two XORs.  The extra state is one mask per SV
+    under the current PV, so at most one mask per variable, however
+    many couples the forest holds.  Every producer lays rows out level
+    by level, hence grouped by PV; rows in any other parents-first
+    order get the same answers, they only reuse fewer masks.
     """
     node = -root if root < 0 else root
     start = (0, full) if root < 0 else (full, 0)
@@ -185,17 +199,26 @@ def cohort_sweep(columns, root: int, var_bits: Dict[int, int], full: int) -> int
     pop = cohorts.pop
     get = cohorts.get
     get_bits = var_bits.get
+    run_pv = None
+    pv_bits = 0
+    masks: Dict[int, int] = {}
     for slot, pv, sv, t, f in columns.rows():
         pair = pop(slot, None)
         if pair is None:
             continue
+        if pv != run_pv:
+            run_pv = pv
+            pv_bits = get_bits(pv, 0)
+            masks = {}
+        t_mask = masks.get(sv)
+        if t_mask is None:
+            t_mask = masks[sv] = pv_bits if sv < 0 else pv_bits ^ get_bits(sv, 0)
         even, odd = pair
-        if sv < 0:
-            t_mask = get_bits(pv, 0)
-        else:
-            t_mask = get_bits(pv, 0) ^ get_bits(sv, 0)
         ce = even & t_mask
         co = odd & t_mask
+        # The rest of the cohort takes the f-branch.
+        fe = even ^ ce
+        fo = odd ^ co
         if ce or co:
             if t < 0:
                 ce, co = co, ce
@@ -203,20 +226,21 @@ def cohort_sweep(columns, root: int, var_bits: Dict[int, int], full: int) -> int
             if t == 1:
                 sat_even |= ce
             else:
-                pe, po = get(t, (0, 0))
-                cohorts[t] = (pe | ce, po | co)
-        f_mask = full & ~t_mask
-        ce = even & f_mask
-        co = odd & f_mask
-        if ce or co:
+                pair = get(t)
+                cohorts[t] = (ce, co) if pair is None else (
+                    pair[0] | ce, pair[1] | co
+                )
+        if fe or fo:
             if f < 0:
-                ce, co = co, ce
+                fe, fo = fo, fe
                 f = -f
             if f == 1:
-                sat_even |= ce
+                sat_even |= fe
             else:
-                pe, po = get(f, (0, 0))
-                cohorts[f] = (pe | ce, po | co)
+                pair = get(f)
+                cohorts[f] = (fe, fo) if pair is None else (
+                    pair[0] | fe, pair[1] | fo
+                )
     return sat_even
 
 
@@ -239,9 +263,9 @@ def cube_sweep(
     taken at the parent couple, or *floating* — six bitset planes
     (pin-state × parity):
 
-    * arriving at a node, pins are reconciled with the cube (a conflict
-      kills that path's lane contribution; a floating lane whose PV the
-      cube constrains becomes pinned);
+    * arriving at a node, a floating lane whose PV the cube constrains
+      becomes pinned to the cube's value (a pin never contradicts the
+      cube: branches pin only variables the lane's cube leaves free);
     * a chain branch whose SV the cube leaves free pins the SV's value
       (``sv = pv ⊕ branch``) — passed to the branch target exactly when
       the target's PV *is* that SV (otherwise the variable is skipped,
@@ -251,6 +275,13 @@ def cube_sweep(
 
     Returns the result bitset: bit ``i`` means some cube-consistent
     path evaluates to True — satisfiability of ``f ∧ cube``.
+
+    What the cubes say of a variable does not depend on the row, so its
+    masks (the lanes leaving it free, fixing it to 1, fixing it to 0)
+    are derived once per variable the batch constrains, before the
+    sweep: at most three masks per column of ``known_bits``, however
+    many couples the forest holds.  A variable no cube constrains reads
+    the all-free triple.
     """
     node = -root if root < 0 else root
     if node == 1:
@@ -259,13 +290,23 @@ def cube_sweep(
     cohorts: Dict[int, tuple] = {node: start}
     sat_even = 0
     pop = cohorts.pop
-    get_bits = var_bits.get
-    get_known = (known_bits or {}).get
+    get = cohorts.get
     pv_of = columns.pv_of
+    # Per constrained variable: the lanes whose cube leaves it free,
+    # fixes it to 1, fixes it to 0; any other variable is free in every
+    # lane.
+    masks: Dict[int, Tuple[int, int, int]] = {}
+    get_bits = var_bits.get
+    for var, known in (known_bits or {}).items():
+        if known:
+            ones = known & get_bits(var, 0)
+            masks[var] = (full & ~known, ones, known ^ ones)
+    get_masks = masks.get
+    unconstrained = (full, 0, 0)
 
     def route(ref, e0, o0, e1, o1, ef, of):
         nonlocal sat_even
-        if not (e0 | o0 | e1 | o1 | ef | of):
+        if not (e0 or o0 or e1 or o1 or ef or of):
             return
         if ref < 0:
             e0, o0, e1, o1, ef, of = o0, e0, o1, e1, of, ef
@@ -273,8 +314,8 @@ def cube_sweep(
         if ref == 1:
             sat_even |= e0 | e1 | ef
             return
-        c = cohorts.get(ref, _ZERO6)
-        cohorts[ref] = (
+        c = get(ref)
+        cohorts[ref] = (e0, o0, e1, o1, ef, of) if c is None else (
             c[0] | e0, c[1] | o0, c[2] | e1, c[3] | o1, c[4] | ef, c[5] | of,
         )
 
@@ -283,17 +324,14 @@ def cube_sweep(
         if state is None:
             continue
         e0, o0, e1, o1, ef, of = state
-        k = get_known(pv, 0)
-        kv = k & get_bits(pv, 0)
-        knv = k ^ kv
-        # Reconcile pins with the cube: conflicting lanes die on this
-        # path, floating lanes the cube constrains become pinned.
-        e0 = (e0 & ~kv) | (ef & knv)
-        o0 = (o0 & ~kv) | (of & knv)
-        e1 = (e1 & ~knv) | (ef & kv)
-        o1 = (o1 & ~knv) | (of & kv)
-        ef &= ~k
-        of &= ~k
+        # Floating lanes the cube constrains become pinned.
+        free, ones, zeros = get_masks(pv, unconstrained)
+        e0 |= ef & zeros
+        o0 |= of & zeros
+        e1 |= ef & ones
+        o1 |= of & ones
+        ef &= free
+        of &= free
         # Now e0/o0 hold lanes with pv = 0, e1/o1 with pv = 1, ef/of
         # with pv genuinely free (neither cube- nor pin-constrained).
         if sv < 0:
@@ -302,39 +340,31 @@ def cube_sweep(
             route(t, 0, 0, 0, 0, e1 | ef, o1 | of)
             route(f, 0, 0, 0, 0, e0 | ef, o0 | of)
             continue
-        ks = get_known(sv, 0)
-        ksv = ks & get_bits(sv, 0)
-        ksnv = ks ^ ksv
-        free_s = full & ~ks
-        # t-branch (pv != sv): lanes whose sv the cube decides float on,
-        # lanes with a free sv pin it to ~pv for the branch target.
-        te0 = e1 & free_s
-        to0 = o1 & free_s
-        te1 = e0 & free_s
-        to1 = o0 & free_s
-        tef = (e0 & ksv) | (e1 & ksnv) | (ef & ks) | (ef & free_s)
-        tof = (o0 & ksv) | (o1 & ksnv) | (of & ks) | (of & free_s)
+        free, ones, zeros = get_masks(sv, unconstrained)
+        # Lanes with a free sv pin it (sv = pv ⊕ branch): a0/b0
+        # (even/odd parity) to 0 and a1/b1 to 1 on the t-branch, the
+        # other way round on the f-branch.  Lanes whose sv the cube
+        # decides float on.
+        a0 = e1 & free
+        b0 = o1 & free
+        a1 = e0 & free
+        b1 = o0 & free
+        tef = (e0 & ones) | (e1 & zeros) | ef
+        tof = (o0 & ones) | (o1 & zeros) | of
+        fef = (e0 & zeros) | (e1 & ones) | ef
+        fof = (o0 & zeros) | (o1 & ones) | of
+        # A branch whose target does not test sv skips it: sv can never
+        # be tested again there, so its pin collapses to floating.
         child = -t if t < 0 else t
         if child == 1 or pv_of[child] != sv:
-            # sv is skipped below this branch and can never be tested
-            # again, so its pin is irrelevant: collapse to floating.
-            tef |= te0 | te1
-            tof |= to0 | to1
-            te0 = to0 = te1 = to1 = 0
-        route(t, te0, to0, te1, to1, tef, tof)
-        # f-branch (pv == sv).
-        fe0 = e0 & free_s
-        fo0 = o0 & free_s
-        fe1 = e1 & free_s
-        fo1 = o1 & free_s
-        fef = (e0 & ksnv) | (e1 & ksv) | (ef & ks) | (ef & free_s)
-        fof = (o0 & ksnv) | (o1 & ksv) | (of & ks) | (of & free_s)
+            route(t, 0, 0, 0, 0, tef | a0 | a1, tof | b0 | b1)
+        else:
+            route(t, a0, b0, a1, b1, tef, tof)
         child = -f if f < 0 else f
         if child == 1 or pv_of[child] != sv:
-            fef |= fe0 | fe1
-            fof |= fo0 | fo1
-            fe0 = fo0 = fe1 = fo1 = 0
-        route(f, fe0, fo0, fe1, fo1, fef, fof)
+            route(f, 0, 0, 0, 0, fef | a0 | a1, fof | b0 | b1)
+        else:
+            route(f, a1, b1, a0, b0, fef, fof)
     return sat_even
 
 

@@ -1,5 +1,9 @@
 """Harness smoke tests (tiny subsets) and export-format tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bdd import BDDManager
@@ -48,6 +52,30 @@ def test_bulkeval_harness_checks_cube_sweep(backend, monkeypatch):
     )
     with pytest.raises(AssertionError, match="cube sweep diverges"):
         run_bulkeval("z4ml", backend=backend, queries=96, outputs=2)
+
+
+def test_harness_module_runs_once_under_dash_m():
+    """``python -m repro.harness.bulkeval`` runs its module once: the
+    package does not import that module first (runpy warns if it does)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning",
+            "-m", "repro.harness.bulkeval", "--help",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    import repro.harness
+
+    assert repro.harness.run_bulkeval is run_bulkeval
+    with pytest.raises(AttributeError, match="no attribute 'run_table3'"):
+        repro.harness.run_table3
 
 
 def test_format_table_alignment():

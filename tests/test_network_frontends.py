@@ -129,6 +129,66 @@ def test_verilog_rejects_vectors():
         parse_verilog("module m (a); input [3:0] a; endmodule")
 
 
+def _assign_module(rhs):
+    return (
+        "module m (a, b, c, d, y);\n  input a, b, c, d;\n  output y;\n"
+        f"  assign y = {rhs};\nendmodule\n"
+    )
+
+
+def test_verilog_assign_precedence_and_constants():
+    """``~`` binds tightest, then ``&``, then ``^``/``~^``/``^~``, then ``|``."""
+    a, b, c, d = (TruthTable.var(4, j) for j in range(4))
+    cases = {
+        "~a & b ^ c | d": (((~a) & b) ^ c) | d,
+        "a | b ^ c & d": a | (b ^ (c & d)),
+        "a ^ b ~^ c ^~ d": ~(~((a ^ b) ^ c) ^ d),
+        "~(a | b) & ~~c": ~(a | b) & c,
+        "(a & 1'b1) | (b & 1'b0) | ~1'b1": a,
+    }
+    for rhs, want in cases.items():
+        assert output_truth_masks(parse_verilog(_assign_module(rhs)))["y"] == want.mask, rhs
+
+
+@pytest.mark.parametrize(
+    "rhs, want",
+    [
+        ("(" * 10_000 + "a ^ b" + ")" * 10_000, 0b0110),
+        ("~" * 10_000 + "a", 0b1010),
+        ("~" * 9_999 + "(a & ~b)", 0b1101),
+    ],
+    ids=["parentheses", "negations", "negated-group"],
+)
+def test_verilog_deep_assigns_parse(rhs, want):
+    """Assign nesting is bounded by memory, not the Python stack (500
+    parentheses or 5,000 ``~`` raised ``RecursionError`` before)."""
+    net = parse_verilog(
+        f"module m (a, b, y); input a, b; output y; assign y = {rhs}; endmodule"
+    )
+    assert output_truth_masks(net)["y"] == want
+
+
+@pytest.mark.parametrize(
+    "rhs, message",
+    [
+        ("", "unexpected end of expression"),
+        ("a &", "unexpected end of expression"),
+        ("~", "unexpected end of expression"),
+        ("((a | b)", "unexpected end of expression"),
+        ("a b", r"trailing tokens: \['b'\]"),
+        ("(a | b))", r"trailing tokens: \['\)'\]"),
+        ("(a b)", r"expected '\)', got 'b'"),
+        ("a & & b", "undefined signal '&'"),
+        ("()", r"undefined signal '\)'"),
+        ("a & q", "could not resolve"),
+        ("a # b", "unexpected character '#'"),
+    ],
+)
+def test_verilog_malformed_assigns_raise_value_error(rhs, message):
+    with pytest.raises(ValueError, match=message):
+        parse_verilog(_assign_module(rhs))
+
+
 def _reversed_chain(fmt, length):
     """A buffer chain ``s1 = a``, ``s{i} = s{i-1}``, listed output first."""
     sources = ["a"] + [f"s{i}" for i in range(1, length)]

@@ -25,7 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.api.base import Columns
+from repro.circuits.registry import TABLE1_ROWS
 from repro.core.exceptions import VariableError
+from repro.network.build import build
+from repro.network.simulate import exhaustive_masks, output_truth_masks
+from repro.par import ShmForest
 from repro.serve import (
     BatchingServer,
     ColumnBatch,
@@ -35,7 +40,13 @@ from repro.serve import (
 )
 from repro.par.dispatch import WorkerRestarted
 from repro.serve import server as serve_server
-from repro.serve.bulk import EncodedBatch, encode_columns, encode_mappings
+from repro.serve.bulk import (
+    EncodedBatch,
+    cohort_sweep,
+    cube_sweep,
+    encode_columns,
+    encode_mappings,
+)
 
 # A reply the server drops would otherwise leave a TCP test waiting
 # forever; the hard deadline turns that hang into a failure.
@@ -181,6 +192,146 @@ def test_satisfiable_batch_relational_consistency():
     ) == [False, True, True, True]
     g = manager.add_expr("(a ^ b) | (c & d) | (a <-> e)")
     assert g.satisfiable_batch([{"a": 1, "b": 1, "e": 0, "d": 0}]) == [False]
+
+
+# ----------------------------------------------------------------------
+# the sweep kernels against truth tables, on sifted circuits
+# ----------------------------------------------------------------------
+
+KERNEL_LANES = 320
+
+
+def sifted_circuit(name, backend):
+    """A fast Table I row built on ``backend`` and sifted, with oracles.
+
+    After sifting, the order no longer follows variable indices, so a
+    row's couple is not its index neighbour.  Returns the manager, its
+    functions, ``KERNEL_LANES`` complete assignments, as many cubes
+    (every size 0..n at least once) and per output the expected answers
+    from the network's exhaustive truth table.
+    """
+    network = next(r for r in TABLE1_ROWS if r.name == name).build(full=False)
+    manager, functions = build(network, backend=backend)
+    manager.sift()
+    assert list(manager.order.order) != sorted(manager.order.order)
+    inputs = list(network.inputs)
+    n = len(inputs)
+    columns = exhaustive_masks(n)
+    everything = (1 << (1 << n)) - 1
+    rng = random.Random(n)
+    points = [rng.randrange(1 << n) for _ in range(KERNEL_LANES)]
+    assignments = [{v: p >> j & 1 for j, v in enumerate(inputs)} for p in points]
+    sizes = list(range(n + 1))
+    sizes += [rng.randrange(n + 1) for _ in range(KERNEL_LANES - len(sizes))]
+    cubes, minterms = [], []
+    for size, point in zip(sizes, points):
+        cube, region = {}, everything
+        for j in rng.sample(range(n), size):
+            cube[inputs[j]] = point >> j & 1
+            region &= columns[j] if point >> j & 1 else everything ^ columns[j]
+        cubes.append(cube)
+        minterms.append(region)
+    expected = {
+        out: (
+            [bool(table >> p & 1) for p in points],
+            [bool(table & region) for region in minterms],
+        )
+        for out, table in output_truth_masks(network).items()
+    }
+    return manager, functions, assignments, cubes, expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("circuit", ["alu4", "misex1"])
+def test_sweeps_match_truth_tables_after_sift(circuit, backend):
+    """Batch answers of the manager and of a frozen forest equal looped
+    ``evaluate`` and the truth tables (bdd rows all test one variable)."""
+    manager, functions, assignments, cubes, expected = sifted_circuit(
+        circuit, backend
+    )
+    frozen = ShmForest.freeze(manager, functions)
+    try:
+        for out, f in functions.items():
+            values, sat = expected[out]
+            assert [f.evaluate(a) for a in assignments] == values
+            assert f.evaluate_batch(assignments) == values
+            assert frozen.evaluate_batch(out, assignments) == values
+            assert f.satisfiable_batch(cubes) == sat
+            assert frozen.satisfiable_batch(out, cubes) == sat
+            # Alone in its batch, a cube leaves its free variables
+            # unconstrained in every lane (the kernel's all-free masks).
+            width = len(manager.order.order) + 1
+            assert [f.satisfiable_batch([c])[0] for c in cubes[:width]] == (
+                sat[:width]
+            )
+    finally:
+        frozen.close()
+        frozen.unlink()
+
+
+def interleaved(columns):
+    """The same diagram with rows re-laid parents first, PVs alternating.
+
+    A topological order that picks, whenever it can, a ready row whose
+    PV differs from the previous row's: no producer lays rows out this
+    way, but the kernels only rely on parents coming first.
+    """
+    _base, pv, sv, t, f = columns.joined().blocks[0]
+    waiting = [0] * len(pv)
+    for slot in range(2, len(pv)):
+        for ref in (t[slot], f[slot]):
+            waiting[abs(ref)] += 1
+    ready = [slot for slot in range(2, len(pv)) if not waiting[slot]]
+    placed = []
+    while ready:
+        last = pv[placed[-1]] if placed else None
+        pick = next((i for i, s in enumerate(ready) if pv[s] != last), 0)
+        slot = ready.pop(pick)
+        placed.append(slot)
+        for ref in (t[slot], f[slot]):
+            waiting[abs(ref)] -= 1
+            if abs(ref) > 1 and not waiting[abs(ref)]:
+                ready.append(abs(ref))
+    new = {old: slot for slot, old in enumerate(placed, 2)}
+    new[1] = 1
+
+    def ref_of(ref):
+        return new[ref] if ref > 0 else -new[-ref]
+
+    npv = [0, 0] + [pv[s] for s in placed]
+    block = (
+        0,
+        npv,
+        [-1, -1] + [sv[s] for s in placed],
+        [0, 0] + [ref_of(t[s]) for s in placed],
+        [0, 0] + [ref_of(f[s]) for s in placed],
+    )
+    roots = {name: ref_of(ref) for name, ref in columns.roots.items()}
+    return Columns(columns.order, roots, [block], npv)
+
+
+def test_sweeps_need_no_pv_grouping():
+    """Both kernels answer the same on rows whose PVs interleave."""
+    manager, functions, assignments, cubes, expected = sifted_circuit(
+        "alu4", "bbdd"
+    )
+    exported = manager.freeze_export(
+        [(out, f.edge) for out, f in sorted(functions.items())]
+    )
+    columns = interleaved(exported)
+    pvs = columns.pv_of[2:]
+    runs = 1 + sum(a != b for a, b in zip(pvs, pvs[1:]))
+    assert runs > 2 * len(set(pvs))  # PVs come back after other PVs
+    points = encode_mappings(manager, assignments)
+    partial = encode_mappings(manager, cubes, with_known=True)
+    for out, ref in columns.roots.items():
+        values, sat = expected[out]
+        got = cohort_sweep(columns, ref, points.var_bits, points.full)
+        assert points.unpack(got) == values
+        got = cube_sweep(
+            columns, ref, partial.var_bits, partial.known_bits, partial.full
+        )
+        assert partial.unpack(got) == sat
 
 
 # ----------------------------------------------------------------------
