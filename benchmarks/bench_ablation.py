@@ -18,6 +18,10 @@ from repro.network.build import build
 
 _WORKLOAD = [mcnc.comp(10), mcnc.my_adder(10), mcnc.parity(12)]
 
+#: Stored nodes of the workload's outputs, canonical for its input
+#: orders: memoization must not change them.
+_WORKLOAD_NODES = 185
+
 
 def _build_all(computed_backend="dict"):
     total = 0
@@ -35,6 +39,7 @@ def test_ablation_computed_table(benchmark, computed):
     benchmark.extra_info["nodes"] = nodes
     benchmark.extra_info["computed_table"] = computed
     record_metric("ablation", f"computed_{computed}_nodes", nodes, "nodes")
+    assert nodes == _WORKLOAD_NODES
 
 
 @pytest.mark.parametrize("use_sift", [False, True])

@@ -35,7 +35,7 @@ Public entry points:
 from repro.core import BBDDManager, Function
 from repro.api import open, register_backend, backends
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "BBDDManager",

@@ -93,11 +93,10 @@ class BDDManager(NodeStore):
             t = -t
             e = -e
         key = (var, SV_ONE, e, t)
-        unique = self._unique
-        unique._lookups += 1
+        self._unique_lookups += 1
         node = raw.get(key)
         if node is not None:
-            unique._hits += 1
+            self._unique_hits += 1
             return -node if attr else node
         en = -e if e < 0 else e
         supp = bits[var] | suppl[t] | suppl[en]
@@ -194,8 +193,11 @@ class BDDManager(NodeStore):
         evaluation order.
         """
         position = self._order._position
-        lookup = self._cache.lookup
-        insert = self._cache.insert
+        # Probe counts settle on the store in bulk on exit.
+        lookup = self._cache.get
+        insert = self._cache.__setitem__
+        n_lookups = 0
+        n_hits = 0
         make = self._make
         unary = self._unary
         pvl = self._pv
@@ -236,8 +238,10 @@ class BDDManager(NodeStore):
             if is_commutative(op) and gn < fn:
                 fn, gn = gn, fn
             key = (fn, gn, op)
+            n_lookups += 1
             cached = lookup(key)
             if cached is not None:
+                n_hits += 1
                 rpush(cached)
                 continue
 
@@ -267,6 +271,8 @@ class BDDManager(NodeStore):
             tpush((_CALL, f_e, g_e, sub))
             # Then-edges are regular: the operator carries over as is.
             tpush((_CALL, f_t, g_t, op))
+        self._computed_lookups += n_lookups
+        self._computed_hits += n_hits
         return results[-1]
 
     # ------------------------------------------------------------------

@@ -48,14 +48,11 @@ def _swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats]) -> None:
     fl = manager._float
     raw = manager._uniq_raw
 
-    manager.clear_cache()
-
-    # Reclaim garbage first, so none is rewritten and no dead row keeps
+    # Collect garbage first, so none is rewritten and no dead row keeps
     # a key that names a slot the swap reuses.  A sift leaves none
-    # between its swaps, so this is skipped there.
-    swept = 0
-    if manager._dead_set:
-        swept = manager._sweep_many(list(manager._dead_set))
+    # between its swaps, so there this only clears the computed table.
+    swept = manager.gc() if manager._dead_set else 0
+    manager.clear_cache()
 
     def cofactors(edge: Edge):
         """Shannon cofactors (f|y=1, f|y=0) read off the old structure."""

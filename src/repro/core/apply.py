@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.core.computed_table import DisabledComputedTable
 from repro.core.exceptions import BBDDError
 from repro.core.node import SINK, SV_ONE, Edge
 from repro.core.operations import OP_AND, OP_OR, OP_XNOR
@@ -67,15 +66,25 @@ _ANDEX_OR = 5
 def _memo_fns(manager):
     """(lookup, insert) on the manager's computed table.
 
-    The ``disabled`` ablation backend memoizes nothing, which would make
-    the linear-time procedures below exponential — fall back to a
-    per-call dict there.
+    Lookups count on the store's computed-table counters, as apply's
+    do.  The ``disabled`` ablation backend memoizes nothing, which would
+    make the linear-time procedures below exponential — fall back to an
+    uncounted per-call dict there.
     """
-    cache = manager._cache
-    if isinstance(cache, DisabledComputedTable):
+    if manager._computed_backend == "disabled":
         local: dict = {}
         return local.get, local.__setitem__
-    return cache.lookup, cache.insert
+    cache = manager._cache
+    get = cache.get
+
+    def lookup(key):
+        manager._computed_lookups += 1
+        hit = get(key)
+        if hit is not None:
+            manager._computed_hits += 1
+        return hit
+
+    return lookup, cache.__setitem__
 
 
 def _guarded(manager, run, *args) -> Edge:

@@ -194,7 +194,6 @@ class BBDDManager(NodeStore):
             by_pv,
             by_sv,
         ) = self._hot
-        unique = self._unique
         attr = False
         while True:
             if d == e:
@@ -222,10 +221,10 @@ class BBDDManager(NodeStore):
             if _probed:
                 _probed = False  # only the caller's first key was probed
             else:
-                unique._lookups += 1
+                self._unique_lookups += 1
                 node = raw.get(key)
                 if node is not None:
-                    unique._hits += 1
+                    self._unique_hits += 1
                     return -node if attr else node
             # Miss: the candidate may still reduce.
             dn = -d if d < 0 else d
@@ -392,16 +391,9 @@ class BBDDManager(NodeStore):
         """
         position = self._order._position  # bound dict: hot-path lookups
         identity = self._order.is_identity
-        cache = self._cache
-        raw = cache._table if type(cache).__name__ == "DictComputedTable" else None
-        if raw is None:
-            lookup = cache.lookup
-            insert = cache.insert
-        else:
-            # Dict backend: skip the per-call stats bookkeeping in the hot
-            # loop and settle the counters in bulk on exit.
-            lookup = raw.get
-            insert = raw.__setitem__
+        # Probe counts settle on the store in bulk on exit.
+        lookup = self._cache.get
+        insert = self._cache.__setitem__
         n_lookups = 0
         n_hits = 0
         make = self._make
@@ -565,9 +557,8 @@ class BBDDManager(NodeStore):
                 sub = ((sub & 0b0101) << 1) | ((sub & 0b1010) >> 1)
                 g_eq = -g_eq
             tpush((_CALL, f_eq, g_eq, sub, 0))
-        if raw is not None:
-            cache.lookups += n_lookups
-            cache.hits += n_hits
+        self._computed_lookups += n_lookups
+        self._computed_hits += n_hits
         return results[-1]
 
     def _splice(
@@ -619,7 +610,8 @@ class BBDDManager(NodeStore):
         memo_get = memo.get
         bits = self._var_bits
         raw = self._uniq_raw
-        unique = self._unique
+        n_lookups = 0
+        n_hits = 0
         dead_set = self._dead_set
         dead_add = dead_set.add
         dead_discard = dead_set.discard
@@ -669,7 +661,7 @@ class BBDDManager(NodeStore):
                     # stored !=-edge is ``-en`` and the external attr
                     # equals e's sign.
                     key = (pv, sv, -en, en)
-                    unique._lookups += 1
+                    n_lookups += 1
                     new = raw.get(key)
                     if new is None:
                         supp = bits[pv] | bits[sv] | suppl[en]
@@ -711,7 +703,7 @@ class BBDDManager(NodeStore):
                         if nc > self.peak_nodes:
                             self.peak_nodes = nc
                     else:
-                        unique._hits += 1
+                        n_hits += 1
                     e = -new if e < 0 else new
                     memo[nd] = e
                 rpush(e)
@@ -781,6 +773,8 @@ class BBDDManager(NodeStore):
                     )
                 )
                 tpush((_CALL, eql[node], attr))
+        self._unique_lookups += n_lookups
+        self._unique_hits += n_hits
         return results[-1]
 
     # ------------------------------------------------------------------

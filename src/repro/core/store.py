@@ -27,6 +27,21 @@ What :class:`NodeStore` provides:
   free list, run automatically (dd/CUDD style) when the dead/total ratio
   crosses ``gc_threshold`` — but only at safe points, never while an
   operation holds bare edges (:meth:`NodeStore.defer_gc`);
+* the two tables of the paper's package as plain dicts: the unique
+  table ``_uniq_raw`` (row key -> slot, the strong canonical form of
+  Sec. IV-A1) and the computed table ``_cache`` of Algorithm 1
+  (Sec. IV-A2/3).  Apply keys are ``(f, g, op)`` on attribute-free
+  slots; the derived operations prefix a tag int >= 16, so the key
+  families never collide.  Hot loops probe them through bound
+  ``get``/``__setitem__`` and settle four int counters on the store,
+  which ``table_stats`` and ``collect_metrics`` report.  The
+  ``"disabled"`` computed backend (an ablation) is a dict that keeps
+  nothing, so no engine branches on it;
+* the compiled query form (:class:`~repro.api.base.Columns`) of the
+  last root a batch query or count compiled, kept beside the computed
+  table (:meth:`NodeStore.compiled_root`).  It references slots just
+  like the cached results, so every clear of the computed table drops
+  it too; it is not kept under ``"disabled"``;
 * the level index (per-variable row sets, only inside
   :meth:`NodeStore._level_index`) and whole-store checkpoints for the
   sifting driver;
@@ -48,12 +63,19 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.api.base import Columns, DDManager
-from repro.core.computed_table import make_computed_table
 from repro.core.exceptions import BBDDError, VariableError
 from repro.core.node import SINK, SINK_VAR, SV_ONE, BBDDNode, Edge
 from repro.core.operations import OP_AND, OP_OR, OP_XOR, op_from_name
 from repro.core.order import ChainVariableOrder
-from repro.core.unique_table import UniqueTable
+
+
+class _NoMemo(dict):
+    """The ``"disabled"`` computed table (ablation runs): keeps nothing."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value) -> None:
+        pass
 
 
 def _copy_levels(sets: Optional[Dict[int, set]]) -> Optional[Dict[int, set]]:
@@ -179,12 +201,21 @@ class NodeStore(DDManager):
         #: Interned read-only views (index -> BBDDNode), popped on sweep.
         self._views: Dict[int, BBDDNode] = {}
 
-        self._unique = UniqueTable()
-        # Hot-path accelerators: per-variable support bits (avoids big-int
-        # shifts per node) and the unique table's raw dict.
+        if computed_backend not in ("dict", "disabled"):
+            raise ValueError(f"unknown computed-table backend: {computed_backend!r}")
+        #: Per-variable support bits (avoids big-int shifts per node).
         self._var_bits: List[int] = [1 << i for i in range(len(names))]
-        self._uniq_raw: dict = self._unique._table
-        self._cache = make_computed_table(computed_backend)
+        #: The unique table: row key ``(pv, sv, neq, eq)`` -> slot.
+        self._uniq_raw: dict = {}
+        #: The computed table, and the compiled root kept beside it.
+        self._computed_backend = computed_backend
+        self._cache: dict = {} if computed_backend == "dict" else _NoMemo()
+        self._compiled: tuple = (None, None)
+        #: Probes of both tables, counted by the hot loops themselves.
+        self._unique_lookups = 0
+        self._unique_hits = 0
+        self._computed_lookups = 0
+        self._computed_hits = 0
         #: Rows per primary / secondary variable, held only inside
         #: :meth:`_level_index` (reordering); ``None`` everywhere else.
         #: A backend whose rows have no secondary variable holds no
@@ -289,16 +320,7 @@ class NodeStore(DDManager):
         return view
 
     def node_fields(self, index: int):
-        """``(pv, sv, neq_edge, eq_edge)`` of one slot (io/debug helper)."""
-        return (
-            self._pv[index],
-            self._sv[index],
-            self._neq[index],
-            self._eq[index],
-        )
-
-    def _node_key(self, index: int):
-        """The unique-table key of a stored slot (derived, not stored)."""
+        """``(pv, sv, neq_edge, eq_edge)`` of one slot: its unique-table key."""
         return (
             self._pv[index],
             self._sv[index],
@@ -442,16 +464,21 @@ class NodeStore(DDManager):
         return Columns(self.order.order, roots, [(0, pv, sv, t, f)], pv)
 
     def compiled_root(self, edge: Edge) -> Columns:
-        """:meth:`freeze_export` of one root, kept by the computed table.
+        """:meth:`freeze_export` of one root, kept beside the computed table.
 
-        Every table clear (GC, variable swaps, checkpoint rewinds) drops
-        it with the apply entries.  The variable count is part of the
+        One entry: a miss replaces whatever was kept before.  Every
+        table clear (GC, variable swaps, checkpoint rewinds) drops it
+        with the cached results.  The variable count is part of the
         key: :meth:`new_var` changes every count without clearing
         anything.
         """
-        return self._cache.compiled(
-            (edge, len(self._names)), lambda: self.freeze_export([("f", edge)])
-        )
+        key = (edge, len(self._names))
+        kept_key, columns = self._compiled
+        if columns is None or kept_key != key:
+            columns = self.freeze_export([("f", edge)])
+            if self._computed_backend == "dict":
+                self._compiled = (key, columns)
+        return columns
 
     def sat_one_edge(self, edge: Edge) -> Optional[Dict[int, bool]]:
         """One satisfying assignment ``{var index: bit}``, or None.
@@ -708,8 +735,9 @@ class NodeStore(DDManager):
         set and the variable order.  The level sets exist only inside
         :meth:`_level_index`, where the sifting driver takes and restores
         its snapshots; outside it the snapshot holds ``None`` for them.
-        Monotone counters (peak, gc/apply statistics) and the computed
-        table (cleared on every swap anyway) are deliberately left out.
+        Monotone counters (peak, gc/apply/probe statistics) and the
+        computed table (cleared on every swap anyway) are deliberately
+        left out.
         Used by the sifting driver to rewind excursions instead of
         retracing them swap by swap; a state may be restored more than
         once.
@@ -742,10 +770,7 @@ class NodeStore(DDManager):
         self._ref = list(ref)
         self._supp = list(supp)
         self._float = bytearray(float_)
-        # The raw dict is aliased by the unique-table wrapper: refill it
-        # in place so ``self._uniq_raw is self._unique._table`` holds.
-        self._uniq_raw.clear()
-        self._uniq_raw.update(raw)
+        self._uniq_raw = dict(raw)
         self._by_pv = _copy_levels(by_pv)
         self._by_sv = _copy_levels(by_sv)
         self._free_nodes = list(free)
@@ -755,7 +780,7 @@ class NodeStore(DDManager):
         self._bind_hot()
         # Cached results and interned views may reference slots that only
         # exist on the abandoned timeline.
-        self._cache.clear()
+        self.clear_cache()
         self._views.clear()
 
     def gc(self) -> int:
@@ -770,7 +795,7 @@ class NodeStore(DDManager):
         because its entries hold bare indices that are only valid while
         the pointed nodes stay canonical residents of the unique table.
         """
-        self._cache.clear()
+        self.clear_cache()
         dead = self._dead_set
         raw = self._uniq_raw
         pvl = self._pv
@@ -811,22 +836,15 @@ class NodeStore(DDManager):
         self.gc_reclaimed += reclaimed
         return reclaimed
 
-    def _sweep(self, node: int) -> int:
-        """Reclaim the dead subgraph rooted at ``node`` (ref == 0).
-
-        Child references were already dropped when the nodes died, so
-        sweeping only removes the dead nodes from the tables (cascading
-        into dead children to reclaim whole subgraphs eagerly, which the
-        reordering surgery relies on).
-        """
-        return self._sweep_many((node,))
-
     def _sweep_many(self, nodes) -> int:
         """Reclaim the dead subgraphs rooted at each of ``nodes``.
 
-        Batch form of :meth:`_sweep` (one call per reordering phase
-        instead of one per dead root); entries that were already
-        reclaimed by an earlier cascade are skipped.
+        Child references were already dropped when the nodes died (a
+        float's birth counts are released here), so this only removes
+        the dead nodes from the tables, cascading into dead children.
+        The BBDD CVO swap reclaims its levels' garbage and its leftover
+        floats this way; entries an earlier cascade already reclaimed are
+        skipped.
         """
         pvl = self._pv
         svl = self._sv
@@ -923,12 +941,24 @@ class NodeStore(DDManager):
         return reclaimed
 
     def clear_cache(self) -> None:
+        """Empty the computed table and drop the compiled root."""
         self._cache.clear()
+        self._compiled = (None, None)
 
     def table_stats(self) -> dict:
         return {
-            "unique": self._unique.stats(),
-            "computed": self._cache.stats(),
+            "unique": {
+                "backend": "dict",
+                "entries": len(self._uniq_raw),
+                "lookups": self._unique_lookups,
+                "hits": self._unique_hits,
+            },
+            "computed": {
+                "backend": self._computed_backend,
+                "entries": len(self._cache),
+                "lookups": self._computed_lookups,
+                "hits": self._computed_hits,
+            },
             "nodes": self._node_count,
             "peak_nodes": self.peak_nodes,
             "dead": len(self._dead_set),
@@ -950,21 +980,19 @@ class NodeStore(DDManager):
         """
         from repro.obs.catalog import family
 
-        unique = self._unique.stats()
-        computed = self._cache.stats()
         label = {"backend": self.backend}
         family(registry, "repro_manager_unique_lookups_total").labels(
             **label
-        ).inc(unique.get("lookups", 0))
+        ).inc(self._unique_lookups)
         family(registry, "repro_manager_unique_hits_total").labels(
             **label
-        ).inc(unique.get("hits", 0))
+        ).inc(self._unique_hits)
         family(registry, "repro_manager_computed_lookups_total").labels(
             **label
-        ).inc(computed.get("lookups", 0))
+        ).inc(self._computed_lookups)
         family(registry, "repro_manager_computed_hits_total").labels(
             **label
-        ).inc(computed.get("hits", 0))
+        ).inc(self._computed_hits)
         family(registry, "repro_manager_apply_total").labels(**label).inc(
             self.apply_calls
         )
@@ -1012,8 +1040,9 @@ class NodeStore(DDManager):
         refl = self._ref
         fl = self._float
         raw = self._uniq_raw
+        fields = self.node_fields
         for key, node in list(raw.items()):
-            if self._node_key(node) != key:
+            if fields(node) != key:
                 raise InvariantViolation(
                     f"key {key} does not map back to node {node}"
                 )
@@ -1023,7 +1052,7 @@ class NodeStore(DDManager):
             for child in (-d if d < 0 else d, eql[node]):
                 if child == SINK:
                     continue
-                if refl[child] < 0 or raw.get(self._node_key(child)) != child:
+                if refl[child] < 0 or raw.get(fields(child)) != child:
                     raise InvariantViolation(
                         f"dangling child index: {node} -> {child}"
                     )

@@ -60,8 +60,6 @@ CATALOG: "Mapping[str, tuple]" = {
         "counter", "Request-queue sorted runs spilled during sweeps.", (), None),
     "repro_xmem_merge_passes_total": (
         "counter", "Run-compaction merge passes over spilled runs.", (), None),
-    "repro_xmem_parallel_merge_tasks_total": (
-        "counter", "Run-merge groups executed on the merge process pool.", (), None),
     "repro_xmem_resident_nodes": (
         "gauge", "Node records currently resident in RAM.", (), None),
     "repro_xmem_resident_blocks": (

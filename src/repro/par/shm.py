@@ -507,16 +507,12 @@ class ShmForest:
 
     def marginals(self, name: str, weights=None, variables=None, *, exact: bool = True):
         """Posterior marginals ``p(v = 1 | name = 1)`` per support variable."""
-        from repro.wmc.sweep import posterior, resolve_weights
+        from repro.wmc.sweep import marginal_variables, posterior, resolve_weights
 
         w1, w0, one, zero = resolve_weights(
             self, weights, probabilities=True, exact=exact
         )
-        if variables is None:
-            variables = sorted(self.support(name))
-        elif isinstance(variables, (str, int)):
-            variables = [variables]
-        indices = [self.var_index(var) for var in variables]
+        indices = marginal_variables(self, self.support(name), variables)
         count, joint = self._weighted(name, w1, w0, one, zero, joints=indices)
         return posterior(count, joint, self.var_name)
 

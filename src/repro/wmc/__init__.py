@@ -26,6 +26,7 @@ from typing import Mapping, Optional
 
 from repro.wmc.sweep import (
     WmcError,
+    marginal_variables,
     posterior,
     resolve_weights,
     shannon_count,
@@ -98,11 +99,7 @@ def marginals(
     w1, w0, one, zero = resolve_weights(
         manager, weights, probabilities=True, exact=exact
     )
-    if variables is None:
-        variables = sorted(f.support())
-    elif isinstance(variables, (str, int)):
-        variables = [variables]
-    indices = [manager.var_index(var) for var in variables]
+    indices = marginal_variables(manager, manager.support_edge(f.edge), variables)
     count, joint = manager.weighted_count_edge(
         f.edge, w1, w0, one, zero, joints=indices
     )

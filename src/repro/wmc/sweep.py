@@ -157,6 +157,21 @@ def resolve_weights(
     return w1, w0, one, zero
 
 
+def marginal_variables(manager, support, variables=None) -> List[int]:
+    """The variable indices a marginals query reports, in reply order.
+
+    ``variables`` None stands for every variable of ``support`` (a set
+    of indices), in name order; otherwise one name or index, or an
+    iterable of them, kept in the order given.  Managers and frozen
+    forests resolve the query here, so both list its keys alike.
+    """
+    if variables is None:
+        return sorted(support, key=manager.var_name)
+    if isinstance(variables, (str, int)):
+        variables = [variables]
+    return [manager.var_index(var) for var in variables]
+
+
 def posterior(count, joint: Dict[int, object], var_name) -> dict:
     """Posterior marginals ``joint[v] / count``, keyed by variable name.
 

@@ -159,10 +159,7 @@ def apply_refs(manager, builder, cont_a, ref_a, cont_b, ref_b, op: int) -> int:
         spiller = buffers.get(level)
         if spiller is None:
             spiller = buffers[level] = SortedRunSpiller(
-                _ARITY,
-                chunk,
-                lambda: store.new_path("req"),
-                merge_workers=manager._merge_workers,
+                _ARITY, chunk, lambda: store.new_path("req")
             )
         spiller.add(key)
 
@@ -267,7 +264,6 @@ def apply_refs(manager, builder, cont_a, ref_a, cont_b, ref_b, op: int) -> int:
         # Compaction merge passes (and their bytes) happen while the
         # merged stream is consumed, so settle them after cleanup.
         store.merge_passes += spiller.merge_passes
-        store.parallel_merge_tasks += spiller.parallel_merge_tasks
         store.spill_bytes += spiller.run_bytes
 
     # -- pass 2: bottom-up reduce -----------------------------------------

@@ -125,9 +125,6 @@ class XmemManager(DDManager):
     spill_dir:
         Directory for spill files (default: a fresh temporary directory,
         removed when the manager is garbage collected).
-    merge_workers:
-        Process count for parallel run-compaction merges during apply
-        sweeps (``0``, the default, merges sequentially in-process).
     """
 
     backend = "xmem"
@@ -140,7 +137,6 @@ class XmemManager(DDManager):
         node_budget: int = 1 << 20,
         request_chunk: Optional[int] = None,
         spill_dir: Optional[str] = None,
-        merge_workers: int = 0,
     ) -> None:
         if isinstance(variables, int):
             names = [f"x{i}" for i in range(variables)]
@@ -159,7 +155,6 @@ class XmemManager(DDManager):
             if request_chunk is not None
             else max(1024, self.node_budget // 4)
         )
-        self._merge_workers = int(merge_workers)
         self._store = SpillStore(spill_dir)
         if spill_dir is None:
             # The store creates its temp dir lazily; clean whatever it
@@ -560,8 +555,6 @@ class XmemManager(DDManager):
             "level_loads": store.level_loads,
             "request_runs_spilled": store.runs_spilled,
             "merge_passes": store.merge_passes,
-            "merge_workers": self._merge_workers,
-            "parallel_merge_tasks": store.parallel_merge_tasks,
             "reps": len(self._reps),
         }
 
@@ -591,9 +584,6 @@ class XmemManager(DDManager):
         )
         family(registry, "repro_xmem_merge_passes_total").inc(
             store.merge_passes
-        )
-        family(registry, "repro_xmem_parallel_merge_tasks_total").inc(
-            store.parallel_merge_tasks
         )
         family(registry, "repro_xmem_resident_nodes").inc(store.resident)
         family(registry, "repro_xmem_resident_blocks").inc(

@@ -60,7 +60,6 @@ class SpillStore:
         self.level_loads = 0
         self.runs_spilled = 0
         self.merge_passes = 0
-        self.parallel_merge_tasks = 0
 
     @property
     def directory(self) -> str:

@@ -12,12 +12,8 @@ resident chunk and the runs, deduplicating adjacent equal tuples.
 This is the classic external merge-sort shape of Sølvsten & van de
 Pol's time-forward processing, scaled down to one level's working set.
 
-Run compaction (merging many runs into fewer, wider runs so the final
-k-way merge has bounded fan-in) is embarrassingly parallel across
-groups: each group merge reads and writes only its own files.  With
-``merge_workers > 1`` a compaction pass farms its groups out to a
-process pool; any pool failure silently falls back to the sequential
-merge, so parallelism is purely an optimization.
+Run compaction merges many runs into fewer, wider runs, group by
+group, so the final k-way merge has bounded fan-in.
 """
 
 from __future__ import annotations
@@ -84,24 +80,6 @@ def iter_run(path: str, arity: int, count: int) -> Iterator[tuple]:
                 produced += 1
 
 
-def _merge_group(job: tuple) -> Tuple[int, int]:
-    """Merge one group of sorted runs into a new run file.
-
-    ``job`` is ``(out_path, arity, group)`` with ``group`` a list of
-    ``(path, count)`` pairs.  Returns ``(count, bytes)`` of the merged
-    run.  Module-level (not a method) so a compaction process pool can
-    pickle it; it touches nothing but its own input/output files.
-    """
-    out_path, arity, group = job
-    streams = [iter_run(path, arity, count) for path, count in group]
-    count = write_run(out_path, heapq.merge(*streams))
-    try:
-        size = os.path.getsize(out_path)
-    except OSError:  # pragma: no cover - stat raced with cleanup
-        size = 0
-    return count, size
-
-
 class SortedRunSpiller:
     """Accumulates int tuples; spills sorted runs; yields a merged stream.
 
@@ -114,22 +92,17 @@ class SortedRunSpiller:
     new_path:
         Zero-argument callable returning a fresh spill-file path (the
         manager's spill store provides it).
-    merge_workers:
-        Process count for compaction merges; ``0``/``1`` merges
-        sequentially in-process.
     """
 
-    def __init__(self, arity: int, chunk: int, new_path, merge_workers: int = 0) -> None:
+    def __init__(self, arity: int, chunk: int, new_path) -> None:
         self.arity = arity
         self.chunk = max(2, int(chunk))
         self._new_path = new_path
-        self.merge_workers = int(merge_workers)
         self._resident: List[tuple] = []
         self._runs: List[Tuple[str, int]] = []  # (path, tuple count)
         self.total = 0
         self.run_bytes = 0
         self.merge_passes = 0
-        self.parallel_merge_tasks = 0
 
     def add(self, tup: tuple) -> None:
         self._resident.append(tup)
@@ -152,46 +125,30 @@ class SortedRunSpiller:
     def runs_spilled(self) -> int:
         return len(self._runs)
 
-    def _merge_jobs(self, jobs: List[tuple]) -> List[Tuple[int, int]]:
-        """Run one compaction pass's group merges, possibly in parallel."""
-        if self.merge_workers > 1 and len(jobs) > 1:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                workers = min(self.merge_workers, len(jobs))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_merge_group, jobs))
-                self.parallel_merge_tasks += len(jobs)
-                return results
-            except Exception:  # pragma: no cover - pool unavailable
-                pass  # fall back to the sequential merge below
-        return [_merge_group(job) for job in jobs]
-
     def _compact(self) -> None:
         """Merge runs group-by-group until the final fan-in is bounded.
 
         One pass partitions the runs into groups of ``_MAX_FANIN`` and
-        merges each group into a single wider run; the groups of a pass
-        are independent (distinct input and output files), so they can
-        run on a process pool (``merge_workers``).
+        merges each group into a single wider run.
         """
         while len(self._runs) > _MAX_FANIN:
             groups = [
                 self._runs[start : start + _MAX_FANIN]
                 for start in range(0, len(self._runs), _MAX_FANIN)
             ]
-            self._runs = []
-            jobs = []
+            # A group of one stays as it is, ahead of the merged runs.
+            self._runs = [group[0] for group in groups if len(group) == 1]
             for group in groups:
                 if len(group) == 1:
-                    self._runs.append(group[0])
                     continue
                 self.merge_passes += 1
-                jobs.append((self._new_path(), self.arity, group))
-            for (out_path, _arity, group), (count, size) in zip(
-                jobs, self._merge_jobs(jobs)
-            ):
-                self.run_bytes += size
+                out_path = self._new_path()
+                streams = [iter_run(path, self.arity, n) for path, n in group]
+                count = write_run(out_path, heapq.merge(*streams))
+                try:
+                    self.run_bytes += os.path.getsize(out_path)
+                except OSError:  # pragma: no cover - stat raced with cleanup
+                    pass
                 for old_path, _count in group:
                     try:
                         os.unlink(old_path)

@@ -102,6 +102,66 @@ def test_frozen_constants_and_complements(backend):
         assert forest.sat_count("g") == 3
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a frozen forest's sweeps read every row of its segment (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("backend", ["bbdd", "bdd"])
+def test_small_root_sweeps_read_only_its_cone(backend, monkeypatch):
+    """A small function of a big frozen forest sweeps its cone, not the forest.
+
+    Known failure: the sweeps read every row of the shared arrays.  The
+    cones of the coder's outputs reach the literals at the bottom of
+    the forest, so a sweep bounded by a root's slot span would still
+    read almost every row.
+    """
+    from repro.api.base import Columns
+    from repro.circuits import iscas
+    from repro.network.build import build as build_network
+
+    manager, functions = build_network(iscas.c1908(data_width=8), backend=backend)
+    name = min(sorted(functions), key=lambda n: functions[n].node_count())
+    f = functions[name]
+    forest = dict(functions, neg=~f)
+    support = sorted(f.support())
+    rng = random.Random(7)
+    points = [{var: rng.getrandbits(1) for var in support} for _ in range(16)]
+    cubes = [{var: rng.getrandbits(1) for var in rng.sample(support, 3)} for _ in range(16)]
+    weights = {var: rng.randrange(1, 16, 2) / 16 for var in support}
+    queries = {
+        "evaluate": lambda func: func.evaluate_batch(points),
+        "cubes": lambda func: func.satisfiable_batch(cubes),
+        "p_one": lambda func: func.p_one(weights),
+        "marginals": lambda func: func.marginals(weights, exact=False),
+    }
+    wants = {
+        (root, query): ask(func)
+        for root, func in ((name, f), ("neg", ~f))
+        for query, ask in queries.items()
+    }
+    read = []
+    rows = Columns.rows
+
+    def counting_rows(self):
+        for row in rows(self):
+            read.append(row[0])
+            yield row
+
+    monkeypatch.setattr(Columns, "rows", counting_rows)
+    with ShmForest.freeze(manager, forest) as frozen:
+        assert frozen.node_count > 8 * f.node_count()
+        for (root, query), want in wants.items():
+            read.clear()
+            got = {
+                "evaluate": lambda: frozen.evaluate_batch(root, points),
+                "cubes": lambda: frozen.satisfiable_batch(root, cubes),
+                "p_one": lambda: frozen.p_one(root, weights),
+                "marginals": lambda: frozen.marginals(root, weights, exact=False),
+            }[query]()
+            assert got == want, (root, query)
+            assert 0 < len(read) <= f.node_count() + 2, (root, query)
+
+
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 @settings(**_SETTINGS)
 @given(data=st.data())

@@ -81,7 +81,7 @@ def test_checker_detects_dangling_child():
             child = e
             break
     assert child is not None
-    del m._uniq_raw[m._node_key(child)]
+    del m._uniq_raw[m.node_fields(child)]
     m._ref[child] = -1
     with pytest.raises(InvariantViolation):
         m.check_invariants()

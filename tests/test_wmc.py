@@ -478,6 +478,23 @@ def test_shm_forest_marginals_equal_manager_marginals():
                 ) == pytest.approx(f.marginals(weights, names, exact=False))
 
 
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_default_marginals_list_keys_in_name_order_everywhere(backend):
+    """A manager and its frozen forest list the default keys alike.
+
+    The variables are declared out of name order, so index order and
+    name order differ.
+    """
+    manager = repro.open(backend, vars=["z", "a", "m", "b"])
+    f = manager.add_expr("(z & a) | (m ^ b)")
+    want = f.marginals()
+    assert list(want) == ["a", "b", "m", "z"]
+    with ShmForest.freeze(manager, {"f": f}) as frozen:
+        got = frozen.marginals("f")
+    assert list(got) == list(want)
+    assert got == want
+
+
 def test_protocol_fallback_marginals_match_kernel():
     """The protocol-level Shannon reference answers what the column kernel does."""
     names = [f"v{i}" for i in range(6)]
