@@ -69,6 +69,28 @@ def duplicate_assignment_error(manager, index: int, where: str) -> VariableError
     )
 
 
+def resolve_var_index(index: Mapping[str, int], count: int, var) -> int:
+    """Resolve a variable name or index (the shared variable-key contract).
+
+    A ``str`` is looked up in ``index``; an ``int`` other than a
+    ``bool`` must lie in ``range(count)``.  Anything else (``True``,
+    ``1.0``, ``None``), an unknown name or an index out of range raises
+    :class:`VariableError`.  The managers (:meth:`DDManager.var_index`)
+    and the frozen forest (:meth:`repro.par.ShmForest.var_index`) both
+    resolve through it.
+    """
+    if isinstance(var, str):
+        try:
+            return index[var]
+        except KeyError:
+            raise VariableError(f"unknown variable {var!r}") from None
+    if isinstance(var, int) and not isinstance(var, bool):
+        if 0 <= var < count:
+            return var
+        raise VariableError(f"variable index {var} out of range")
+    raise VariableError(f"variable key must be a name or index, got {var!r}")
+
+
 class Columns:
     """The compiled read-only query form of a forest.
 
@@ -164,9 +186,11 @@ class DDManager:
         row with ``ite_edges``.
     ``acquire_ref(node)`` / ``release_ref(node)`` / ``defer_gc()``
         Memory management hooks used by the function handles.
-    ``var_index`` / ``var_name`` / ``num_vars`` / ``order`` /
-    ``current_order`` / ``sift(**kw)``
-        Variable bookkeeping and reordering.
+    ``var_name`` / ``num_vars`` / ``order`` / ``current_order`` /
+    ``sift(**kw)``
+        Variable bookkeeping and reordering.  ``var_index`` is shared:
+        it resolves a key against the backend's ``_index`` (name to
+        index) and ``_names``.
 
     The function-returning conveniences (``var``, ``nvar``,
     ``variables``, ``true``, ``false``, ``function``, ``node_count``)
@@ -221,6 +245,14 @@ class DDManager:
         self.release_ref(edge[0])
 
     # -- shared front-end surface (written once, works on any backend) --
+
+    def var_index(self, var: Union[int, str]) -> int:
+        """Resolve a variable name or non-``bool`` int index to its index.
+
+        See :func:`resolve_var_index`; every other key raises
+        :class:`VariableError`.
+        """
+        return resolve_var_index(self._index, len(self._names), var)
 
     def add_expr(self, text: str):
         """Build a function from a Boolean expression string.

@@ -16,10 +16,10 @@ is specific to biconditional expansions:
 * ``apply_edges`` — Algorithm 1: any two-operand Boolean operation over
   biconditional expansions, with terminal-case short circuits, a computed
   table keyed on packed int tuples, operator update for complement
-  attributes and on-the-fly chain transformation of single-variable
-  operands.  The expansion is driven by an **explicit pending-frame
-  stack**, not Python recursion, so operand depth is limited by memory
-  alone;
+  attributes and on-the-fly chain transformation of operands (each
+  transform derived once per operation).  The expansion is driven by an
+  **explicit pending-frame stack**, not Python recursion, so operand
+  depth is limited by memory alone;
 * the derived operations (:mod:`repro.core.apply`) and CVO sifting
   (:mod:`repro.core.reorder`) bound to the
   :class:`~repro.api.base.DDManager` protocol.
@@ -323,6 +323,9 @@ class BBDDManager(NodeStore):
           ``(w, w2)`` with the children swapped / kept:
           ``f(v <- w') = (w = w2 ? d : e)``, ``f(v <- w) = (w != w2 ? d : e)``;
         * the literal ``lit(v)`` — cofactors ``~lit(w)`` / ``lit(w)``.
+
+        :meth:`_apply` inlines the other cases and calls this for the
+        ``(v, w2)`` one, once per ``(node, w)`` and operation.
         """
         if self._pv[node] != v:
             return node, node
@@ -388,6 +391,12 @@ class BBDDManager(NodeStore):
         rides on the sign of the result edge), which halves the work on
         XOR-rich operand pairs where both polarities of a subproblem
         occur — the complement attribute makes the negation free.
+
+        A chain transform (the ``(v, w2)`` case of :meth:`_cofactors`)
+        is derived once per call: ``transformed`` maps ``(node, w)`` to the
+        re-rooted cofactor pair, for either operand.  Automatic GC waits
+        for the whole operation, so no entry can go stale; a nested call
+        (from :meth:`_splice`) keeps its own.
         """
         position = self._order._position  # bound dict: hot-path lookups
         identity = self._order.is_identity
@@ -402,7 +411,11 @@ class BBDDManager(NodeStore):
         neql = self._neq
         eql = self._eq
         suppl = self._supp
+        bits = self._var_bits
         names_len = len(self._names)
+        transformed: Dict[tuple, tuple] = {}
+        transformed_get = transformed.get
+        cofactors = self._cofactors
         results: List[Edge] = []
         rpush = results.append
         rpop = results.pop
@@ -470,11 +483,13 @@ class BBDDManager(NodeStore):
             # fixed residue of the lower operand: the result is a single
             # structural pass over the upper diagram, no expansion frames.
             # This is the shape of every incremental chain build
-            # (f = f <op> next), e.g. the parity construction.
+            # (f = f <op> next), e.g. the parity construction.  Under the
+            # identity a root's PV is its lowest support variable, so the
+            # bound is the other root's PV bit.
+            fpv = pvl[fn]
+            gpv = pvl[gn]
             if identity:
-                fs = suppl[fn]
-                gs = suppl[gn]
-                if fs.bit_length() < (gs & -gs).bit_length():
+                if suppl[fn] < bits[gpv]:
                     if svl[fn] != SV_ONE:  # literal roots use the generic path
                         result = self._splice(
                             fn, _RA1[op], _RA0[op], gn, op, True
@@ -482,7 +497,7 @@ class BBDDManager(NodeStore):
                         insert(key, result)
                         rpush(-result if neg else result)
                         continue
-                elif gs.bit_length() < (fs & -fs).bit_length() and svl[gn] != SV_ONE:
+                elif suppl[gn] < bits[fpv] and svl[gn] != SV_ONE:
                     result = self._splice(gn, _RB1[op], _RB0[op], fn, op, False)
                     insert(key, result)
                     rpush(-result if neg else result)
@@ -492,8 +507,6 @@ class BBDDManager(NodeStore):
             # Expansion couple: PV = earliest root variable; SV = earliest
             # following variable visible in either operand's structure (the
             # operand's own SV if rooted at v, its PV if rooted deeper).
-            fpv = pvl[fn]
-            gpv = pvl[gn]
             pf = position[fpv]
             pg = position[gpv]
             v = fpv if pf <= pg else gpv
@@ -510,8 +523,9 @@ class BBDDManager(NodeStore):
                     w, w_pos = cand, cand_pos
             if w is None:
                 raise BBDDError("no expansion SV: both operands literal at v")
-            # Inlined biconditional cofactors (see _cofactors) for both
-            # operands; the subcall operators fold the edge signs.
+            # Biconditional cofactors (see _cofactors) of both operands,
+            # inlined but for the chain transform, which goes through the
+            # per-call memo; the subcall operators fold the edge signs.
             if fpv != v:
                 f_nq = f_eq = fn
             elif svl[fn] == SV_ONE:
@@ -522,10 +536,10 @@ class BBDDManager(NodeStore):
                 f_nq = neql[fn]
                 f_eq = eql[fn]
             else:
-                d_edge = neql[fn]
-                e_edge = eql[fn]
-                f_nq = make(w, svl[fn], e_edge, d_edge)
-                f_eq = make(w, svl[fn], d_edge, e_edge)
+                pair = transformed_get((fn, w))
+                if pair is None:
+                    pair = transformed[fn, w] = cofactors(fn, v, w)
+                f_nq, f_eq = pair
             if gpv != v:
                 g_nq = g_eq = gn
             elif svl[gn] == SV_ONE:
@@ -536,10 +550,10 @@ class BBDDManager(NodeStore):
                 g_nq = neql[gn]
                 g_eq = eql[gn]
             else:
-                d_edge = neql[gn]
-                e_edge = eql[gn]
-                g_nq = make(w, svl[gn], e_edge, d_edge)
-                g_eq = make(w, svl[gn], d_edge, e_edge)
+                pair = transformed_get((gn, w))
+                if pair is None:
+                    pair = transformed[gn, w] = cofactors(gn, v, w)
+                g_nq, g_eq = pair
             tpush((_COMBINE, v, w, key, neg))
             sub = op
             if f_nq < 0:

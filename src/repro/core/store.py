@@ -258,17 +258,6 @@ class NodeStore(DDManager):
     def var_names(self) -> tuple:
         return tuple(self._names)
 
-    def var_index(self, var: Union[int, str]) -> int:
-        """Normalize a variable name or index to its index."""
-        if isinstance(var, str):
-            try:
-                return self._index[var]
-            except KeyError:
-                raise VariableError(f"unknown variable {var!r}") from None
-        if not 0 <= var < len(self._names):
-            raise VariableError(f"variable index {var} out of range")
-        return var
-
     def var_name(self, index: int) -> str:
         return self._names[index]
 

@@ -7,13 +7,14 @@ network IR, both frontends, bit-parallel simulation and the
 network-to-decision-diagram builders used by every experiment harness.
 """
 
-from repro.network.network import Gate, LogicNetwork
+from repro.network.network import Gate, LogicNetwork, NetlistError
 from repro.network.build import build
 from repro.network.simulate import simulate, exhaustive_masks
 
 __all__ = [
     "Gate",
     "LogicNetwork",
+    "NetlistError",
     "build",
     "simulate",
     "exhaustive_masks",

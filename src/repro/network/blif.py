@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.network.network import LogicNetwork, definition_order
+from repro.network.network import LogicNetwork, NetlistError, definition_order
 
 
 def _logical_lines(text: str) -> List[str]:
@@ -59,6 +59,8 @@ def parse_blif(text: str) -> LogicNetwork:
             elif directive == ".outputs":
                 outputs.extend(parts[1:])
             elif directive == ".names":
+                if len(parts) < 2:
+                    raise NetlistError(f".names line names no signal: {line!r}")
                 current = (parts[1:], [])
                 names_blocks.append(current)
             elif directive == ".latch":
@@ -66,7 +68,7 @@ def parse_blif(text: str) -> LogicNetwork:
                 # digit is the reset value (missing defaults to 0 so
                 # reachability always has a concrete initial state).
                 if len(parts) < 3:
-                    raise ValueError(f"malformed .latch line: {line!r}")
+                    raise NetlistError(f"malformed .latch line: {line!r}")
                 init = 0
                 if len(parts) > 3 and parts[-1] in ("0", "1", "2", "3"):
                     init = int(parts[-1])
@@ -74,11 +76,11 @@ def parse_blif(text: str) -> LogicNetwork:
             elif directive == ".end":
                 break
             elif directive in (".subckt", ".gate"):
-                raise ValueError(f"unsupported BLIF directive for flat flow: {directive}")
+                raise NetlistError(f"unsupported BLIF directive for flat flow: {directive}")
             # Silently ignore housekeeping directives (.default_input_arrival etc.)
         else:
             if current is None:
-                raise ValueError(f"cover row outside .names block: {line!r}")
+                raise NetlistError(f"cover row outside .names block: {line!r}")
             current[1].append(line)
 
     net = LogicNetwork(name)
@@ -105,11 +107,11 @@ def parse_blif(text: str) -> LogicNetwork:
         missing = {
             f for i in unresolved for f in names_blocks[i][0][:-1] if f not in defined
         }
-        raise ValueError(f"BLIF references undefined signals: {sorted(missing)}")
+        raise NetlistError(f"BLIF references undefined signals: {sorted(missing)}")
 
     for out in outputs:
         if out not in defined:
-            raise ValueError(f"output {out!r} has no driver")
+            raise NetlistError(f"output {out!r} has no driver")
         net.set_output(out, out)
     net.validate()
     return net
@@ -130,10 +132,10 @@ def _expand_cover(net: LogicNetwork, target: str, fanins: List[str], rows: List[
         if len(parts) == 1 and len(fanins) == 0:
             continue
         if len(parts) != 2:
-            raise ValueError(f"malformed cover row {row!r}")
+            raise NetlistError(f"malformed cover row {row!r}")
         cube, value = parts
         if len(cube) != len(fanins):
-            raise ValueError(f"cube width mismatch in {row!r}")
+            raise NetlistError(f"cube width mismatch in {row!r}")
         if value == "0":
             polarity_one = False
         on_rows.append(cube)
@@ -150,7 +152,7 @@ def _expand_cover(net: LogicNetwork, target: str, fanins: List[str], rows: List[
             elif bit == "0":
                 literals.append(net.inv(fanin))
             elif bit != "-":
-                raise ValueError(f"bad cube character {bit!r}")
+                raise NetlistError(f"bad cube character {bit!r}")
         if not literals:
             products.append(net.const(True))
         elif len(literals) == 1:
@@ -239,4 +241,4 @@ def _gate_to_names(signal: str, gate) -> List[str]:
         return [header, "11- 1", "0-1 1"]
     if op == "MAJ":
         return [header, "11- 1", "1-1 1", "-11 1"]
-    raise ValueError(f"cannot serialize gate op {op!r} to BLIF")
+    raise NetlistError(f"cannot serialize gate op {op!r} to BLIF")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.exceptions import BBDDError
+
 #: Supported primitive operations and their arities (None = variadic >= 2).
 GATE_ARITY = {
     "AND": None,
@@ -27,6 +29,15 @@ GATE_ARITY = {
 }
 
 
+class NetlistError(BBDDError, ValueError):
+    """A malformed netlist: raised by the BLIF and Verilog readers and by
+    :class:`LogicNetwork` construction.
+
+    Subclasses ``ValueError`` as well, so callers that catch
+    ``ValueError`` keep working.
+    """
+
+
 class Gate:
     """A single gate: ``op`` over ordered fanin signal names."""
 
@@ -37,13 +48,13 @@ class Gate:
         if op == "NOT":
             op = "INV"
         if op not in GATE_ARITY:
-            raise ValueError(f"unsupported gate op {op!r}")
+            raise NetlistError(f"unsupported gate op {op!r}")
         arity = GATE_ARITY[op]
         if arity is None:
             if len(fanins) < 2:
-                raise ValueError(f"{op} gate needs >= 2 fanins, got {len(fanins)}")
+                raise NetlistError(f"{op} gate needs >= 2 fanins, got {len(fanins)}")
         elif len(fanins) != arity:
-            raise ValueError(f"{op} gate needs {arity} fanins, got {len(fanins)}")
+            raise NetlistError(f"{op} gate needs {arity} fanins, got {len(fanins)}")
         self.op = op
         self.fanins = tuple(fanins)
 
@@ -97,7 +108,7 @@ def gate_eval(op: str, values: Sequence[int], width_mask: int) -> int:
         return 0
     if op == "CONST1":
         return width_mask
-    raise ValueError(f"unsupported gate op {op!r}")
+    raise NetlistError(f"unsupported gate op {op!r}")
 
 
 def definition_order(
@@ -171,8 +182,10 @@ class LogicNetwork:
     # -- construction -------------------------------------------------------
 
     def add_input(self, name: str) -> str:
+        if not name:
+            raise NetlistError("empty signal name")
         if name in self._input_set or name in self.gates:
-            raise ValueError(f"signal {name!r} already defined")
+            raise NetlistError(f"signal {name!r} already defined")
         self.inputs.append(name)
         self._input_set.add(name)
         return name
@@ -192,14 +205,16 @@ class LogicNetwork:
         """Add a gate and return its output signal name."""
         if name is None:
             name = self.fresh_name()
+        elif not name:
+            raise NetlistError("empty signal name")
         if name in self.gates or name in self._input_set:
-            raise ValueError(f"signal {name!r} already defined")
+            raise NetlistError(f"signal {name!r} already defined")
         self.gates[name] = Gate(op, fanins)
         return name
 
     def set_output(self, name: str, signal: str) -> None:
         if signal not in self.gates and signal not in self._input_set:
-            raise ValueError(f"output {name!r} references unknown signal {signal!r}")
+            raise NetlistError(f"output {name!r} references unknown signal {signal!r}")
         self.outputs.append((name, signal))
 
     def add_latch(self, data: str, state: str, init: int = 0) -> str:
@@ -212,7 +227,7 @@ class LogicNetwork:
         ``data`` may be defined later; :meth:`validate` checks it.
         """
         if init not in (0, 1, 2, 3):
-            raise ValueError(f"latch init value must be 0..3, got {init!r}")
+            raise NetlistError(f"latch init value must be 0..3, got {init!r}")
         self.add_input(state)
         self.latches.append((data, state, init))
         return state
@@ -272,7 +287,7 @@ class LogicNetwork:
     def topological_order(self) -> List[str]:
         """Gate signals in topological (fanin-first) order.
 
-        Raises ``ValueError`` on combinational cycles or undefined fanins.
+        Raises :class:`NetlistError` on combinational cycles or undefined fanins.
         """
         state: Dict[str, int] = {}  # 0 = visiting, 1 = done
         order: List[str] = []
@@ -290,10 +305,10 @@ class LogicNetwork:
                     if st == 1:
                         continue
                     if st == 0:
-                        raise ValueError(f"combinational cycle through {signal!r}")
+                        raise NetlistError(f"combinational cycle through {signal!r}")
                     gate = self.gates.get(signal)
                     if gate is None:
-                        raise ValueError(f"undefined signal {signal!r}")
+                        raise NetlistError(f"undefined signal {signal!r}")
                     state[signal] = 0
                     stack.append((signal, 1))
                     for fanin in gate.fanins:
@@ -309,10 +324,10 @@ class LogicNetwork:
         self.topological_order()
         for name, sig in self.outputs:
             if sig not in self.gates and sig not in self._input_set:
-                raise ValueError(f"output {name!r} references unknown {sig!r}")
+                raise NetlistError(f"output {name!r} references unknown {sig!r}")
         for data, state, _init in self.latches:
             if data not in self.gates and data not in self._input_set:
-                raise ValueError(
+                raise NetlistError(
                     f"latch {state!r} references unknown data signal {data!r}"
                 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.network.network import LogicNetwork, definition_order
+from repro.network.network import LogicNetwork, NetlistError, definition_order
 
 _GATE_KEYWORDS = {
     "and": "AND",
@@ -71,7 +71,7 @@ def _parse_expr(tokens: List[str], net: LogicNetwork, defined: set) -> str:
             nots += 1
             pos += 1
         if pos == count:
-            raise ValueError(_END)
+            raise NetlistError(_END)
         token = tokens[pos]
         pos += 1
         if token == "(":
@@ -82,7 +82,7 @@ def _parse_expr(tokens: List[str], net: LogicNetwork, defined: set) -> str:
         elif token in defined:
             value = token
         else:
-            raise ValueError(f"expression references undefined signal {token!r}")
+            raise NetlistError(f"expression references undefined signal {token!r}")
         # Operator position: close levels (and groups) until an operator
         # asks for the next operand.
         while True:
@@ -116,12 +116,12 @@ def _parse_expr(tokens: List[str], net: LogicNetwork, defined: set) -> str:
             # The innermost group is complete.
             if len(groups) == 1:
                 if token is not None:
-                    raise ValueError(f"trailing tokens: {tokens[pos:]}")
+                    raise NetlistError(f"trailing tokens: {tokens[pos:]}")
                 return value
             if token is None:
-                raise ValueError(_END)
+                raise NetlistError(_END)
             if token != ")":
-                raise ValueError(f"expected ')', got {token!r}")
+                raise NetlistError(f"expected ')', got {token!r}")
             pos += 1
             nots = groups.pop()[0]
 
@@ -138,7 +138,7 @@ def _tokenize_expr(text: str) -> List[str]:
         if token is None:
             bad = match.group("other")
             if bad and bad.strip():
-                raise ValueError(f"unexpected character {bad!r} in expression")
+                raise NetlistError(f"unexpected character {bad!r} in expression")
             continue
         tokens.append(token)
     return tokens
@@ -151,7 +151,7 @@ def parse_verilog(text: str) -> LogicNetwork:
     name = module.group(1) if module else "verilog"
     body_match = re.search(r"\bmodule\b.*?;(.*)\bendmodule\b", text, flags=re.S)
     if body_match is None:
-        raise ValueError("no module body found")
+        raise NetlistError("no module body found")
     body = body_match.group(1)
 
     net = LogicNetwork(name)
@@ -168,21 +168,23 @@ def parse_verilog(text: str) -> LogicNetwork:
         if keyword in ("input", "output", "wire"):
             decl = statement[len(keyword):]
             if "[" in decl:
-                raise ValueError("vector declarations are not supported (bit-blast first)")
+                raise NetlistError("vector declarations are not supported (bit-blast first)")
             names = [n.strip() for n in decl.split(",") if n.strip()]
             {"input": inputs, "output": outputs, "wire": wires}[keyword].extend(names)
         elif keyword == "assign":
-            lhs, rhs = statement[len("assign"):].split("=", 1)
+            lhs, eq, rhs = statement[len("assign"):].partition("=")
+            if not eq:
+                raise NetlistError(f"assign without '=': {statement!r}")
             assigns.append((lhs.strip(), rhs.strip()))
         elif keyword in _GATE_KEYWORDS:
             rest = statement[len(keyword):].strip()
             port_match = re.search(r"\((.*)\)$", rest, flags=re.S)
             if port_match is None:
-                raise ValueError(f"malformed gate instance: {statement!r}")
+                raise NetlistError(f"malformed gate instance: {statement!r}")
             ports = [p.strip() for p in port_match.group(1).split(",")]
             instances.append((keyword, ports))
         else:
-            raise ValueError(f"unsupported Verilog statement: {statement!r}")
+            raise NetlistError(f"unsupported Verilog statement: {statement!r}")
 
     net.add_inputs(inputs)
     net.reserve_names(outputs)
@@ -216,11 +218,11 @@ def parse_verilog(text: str) -> LogicNetwork:
             net.add_gate(_GATE_KEYWORDS[keyword], reads[i], name=targets[i])
         defined.add(targets[i])
     if unresolved:
-        raise ValueError("could not resolve all Verilog statements (cycle or undefined signal)")
+        raise NetlistError("could not resolve all Verilog statements (cycle or undefined signal)")
 
     for out in outputs:
         if out not in defined:
-            raise ValueError(f"output {out!r} has no driver")
+            raise NetlistError(f"output {out!r} has no driver")
         net.set_output(out, out)
     net.validate()
     return net
@@ -234,7 +236,7 @@ def _instance_ports(keyword: str, ports: List[str]) -> Tuple[str, List[str]]:
     the output, per Verilog primitive-gate convention.
     """
     if len(ports) < 2:
-        raise ValueError(f"{keyword} instance needs at least 2 ports")
+        raise NetlistError(f"{keyword} instance needs at least 2 ports")
     return ports[0], ports[1:]
 
 

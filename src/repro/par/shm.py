@@ -36,7 +36,7 @@ import weakref
 from array import array
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.api.base import Columns
+from repro.api.base import Columns, resolve_var_index
 from repro.core.exceptions import BBDDError, VariableError
 
 try:  # pragma: no cover - exercised implicitly on import
@@ -368,16 +368,7 @@ class ShmForest:
 
     def var_index(self, var: Union[int, str]) -> int:
         """Resolve a variable name or index (the manager contract)."""
-        if isinstance(var, str):
-            index = self._index.get(var)
-            if index is None:
-                raise VariableError(f"unknown variable {var!r}")
-            return index
-        if isinstance(var, int) and not isinstance(var, bool):
-            if 0 <= var < len(self._names):
-                return var
-            raise VariableError(f"variable index {var} out of range")
-        raise VariableError(f"variable key must be a name or index, got {var!r}")
+        return resolve_var_index(self._index, len(self._names), var)
 
     def var_name(self, index: int) -> str:
         """The name of variable ``index``."""

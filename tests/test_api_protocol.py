@@ -164,6 +164,47 @@ def test_constant_coercion_rejects_non_bits(backend, junk):
         a & junk
 
 
+#: Variable keys that are neither a name nor a non-bool int index.
+BAD_VAR_KEYS = [True, False, 1.0, None]
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("key", BAD_VAR_KEYS, ids=repr)
+def test_var_index_takes_names_and_plain_ints_only(backend, key):
+    """``True`` is not variable 1, and ``1.0``/``None`` fail typed, not later."""
+    m = repro.open(backend, vars=["a", "b", "c"])
+    assert m.var_index("b") == m.var_index(1) == 1
+    f = m.add_expr("(a & b) | c")
+    with pytest.raises(VariableError):
+        m.var_index(key)
+    with pytest.raises(VariableError):
+        m.var(key)
+    with pytest.raises(VariableError):
+        f.p_one({key: 1.0})
+    with pytest.raises(VariableError):
+        f.evaluate({key: 1})
+    with pytest.raises(VariableError):
+        f.restrict(key, True)
+    for index in (-1, 3):
+        with pytest.raises(VariableError):
+            m.var_index(index)
+
+
+@pytest.mark.parametrize("key", BAD_VAR_KEYS + [-1, 3], ids=repr)
+def test_frozen_forest_var_index_matches_managers(key):
+    from repro.par import ShmForest, shm_available
+
+    if not shm_available():
+        pytest.skip("multiprocessing.shared_memory unavailable")
+    m = repro.open("bbdd", vars=["a", "b", "c"])
+    with ShmForest.freeze(m, {"f": m.add_expr("(a & b) | c")}) as forest:
+        assert forest.var_index("b") == forest.var_index(1) == 1
+        with pytest.raises(VariableError):
+            forest.var_index(key)
+        with pytest.raises(VariableError):
+            forest.p_one("f", {key: 1.0})
+
+
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_foreign_manager_rejected(backend):
     from repro.core.exceptions import ForeignManagerError

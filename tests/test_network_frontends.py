@@ -1,5 +1,6 @@
 """Logic network IR, BLIF/Verilog frontends, simulation, builders."""
 
+import random
 import time
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from repro.core.truthtable import TruthTable
 from repro.network.blif import parse_blif, write_blif
 from repro.network.build import build
+from repro.core.exceptions import BBDDError
+from repro.network import NetlistError
 from repro.network.network import LogicNetwork
 from repro.network.simulate import (
     apply_vector,
@@ -251,6 +254,137 @@ def test_reversed_netlist_parses_in_one_pass(fmt):
 def test_netlist_readers_reject_undefined_and_cyclic_signals(parse, text, message):
     with pytest.raises(ValueError, match=message):
         parse(text)
+
+
+def test_netlist_error_is_typed_and_a_value_error():
+    assert issubclass(NetlistError, BBDDError)
+    assert issubclass(NetlistError, ValueError)
+    net = LogicNetwork()
+    net.add_input("a")
+    with pytest.raises(NetlistError):
+        net.add_input("a")
+    with pytest.raises(NetlistError):
+        net.add_gate("FROB", ["a"])
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_blif, ".names\n", "names no signal"),
+        (parse_blif, ".model m\n.inputs a\n.outputs a\n.names \n1\n.end\n", "names no signal"),
+        (parse_verilog, "module m (a); input a; assign a; endmodule", "assign without '='"),
+        (
+            parse_verilog,
+            "module m (a, y); input a; output y; assign = a; assign y = a; endmodule",
+            "empty signal name",
+        ),
+        (
+            parse_verilog,
+            "module m (a, y); input a; output y; not (, a); assign y = a; endmodule",
+            "empty signal name",
+        ),
+    ],
+    ids=[
+        "blif-bare-names",
+        "blif-blank-names",
+        "verilog-assign-no-equals",
+        "verilog-assign-no-target",
+        "verilog-instance-no-output",
+    ],
+)
+def test_empty_definitions_raise_netlist_error(parse, text, message):
+    """Before: a bare ``IndexError`` (BLIF), an unpacking ``ValueError``
+    (Verilog) from deep inside the reader, or a signal named ``''``."""
+    with pytest.raises(NetlistError, match=message):
+        parse(text)
+
+
+_FUZZ_BLIF = """.model tiny
+.inputs a b c
+.outputs y z
+.latch y s 1
+.names a b t
+11 1
+.names t c s y
+1-- 1
+-11 1
+.names c z
+0 1
+.names k
+1
+.end
+"""
+
+_FUZZ_VERILOG = """module tiny (a, b, c, y, z);
+  input a, b, c;
+  output y, z;
+  wire t, u;
+  and g1 (t, a, b);
+  assign u = ~(t ^ c) | (a & 1'b1);
+  xor (y, u, b);
+  assign z = ~c ^~ b;
+endmodule
+"""
+
+#: Characters and tokens the mutations insert: both grammars' punctuation
+#: and keywords, so mutants reach every directive and statement kind.
+_FUZZ_CHARS = ". \n#\\01-abcyz=;()~&|^,[]'"
+_FUZZ_TOKENS = (
+    ".names", ".inputs", ".outputs", ".latch", ".end", ".model", ".subckt",
+    "assign", "module", "endmodule", "input", "output", "wire", "and", "not",
+    "1'b1", "~^", "\n",
+)
+
+
+def _mutate(text, rng):
+    """One to three character, token or line edits of ``text``."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(6)
+        lines = text.split("\n")
+        i = rng.randrange(len(text) + 1)
+        if kind == 0:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif kind == 1:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+        elif kind == 2:
+            text = text[:i] + rng.choice(_FUZZ_TOKENS) + text[i:]
+        elif kind == 3:
+            del lines[rng.randrange(len(lines))]
+            text = "\n".join(lines)
+        elif kind == 4:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            text = "\n".join(lines)
+        else:
+            j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[j], lines[k] = lines[k], lines[j]
+            text = "\n".join(lines)
+    return text
+
+
+@pytest.mark.parametrize(
+    "parse, text", [(parse_blif, _FUZZ_BLIF), (parse_verilog, _FUZZ_VERILOG)],
+    ids=["blif", "verilog"],
+)
+def test_mutated_netlists_parse_or_raise_netlist_error(parse, text):
+    """Seeded mutations of a small model either parse or raise
+    :class:`NetlistError`: no bare ``IndexError``, unpacking error or
+    other untyped exception escapes a reader."""
+    parse(text)
+    rng = random.Random(2014)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(3000):
+        mutant = _mutate(text, rng)
+        try:
+            parse(mutant)
+        except NetlistError:
+            outcomes["rejected"] += 1
+        except Exception as exc:  # pragma: no cover - the failure report
+            pytest.fail(f"{type(exc).__name__}: {exc} on mutant {mutant!r}")
+        else:
+            outcomes["parsed"] += 1
+    # Both outcomes occur, so the mutations neither break every input
+    # nor leave them all intact.
+    assert outcomes["parsed"] and outcomes["rejected"]
 
 
 def test_builders_match_simulation():
