@@ -71,6 +71,15 @@ def pla_network(
     """Materialize a cover as a two-level AND-OR network."""
     net = LogicNetwork(name)
     inputs = net.add_inputs([f"{input_prefix}{i}" for i in range(num_inputs)])
+    for j, sig in enumerate(_emit_cover(net, inputs, num_outputs, cubes)):
+        net.set_output(f"{output_prefix}{j}", sig)
+    return net
+
+
+def _emit_cover(
+    net: LogicNetwork, inputs: List[str], num_outputs: int, cubes: Sequence[Cube]
+) -> List[str]:
+    """Add a cover's AND-OR gates to ``net``; the signal of each output."""
     inverted = {}
 
     def inv_of(sig: str) -> str:
@@ -93,6 +102,7 @@ def pla_network(
         else:
             products.append(balanced_tree(net, "AND", literals))
 
+    signals = []
     for j in range(num_outputs):
         terms = [p for p, cube in zip(products, cubes) if (cube.outputs >> j) & 1]
         if not terms:
@@ -101,8 +111,8 @@ def pla_network(
             sig = net.add_gate("BUF", [terms[0]])
         else:
             sig = balanced_tree(net, "OR", terms)
-        net.set_output(f"{output_prefix}{j}", sig)
-    return net
+        signals.append(sig)
+    return signals
 
 
 def seeded_pla(
@@ -126,27 +136,20 @@ def seeded_pla(
     (documented in DESIGN.md §3).
     """
     cubes = random_cover(num_inputs, num_outputs, num_cubes, seed, **densities)
-    net = pla_network(name, num_inputs, num_outputs, cubes)
     if xor_fraction <= 0:
-        return net
+        return pla_network(name, num_inputs, num_outputs, cubes)
     rng = random.Random(seed ^ 0x5A5A)
     enriched = LogicNetwork(name)
-    enriched.add_inputs(net.inputs)
+    inputs = enriched.add_inputs([f"x{i}" for i in range(num_inputs)])
     enriched.reserve_names([f"y{j}" for j in range(num_outputs)])
-    # Re-emit the cover body, then overlay parity terms on chosen outputs.
-    mapping = {}
-    for signal in net.topological_order():
-        gate = net.gates[signal]
-        mapping[signal] = enriched.add_gate(
-            gate.op, [mapping.get(f, f) for f in gate.fanins]
-        )
-    for name_, sig in net.outputs:
-        out_sig = mapping[sig]
+    # The cover body first, then parity terms overlaid on chosen outputs.
+    signals = _emit_cover(enriched, inputs, num_outputs, cubes)
+    for j, out_sig in enumerate(signals):
         if rng.random() < xor_fraction:
-            span = rng.sample(net.inputs, min(xor_span, len(net.inputs)))
+            span = rng.sample(inputs, min(xor_span, len(inputs)))
             parity = span[0]
             for s in span[1:]:
                 parity = enriched.xor(parity, s)
             out_sig = enriched.xor(out_sig, parity)
-        enriched.set_output(name_, out_sig)
+        enriched.set_output(f"y{j}", out_sig)
     return enriched

@@ -166,7 +166,8 @@ class LogicNetwork:
         self.inputs: List[str] = []
         self._input_set: set = set()
         self.gates: Dict[str, Gate] = {}
-        self.outputs: List[Tuple[str, str]] = []  # (output name, signal)
+        self._outputs: List[Tuple[str, str]] = []  # (output name, signal)
+        self._output_names: set = set()
         self.latches: List[Tuple[str, str, int]] = []  # (data, state, init)
         self._auto = 0
         self._reserved: set = set()
@@ -215,7 +216,30 @@ class LogicNetwork:
     def set_output(self, name: str, signal: str) -> None:
         if signal not in self.gates and signal not in self._input_set:
             raise NetlistError(f"output {name!r} references unknown signal {signal!r}")
-        self.outputs.append((name, signal))
+        if name in self._output_names:
+            raise NetlistError(f"output {name!r} already defined")
+        self._output_names.add(name)
+        self._outputs.append((name, signal))
+
+    @property
+    def outputs(self) -> List[Tuple[str, str]]:
+        """The ``(output name, signal)`` pairs, in declaration order.
+
+        Assigning a list replaces them; a repeated name raises
+        :class:`NetlistError`, as in :meth:`set_output`.
+        """
+        return self._outputs
+
+    @outputs.setter
+    def outputs(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        pairs = list(pairs)
+        names: set = set()
+        for name, _signal in pairs:
+            if name in names:
+                raise NetlistError(f"output {name!r} already defined")
+            names.add(name)
+        self._outputs = pairs
+        self._output_names = names
 
     def add_latch(self, data: str, state: str, init: int = 0) -> str:
         """Register a state element: ``state`` holds last cycle's ``data``.

@@ -76,9 +76,11 @@ CATALOG: "Mapping[str, tuple]" = {
         "histogram", "Coalesced batch sizes per served function.",
         ("function",), SIZE_BUCKETS),
     "repro_serve_queue_depth": (
-        "gauge", "Queries currently waiting for a batch flush.", (), None),
+        "gauge", "Queries waiting for a batch flush, sampled at scrape time.",
+        (), None),
     "repro_serve_queries_total": (
-        "counter", "Single queries accepted by the batching server.", (), None),
+        "counter", "Single queries flushed into batches by the batching server.",
+        (), None),
     "repro_serve_batches_flushed_total": (
         "counter", "Batch-window flushes executed.", (), None),
     # -- serve: pool dispatcher ----------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -235,15 +236,7 @@ class _HistogramChild:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
 

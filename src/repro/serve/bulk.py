@@ -421,7 +421,7 @@ def _key_runs(batch: List[Mapping]) -> Iterator[Tuple[int, tuple, list]]:
             # A non-mapping (e.g. a key tuple) can share a mapping's
             # key signature; reject it before any run-level error can
             # misattribute the problem.
-            if not isinstance(assignment, Mapping):
+            if type(assignment) is not dict and not isinstance(assignment, Mapping):
                 raise TypeError(
                     f"assignment {start + offset} must be a mapping, "
                     f"got {type(assignment).__name__}"

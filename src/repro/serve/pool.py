@@ -46,16 +46,23 @@ _BIT_TYPES = frozenset((bool, int))
 _BITS = frozenset((0, 1))
 _STR_TYPE = frozenset((str,))
 
+#: Entries a pool's key table holds before it is cleared: one per key
+#: order seen, plus one per key set for its sorted tuple.
+KEY_TABLE_SIZE = 256
 
-def _assignment_key(assignment: Mapping, index: int):
+
+def _assignment_key(assignment: Mapping, index: int, key_table: dict) -> tuple:
     """A hashable, order-insensitive cache key for assignment ``index``.
 
     The common shape (a ``dict`` with ``str`` keys and ``bool`` or int
     0/1 values) is recognized with C-level set operations and keyed by
-    the frozenset of its items, where ``True`` and ``1`` hash and
-    compare equal.  Every other assignment takes
-    :func:`_normalize_assignment`, which raises on malformed values; its
-    tuple keys never equal a frozenset.
+    two parts: its sorted key tuple, and its values as ``bytes`` in that
+    order (``True`` and ``1`` both give ``b"\\x01"``).  ``key_table``
+    maps each key order seen to the sorted tuple of its key set, so every
+    assignment over one key set shares one tuple; it is cleared when
+    full.  Every other assignment takes :func:`_normalize_assignment`,
+    which raises on malformed values; its one-part key never equals a
+    two-part one.
     """
     if (
         type(assignment) is dict
@@ -63,8 +70,16 @@ def _assignment_key(assignment: Mapping, index: int):
         and _BITS.issuperset(assignment.values())
         and _STR_TYPE.issuperset(map(type, assignment))
     ):
-        return frozenset(assignment.items())
-    return _normalize_assignment(assignment, f"assignment {index}")
+        order = tuple(assignment)
+        keys = key_table.get(order)
+        if keys is None:
+            if len(key_table) + 2 > KEY_TABLE_SIZE:  # room for order and keys
+                key_table.clear()
+            keys = tuple(sorted(order))
+            keys = key_table.setdefault(keys, keys)
+            key_table[order] = keys
+        return keys, bytes(map(assignment.__getitem__, keys))
+    return (_normalize_assignment(assignment, f"assignment {index}"),)
 
 
 def _normalize_assignment(assignment: Mapping, where: str) -> tuple:
@@ -143,6 +158,8 @@ class ForestPool:
         self._max_forests = max_forests
         self._cache: "OrderedDict[tuple, bool]" = OrderedDict()
         self._cache_size = cache_size
+        # Key order -> the shared sorted key tuple (see _assignment_key).
+        self._key_table: Dict[tuple, tuple] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.batches_dispatched = 0
@@ -332,13 +349,11 @@ class ForestPool:
             # batching server calls evaluate_batch from several executor
             # threads at once, and an unsynchronized get/move_to_end pair
             # races against another thread's eviction.
+            prefix = (forest.generation, name)
+            key_table = self._key_table
             with self._lock:
                 for index, assignment in enumerate(batch):
-                    key = (
-                        forest.generation,
-                        name,
-                        _assignment_key(assignment, index),
-                    )
+                    key = prefix + _assignment_key(assignment, index, key_table)
                     if use_cache:
                         cached = self._cache.get(key)
                         if cached is not None:

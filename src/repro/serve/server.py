@@ -98,17 +98,19 @@ class BatchingServer:
         self.queries = 0
         self.batches_flushed = 0
         # Event-driven metrics record straight into the global registry
-        # (bounded memory — the old unbounded latency list is gone).
+        # (bounded memory — the old unbounded latency list is gone), once
+        # per flush where they can; the queue depth is sampled at scrape
+        # time (collect_metrics).
         registry = obs.REGISTRY
         self._latency_hist = _metric(
             registry, "repro_serve_request_latency_seconds"
         )
         self._batch_size_hist = _metric(registry, "repro_serve_batch_size")
-        self._queue_depth = _metric(registry, "repro_serve_queue_depth")
         self._queries_total = _metric(registry, "repro_serve_queries_total")
         self._flushes_total = _metric(
             registry, "repro_serve_batches_flushed_total"
         )
+        obs.track(self)
 
     def warm(self) -> List[str]:
         """Freeze the forest and attach it in every pool worker; root names."""
@@ -149,8 +151,6 @@ class BatchingServer:
         loop = asyncio.get_running_loop()
         self._pending.append((name, assignment, loop.time(), deliver))
         self.queries += 1
-        self._queries_total.inc()
-        self._queue_depth.set(len(self._pending))
         if len(self._pending) >= self.max_batch:
             if self._timer is not None:
                 self._timer.cancel()
@@ -173,12 +173,12 @@ class BatchingServer:
         if not pending:
             return
         self._pending = []
-        self._queue_depth.set(0)
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
         self.batches_flushed += 1
         self._flushes_total.inc()
+        self._queries_total.inc(len(pending))
         loop = asyncio.get_running_loop()
         by_name: dict = {}
         for name, assignment, start, deliver in pending:
@@ -286,6 +286,10 @@ class BatchingServer:
         stats.update(self.pool.stats())
         return stats
 
+    def collect_metrics(self, registry) -> None:
+        """Sample the queries waiting for a flush into an obs registry."""
+        _metric(registry, "repro_serve_queue_depth").inc(len(self._pending))
+
     def metrics_snapshot(self) -> dict:
         """The merged metrics snapshot: this process plus pool workers.
 
@@ -310,6 +314,17 @@ _TASK_OPS = ("stats", "metrics", "p_one", "marginals")
 
 def _result_line(request_id, result) -> bytes:
     return json.dumps({"id": request_id, "result": result}).encode() + b"\n"
+
+
+def _query_line(request_id, value: bool) -> bytes:
+    """A query's reply line for its ``bool`` result, as :func:`_result_line`.
+
+    The encoded id goes into a constant template; an ``int`` id, the
+    common case, is written by ``str`` rather than the JSON encoder.
+    """
+    text = str(request_id) if type(request_id) is int else json.dumps(request_id)
+    tail = b', "result": true}\n' if value else b', "result": false}\n'
+    return b'{"id": ' + text.encode() + tail
 
 
 def _error_line(request_id, exc: Exception) -> bytes:
@@ -372,7 +387,7 @@ async def handle_client(server: BatchingServer, reader, writer, on_request=None)
             if isinstance(value, Exception):
                 reply(_error_line(request_id, value))
             else:
-                reply(_result_line(request_id, value))
+                reply(_query_line(request_id, value))
 
         return deliver
 

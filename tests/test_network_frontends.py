@@ -268,6 +268,38 @@ def test_netlist_error_is_typed_and_a_value_error():
 
 
 @pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_blif, ".model m\n.inputs a\n.outputs y y\n.names a y\n1 1\n.end\n"),
+        (parse_verilog, "module m (a, y); input a; output y, y; assign y = a; endmodule"),
+    ],
+    ids=["blif", "verilog"],
+)
+def test_readers_reject_repeated_output_names(parse, text):
+    """Before: both readers listed ``('y', 'y')`` twice as outputs."""
+    with pytest.raises(NetlistError, match="output 'y' already defined"):
+        parse(text)
+
+
+def test_set_output_rejects_a_repeated_name():
+    net = LogicNetwork()
+    a, b = net.add_inputs(["a", "b"])
+    net.set_output("y", a)
+    net.set_output("z", a)  # two names on one signal stay legal
+    with pytest.raises(NetlistError, match="output 'y' already defined"):
+        net.set_output("y", b)
+    with pytest.raises(NetlistError, match="output 'z' already defined"):
+        net.outputs = [("z", a), ("z", b)]
+    assert net.outputs == [("y", a), ("z", a)]
+    copy = net.copy()
+    with pytest.raises(NetlistError, match="output 'y' already defined"):
+        copy.set_output("y", b)
+    copy.outputs = [("w", b)]
+    copy.set_output("y", b)
+    assert copy.outputs == [("w", b), ("y", b)] and net.num_outputs == 2
+
+
+@pytest.mark.parametrize(
     "parse, text, message",
     [
         (parse_blif, ".names\n", "names no signal"),

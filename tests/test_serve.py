@@ -1057,6 +1057,111 @@ def test_result_cache_key_contract(tmp_path):
         )
 
 
+def test_result_cache_keys_share_one_key_tuple(tmp_path):
+    """Assignments over one key set share one sorted key tuple, whatever
+    their key order; the table of key orders stays within its bound."""
+    from itertools import islice, permutations
+
+    from repro.serve.pool import KEY_TABLE_SIZE
+
+    names = [f"v{i}" for i in range(7)]
+    manager = repro.open("bbdd", vars=names)
+    f = manager.add_expr(" ^ ".join(names))
+    path = str(tmp_path / "parity.bbdd")
+    manager.dump({"f": f}, path)
+    with ForestPool(workers=0) as pool:
+        assert pool.evaluate(path, "f", dict.fromkeys(names, 0)) is False
+        shuffled = {name: int(name == "v3") for name in reversed(names)}
+        assert pool.evaluate(path, "f", shuffled) is True
+        first, second = pool._cache
+        assert first[2] == tuple(names) and first[2] is second[2]
+        assert pool.stats()["cache_entries"] == 2
+        orders = list(islice(permutations(names), 2000))
+        batch = [
+            {name: (i >> k) & 1 for k, name in enumerate(order)}
+            for i, order in enumerate(orders)
+        ]
+        want = [bin(i & 0x7F).count("1") % 2 == 1 for i in range(len(batch))]
+        assert pool.evaluate_batch(path, "f", batch) == want
+        assert 0 < len(pool._key_table) <= KEY_TABLE_SIZE
+        tuples = {id(keys) for keys in pool._key_table.values()}
+        assert len(tuples) == 1
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_query_reply_lines_match_json_dumps(value):
+    """A query's reply line is byte-identical to the generic encoding."""
+    for request_id in (0, -1, 2**70, "req-é\n\"7\"", 1.5, None, {"a": [1, None]}):
+        want = (json.dumps({"id": request_id, "result": value}) + "\n").encode()
+        assert serve_server._query_line(request_id, value) == want, request_id
+        assert serve_server._result_line(request_id, value) == want, request_id
+
+
+def test_tcp_burst_counts_every_query_once(forest_path):
+    """After a pipelined TCP burst, the queries counter (bumped once per
+    flush) has grown by exactly the number of queries sent."""
+    from repro import obs
+    from repro.obs.catalog import family
+
+    batch = reference_batch(300, seed=17)
+    want = reference_results(forest_path, "f", batch)
+    counter = family(obs.REGISTRY, "repro_serve_queries_total")
+
+    async def scenario():
+        pool = ForestPool(workers=0)
+        server = BatchingServer(pool, forest_path, batch_window=0.001)
+        tcp, reader, writer = await _open_tcp(server)
+        try:
+            before = counter.value
+            for i, assignment in enumerate(batch):
+                request = {"f": "f", "assignment": assignment, "id": i}
+                writer.write(json.dumps(request).encode() + b"\n")
+            await writer.drain()
+            replies = await _read_replies(reader, len(batch))
+            return counter.value - before, server.stats(), replies
+        finally:
+            await _close_tcp(tcp, writer)
+            pool.close()
+
+    counted, stats, replies = asyncio.run(scenario())
+    by_id = {reply["id"]: reply["result"] for reply in replies}
+    assert [by_id[i] for i in range(len(batch))] == want
+    assert counted == stats["queries"] == len(batch)
+
+
+def test_queue_depth_is_sampled_at_scrape_time(forest_path):
+    """The queue-depth gauge reads every server's pending queries when a
+    snapshot is taken, and falls back once they flush."""
+    from repro import obs
+
+    def depth() -> int:
+        return obs.snapshot()["repro_serve_queue_depth"]["samples"][0]["value"]
+
+    async def scenario():
+        pool = ForestPool(workers=0)
+        first = BatchingServer(pool, forest_path, batch_window=30.0, max_batch=4)
+        second = BatchingServer(pool, forest_path, batch_window=30.0, max_batch=3)
+        answers = []
+        try:
+            base = depth()
+            for server, count in ((first, 3), (second, 2)):
+                for _ in range(count):
+                    server.submit("g", {"a": 1, "e": 0}, answers.append)
+            pending = depth() - base
+            # Each server's last query fills its batch and flushes it.
+            futures = [first.query("g", {"a": 0, "e": 0})]
+            futures.append(second.query("g", {"a": 0, "e": 0}))
+            results = await asyncio.gather(*futures)
+            return pending, depth() - base, answers, results
+        finally:
+            pool.close()
+
+    pending, after, answers, results = asyncio.run(scenario())
+    assert pending == 5
+    assert after == 0
+    assert answers == [True] * 5 and results == [False, False]
+
+
 #: Odd values for each field of a fuzzed request object.  No ``id``
 #: here collides with the ``valid-<n>`` ids of the valid queries.
 FUZZ_FIELDS = {
